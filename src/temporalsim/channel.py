@@ -8,10 +8,10 @@ four delivery-mode (de)serializers.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .core import (
     DEFAULT_CLOCK,
@@ -38,11 +38,14 @@ class TimedMessage:
 
     The payload is implicit in the spacing: the decoded value is the gap
     between the start and the final event, and any value pulses decode
-    by their offset from the start.
+    by their offset from the start. A multi-valent message also carries
+    one amplitude per value pulse; every other message leaves
+    `amplitudes` empty.
     """
 
     events: Tuple[Tuple[str, int], ...]
     clock: ClockRef = DEFAULT_CLOCK
+    amplitudes: Tuple[int, ...] = ()
 
     def __post_init__(self):
         events = tuple((str(r), int(t)) for r, t in self.events)
@@ -52,13 +55,39 @@ class TimedMessage:
         if any(b < a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("events must be in non-decreasing order")
         object.__setattr__(self, "events", events)
+        if self.amplitudes:
+            amps = tuple(int(a) for a in self.amplitudes)
+            if len(amps) != len(self.value_offsets()) or min(amps) < 1:
+                raise ValueError("need one amplitude >= 1 per value pulse")
+            object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def interval(cls, value: int, start: int = 0,
                  clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        if value == 0:
-            return cls(((EVENT_START, start), (EVENT_END, start)), clock)
         return cls(((EVENT_START, start), (EVENT_END, start + value)), clock)
+
+    @classmethod
+    def multiplexed(cls, values: Iterable[int], start: int = 0,
+                    clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
+        """A value set as one value pulse per member after the start."""
+        pulses = tuple((EVENT_VALUE, start + v) for v in sorted(values))
+        return cls(((EVENT_START, start),) + pulses, clock)
+
+    @classmethod
+    def multivalent(cls, items: Iterable[Tuple[int, int]], start: int = 0,
+                    clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
+        """(position, amplitude) buckets as amplitude-carrying pulses."""
+        items = sorted(items)
+        pulses = tuple((EVENT_VALUE, start + p) for p, _a in items)
+        return cls(((EVENT_START, start),) + pulses, clock,
+                   tuple(a for _p, a in items))
+
+    @property
+    def kind(self) -> str:
+        """scalar (start/end interval), mux (value set) or mv."""
+        if self.amplitudes:
+            return "mv"
+        return "mux" if self.events[-1][0] == EVENT_VALUE else "scalar"
 
     @property
     def start_tick(self) -> int:
@@ -77,13 +106,21 @@ class TimedMessage:
         start = self.start_tick
         return tuple(t - start for r, t in self.events if r == EVENT_VALUE)
 
+    def decoded(self):
+        """The payload: an int, a value set, or a position->amplitude map."""
+        kind = self.kind
+        if kind == "scalar":
+            return self.decode()
+        if kind == "mux":
+            return set(self.value_offsets())
+        return dict(zip(self.value_offsets(), self.amplitudes))
+
 
 @dataclass(frozen=True)
 class Link:
     """A one-way path whose delay may depend on the emission tick.
 
-    The delay function must be deterministic; randomness comes only from
-    an explicit seed baked into the function at construction time.
+    The delay function must be deterministic.
     """
 
     delay: Callable[[int], int]
@@ -107,19 +144,6 @@ class Link:
         frozen = dict(table)
         return cls(lambda t: frozen.get(t, default), src_clock,
                    dst_clock or src_clock)
-
-    @classmethod
-    def jittered(cls, seed: int, low: int, high: int,
-                 src_clock: ClockRef = DEFAULT_CLOCK,
-                 dst_clock: Optional[ClockRef] = None) -> "Link":
-        """Per-tick pseudo-random delay, reproducible from the seed."""
-        if low < 0 or high < low:
-            raise ValueError("need 0 <= low <= high")
-
-        def delay(tick: int) -> int:
-            return random.Random(seed * 0x9E3779B1 + tick).randint(low, high)
-
-        return cls(delay, src_clock, dst_clock or src_clock)
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,7 @@ def transmit_checked(msg: TimedMessage,
         distorted_value = shifted[-1][1] - shifted[0][1]
         return StabilityViolation(msg, shifted,
                                   distorted_value - msg.decode())
-    return TimedMessage(shifted, msg.clock)
+    return TimedMessage(shifted, msg.clock, msg.amplitudes)
 
 
 def transmit(msg: TimedMessage, link: Link) -> TimedMessage:

@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import DEFAULT_CLOCK, encode_hybrid, encode_pim, encode_unary
+from .core import encode_hybrid, encode_pim, encode_unary
 from .engine import (
     DEFAULT_BUDGET,
     oracle_results,
@@ -23,12 +23,7 @@ from .engine import (
     trace_to_waveform,
     _format_result,
 )
-from .errors import (
-    NetlistParseError,
-    NetlistValidationError,
-    SimulationError,
-    TemporalError,
-)
+from .errors import SimulationError, TemporalError
 from .netlist import parse_netlist
 
 EXIT_OK = 0
@@ -180,10 +175,7 @@ def cmd_export(args) -> int:
     except (OSError, SimulationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "waveform":
-        _write(args.out, trace_to_waveform(trace))
-    else:
-        _write(args.out, trace_to_csv(trace))
+    _write(args.out, trace_to_waveform(trace))
     return EXIT_OK
 
 
@@ -232,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("export", help="convert a trace CSV")
+    p = sub.add_parser("export", help="convert a trace CSV to a waveform")
     p.add_argument("trace")
-    p.add_argument("--format", choices=("waveform", "csv"),
-                   default="waveform")
+    p.add_argument("--format", choices=("waveform",), default="waveform")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_export)
     return parser

@@ -3,72 +3,25 @@
 Blocks fire on event arrival, never on a global control clock; the only
 ordering guarantee is the fixed event-queue tiebreak (tick, block id,
 port), which makes every run a pure function of the netlist text and
-seeds. Costs are simulated ticks, never wall-clock.
+seeds. Costs are simulated ticks, never wall-clock. What each block kind
+computes lives in `blocks.KINDS`.
 """
 
 from __future__ import annotations
 
 import heapq
-import zlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import arith
-from .accumulators import (
-    AccumulatorConfig,
-    AccumulatorModel,
-    accumulate,
-    accumulate_digital,
-    toggle_chain_overflowed,
-)
-from .accumulators import convert_reference
+from .blocks import C0, KINDS, Firing, parse_params
 from .channel import Link, StabilityViolation, TimedMessage, transmit_checked
-from .core import ClockRef, IntervalValue, MultiValentTrain
-from .errors import SimulationError
+from .core import ClockRef
+from .errors import SimulationError, TemporalError
 from .netlist import Netlist, Wire
-
-# Per-block constant tick overhead for delimiter handling.
-C0 = 1
 
 DEFAULT_BUDGET = 10 ** 8
 
 _ROLE_RANK = {"start": 0, "value-pulse": 1, "end": 2}
-
-
-@dataclass(frozen=True)
-class SimMessage:
-    """A value in flight: its payload plus the events that carry it."""
-
-    kind: str                      # scalar | mux | mv
-    payload: object                # int | frozenset[int] | ((pos, amp), ...)
-    clock: ClockRef
-    events: Tuple[Tuple[str, int], ...]
-
-    @property
-    def arrival(self) -> int:
-        return max(t for _r, t in self.events)
-
-    def decoded(self):
-        if self.kind == "scalar":
-            return self.payload
-        if self.kind == "mux":
-            return set(self.payload)
-        return dict(self.payload)
-
-
-def _build_message(kind: str, payload, clock: ClockRef, t0: int) -> SimMessage:
-    if kind == "scalar":
-        events = (("start", t0), ("end", t0 + payload))
-    elif kind == "mux":
-        pulses = tuple(("value-pulse", t0 + v) for v in sorted(payload))
-        events = (("start", t0),) + pulses
-    elif kind == "mv":
-        pulses = tuple(("value-pulse", t0 + p) for p, _a in payload)
-        events = (("start", t0),) + pulses
-    else:
-        raise SimulationError("unknown message kind %r" % kind)
-    return SimMessage(kind, payload, clock, events)
 
 
 @dataclass
@@ -112,153 +65,6 @@ def summarize(trace: Trace) -> Summary:
                    dict(trace.stats.block_costs), overheads)
 
 
-def _block_clock(net: Netlist, block, default: Optional[str]) -> ClockRef:
-    cid = block.params.get("clock", default)
-    if cid is None or cid not in net.clocks:
-        raise SimulationError("block %r has no resolvable clock" % block.id)
-    return net.clocks[cid]
-
-
-def _default_clock_id(net: Netlist) -> Optional[str]:
-    if "main" in net.clocks:
-        return "main"
-    if len(net.clocks) == 1:
-        return next(iter(net.clocks))
-    return None
-
-
-def _scalar(msg: SimMessage, block_id: str) -> int:
-    if msg.kind != "scalar":
-        raise SimulationError(
-            "block %r expected a scalar message, got %s" % (block_id, msg.kind))
-    return msg.payload
-
-
-def _accumulator_config(block, seed: Optional[int]) -> AccumulatorConfig:
-    model = {
-        "digital": AccumulatorModel.DIGITAL_COUNTER,
-        "toggle": AccumulatorModel.TOGGLE_CHAIN,
-        "analog": AccumulatorModel.ANALOG_INTEGRATOR,
-        "photon": AccumulatorModel.PHOTON_COUNTER,
-    }[block.params.get("model", "digital")]
-    noise_seed = None
-    if "seed" in block.params:
-        noise_seed = int(block.params["seed"])
-    elif seed is not None and model is AccumulatorModel.PHOTON_COUNTER:
-        noise_seed = seed ^ zlib.crc32(block.id.encode())
-    return AccumulatorConfig(
-        model=model,
-        chain_depth=int(block.params.get("depth", 8)),
-        rate=Fraction(block.params.get("rate", 1)),
-        flux=Fraction(block.params.get("flux", 1)),
-        noise_seed=noise_seed,
-    )
-
-
-def _fire(net: Netlist, block, inputs: Dict[str, SimMessage], t_fire: int,
-          seed: Optional[int], add_bias: int,
-          stats: TraceStats) -> Tuple[Optional[SimMessage], int]:
-    """Compute a block's output message and its simulated tick cost."""
-    kind = block.kind
-    default_cid = _default_clock_id(net)
-
-    if kind == "source":
-        clock = _block_clock(net, block, default_cid)
-        value = int(block.params["value"])
-        if "position" in block.params:
-            pos = int(block.params["position"])
-            msg = _build_message("mv", ((pos, value),), clock, t_fire)
-            return msg, pos + C0
-        return _build_message("scalar", value, clock, t_fire), value + C0
-
-    if kind == "add":
-        a = _scalar(inputs["a"], block.id)
-        b = _scalar(inputs["b"], block.id)
-        if inputs["a"].clock != inputs["b"].clock:
-            raise SimulationError(
-                "block %r: operand clocks differ; insert a convert block"
-                % block.id)
-        cost = a + b + C0
-        stats.add_models[block.id] = (a + b, cost)
-        out = a + b + add_bias
-        return _build_message("scalar", out, inputs["a"].clock, t_fire), cost
-
-    if kind == "mul":
-        a = _scalar(inputs["in"], block.id)
-        k = int(block.params["k"])
-        out = a * k
-        return (_build_message("scalar", out, inputs["in"].clock, t_fire),
-                out + C0)
-
-    if kind in ("min", "max"):
-        msgs = [inputs[p] for p in sorted(inputs)]
-        values = [_scalar(m, block.id) for m in msgs]
-        out = min(values) if kind == "min" else max(values)
-        return _build_message("scalar", out, msgs[0].clock, t_fire), out + C0
-
-    if kind == "mux":
-        msgs = [inputs[p] for p in sorted(inputs)]
-        values = [_scalar(m, block.id) for m in msgs]
-        try:
-            channel = arith.mux(values, msgs[0].clock)
-        except Exception as exc:
-            raise SimulationError("block %r: %s" % (block.id, exc)) from exc
-        payload = frozenset(channel.value_pulses)
-        return (_build_message("mux", payload, msgs[0].clock, t_fire),
-                max(payload) + C0)
-
-    if kind == "demux":
-        msg = inputs["in"]
-        if msg.kind != "mux":
-            raise SimulationError(
-                "block %r expected a multiplexed message" % block.id)
-        return (_build_message("mux", msg.payload, msg.clock, t_fire),
-                max(msg.payload) + C0)
-
-    if kind == "madd":
-        msgs = [inputs[p] for p in sorted(inputs)]
-        trains = []
-        for m in msgs:
-            if m.kind != "mv":
-                raise SimulationError(
-                    "block %r expected multi-valent messages" % block.id)
-            trains.append(MultiValentTrain(m.payload, m.clock))
-        try:
-            merged = arith.mv_merge(trains)
-        except Exception as exc:
-            raise SimulationError("block %r: %s" % (block.id, exc)) from exc
-        out = arith.madd(merged)
-        sweep = max((p for p, _a in merged.items), default=0)
-        return (_build_message("scalar", out, msgs[0].clock, t_fire),
-                sweep + C0)
-
-    if kind == "accumulator":
-        msg = inputs["in"]
-        value = _scalar(msg, block.id)
-        ref = (_block_clock(net, block, None) if "clock" in block.params
-               else msg.clock)
-        config = _accumulator_config(block, seed)
-        iv = IntervalValue(0, value, msg.clock)
-        out = accumulate(iv, ref, config)
-        if config.model is AccumulatorModel.TOGGLE_CHAIN:
-            if toggle_chain_overflowed(accumulate_digital(iv, ref),
-                                       config.chain_depth):
-                stats.overflow_flags.append(block.id)
-        return _build_message("scalar", out, ref, t_fire), value + C0
-
-    if kind == "convert":
-        msg = inputs["in"]
-        value = _scalar(msg, block.id)
-        target = net.clocks[block.params["clock"]]
-        out = convert_reference(value, msg.clock, target)
-        return _build_message("scalar", out, target, t_fire), C0
-
-    if kind == "probe":
-        return None, 0
-
-    raise SimulationError("unknown block kind %r" % kind)
-
-
 def _wire_link(wire: Wire, src_clock: ClockRef) -> Link:
     if wire.table is not None:
         return Link.from_table(wire.table, wire.table_default, src_clock)
@@ -277,46 +83,69 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     trace = Trace()
     stats = trace.stats
     probe_set = set(net.probes)
+    default_clock = net.default_clock()
 
-    pending: Dict[str, Dict[str, SimMessage]] = {
+    pending: Dict[str, Dict[str, TimedMessage]] = {
         bid: {} for bid in net.blocks}
     required: Dict[str, set] = {
         bid: {w.dst_port for w in net.inputs_of(bid)} for bid in net.blocks}
     fired = set()
 
-    queue: List[Tuple[int, str, str, int, SimMessage]] = []
+    queue: List[Tuple[int, str, str, int, TimedMessage]] = []
     seq = 0
 
-    def emit(block_id: str, msg: SimMessage) -> None:
+    def fire(block, t: int) -> None:
+        """Run the block's fire function; its errors name the block."""
+        kind = KINDS.get(block.kind)
+        if kind is None:
+            raise SimulationError("unknown block kind %r" % block.kind)
+        params, errors = parse_params(block)
+        if errors:
+            raise SimulationError("; ".join(errors))
+        clock = net.clocks.get(block.params.get("clock", default_clock))
+        if kind.clocked and clock is None:
+            raise SimulationError("block %r has no resolvable clock"
+                                  % block.id)
+        inputs = pending[block.id]
+        firing = Firing(block.id, params, [inputs[p] for p in sorted(inputs)],
+                        t, clock, seed, add_bias, stats)
+        try:
+            out, cost = kind.fire(firing)
+        except (TemporalError, ValueError) as exc:
+            raise SimulationError("block %r (%s): %s"
+                                  % (block.id, block.kind, exc)) from exc
+        fired.add(block.id)
+        stats.block_costs[block.id] = cost
+        if out is not None:
+            emit(block.id, out)
+
+    def emit(block_id: str, msg: TimedMessage) -> None:
         nonlocal seq
         if (block_id, "out") in probe_set:
             trace.results["%s.out" % block_id] = msg.decoded()
         for wire in sorted(net.outputs_of(block_id),
                            key=lambda w: (w.dst_block, w.dst_port)):
-            link = _wire_link(wire, msg.clock)
-            sent = transmit_checked(
-                TimedMessage(msg.events, msg.clock), link)
-            if isinstance(sent, StabilityViolation):
+            delivered = transmit_checked(msg, _wire_link(wire, msg.clock))
+            if isinstance(delivered, StabilityViolation):
+                name = "%s.%s->%s.%s" % (wire.src_block, wire.src_port,
+                                         wire.dst_block, wire.dst_port)
                 stats.stability_violations.append(
-                    "%s.%s->%s.%s value error %+d"
-                    % (wire.src_block, wire.src_port, wire.dst_block,
-                       wire.dst_port, sent.value_error))
-                delivered = _distorted_message(msg, sent)
-            else:
-                delivered = SimMessage(msg.kind, msg.payload, msg.clock,
-                                       sent.events)
+                    "%s value error %+d" % (name, delivered.value_error))
+                try:
+                    delivered = TimedMessage(delivered.distorted_events,
+                                             msg.clock, msg.amplitudes)
+                except ValueError as exc:
+                    raise SimulationError(
+                        "wire %s: distorted message is unreadable: %s"
+                        % (name, exc)) from exc
             seq += 1
-            heapq.heappush(queue, (delivered.arrival, wire.dst_block,
+            heapq.heappush(queue, (delivered.last_tick, wire.dst_block,
                                    wire.dst_port, seq, delivered))
 
     # Sources fire unconditionally at tick 0.
     for bid in sorted(net.blocks):
-        block = net.blocks[bid]
-        if block.kind == "source":
-            msg, cost = _fire(net, block, {}, 0, seed, add_bias, stats)
-            stats.block_costs[bid] = cost
-            fired.add(bid)
-            emit(bid, msg)
+        if net.blocks[bid].kind == "source":
+            fire(net.blocks[bid], 0)
 
     while queue:
         if queue[0][0] > budget:
@@ -325,21 +154,13 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         tick, dst, port, _seq, msg = heapq.heappop(queue)
         for role, etick in msg.events:
             trace.events.append((etick, dst, port, role))
-        if (dst, port) in probe_set:
-            trace.results["%s.%s" % (dst, port)] = msg.decoded()
         block = net.blocks[dst]
-        if block.kind == "probe":
+        if (dst, port) in probe_set or block.kind == "probe":
             trace.results["%s.%s" % (dst, port)] = msg.decoded()
         pending[dst][port] = msg
         if dst in fired or set(pending[dst]) != required[dst]:
             continue
-        fired.add(dst)
-        t_fire = max(m.arrival for m in pending[dst].values())
-        out, cost = _fire(net, block, pending[dst], t_fire, seed,
-                          add_bias, stats)
-        stats.block_costs[dst] = cost
-        if out is not None:
-            emit(dst, out)
+        fire(block, max(m.last_tick for m in pending[dst].values()))
 
     trace.events.sort(key=lambda e: (e[0], e[1], e[2], _ROLE_RANK[e[3]]))
     stats.event_count = len(trace.events)
@@ -347,76 +168,35 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     return trace
 
 
-def _distorted_message(msg: SimMessage,
-                       violation: StabilityViolation) -> SimMessage:
-    """Rebuild a message whose payload reflects in-flight distortion."""
-    events = violation.distorted_events
-    start = events[0][1]
-    if msg.kind == "scalar":
-        payload = violation.distorted_value
-    elif msg.kind == "mux":
-        payload = frozenset(t - start for r, t in events
-                            if r == "value-pulse")
-    else:
-        amps = [a for _p, a in msg.payload]
-        offsets = [t - start for r, t in events if r == "value-pulse"]
-        payload = tuple(zip(offsets, amps))
-    return SimMessage(msg.kind, payload, msg.clock, events)
-
-
 # ---------------------------------------------------------------------------
 # Integer-DAG oracle
-
-ORACLE_KINDS = {"source", "add", "mul", "min", "max", "madd", "probe"}
 
 
 def oracle_results(net: Netlist) -> Dict[str, object]:
     """Evaluate a netlist's probes with plain integer arithmetic.
 
-    Independent of the event engine: blocks are folded over the DAG with
-    ordinary +, *, min, max and an explicit sum for the dot product.
+    Independent of the event engine: each block's oracle function in
+    `blocks.KINDS` folds ordinary +, *, min, max and an explicit sum for
+    the dot product over the DAG.
     """
     for block in net.blocks.values():
-        if block.kind not in ORACLE_KINDS:
+        if block.kind not in KINDS or KINDS[block.kind].oracle is None:
             raise SimulationError(
                 "oracle does not support block kind %r" % block.kind)
 
     memo: Dict[str, object] = {}
 
     def value_of(bid: str):
-        if bid in memo:
-            return memo[bid]
-        block = net.blocks[bid]
-        ins = {w.dst_port: value_of(w.src_block)
-               for w in net.inputs_of(bid)}
-        if block.kind == "source":
-            if "position" in block.params:
-                out = (int(block.params["position"]),
-                       int(block.params["value"]))
-            else:
-                out = int(block.params["value"])
-        elif block.kind == "add":
-            out = ins["a"] + ins["b"]
-        elif block.kind == "mul":
-            out = ins["in"] * int(block.params["k"])
-        elif block.kind == "min":
-            out = min(ins.values())
-        elif block.kind == "max":
-            out = max(ins.values())
-        elif block.kind == "madd":
-            out = sum(pos * amp for pos, amp in ins.values())
-        else:
-            raise SimulationError("oracle cannot evaluate %r" % block.kind)
-        memo[bid] = out
-        return out
+        if bid not in memo:
+            block = net.blocks[bid]
+            ins = {w.dst_port: value_of(w.src_block)
+                   for w in net.inputs_of(bid)}
+            memo[bid] = KINDS[block.kind].oracle(parse_params(block)[0], ins)
+        return memo[bid]
 
     results: Dict[str, object] = {}
     for bid, port in net.probes:
-        block = net.blocks[bid]
-        if block.kind == "probe":
-            feeders = net.inputs_of(bid)
-            results["%s.%s" % (bid, port)] = value_of(feeders[0].src_block)
-        elif port == "out":
+        if port == "out":
             results["%s.out" % bid] = value_of(bid)
         else:
             src = [w for w in net.inputs_of(bid) if w.dst_port == port][0]

@@ -17,23 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .blocks import KINDS, VARIADIC, parse_params
 from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
-
-BLOCK_KINDS = ("source", "add", "mul", "min", "max", "mux", "demux",
-               "madd", "accumulator", "convert", "probe")
-
-# Fixed input ports per kind; None marks variadic kinds (in0, in1, ...).
-_FIXED_INPUTS = {
-    "source": (),
-    "add": ("a", "b"),
-    "mul": ("in",),
-    "demux": ("in",),
-    "accumulator": ("in",),
-    "convert": ("in",),
-    "probe": ("in",),
-}
-_VARIADIC = ("min", "max", "mux", "madd")
 
 
 @dataclass(frozen=True)
@@ -66,6 +52,15 @@ class Netlist:
 
     def outputs_of(self, block_id: str) -> List[Wire]:
         return [w for w in self.wires if w.src_block == block_id]
+
+    def default_clock(self) -> Optional[str]:
+        """The clock a block without `clock=` runs on: `main` if declared,
+        else the only clock, else none."""
+        if "main" in self.clocks:
+            return "main"
+        if len(self.clocks) == 1:
+            return next(iter(self.clocks))
+        return None
 
 
 def _column(line: str, token: str) -> int:
@@ -205,115 +200,61 @@ def parse_netlist(text: str) -> Netlist:
     return net
 
 
-def _required_int(block: BlockSpec, key: str, errors: List[str],
-                  minimum: Optional[int] = None) -> Optional[int]:
-    if key not in block.params:
-        errors.append("block %r (%s) missing param %r"
-                      % (block.id, block.kind, key))
-        return None
-    try:
-        val = int(block.params[key])
-    except ValueError:
-        errors.append("block %r param %s=%r is not an integer"
-                      % (block.id, key, block.params[key]))
-        return None
-    if minimum is not None and val < minimum:
-        errors.append("block %r param %s=%d must be >= %d"
-                      % (block.id, key, val, minimum))
-        return None
-    return val
-
-
 def _validate(net: Netlist) -> None:
     errors: List[str] = []
     if not net.blocks:
         errors.append("no blocks")
 
-    default_clock = "main" if "main" in net.clocks else (
-        next(iter(net.clocks)) if len(net.clocks) == 1 else None)
-
+    default_clock = net.default_clock()
     for block in net.blocks.values():
-        if block.kind not in BLOCK_KINDS:
+        kind = KINDS.get(block.kind)
+        if kind is None:
             errors.append("block %r has unknown kind %r"
                           % (block.id, block.kind))
             continue
-        if block.kind == "source":
-            _required_int(block, "value", errors, minimum=0)
-            if "position" in block.params:
-                _required_int(block, "position", errors, minimum=0)
-        elif block.kind == "mul":
-            _required_int(block, "k", errors, minimum=1)
-        elif block.kind == "accumulator":
-            model = block.params.get("model", "digital")
-            if model not in ("digital", "toggle", "analog", "photon"):
-                errors.append("block %r has unknown accumulator model %r"
-                              % (block.id, model))
-            if model == "toggle":
-                _required_int(block, "depth", errors, minimum=1)
-            for key in ("rate", "flux"):
-                if key in block.params:
-                    try:
-                        if Fraction(block.params[key]) <= 0:
-                            errors.append("block %r param %s must be > 0"
-                                          % (block.id, key))
-                    except (ValueError, ZeroDivisionError):
-                        errors.append("block %r param %s=%r is not rational"
-                                      % (block.id, key, block.params[key]))
-        elif block.kind == "convert":
-            if "clock" not in block.params:
-                errors.append("block %r (convert) missing param 'clock'"
-                              % block.id)
-        clock_id = block.params.get("clock", default_clock)
-        if block.kind in ("source", "accumulator", "convert"):
+        errors.extend(parse_params(block)[1])
+        if kind.clocked:
+            clock_id = block.params.get("clock", default_clock)
             if clock_id is None:
                 errors.append("block %r needs an explicit clock" % block.id)
             elif clock_id not in net.clocks:
                 errors.append("block %r references unknown clock %r"
                               % (block.id, clock_id))
+        wired = {w.dst_port for w in net.inputs_of(block.id)}
+        for port in kind.inputs or ():
+            if port not in wired:
+                errors.append("block %r (%s) input %r is not wired"
+                              % (block.id, block.kind, port))
+        if kind.inputs is VARIADIC and not wired:
+            errors.append("block %r (%s) has no wired inputs"
+                          % (block.id, block.kind))
 
     seen_inputs = set()
     for wire in net.wires:
-        for bid in (wire.src_block, wire.dst_block):
-            if bid not in net.blocks:
+        src = net.blocks.get(wire.src_block)
+        dst = net.blocks.get(wire.dst_block)
+        for bid, block in ((wire.src_block, src), (wire.dst_block, dst)):
+            if block is None:
                 errors.append("wire endpoint references unknown block %r"
                               % bid)
-        if wire.src_block in net.blocks:
-            if net.blocks[wire.src_block].kind == "probe":
-                errors.append("probe block %r has no outputs"
-                              % wire.src_block)
-            elif wire.src_port != "out":
-                errors.append("wire source %s.%s: only port 'out' exists"
-                              % (wire.src_block, wire.src_port))
-        if wire.dst_block in net.blocks:
-            dst = net.blocks[wire.dst_block]
-            fixed = _FIXED_INPUTS.get(dst.kind)
-            if fixed is not None and wire.dst_port not in fixed:
-                errors.append(
-                    "block %r (%s) has no input port %r"
-                    % (dst.id, dst.kind, wire.dst_port))
-            elif dst.kind in _VARIADIC and not (
-                    wire.dst_port.startswith("in")
-                    and wire.dst_port[2:].isdigit()):
+        if src is not None and src.kind in KINDS \
+                and wire.src_port not in KINDS[src.kind].outputs:
+            errors.append("block %r (%s) has no output port %r"
+                          % (src.id, src.kind, wire.src_port))
+        if dst is not None and dst.kind in KINDS:
+            fixed = KINDS[dst.kind].inputs
+            if fixed is VARIADIC and not (wire.dst_port.startswith("in")
+                                      and wire.dst_port[2:].isdigit()):
                 errors.append(
                     "block %r (%s) input ports are in0, in1, ... (got %r)"
                     % (dst.id, dst.kind, wire.dst_port))
+            elif fixed is not None and wire.dst_port not in fixed:
+                errors.append("block %r (%s) has no input port %r"
+                              % (dst.id, dst.kind, wire.dst_port))
         key = (wire.dst_block, wire.dst_port)
         if key in seen_inputs:
             errors.append("input port %s.%s driven by two wires" % key)
         seen_inputs.add(key)
-
-    for block in net.blocks.values():
-        if block.kind not in BLOCK_KINDS:
-            continue
-        fixed = _FIXED_INPUTS.get(block.kind, ())
-        wired = {w.dst_port for w in net.inputs_of(block.id)}
-        for port in fixed:
-            if port not in wired:
-                errors.append("block %r (%s) input %r is not wired"
-                              % (block.id, block.kind, port))
-        if block.kind in _VARIADIC and not wired:
-            errors.append("block %r (%s) has no wired inputs"
-                          % (block.id, block.kind))
 
     for bid, port in net.probes:
         if bid not in net.blocks:

@@ -86,12 +86,6 @@ class TestTransmitChecked:
         assert isinstance(out, TimedMessage)
         assert out.decode() == 7
 
-    def test_jittered_link_is_reproducible(self):
-        a = Link.jittered(9, 0, 10)
-        b = Link.jittered(9, 0, 10)
-        assert [a.delay(t) for t in range(50)] == \
-               [b.delay(t) for t in range(50)]
-
 
 class TestNegotiateReference:
     def test_shared_reference(self):

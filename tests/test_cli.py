@@ -69,6 +69,27 @@ class TestRun:
         assert outs[0] == outs[1]
         assert stdouts == {"probe sum.out=7\n"}
 
+    @pytest.mark.parametrize("net", [
+        "block a source value=3 clock=main\n"
+        "block b source value=4 clock=main\n"
+        "block s add\nblock acc accumulator\n"
+        "wire a.out s.a table=%s\nwire b.out s.b\nwire s.out acc.in\n"
+        "probe acc.out\n",
+        "block t source value=3 position=2 clock=main\n"
+        "block d madd\n"
+        "wire t.out d.in0 table=%s\nprobe d.out\n",
+    ], ids=["add-accumulator", "madd"])
+    def test_unreadable_distortion_is_an_error(self, net, tmp_path, capsys):
+        # the start marker is held back 10 ticks past the final event
+        table = tmp_path / "late_start.tbl"
+        table.write_text("default 0\n0 10\n")
+        path = tmp_path / "distorted.net"
+        path.write_text("clock main 1\n" + net % table)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: wire ")
+        assert "distorted" in err and "Traceback" not in err
+
     def test_stats_output(self, add_net, capsys):
         assert main(["run", add_net, "--stats"]) == 0
         out = capsys.readouterr().out

@@ -56,6 +56,19 @@ class TestBlockSemantics:
         trace = _run_text(text)
         assert trace.results == {"lo.out": 5, "hi.out": 7}
 
+    def test_min_max_race_raw_counts_across_clocks(self):
+        text = ("clock main 1\nclock fast 3/2\n"
+                "block a source value=5 clock=main\n"
+                "block b source value=4 clock=fast\n"
+                "block lo min\nblock hi max\n"
+                "wire a.out lo.in0\nwire b.out lo.in1\n"
+                "wire a.out hi.in0\nwire b.out hi.in1\n"
+                "probe lo.out\nprobe hi.out\n")
+        trace = _run_text(text)
+        assert trace.results == {"lo.out": 4, "hi.out": 5}
+        assert trace.stats.block_costs["lo"] == 5
+        assert trace.stats.block_costs["hi"] == 6
+
     def test_mux_demux(self):
         text = ("clock main 1\n"
                 "block a source value=5 clock=main\n"

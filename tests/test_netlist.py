@@ -122,3 +122,43 @@ def test_bad_wire_option():
 def test_negative_latency_rejected():
     with pytest.raises(NetlistParseError):
         parse_netlist("wire a.out b.in latency=-1\n")
+
+
+def _accumulator_net(params):
+    return ("clock main 1\n"
+            "block a source value=3\n"
+            "block acc accumulator %s\n"
+            "wire a.out acc.in\nprobe acc.out\n" % params)
+
+
+def test_depth_checked_for_every_model():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(_accumulator_net("model=digital depth=abc"))
+    assert "depth='abc': is not an integer" in str(err.value)
+
+
+def test_depth_below_one_rejected_for_analog():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(_accumulator_net("model=analog depth=0"))
+    assert "depth='0': must be >= 1" in str(err.value)
+
+
+def test_seed_must_be_an_integer():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(_accumulator_net("model=photon seed=xyz"))
+    assert "seed='xyz': is not an integer" in str(err.value)
+
+
+def test_multivalent_amplitude_zero_rejected():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("clock main 1\n"
+                      "block t source value=0 position=4\n"
+                      "block d madd\n"
+                      "wire t.out d.in0\nprobe d.out\n")
+    assert "amplitude value=0 must be >= 1" in str(err.value)
+
+
+def test_toggle_needs_depth():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(_accumulator_net("model=toggle"))
+    assert "missing param 'depth' (model=toggle)" in str(err.value)
