@@ -48,10 +48,6 @@ class MuxChannel:
             raise ValueError("value pulses must be positive ticks")
         object.__setattr__(self, "value_pulses", pulses)
 
-    @property
-    def start_pulse(self) -> int:
-        return 0
-
     def as_pulse_train(self) -> PulseTrain:
         return PulseTrain((0,) + tuple(sorted(self.value_pulses)), self.clock)
 

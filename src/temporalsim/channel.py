@@ -124,26 +124,19 @@ class Link:
     """
 
     delay: Callable[[int], int]
-    src_clock: ClockRef = DEFAULT_CLOCK
-    dst_clock: ClockRef = DEFAULT_CLOCK
 
     @classmethod
-    def constant(cls, delay: int, src_clock: ClockRef = DEFAULT_CLOCK,
-                 dst_clock: Optional[ClockRef] = None) -> "Link":
+    def constant(cls, delay: int) -> "Link":
         if delay < 0:
             raise ValueError("link delay must be non-negative")
-        return cls(lambda _t, _d=delay: _d, src_clock,
-                   dst_clock or src_clock)
+        return cls(lambda _t, _d=delay: _d)
 
     @classmethod
-    def from_table(cls, table: Dict[int, int], default: int = 0,
-                   src_clock: ClockRef = DEFAULT_CLOCK,
-                   dst_clock: Optional[ClockRef] = None) -> "Link":
+    def from_table(cls, table: Dict[int, int], default: int = 0) -> "Link":
         if default < 0 or any(d < 0 for d in table.values()):
             raise ValueError("link delays must be non-negative")
         frozen = dict(table)
-        return cls(lambda t: frozen.get(t, default), src_clock,
-                   dst_clock or src_clock)
+        return cls(lambda t: frozen.get(t, default))
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,10 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         net = _load_netlist(args.netlist)
-        expected = oracle_results(net)
+        # The engine first: its errors name the block that cannot fire.
         trace = run(net, budget=args.budget, seed=args.seed,
                     add_bias=args.inject_add_bias)
+        expected = oracle_results(net)
     except (OSError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

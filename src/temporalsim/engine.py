@@ -13,11 +13,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .blocks import C0, KINDS, Firing, parse_params
-from .channel import Link, StabilityViolation, TimedMessage, transmit_checked
-from .core import ClockRef
+from .blocks import C0, KINDS, Firing
+from .channel import StabilityViolation, TimedMessage, transmit_checked
 from .errors import SimulationError, TemporalError
-from .netlist import Netlist, Wire
+from .netlist import Netlist
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -33,7 +32,6 @@ class TraceStats:
     overflow_flags: List[str] = field(default_factory=list)
     stability_violations: List[str] = field(default_factory=list)
     budget_exhausted: bool = False
-    overhead_per_block: int = C0
 
 
 @dataclass
@@ -65,15 +63,10 @@ def summarize(trace: Trace) -> Summary:
                    dict(trace.stats.block_costs), overheads)
 
 
-def _wire_link(wire: Wire, src_clock: ClockRef) -> Link:
-    if wire.table is not None:
-        return Link.from_table(wire.table, wire.table_default, src_clock)
-    return Link.constant(wire.latency, src_clock)
-
-
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         seed: Optional[int] = None, add_bias: int = 0) -> Trace:
-    """Execute a netlist to quiescence or budget exhaustion.
+    """Execute a netlist that `parse_netlist` returned to quiescence or
+    budget exhaustion.
 
     add_bias is a fault-injection hook for testing oracle harnesses; it
     must stay 0 in normal use.
@@ -87,8 +80,6 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 
     pending: Dict[str, Dict[str, TimedMessage]] = {
         bid: {} for bid in net.blocks}
-    required: Dict[str, set] = {
-        bid: {w.dst_port for w in net.inputs_of(bid)} for bid in net.blocks}
     fired = set()
 
     queue: List[Tuple[int, str, str, int, TimedMessage]] = []
@@ -96,21 +87,13 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 
     def fire(block, t: int) -> None:
         """Run the block's fire function; its errors name the block."""
-        kind = KINDS.get(block.kind)
-        if kind is None:
-            raise SimulationError("unknown block kind %r" % block.kind)
-        params, errors = parse_params(block)
-        if errors:
-            raise SimulationError("; ".join(errors))
         clock = net.clocks.get(block.params.get("clock", default_clock))
-        if kind.clocked and clock is None:
-            raise SimulationError("block %r has no resolvable clock"
-                                  % block.id)
         inputs = pending[block.id]
-        firing = Firing(block.id, params, [inputs[p] for p in sorted(inputs)],
+        firing = Firing(block.id, net.params[block.id],
+                        [inputs[p] for p in sorted(inputs)],
                         t, clock, seed, add_bias, stats)
         try:
-            out, cost = kind.fire(firing)
+            out, cost = KINDS[block.kind].fire(firing)
         except (TemporalError, ValueError) as exc:
             raise SimulationError("block %r (%s): %s"
                                   % (block.id, block.kind, exc)) from exc
@@ -123,9 +106,8 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         nonlocal seq
         if (block_id, "out") in probe_set:
             trace.results["%s.out" % block_id] = msg.decoded()
-        for wire in sorted(net.outputs_of(block_id),
-                           key=lambda w: (w.dst_block, w.dst_port)):
-            delivered = transmit_checked(msg, _wire_link(wire, msg.clock))
+        for wire in net.outputs[block_id]:
+            delivered = transmit_checked(msg, wire.link)
             if isinstance(delivered, StabilityViolation):
                 name = "%s.%s->%s.%s" % (wire.src_block, wire.src_port,
                                          wire.dst_block, wire.dst_port)
@@ -158,7 +140,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         if (dst, port) in probe_set or block.kind == "probe":
             trace.results["%s.%s" % (dst, port)] = msg.decoded()
         pending[dst][port] = msg
-        if dst in fired or set(pending[dst]) != required[dst]:
+        if dst in fired or len(pending[dst]) != len(net.inputs[dst]):
             continue
         fire(block, max(m.last_tick for m in pending[dst].values()))
 
@@ -173,34 +155,28 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 
 
 def oracle_results(net: Netlist) -> Dict[str, object]:
-    """Evaluate a netlist's probes with plain integer arithmetic.
+    """Evaluate the probes of a netlist that `parse_netlist` returned with
+    plain integer arithmetic.
 
     Independent of the event engine: each block's oracle function in
     `blocks.KINDS` folds ordinary +, *, min, max and an explicit sum for
-    the dot product over the DAG.
+    the dot product over the netlist's topological order.
     """
     for block in net.blocks.values():
-        if block.kind not in KINDS or KINDS[block.kind].oracle is None:
+        if KINDS[block.kind].oracle is None:
             raise SimulationError(
                 "oracle does not support block kind %r" % block.kind)
 
-    memo: Dict[str, object] = {}
-
-    def value_of(bid: str):
-        if bid not in memo:
-            block = net.blocks[bid]
-            ins = {w.dst_port: value_of(w.src_block)
-                   for w in net.inputs_of(bid)}
-            memo[bid] = KINDS[block.kind].oracle(parse_params(block)[0], ins)
-        return memo[bid]
+    values: Dict[str, object] = {}
+    for bid in net.order:
+        ins = {port: values[w.src_block]
+               for port, w in net.inputs[bid].items()}
+        values[bid] = KINDS[net.blocks[bid].kind].oracle(net.params[bid], ins)
 
     results: Dict[str, object] = {}
     for bid, port in net.probes:
-        if port == "out":
-            results["%s.out" % bid] = value_of(bid)
-        else:
-            src = [w for w in net.inputs_of(bid) if w.dst_port == port][0]
-            results["%s.%s" % (bid, port)] = value_of(src.src_block)
+        src = bid if port == "out" else net.inputs[bid][port].src_block
+        results["%s.%s" % (bid, port)] = values[src]
     return results
 
 

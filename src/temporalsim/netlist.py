@@ -8,7 +8,10 @@ Line-oriented, whitespace-separated, `#` comments:
     probe <block-id>.<port>
 
 Parsing reports the first tokenization failure with its position;
-validation reports every structural violation at once.
+validation reports every structural violation at once. A netlist that
+`parse_netlist` returns carries its resolved form: each block's parsed
+params, its input and output wires, a topological order, and one `Link`
+per wire. The engine and the oracle read only that.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .blocks import KINDS, VARIADIC, parse_params
+from .channel import Link
 from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
 
@@ -35,9 +39,7 @@ class Wire:
     src_port: str
     dst_block: str
     dst_port: str
-    latency: int = 0
-    table: Optional[Dict[int, int]] = None
-    table_default: int = 0
+    link: Link
 
 
 @dataclass
@@ -46,12 +48,11 @@ class Netlist:
     blocks: Dict[str, BlockSpec] = field(default_factory=dict)
     wires: List[Wire] = field(default_factory=list)
     probes: List[Tuple[str, str]] = field(default_factory=list)
-
-    def inputs_of(self, block_id: str) -> List[Wire]:
-        return [w for w in self.wires if w.dst_block == block_id]
-
-    def outputs_of(self, block_id: str) -> List[Wire]:
-        return [w for w in self.wires if w.src_block == block_id]
+    # Resolved by validation:
+    params: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    inputs: Dict[str, Dict[str, Wire]] = field(default_factory=dict)
+    outputs: Dict[str, List[Wire]] = field(default_factory=dict)  # by dst
+    order: List[str] = field(default_factory=list)    # topological
 
     def default_clock(self) -> Optional[str]:
         """The clock a block without `clock=` runs on: `main` if declared,
@@ -168,9 +169,7 @@ def parse_netlist(text: str) -> Netlist:
                     "[latency=<int>|table=<file>]", lineno)
             src_b, src_p = _parse_port_ref(parts[1], line, lineno)
             dst_b, dst_p = _parse_port_ref(parts[2], line, lineno)
-            latency = 0
-            table = None
-            table_default = 0
+            link = Link.constant(0)
             if len(parts) == 4:
                 opt = parts[3]
                 if opt.startswith("latency="):
@@ -179,15 +178,19 @@ def parse_netlist(text: str) -> Netlist:
                         raise NetlistParseError(
                             "latency must be non-negative", lineno,
                             _column(line, opt))
+                    link = Link.constant(latency)
                 elif opt.startswith("table="):
-                    table, table_default = load_latency_table(
-                        opt[len("table="):])
+                    try:
+                        link = Link.from_table(
+                            *load_latency_table(opt[len("table="):]))
+                    except ValueError as exc:
+                        raise NetlistParseError(str(exc), lineno,
+                                                _column(line, opt)) from None
                 else:
                     raise NetlistParseError(
                         "unknown wire option %r" % opt, lineno,
                         _column(line, opt))
-            net.wires.append(Wire(src_b, src_p, dst_b, dst_p,
-                                  latency, table, table_default))
+            net.wires.append(Wire(src_b, src_p, dst_b, dst_p, link))
         elif keyword == "probe":
             if len(parts) != 2:
                 raise NetlistParseError(
@@ -201,18 +204,57 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _validate(net: Netlist) -> None:
+    """Check every structural rule and resolve the netlist in one pass:
+    on success, store the parsed params, the wiring and the topological
+    order on `net`; otherwise raise with every violation."""
     errors: List[str] = []
     if not net.blocks:
         errors.append("no blocks")
 
+    # The wiring first: the block checks below read it, but its own
+    # problems are reported after theirs.
+    inputs: Dict[str, Dict[str, Wire]] = {bid: {} for bid in net.blocks}
+    outputs: Dict[str, List[Wire]] = {bid: [] for bid in net.blocks}
+    wire_errors: List[str] = []
+    for wire in net.wires:
+        src = net.blocks.get(wire.src_block)
+        dst = net.blocks.get(wire.dst_block)
+        for bid, block in ((wire.src_block, src), (wire.dst_block, dst)):
+            if block is None:
+                wire_errors.append(
+                    "wire endpoint references unknown block %r" % bid)
+        if src is not None:
+            outputs[src.id].append(wire)
+            if src.kind in KINDS \
+                    and wire.src_port not in KINDS[src.kind].outputs:
+                wire_errors.append("block %r (%s) has no output port %r"
+                                   % (src.id, src.kind, wire.src_port))
+        if dst is not None and dst.kind in KINDS:
+            fixed = KINDS[dst.kind].inputs
+            if fixed is VARIADIC and not (wire.dst_port.startswith("in")
+                                      and wire.dst_port[2:].isdigit()):
+                wire_errors.append(
+                    "block %r (%s) input ports are in0, in1, ... (got %r)"
+                    % (dst.id, dst.kind, wire.dst_port))
+            elif fixed is not None and wire.dst_port not in fixed:
+                wire_errors.append("block %r (%s) has no input port %r"
+                                   % (dst.id, dst.kind, wire.dst_port))
+        ports = inputs.setdefault(wire.dst_block, {})
+        if wire.dst_port in ports:
+            wire_errors.append("input port %s.%s driven by two wires"
+                               % (wire.dst_block, wire.dst_port))
+        ports[wire.dst_port] = wire
+
     default_clock = net.default_clock()
+    params: Dict[str, Dict[str, object]] = {}
     for block in net.blocks.values():
         kind = KINDS.get(block.kind)
         if kind is None:
             errors.append("block %r has unknown kind %r"
                           % (block.id, block.kind))
             continue
-        errors.extend(parse_params(block)[1])
+        params[block.id], problems = parse_params(block)
+        errors.extend(problems)
         if kind.clocked:
             clock_id = block.params.get("clock", default_clock)
             if clock_id is None:
@@ -220,7 +262,7 @@ def _validate(net: Netlist) -> None:
             elif clock_id not in net.clocks:
                 errors.append("block %r references unknown clock %r"
                               % (block.id, clock_id))
-        wired = {w.dst_port for w in net.inputs_of(block.id)}
+        wired = inputs[block.id]
         for port in kind.inputs or ():
             if port not in wired:
                 errors.append("block %r (%s) input %r is not wired"
@@ -228,61 +270,30 @@ def _validate(net: Netlist) -> None:
         if kind.inputs is VARIADIC and not wired:
             errors.append("block %r (%s) has no wired inputs"
                           % (block.id, block.kind))
-
-    seen_inputs = set()
-    for wire in net.wires:
-        src = net.blocks.get(wire.src_block)
-        dst = net.blocks.get(wire.dst_block)
-        for bid, block in ((wire.src_block, src), (wire.dst_block, dst)):
-            if block is None:
-                errors.append("wire endpoint references unknown block %r"
-                              % bid)
-        if src is not None and src.kind in KINDS \
-                and wire.src_port not in KINDS[src.kind].outputs:
-            errors.append("block %r (%s) has no output port %r"
-                          % (src.id, src.kind, wire.src_port))
-        if dst is not None and dst.kind in KINDS:
-            fixed = KINDS[dst.kind].inputs
-            if fixed is VARIADIC and not (wire.dst_port.startswith("in")
-                                      and wire.dst_port[2:].isdigit()):
-                errors.append(
-                    "block %r (%s) input ports are in0, in1, ... (got %r)"
-                    % (dst.id, dst.kind, wire.dst_port))
-            elif fixed is not None and wire.dst_port not in fixed:
-                errors.append("block %r (%s) has no input port %r"
-                              % (dst.id, dst.kind, wire.dst_port))
-        key = (wire.dst_block, wire.dst_port)
-        if key in seen_inputs:
-            errors.append("input port %s.%s driven by two wires" % key)
-        seen_inputs.add(key)
+    errors.extend(wire_errors)
 
     for bid, port in net.probes:
         if bid not in net.blocks:
             errors.append("probe references unknown block %r" % bid)
-        elif port != "out" and (bid, port) not in {
-                (w.dst_block, w.dst_port) for w in net.wires}:
+        elif port != "out" and port not in inputs[bid]:
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
-    if not errors and _has_cycle(net):
-        errors.append("netlist contains a cycle (feed-forward only)")
+    order: List[str] = []
+    if not errors:
+        # Kahn's algorithm; the loop visits the blocks it appends.
+        indeg = {bid: len(inputs[bid]) for bid in net.blocks}
+        order = [bid for bid, d in indeg.items() if d == 0]
+        for bid in order:
+            for wire in outputs[bid]:
+                indeg[wire.dst_block] -= 1
+                if indeg[wire.dst_block] == 0:
+                    order.append(wire.dst_block)
+        if len(order) != len(net.blocks):
+            errors.append("netlist contains a cycle (feed-forward only)")
 
     if errors:
         raise NetlistValidationError(errors)
-
-
-def _has_cycle(net: Netlist) -> bool:
-    succ: Dict[str, List[str]] = {bid: [] for bid in net.blocks}
-    indeg = {bid: 0 for bid in net.blocks}
-    for wire in net.wires:
-        succ[wire.src_block].append(wire.dst_block)
-        indeg[wire.dst_block] += 1
-    frontier = [bid for bid, d in indeg.items() if d == 0]
-    visited = 0
-    while frontier:
-        bid = frontier.pop()
-        visited += 1
-        for nxt in succ[bid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                frontier.append(nxt)
-    return visited != len(net.blocks)
+    for wires in outputs.values():
+        wires.sort(key=lambda w: (w.dst_block, w.dst_port))
+    net.params, net.inputs, net.outputs, net.order = \
+        params, inputs, outputs, order

@@ -123,6 +123,24 @@ class TestCheck:
                        "wire a.out acc.in\nprobe acc.out\n")
         assert main(["check", str(net)]) == 1
 
+    def test_scalar_into_madd_is_an_error(self, tmp_path, capsys):
+        net = tmp_path / "madd.net"
+        net.write_text((GOLDEN / "add34.net").read_text()
+                       + "block d madd\nwire sum.out d.in0\nprobe d.out\n")
+        assert main(["check", str(net)]) == 1
+        assert ("block 'd' (madd): expected multi-valent messages"
+                in capsys.readouterr().err)
+
+    def test_probes_on_input_ports(self, tmp_path, capsys):
+        net = tmp_path / "ports.net"
+        net.write_text((GOLDEN / "add34.net").read_text()
+                       + "probe sum.a\nprobe sum.b\n")
+        assert main(["check", str(net)]) == 0
+        assert main(["run", str(net)]) == 0
+        out = capsys.readouterr().out
+        assert "ok sum.a=3" in out and "ok sum.b=4" in out
+        assert "probe sum.a=3" in out and "probe sum.b=4" in out
+
 
 class TestEncode:
     def test_unary(self, capsys):

@@ -216,6 +216,15 @@ class TestOracle:
         with pytest.raises(SimulationError):
             oracle_results(parse_netlist(text))
 
+    def test_deep_chain_agrees_with_run(self):
+        depth = 1500
+        text = "clock main 1\nblock m0 source value=2\n" + "".join(
+            "block m%d mul k=1\nwire m%d.out m%d.in\n" % (i, i - 1, i)
+            for i in range(1, depth + 1)) + "probe m%d.out\n" % depth
+        net = parse_netlist(text)
+        assert oracle_results(net) == run(net).results == {
+            "m%d.out" % depth: 2}
+
 
 class TestStatsAndExport:
     def test_add_overhead_is_constant(self):

@@ -124,6 +124,21 @@ def test_negative_latency_rejected():
         parse_netlist("wire a.out b.in latency=-1\n")
 
 
+def test_negative_table_delay_rejected(tmp_path):
+    table = tmp_path / "neg.tbl"
+    table.write_text("default -3\n")
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nwire a.out b.in table=%s\n" % table)
+    assert (err.value.line, err.value.column) == (2, 17)
+    assert "delays must be non-negative" in str(err.value)
+
+
+def test_probe_on_an_unknown_input_port_rejected():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(ADD_NET + "probe s.c\n")
+    assert err.value.violations == ["probe references unknown port s.c"]
+
+
 def _accumulator_net(params):
     return ("clock main 1\n"
             "block a source value=3\n"
