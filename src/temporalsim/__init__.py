@@ -67,7 +67,6 @@ from .engine import (
     Trace,
     oracle_results,
     run,
-    summarize,
     trace_to_csv,
     trace_to_waveform,
 )

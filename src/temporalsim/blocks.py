@@ -52,7 +52,6 @@ class Firing:
     t: int                             # fire tick: the last input arrival
     clock: Optional[ClockRef]          # clock=, else the netlist default
     seed: Optional[int]                # the run's --seed
-    add_bias: int                      # fault-injection hook, normally 0
     stats: object                      # engine.TraceStats
 
 
@@ -141,9 +140,7 @@ def _source(f: Firing):
 def _add(f: Firing):
     a, b = (UnaryTrain(_scalar(m), m.clock) for m in f.inputs)
     total = arith.add_concat(a, b).length
-    cost = total + C0
-    f.stats.add_models[f.block_id] = (total, cost)
-    return _out(total + f.add_bias, f, a.clock), cost
+    return _out(total, f, a.clock), total + C0
 
 
 def _mul(f: Firing):
@@ -218,6 +215,16 @@ def _source_oracle(p, _ins):
     return (p["position"], p["value"]) if "position" in p else p["value"]
 
 
+def _inputs(ins: Dict[str, object], pairs: bool = False) -> list:
+    """An oracle's input values: ints, or (position, amplitude) pairs from
+    multi-valent sources; the wrong sort is an error, as in firing."""
+    values = list(ins.values())
+    if any(isinstance(v, tuple) != pairs for v in values):
+        raise SimulationError("expected multi-valent messages" if pairs
+                              else "expected a scalar message, got mv")
+    return values
+
+
 def _one_amplitude(p) -> Optional[str]:
     if "position" in p and p["value"] < 1:
         return "multi-valent amplitude value=0 must be >= 1"
@@ -238,17 +245,18 @@ KINDS: Dict[str, Kind] = {
                    params={"value": Param(_COUNT, True),
                            "position": Param(_COUNT), "clock": _CLOCK},
                    check=_one_amplitude),
-    "add": Kind(("a", "b"), _add, lambda _p, ins: ins["a"] + ins["b"]),
-    "mul": Kind(("in",), _mul, lambda p, ins: ins["in"] * p["k"],
+    "add": Kind(("a", "b"), _add, lambda _p, ins: sum(_inputs(ins))),
+    "mul": Kind(("in",), _mul, lambda p, ins: _inputs(ins)[0] * p["k"],
                 params={"k": Param(_int_at_least(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
-                lambda _p, ins: min(ins.values())),
+                lambda _p, ins: min(_inputs(ins))),
     "max": Kind(VARIADIC, _race(arith.max_race),
-                lambda _p, ins: max(ins.values())),
+                lambda _p, ins: max(_inputs(ins))),
     "mux": Kind(VARIADIC, _mux),
     "demux": Kind(("in",), _demux),
     "madd": Kind(VARIADIC, _madd,
-                 lambda _p, ins: sum(pos * amp for pos, amp in ins.values())),
+                 lambda _p, ins: sum(pos * amp for pos, amp
+                                     in _inputs(ins, pairs=True))),
     "accumulator": Kind(("in",), _accumulator, clocked=True,
                         params={"model": Param(AccumulatorModel),
                                 "depth": Param(_int_at_least(1)),

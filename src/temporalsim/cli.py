@@ -12,12 +12,12 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .blocks import C0
 from .core import encode_hybrid, encode_pim, encode_unary
 from .engine import (
     DEFAULT_BUDGET,
     oracle_results,
     run,
-    summarize,
     trace_from_csv,
     trace_to_csv,
     trace_to_waveform,
@@ -59,12 +59,12 @@ def cmd_run(args) -> int:
     for key in sorted(trace.results):
         print("probe %s=%s" % (key, _format_result(trace.results[key])))
     if args.stats:
-        summary = summarize(trace)
-        print("total_ticks=%d" % summary.total_ticks)
-        print("event_count=%d" % summary.event_count)
-        for bid in sorted(summary.block_costs):
-            print("cost %s=%d" % (bid, summary.block_costs[bid]))
-        print("overhead_per_block=%d" % summary.overhead_per_block)
+        stats = trace.stats
+        print("total_ticks=%d" % stats.total_ticks)
+        print("event_count=%d" % stats.event_count)
+        for bid in sorted(stats.block_costs):
+            print("cost %s=%d" % (bid, stats.block_costs[bid]))
+        print("overhead_per_block=%d" % C0)
     if trace.stats.budget_exhausted:
         print("error: tick budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
@@ -74,16 +74,16 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     try:
         net = _load_netlist(args.netlist)
-        # The engine first: its errors name the block that cannot fire.
-        trace = run(net, budget=args.budget, seed=args.seed,
-                    add_bias=args.inject_add_bias)
+        # The engine first: its errors name the block that cannot fire,
+        # and a run cut short by the budget leaves nothing to judge.
+        trace = run(net, budget=args.budget, seed=args.seed)
+        if trace.stats.budget_exhausted:
+            print("error: tick budget exhausted", file=sys.stderr)
+            return EXIT_BUDGET
         expected = oracle_results(net)
     except (OSError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    if trace.stats.budget_exhausted:
-        print("error: tick budget exhausted", file=sys.stderr)
-        return EXIT_BUDGET
     mismatches = 0
     for key in sorted(expected):
         exp = expected[key]
@@ -201,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="diff simulator against the integer oracle")
     p.add_argument("netlist")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--inject-add-bias", type=int, default=0,
-                   help=argparse.SUPPRESS)  # fault-injection test hook
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("encode", help="encode integers as temporal codes")

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .blocks import C0, KINDS, Firing
+from .blocks import KINDS, Firing
 from .channel import StabilityViolation, TimedMessage, transmit_checked
 from .errors import SimulationError, TemporalError
 from .netlist import Netlist
@@ -28,7 +28,6 @@ class TraceStats:
     total_ticks: int = 0
     event_count: int = 0
     block_costs: Dict[str, int] = field(default_factory=dict)
-    add_models: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     overflow_flags: List[str] = field(default_factory=list)
     stability_violations: List[str] = field(default_factory=list)
     budget_exhausted: bool = False
@@ -41,63 +40,33 @@ class Trace:
     stats: TraceStats = field(default_factory=TraceStats)
 
 
-@dataclass
-class Summary:
-    total_ticks: int
-    event_count: int
-    block_costs: Dict[str, int]
-    add_overheads: Dict[str, int]
-    overhead_per_block: int = C0
-
-
-def summarize(trace: Trace) -> Summary:
-    """Condense a trace into its cost figures.
-
-    For every add block the measured cost is compared against the linear
-    a+b model; the reported overhead should be the constant C0.
-    """
-    overheads = {bid: cost - operand_sum
-                 for bid, (operand_sum, cost)
-                 in trace.stats.add_models.items()}
-    return Summary(trace.stats.total_ticks, trace.stats.event_count,
-                   dict(trace.stats.block_costs), overheads)
-
-
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
-        seed: Optional[int] = None, add_bias: int = 0) -> Trace:
+        seed: Optional[int] = None) -> Trace:
     """Execute a netlist that `parse_netlist` returned to quiescence or
-    budget exhaustion.
-
-    add_bias is a fault-injection hook for testing oracle harnesses; it
-    must stay 0 in normal use.
-    """
+    budget exhaustion."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
     stats = trace.stats
     probe_set = set(net.probes)
-    default_clock = net.default_clock()
 
     pending: Dict[str, Dict[str, TimedMessage]] = {
         bid: {} for bid in net.blocks}
-    fired = set()
 
     queue: List[Tuple[int, str, str, int, TimedMessage]] = []
     seq = 0
 
     def fire(block, t: int) -> None:
         """Run the block's fire function; its errors name the block."""
-        clock = net.clocks.get(block.params.get("clock", default_clock))
         inputs = pending[block.id]
         firing = Firing(block.id, net.params[block.id],
                         [inputs[p] for p in sorted(inputs)],
-                        t, clock, seed, add_bias, stats)
+                        t, net.clock_of[block.id], seed, stats)
         try:
             out, cost = KINDS[block.kind].fire(firing)
         except (TemporalError, ValueError) as exc:
             raise SimulationError("block %r (%s): %s"
                                   % (block.id, block.kind, exc)) from exc
-        fired.add(block.id)
         stats.block_costs[block.id] = cost
         if out is not None:
             emit(block.id, out)
@@ -136,13 +105,14 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         tick, dst, port, _seq, msg = heapq.heappop(queue)
         for role, etick in msg.events:
             trace.events.append((etick, dst, port, role))
-        block = net.blocks[dst]
-        if (dst, port) in probe_set or block.kind == "probe":
+        if (dst, port) in probe_set:
             trace.results["%s.%s" % (dst, port)] = msg.decoded()
         pending[dst][port] = msg
-        if dst in fired or len(pending[dst]) != len(net.inputs[dst]):
-            continue
-        fire(block, max(m.last_tick for m in pending[dst].values()))
+        # Each port has one wire, so the last input to arrive fires the
+        # block, once.
+        if len(pending[dst]) == len(net.inputs[dst]):
+            fire(net.blocks[dst],
+                 max(m.last_tick for m in pending[dst].values()))
 
     trace.events.sort(key=lambda e: (e[0], e[1], e[2], _ROLE_RANK[e[3]]))
     stats.event_count = len(trace.events)
@@ -169,9 +139,14 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
 
     values: Dict[str, object] = {}
     for bid in net.order:
+        kind = net.blocks[bid].kind
         ins = {port: values[w.src_block]
                for port, w in net.inputs[bid].items()}
-        values[bid] = KINDS[net.blocks[bid].kind].oracle(net.params[bid], ins)
+        try:
+            values[bid] = KINDS[kind].oracle(net.params[bid], ins)
+        except SimulationError as exc:
+            raise SimulationError("block %r (%s): %s"
+                                  % (bid, kind, exc)) from exc
 
     results: Dict[str, object] = {}
     for bid, port in net.probes:

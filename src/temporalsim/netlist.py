@@ -10,8 +10,9 @@ Line-oriented, whitespace-separated, `#` comments:
 Parsing reports the first tokenization failure with its position;
 validation reports every structural violation at once. A netlist that
 `parse_netlist` returns carries its resolved form: each block's parsed
-params, its input and output wires, a topological order, and one `Link`
-per wire. The engine and the oracle read only that.
+params and clock, its input and output wires, a topological order, one
+`Link` per wire, and every observed port in `probes` (a `probe` block
+observes its `in`). The engine and the oracle read only that.
 """
 
 from __future__ import annotations
@@ -50,18 +51,10 @@ class Netlist:
     probes: List[Tuple[str, str]] = field(default_factory=list)
     # Resolved by validation:
     params: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    clock_of: Dict[str, Optional[ClockRef]] = field(default_factory=dict)
     inputs: Dict[str, Dict[str, Wire]] = field(default_factory=dict)
     outputs: Dict[str, List[Wire]] = field(default_factory=dict)  # by dst
     order: List[str] = field(default_factory=list)    # topological
-
-    def default_clock(self) -> Optional[str]:
-        """The clock a block without `clock=` runs on: `main` if declared,
-        else the only clock, else none."""
-        if "main" in self.clocks:
-            return "main"
-        if len(self.clocks) == 1:
-            return next(iter(self.clocks))
-        return None
 
 
 def _column(line: str, token: str) -> int:
@@ -91,23 +84,27 @@ def _parse_int(token: str, line: str, lineno: int) -> int:
 
 
 def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
-    """Latency table file: lines `default <d>` or `<tick> <d>`."""
+    """Latency table file: lines `default <d>` or `<tick> <d>`.
+
+    Raises ValueError naming the table's own line."""
     table: Dict[int, int] = {}
     default = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             if len(parts) != 2:
-                raise NetlistParseError(
-                    "latency table line needs two fields", lineno)
-            if parts[0] == "default":
-                default = _parse_int(parts[1], line, lineno)
-            else:
-                table[_parse_int(parts[0], line, lineno)] = \
-                    _parse_int(parts[1], line, lineno)
+                raise ValueError("line %d: needs two fields" % lineno)
+            try:
+                delay = int(parts[1])
+                if parts[0] == "default":
+                    default = delay
+                else:
+                    table[int(parts[0])] = delay
+            except ValueError:
+                raise ValueError("line %d: expected integers, got %r"
+                                 % (lineno, " ".join(parts))) from None
     return table, default
 
 
@@ -180,12 +177,13 @@ def parse_netlist(text: str) -> Netlist:
                             _column(line, opt))
                     link = Link.constant(latency)
                 elif opt.startswith("table="):
+                    path = opt[len("table="):]
                     try:
-                        link = Link.from_table(
-                            *load_latency_table(opt[len("table="):]))
+                        link = Link.from_table(*load_latency_table(path))
                     except ValueError as exc:
-                        raise NetlistParseError(str(exc), lineno,
-                                                _column(line, opt)) from None
+                        raise NetlistParseError(
+                            "latency table %s: %s" % (path, exc), lineno,
+                            _column(line, opt)) from None
                 else:
                     raise NetlistParseError(
                         "unknown wire option %r" % opt, lineno,
@@ -245,8 +243,12 @@ def _validate(net: Netlist) -> None:
                                % (wire.dst_block, wire.dst_port))
         ports[wire.dst_port] = wire
 
-    default_clock = net.default_clock()
+    # A block without clock= runs on `main` if declared, else the only
+    # clock, else none.
+    default_clock = "main" if "main" in net.clocks else (
+        next(iter(net.clocks)) if len(net.clocks) == 1 else None)
     params: Dict[str, Dict[str, object]] = {}
+    clock_of: Dict[str, Optional[ClockRef]] = {}
     for block in net.blocks.values():
         kind = KINDS.get(block.kind)
         if kind is None:
@@ -255,8 +257,9 @@ def _validate(net: Netlist) -> None:
             continue
         params[block.id], problems = parse_params(block)
         errors.extend(problems)
+        clock_id = block.params.get("clock", default_clock)
+        clock_of[block.id] = net.clocks.get(clock_id)
         if kind.clocked:
-            clock_id = block.params.get("clock", default_clock)
             if clock_id is None:
                 errors.append("block %r needs an explicit clock" % block.id)
             elif clock_id not in net.clocks:
@@ -275,7 +278,10 @@ def _validate(net: Netlist) -> None:
     for bid, port in net.probes:
         if bid not in net.blocks:
             errors.append("probe references unknown block %r" % bid)
-        elif port != "out" and port not in inputs[bid]:
+            continue
+        kind = KINDS.get(net.blocks[bid].kind)
+        if port not in inputs[bid] \
+                and port not in (kind.outputs if kind else ("out",)):
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
     order: List[str] = []
@@ -295,5 +301,8 @@ def _validate(net: Netlist) -> None:
         raise NetlistValidationError(errors)
     for wires in outputs.values():
         wires.sort(key=lambda w: (w.dst_block, w.dst_port))
-    net.params, net.inputs, net.outputs, net.order = \
-        params, inputs, outputs, order
+    declared = set(net.probes)
+    net.probes += [(bid, "in") for bid, block in net.blocks.items()
+                   if block.kind == "probe" and (bid, "in") not in declared]
+    net.params, net.clock_of, net.inputs, net.outputs, net.order = \
+        params, clock_of, inputs, outputs, order

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
+import dataclasses
 import random
 from pathlib import Path
 
 import pytest
 
+from temporalsim import TimedMessage, blocks
 from temporalsim.cli import main
 
 from dagutil import random_dag_netlist
@@ -102,8 +104,17 @@ class TestCheck:
         assert main(["check", str(GOLDEN / "madd.net")]) == 0
         assert "ok d.out=18" in capsys.readouterr().out
 
-    def test_injected_fault_detected(self, add_net, capsys):
-        assert main(["check", add_net, "--inject-add-bias", "1"]) == 3
+    def test_injected_fault_detected(self, add_net, capsys, monkeypatch):
+        add = blocks.KINDS["add"]
+
+        def biased(firing):
+            out, cost = add.fire(firing)
+            return (TimedMessage.interval(out.decode() + 1, firing.t,
+                                          out.clock), cost)
+
+        monkeypatch.setitem(blocks.KINDS, "add",
+                            dataclasses.replace(add, fire=biased))
+        assert main(["check", add_net]) == 3
         out = capsys.readouterr().out
         assert "MISMATCH sum.out expected=7 actual=8" in out
 
@@ -130,6 +141,24 @@ class TestCheck:
         assert main(["check", str(net)]) == 1
         assert ("block 'd' (madd): expected multi-valent messages"
                 in capsys.readouterr().err)
+
+    def test_budget_cut_is_reported_before_the_oracle(self, tmp_path,
+                                                      capsys):
+        # the run stops before d fires, so the oracle is never asked
+        net = tmp_path / "madd.net"
+        net.write_text((GOLDEN / "add34.net").read_text()
+                       + "block d madd\nwire sum.out d.in0\nprobe d.out\n")
+        assert main(["check", str(net), "--budget", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tick budget exhausted\n"
+        assert captured.out == ""
+
+    def test_probe_block_is_judged(self, tmp_path, capsys):
+        net = tmp_path / "probe.net"
+        net.write_text("clock main 1\nblock a source value=3\n"
+                       "block p probe\nwire a.out p.in\n")
+        assert main(["check", str(net)]) == 0
+        assert capsys.readouterr().out == "ok p.in=3\n"
 
     def test_probes_on_input_ports(self, tmp_path, capsys):
         net = tmp_path / "ports.net"

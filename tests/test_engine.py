@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from temporalsim import oracle_results, parse_netlist, run, summarize
+from temporalsim import oracle_results, parse_netlist, run
+from temporalsim.blocks import C0
 from temporalsim.engine import (
-    C0,
     trace_from_csv,
     trace_to_csv,
     trace_to_waveform,
@@ -196,10 +196,6 @@ class TestEngineContract:
         keys = [(t, b, p) for t, b, p, _r in trace.events]
         assert keys == sorted(keys)
 
-    def test_add_bias_hook_perturbs_result(self):
-        net = parse_netlist(ADD_NET)
-        assert run(net, add_bias=1).results == {"s.out": 8}
-
 
 class TestOracle:
     def test_matches_sim_on_random_dags(self):
@@ -216,6 +212,18 @@ class TestOracle:
         with pytest.raises(SimulationError):
             oracle_results(parse_netlist(text))
 
+    @pytest.mark.parametrize("tail,error", [
+        ("block d madd\nwire s.out d.in0\nprobe d.out\n",
+         "block 'd' (madd): expected multi-valent messages"),
+        ("block v source value=2 position=3 clock=main\nblock m mul k=2\n"
+         "wire v.out m.in\nprobe m.out\n",
+         "block 'm' (mul): expected a scalar message, got mv"),
+    ], ids=["scalar-into-madd", "mv-into-mul"])
+    def test_wrong_sort_of_input_names_the_block(self, tail, error):
+        with pytest.raises(SimulationError) as err:
+            oracle_results(parse_netlist(ADD_NET + tail))
+        assert str(err.value) == error
+
     def test_deep_chain_agrees_with_run(self):
         depth = 1500
         text = "clock main 1\nblock m0 source value=2\n" + "".join(
@@ -228,9 +236,8 @@ class TestOracle:
 
 class TestStatsAndExport:
     def test_add_overhead_is_constant(self):
-        summary = summarize(_run_text(ADD_NET))
-        assert summary.add_overheads == {"s": C0}
-        assert summary.block_costs["s"] == 7 + C0
+        stats = _run_text(ADD_NET).stats
+        assert stats.block_costs == {"a": 3 + C0, "b": 4 + C0, "s": 7 + C0}
 
     def test_cost_slope_is_two_per_unit(self):
         costs = {}
@@ -245,10 +252,9 @@ class TestStatsAndExport:
 
     def test_empty_trace_summary_is_zeroed(self):
         trace = _run_text("clock main 1\nblock a source value=5 clock=main\n")
-        summary = summarize(trace)
-        assert summary.total_ticks == 0
-        assert summary.event_count == 0
-        assert summary.add_overheads == {}
+        assert trace.stats.total_ticks == 0
+        assert trace.stats.event_count == 0
+        assert trace.stats.block_costs == {"a": 5 + C0}
 
     def test_csv_round_trip(self):
         trace = _run_text(ADD_NET)

@@ -133,6 +133,30 @@ def test_negative_table_delay_rejected(tmp_path):
     assert "delays must be non-negative" in str(err.value)
 
 
+def test_malformed_table_line_names_the_table(tmp_path):
+    table = tmp_path / "bad.tbl"
+    table.write_text("default 0\nbad\n")
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nwire a.out b.in table=%s\n" % table)
+    assert (err.value.line, err.value.column) == (2, 17)
+    assert str(err.value) == ("line 2:17: latency table %s: line 2: needs "
+                              "two fields" % table)
+
+
+def test_probe_out_needs_an_out_port():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("clock main 1\nblock a source value=3\n"
+                      "block p probe\nwire a.out p.in\nprobe p.out\n")
+    assert err.value.violations == ["probe references unknown port p.out"]
+
+
+@pytest.mark.parametrize("extra", ["", "probe p.in\n"])
+def test_probe_block_observes_its_input(extra):
+    net = parse_netlist("clock main 1\nblock a source value=3\n"
+                        "block p probe\nwire a.out p.in\n" + extra)
+    assert net.probes == [("p", "in")]
+
+
 def test_probe_on_an_unknown_input_port_rejected():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist(ADD_NET + "probe s.c\n")
