@@ -179,15 +179,14 @@ def madd(train: MultiValentTrain) -> int:
     Single systolic sweep from the highest occupied position down to 0:
     the running amplitude sum S picks up each bucket as the sweep enters
     its tick and is added to the accumulator once per tick, so each
-    amplitude a at position b is counted exactly b times.
+    amplitude a at position b is counted exactly b times. The simulated
+    sweep still costs max position + C0 ticks; the host skips the empty
+    ticks, where S is constant, and adds S once per gap between occupied
+    buckets, so it runs in O(occupied buckets).
     """
-    if not train.items:
-        return 0
-    buckets = train.buckets
-    top = max(buckets)
-    total = 0
-    running = 0
-    for tick in range(top, 0, -1):
-        running += buckets.get(tick, 0)
-        total += running
-    return total
+    total = running = last = 0  # last: lowest occupied position so far
+    for pos, amp in reversed(train.items):
+        total += running * (last - pos)
+        running += amp
+        last = pos
+    return total + running * last

@@ -97,7 +97,8 @@ def _positive_fraction(text: str) -> Fraction:
 
 
 def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
-    """Parse a block's params by its kind's schema: (values, errors)."""
+    """Parse a block's params by its kind's schema: (values, errors).
+    A key the schema does not list is an error."""
     kind = KINDS[block.kind]
     values: Dict[str, object] = {}
     errors: List[str] = []
@@ -115,6 +116,8 @@ def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     problem = kind.check(values) if kind.check and not errors else None
     if problem:
         errors.append("block %r (%s): %s" % (block.id, block.kind, problem))
+    errors += ["block %r (%s) unknown param %r" % (block.id, block.kind, key)
+               for key in block.params if key not in kind.params]
     return values, errors
 
 

@@ -180,6 +180,10 @@ def parse_netlist(text: str) -> Netlist:
                     path = opt[len("table="):]
                     try:
                         link = Link.from_table(*load_latency_table(path))
+                    except OSError as exc:
+                        raise NetlistParseError(
+                            "latency table %s: %s" % (path, exc.strerror),
+                            lineno, _column(line, opt)) from None
                     except ValueError as exc:
                         raise NetlistParseError(
                             "latency table %s: %s" % (path, exc), lineno,

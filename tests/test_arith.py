@@ -4,7 +4,7 @@ multiplexing, and the multi-valent dot-product sweep."""
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from temporalsim import (
     ClockRef,
@@ -207,7 +207,37 @@ def _random_train(rng):
         tuple((p, rng.randint(1, 255)) for p in positions))
 
 
+def madd_tick_by_tick(train):
+    """Reference sweep: one step per simulated tick, from the highest
+    occupied position down to 1, adding the running amplitude sum."""
+    buckets = train.buckets
+    total = running = 0
+    for tick in range(max(buckets, default=0), 0, -1):
+        running += buckets.get(tick, 0)
+        total += running
+    return total
+
+
+def _trains(max_position, max_amplitude):
+    return st.dictionaries(st.integers(0, max_position),
+                           st.integers(1, max_amplitude),
+                           max_size=32).map(MultiValentTrain.from_buckets)
+
+
 class TestMadd:
+    @given(_trains(2000, 255))
+    @example(MultiValentTrain())
+    @example(MultiValentTrain(((0, 5),)))
+    @example(MultiValentTrain(((2000, 3),)))
+    @example(MultiValentTrain(((0, 2), (1, 4), (2000, 1))))
+    def test_matches_tick_by_tick_sweep(self, train):
+        dot = sum(p * a for p, a in train.items)
+        assert madd(train) == madd_tick_by_tick(train) == dot
+
+    @given(_trains(10 ** 18, 10 ** 18))
+    def test_far_positions_match_dot_product(self, train):
+        assert madd(train) == sum(p * a for p, a in train.items)
+
     def test_dot_product_figure(self):
         assert madd(MultiValentTrain(((2, 3), (3, 4)))) == 18
 

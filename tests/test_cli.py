@@ -213,6 +213,10 @@ class TestBench:
         parsed = [tuple(map(int, r.split(","))) for r in rows]
         assert [t - s for s, t in parsed] == [1, 1, 1]
 
+    def test_madd_far_position_row(self, capsys):
+        assert main(["bench", "--op", "madd", "--sizes", "10000000"]) == 0
+        assert capsys.readouterr().out == "size,ticks\n10000000,10000001\n"
+
     def test_mul_minimal_row(self, capsys):
         assert main(["bench", "--op", "mul", "--sizes", "1", "--k",
                      "1"]) == 0

@@ -90,6 +90,16 @@ class TestBlockSemantics:
         assert trace.results == {"d.out": 18}
         assert trace.stats.block_costs["d"] == 3 + C0  # sweep to max position
 
+    def test_madd_far_position(self):
+        far = 10 ** 12
+        text = ("clock main 1\n"
+                "block t source value=7 position=%d clock=main\n"
+                "block d madd\n"
+                "wire t.out d.in0\nprobe d.out\n" % far)
+        trace = _run_text(text, budget=10 ** 13)
+        assert trace.results == {"d.out": 7 * far}
+        assert trace.stats.block_costs["d"] == far + C0
+
     def test_accumulator_with_fast_reference(self):
         text = ("clock main 1\nclock fast 3\n"
                 "block a source value=5 clock=main\n"

@@ -143,6 +143,14 @@ def test_malformed_table_line_names_the_table(tmp_path):
                               "two fields" % table)
 
 
+def test_missing_table_is_a_parse_error_at_the_wire(tmp_path):
+    table = tmp_path / "missing.tbl"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nwire a.out b.in table=%s\n" % table)
+    assert str(err.value) == ("line 2:17: latency table %s: No such file "
+                              "or directory" % table)
+
+
 def test_probe_out_needs_an_out_port():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\nblock a source value=3\n"
@@ -201,3 +209,16 @@ def test_toggle_needs_depth():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist(_accumulator_net("model=toggle"))
     assert "missing param 'depth' (model=toggle)" in str(err.value)
+
+
+@pytest.mark.parametrize("source, mul, error", [
+    ("value=3 valeu=4 clock=main", "k=2",
+     "block 'a' (source) unknown param 'valeu'"),
+    ("value=3 clock=main", "k=2 clock=nope",
+     "block 'm' (mul) unknown param 'clock'"),
+])
+def test_unknown_param_rejected(source, mul, error):
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("clock main 1\nblock a source %s\nblock m mul %s\n"
+                      "wire a.out m.in\nprobe m.out\n" % (source, mul))
+    assert err.value.violations == [error]
