@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .core import ClockRef, IntervalValue, measure_interval
 
 
@@ -110,7 +108,8 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     """Photon counter: collected count is proportional to interval length.
 
     Noiseless by default (floor of flux * count). With a seed, draws a
-    Poisson sample with that mean from a deterministic generator.
+    Poisson sample with that mean from a deterministic generator; numpy
+    is imported only then, so a run without one never loads it.
     """
     flux = Fraction(flux)
     if flux <= 0:
@@ -118,6 +117,7 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     mean = flux * measure_interval(iv, ref)
     if noise_seed is None:
         return int(mean)
+    import numpy as np
     rng = np.random.default_rng(noise_seed)
     return int(rng.poisson(float(mean)))
 

@@ -8,7 +8,7 @@ four delivery-mode (de)serializers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -62,25 +62,41 @@ class TimedMessage:
             object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _trusted(cls, events: Tuple[Tuple[str, int], ...], clock: ClockRef,
+                 amplitudes: Tuple[int, ...] = ()) -> "TimedMessage":
+        """A message already known to be valid, built without the
+        re-check. The constructors below check only what their arguments
+        can break, then build through this."""
+        msg = object.__new__(cls)
+        object.__setattr__(msg, "events", events)
+        object.__setattr__(msg, "clock", clock)
+        object.__setattr__(msg, "amplitudes", amplitudes)
+        return msg
+
+    @classmethod
     def interval(cls, value: int, start: int = 0,
                  clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        return cls(((EVENT_START, start), (EVENT_END, start + value)), clock)
+        start, end = int(start), int(start + value)
+        if end < start:
+            raise ValueError("events must be in non-decreasing order")
+        return cls._trusted(((EVENT_START, start), (EVENT_END, end)), clock)
 
     @classmethod
     def multiplexed(cls, values: Iterable[int], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """A value set as one value pulse per member after the start."""
-        pulses = tuple((EVENT_VALUE, start + v) for v in sorted(values))
-        return cls(((EVENT_START, start),) + pulses, clock)
+        return cls._trusted(_pulses(start, sorted(values)), clock)
 
     @classmethod
     def multivalent(cls, items: Iterable[Tuple[int, int]], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """(position, amplitude) buckets as amplitude-carrying pulses."""
         items = sorted(items)
-        pulses = tuple((EVENT_VALUE, start + p) for p, _a in items)
-        return cls(((EVENT_START, start),) + pulses, clock,
-                   tuple(a for _p, a in items))
+        events = _pulses(start, [p for p, _a in items])
+        amps = tuple(int(a) for _p, a in items)
+        if amps and min(amps) < 1:
+            raise ValueError("need one amplitude >= 1 per value pulse")
+        return cls._trusted(events, clock, amps)
 
     @property
     def kind(self) -> str:
@@ -116,20 +132,34 @@ class TimedMessage:
         return dict(zip(self.value_offsets(), self.amplitudes))
 
 
+def _pulses(start: int, offsets) -> Tuple[Tuple[str, int], ...]:
+    """A start event, then one value pulse per sorted offset."""
+    ticks = [int(start + v) for v in offsets]
+    start = int(start)
+    if ticks and ticks[0] < start:
+        raise ValueError("events must be in non-decreasing order")
+    return ((EVENT_START, start),) + tuple((EVENT_VALUE, t) for t in ticks)
+
+
 @dataclass(frozen=True)
 class Link:
     """A one-way path whose delay may depend on the emission tick.
 
-    The delay function must be deterministic.
+    The delay function must be deterministic. A link made by `constant`
+    also records its delay in `fixed`, so transport skips the per-event
+    lookups.
     """
 
     delay: Callable[[int], int]
+    fixed: Optional[int] = field(default=None, init=False)
 
     @classmethod
     def constant(cls, delay: int) -> "Link":
         if delay < 0:
             raise ValueError("link delay must be non-negative")
-        return cls(lambda _t, _d=delay: _d)
+        link = cls(lambda _t, _d=delay: _d)
+        object.__setattr__(link, "fixed", delay)
+        return link
 
     @classmethod
     def from_table(cls, table: Dict[int, int], default: int = 0) -> "Link":
@@ -166,13 +196,21 @@ def transmit_checked(msg: TimedMessage,
     The delay only has to hold still between this message's first and
     last event; drift outside that span (or between messages) is legal.
     """
-    delays = {link.delay(t) for _, t in msg.events}
-    shifted = tuple((r, t + link.delay(t)) for r, t in msg.events)
-    if len(delays) > 1:
-        distorted_value = shifted[-1][1] - shifted[0][1]
-        return StabilityViolation(msg, shifted,
-                                  distorted_value - msg.decode())
-    return TimedMessage(shifted, msg.clock, msg.amplitudes)
+    delay = link.fixed
+    if delay is None:
+        delays = [link.delay(t) for _, t in msg.events]
+        delay = delays[0]
+        if any(d != delay for d in delays):
+            shifted = tuple((r, t + d)
+                            for (r, t), d in zip(msg.events, delays))
+            distorted_value = shifted[-1][1] - shifted[0][1]
+            return StabilityViolation(msg, shifted,
+                                      distorted_value - msg.decode())
+    if delay == 0:
+        return msg
+    # A uniform shift keeps a valid message valid.
+    return TimedMessage._trusted(tuple((r, t + delay) for r, t in msg.events),
+                                 msg.clock, msg.amplitudes)
 
 
 def transmit(msg: TimedMessage, link: Link) -> TimedMessage:

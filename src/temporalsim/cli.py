@@ -9,6 +9,7 @@ wall-clock.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -16,12 +17,12 @@ from .blocks import C0
 from .core import encode_hybrid, encode_pim, encode_unary
 from .engine import (
     DEFAULT_BUDGET,
+    format_result,
     oracle_results,
     run,
     trace_from_csv,
     trace_to_csv,
     trace_to_waveform,
-    _format_result,
 )
 from .errors import SimulationError, TemporalError
 from .netlist import parse_netlist
@@ -34,7 +35,16 @@ EXIT_MISMATCH = 3
 
 def _load_netlist(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
+        return parse_netlist(fh.read(), os.path.dirname(path))
+
+
+def _warn(stats) -> None:
+    """The run's warnings, one stderr line each; stdout is untouched."""
+    for violation in stats.stability_violations:
+        print("warning: unstable link %s" % violation, file=sys.stderr)
+    for block_id in stats.overflow_flags:
+        print("warning: block %r: toggle chain overflowed" % block_id,
+              file=sys.stderr)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -52,12 +62,13 @@ def cmd_run(args) -> int:
     except (OSError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    _warn(trace.stats)
     if args.trace:
         _write(args.trace, trace_to_csv(trace))
     if args.waveform:
         _write(args.waveform, trace_to_waveform(trace))
     for key in sorted(trace.results):
-        print("probe %s=%s" % (key, _format_result(trace.results[key])))
+        print("probe %s=%s" % (key, format_result(trace.results[key])))
     if args.stats:
         stats = trace.stats
         print("total_ticks=%d" % stats.total_ticks)
@@ -77,6 +88,7 @@ def cmd_check(args) -> int:
         # The engine first: its errors name the block that cannot fire,
         # and a run cut short by the budget leaves nothing to judge.
         trace = run(net, budget=args.budget, seed=args.seed)
+        _warn(trace.stats)
         if trace.stats.budget_exhausted:
             print("error: tick budget exhausted", file=sys.stderr)
             return EXIT_BUDGET
@@ -89,12 +101,12 @@ def cmd_check(args) -> int:
         exp = expected[key]
         act = trace.results.get(key)
         if act == exp:
-            print("ok %s=%s" % (key, _format_result(exp)))
+            print("ok %s=%s" % (key, format_result(exp)))
         else:
             mismatches += 1
             print("MISMATCH %s expected=%s actual=%s"
-                  % (key, _format_result(exp),
-                     _format_result(act) if act is not None else "<missing>"))
+                  % (key, format_result(exp),
+                     format_result(act) if act is not None else "<missing>"))
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

@@ -159,7 +159,8 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
 # Trace export
 
 
-def _format_result(value) -> str:
+def format_result(value) -> str:
+    """A probe value as the CLI and the trace CSV print it."""
     if isinstance(value, (set, frozenset)):
         return "{%s}" % ",".join(str(v) for v in sorted(value))
     if isinstance(value, dict):
@@ -174,7 +175,7 @@ def trace_to_csv(trace: Trace) -> str:
     for tick, block, port, role in trace.events:
         lines.append("%d,%s,%s,%s" % (tick, block, port, role))
     for key in sorted(trace.results):
-        lines.append("%s=%s" % (key, _format_result(trace.results[key])))
+        lines.append("%s=%s" % (key, format_result(trace.results[key])))
     return "\n".join(lines) + "\n"
 
 

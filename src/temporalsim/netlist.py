@@ -17,6 +17,7 @@ observes its `in`). The engine and the oracle read only that.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -55,6 +56,10 @@ class Netlist:
     inputs: Dict[str, Dict[str, Wire]] = field(default_factory=dict)
     outputs: Dict[str, List[Wire]] = field(default_factory=dict)  # by dst
     order: List[str] = field(default_factory=list)    # topological
+
+
+# Links are immutable, so every wire without an option shares this one.
+_NO_DELAY = Link.constant(0)
 
 
 def _column(line: str, token: str) -> int:
@@ -108,10 +113,12 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
     return table, default
 
 
-def parse_netlist(text: str) -> Netlist:
+def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     """Parse and validate netlist text.
 
-    Raises NetlistParseError on the first malformed line and
+    A relative `table=` path is read from `base_dir` when given (the CLI
+    passes the netlist file's directory), else from the working
+    directory. Raises NetlistParseError on the first malformed line and
     NetlistValidationError carrying every structural violation.
     """
     net = Netlist()
@@ -166,7 +173,7 @@ def parse_netlist(text: str) -> Netlist:
                     "[latency=<int>|table=<file>]", lineno)
             src_b, src_p = _parse_port_ref(parts[1], line, lineno)
             dst_b, dst_p = _parse_port_ref(parts[2], line, lineno)
-            link = Link.constant(0)
+            link = _NO_DELAY
             if len(parts) == 4:
                 opt = parts[3]
                 if opt.startswith("latency="):
@@ -179,7 +186,8 @@ def parse_netlist(text: str) -> Netlist:
                 elif opt.startswith("table="):
                     path = opt[len("table="):]
                     try:
-                        link = Link.from_table(*load_latency_table(path))
+                        link = Link.from_table(*load_latency_table(
+                            os.path.join(base_dir or "", path)))
                     except OSError as exc:
                         raise NetlistParseError(
                             "latency table %s: %s" % (path, exc.strerror),

@@ -1,10 +1,15 @@
 """Accumulate-unit models and cross-reference conversion."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import temporalsim
 from temporalsim import (
     BinaryWord,
     ClockRef,
@@ -118,6 +123,33 @@ class TestPhotonic:
         total = sum(accumulate_photonic(iv, CLK, 2, noise_seed=s)
                     for s in range(10 ** 3))
         assert abs(total / 10 ** 3 - mean_target) < 0.01 * mean_target
+
+    def test_seeded_draw_is_pinned(self):
+        # numpy's default_rng(42).poisson(1500.0): any other generator or
+        # mean would move every seeded trace.
+        iv = IntervalValue(0, 1000, CLK)
+        assert accumulate_photonic(iv, CLK, Fraction(3, 2),
+                                   noise_seed=42) == 1533
+        assert accumulate_photonic(IntervalValue(0, 7, CLK), CLK, 1,
+                                   noise_seed=0) == 3
+
+    def test_numpy_loads_only_for_a_seeded_draw(self):
+        code = (
+            "import sys\n"
+            "import temporalsim as ts\n"
+            "iv, clk = ts.IntervalValue(0, 9), ts.DEFAULT_CLOCK\n"
+            "print('numpy' in sys.modules)\n"
+            "ts.accumulate_photonic(iv, clk, 2)\n"
+            "print('numpy' in sys.modules)\n"
+            "ts.accumulate_photonic(iv, clk, 2, noise_seed=1)\n"
+            "print('numpy' in sys.modules)\n")
+        src = str(Path(temporalsim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "False", "True"]
 
 
 class TestConvertReference:

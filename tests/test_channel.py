@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from temporalsim import (
     ClockRef,
@@ -85,6 +85,107 @@ class TestTransmitChecked:
         out = transmit_checked(TimedMessage.interval(7), link)
         assert isinstance(out, TimedMessage)
         assert out.decode() == 7
+
+
+CLOCKS = st.sampled_from((ClockRef("main", Fraction(1)),
+                          ClockRef("fast", Fraction(4)),
+                          ClockRef("slow", Fraction(1, 3))))
+TICKS = st.integers(0, 10 ** 6)
+MESSAGES = st.one_of(
+    st.builds(TimedMessage.interval, TICKS, TICKS, CLOCKS),
+    st.builds(TimedMessage.multiplexed, st.sets(TICKS, max_size=6), TICKS,
+              CLOCKS),
+    st.builds(TimedMessage.multivalent,
+              st.dictionaries(TICKS, st.integers(1, 10 ** 6), min_size=1,
+                              max_size=6).map(dict.items), TICKS, CLOCKS))
+
+
+class TestConstantLinks:
+    @given(MESSAGES, st.integers(0, 10 ** 6))
+    @example(TimedMessage.interval(7, 2), 0)
+    @example(TimedMessage.multiplexed({5, 7}), 0)
+    @example(TimedMessage.multivalent([(2, 3), (3, 4)]), 0)
+    def test_recorded_delay_matches_the_delay_function(self, msg, d):
+        fast = transmit_checked(msg, Link.constant(d))
+        slow = transmit_checked(msg, Link(lambda _t: d))
+        assert isinstance(fast, TimedMessage)
+        assert fast.events == slow.events
+        assert fast.events == tuple((r, t + d) for r, t in msg.events)
+        assert (fast.clock, fast.amplitudes) == (slow.clock, slow.amplitudes)
+        assert fast.kind == slow.kind == msg.kind
+        assert fast.decoded() == slow.decoded() == msg.decoded()
+
+    def test_zero_delay_delivers_the_message_itself(self):
+        msg = TimedMessage.interval(7)
+        assert transmit_checked(msg, Link.constant(0)) is msg
+        assert transmit_checked(msg, Link(lambda _t: 0)) is msg
+
+    def test_only_constant_links_record_their_delay(self):
+        assert Link.constant(3).fixed == 3
+        assert Link(lambda _t: 3).fixed is None
+        assert Link.from_table({}, default=3).fixed is None
+
+
+def _checked(events, clock, amplitudes=()):
+    """The message a direct, fully checked TimedMessage call builds, or
+    the ValueError it raises."""
+    try:
+        return TimedMessage(tuple(events), clock, tuple(amplitudes))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Rationals too: both paths floor them to int ticks the same way.
+SIGNED = st.one_of(st.integers(-50, 50),
+                   st.fractions(-50, 50, max_denominator=4))
+
+
+class TestConstructors:
+    """Each constructor checks only what its arguments can break; it
+    accepts and rejects exactly what the full check does."""
+
+    @given(SIGNED, SIGNED)
+    def test_interval(self, value, start):
+        clk = ClockRef("main", Fraction(1))
+        assert _outcome(lambda: TimedMessage.interval(value, start, clk)) \
+            == _checked((("start", start), ("end", start + value)), clk)
+
+    @given(st.lists(SIGNED, max_size=5), SIGNED)
+    def test_multiplexed(self, values, start):
+        clk = ClockRef("main", Fraction(1))
+        events = [("start", start)] + [("value-pulse", start + v)
+                                       for v in sorted(values)]
+        assert _outcome(
+            lambda: TimedMessage.multiplexed(values, start, clk)) \
+            == _checked(events, clk)
+
+    @given(st.lists(st.tuples(SIGNED, st.integers(-2, 5)), max_size=5),
+           SIGNED)
+    def test_multivalent(self, items, start):
+        clk = ClockRef("main", Fraction(1))
+        ordered = sorted(items)
+        events = [("start", start)] + [("value-pulse", start + p)
+                                       for p, _a in ordered]
+        assert _outcome(
+            lambda: TimedMessage.multivalent(items, start, clk)) \
+            == _checked(events, clk, [a for _p, a in ordered])
+
+    def test_bad_arguments_raise(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TimedMessage.interval(-1)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TimedMessage.multiplexed([3, -1])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            TimedMessage.multivalent([(-1, 3)])
+        with pytest.raises(ValueError, match="amplitude"):
+            TimedMessage.multivalent([(2, 3), (4, 0)])
 
 
 class TestNegotiateReference:

@@ -92,6 +92,43 @@ class TestRun:
         assert err.startswith("error: wire ")
         assert "distorted" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cwd, netlist", [
+        ("", "nets/add.net"), ("elsewhere", "../nets/add.net")],
+        ids=["relative", "from-a-sibling"])
+    def test_table_beside_the_netlist(self, cwd, netlist, tmp_path,
+                                      monkeypatch, capsys):
+        nets = tmp_path / "nets"
+        nets.mkdir()
+        (nets / "late.tbl").write_text("default 2\n")
+        (nets / "add.net").write_text(
+            (GOLDEN / "add34.net").read_text().replace(
+                "wire a.out sum.a", "wire a.out sum.a table=late.tbl"))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        assert main(["run", netlist, "--trace", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "2,sum,a,start\n" in out and "probe sum.out=7\n" in out
+
+    def test_warnings_go_to_stderr(self, tmp_path, capsys):
+        # The end event is delayed 5 ticks more than the start (a readable
+        # distortion), and 12 overflows a two-stage toggle chain.
+        (tmp_path / "late_end.tbl").write_text("default 0\n3 5\n")
+        path = tmp_path / "warn.net"
+        path.write_text("clock main 1\n"
+                        "block a source value=3 clock=main\n"
+                        "block b source value=4 clock=main\n"
+                        "block s add\n"
+                        "block acc accumulator model=toggle depth=2\n"
+                        "wire a.out s.a table=late_end.tbl\n"
+                        "wire b.out s.b\nwire s.out acc.in\n"
+                        "probe s.out\nprobe acc.out\n")
+        assert main(["run", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "probe acc.out=0\nprobe s.out=12\n"
+        assert err == ("warning: unstable link a.out->s.a value error +5\n"
+                       "warning: block 'acc': toggle chain overflowed\n")
+
     def test_stats_output(self, add_net, capsys):
         assert main(["run", add_net, "--stats"]) == 0
         out = capsys.readouterr().out
@@ -141,6 +178,16 @@ class TestCheck:
         assert main(["check", str(net)]) == 1
         assert ("block 'd' (madd): expected multi-valent messages"
                 in capsys.readouterr().err)
+
+    def test_warnings_go_to_stderr(self, tmp_path, capsys):
+        (tmp_path / "late_end.tbl").write_text("default 0\n3 5\n")
+        path = tmp_path / "warn.net"
+        path.write_text((GOLDEN / "add34.net").read_text().replace(
+            "wire a.out sum.a", "wire a.out sum.a table=late_end.tbl"))
+        assert main(["check", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "MISMATCH sum.out expected=7 actual=12\n"
+        assert err == "warning: unstable link a.out->sum.a value error +5\n"
 
     def test_budget_cut_is_reported_before_the_oracle(self, tmp_path,
                                                       capsys):

@@ -151,6 +151,27 @@ def test_missing_table_is_a_parse_error_at_the_wire(tmp_path):
                               "or directory" % table)
 
 
+def test_table_path_resolves_against_the_base_dir(tmp_path, monkeypatch):
+    (tmp_path / "nets").mkdir()
+    (tmp_path / "nets" / "late.tbl").write_text("default 2\n")
+    monkeypatch.chdir(tmp_path)
+    text = ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=late.tbl")
+    net = parse_netlist(text, base_dir=str(tmp_path / "nets"))
+    assert net.wires[0].link.delay(0) == 2
+    # Without a base directory the path is read from the working one.
+    with pytest.raises(NetlistParseError, match="late.tbl: No such file"):
+        parse_netlist(text)
+
+
+def test_absolute_table_path_ignores_the_base_dir(tmp_path):
+    table = tmp_path / "late.tbl"
+    table.write_text("default 2\n")
+    net = parse_netlist(
+        ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=%s" % table),
+        base_dir=str(tmp_path / "elsewhere"))
+    assert net.wires[0].link.delay(0) == 2
+
+
 def test_probe_out_needs_an_out_port():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\nblock a source value=3\n"
