@@ -22,26 +22,19 @@ from .accumulators import (
 )
 from .arith import (
     MuxChannel,
-    TuplePair,
     add_concat,
     demux,
-    demux_pulse_train,
     madd,
     max_race,
     min_race,
     mul_dilate,
     mux,
-    mux_or,
     mv_merge,
-    mv_place,
 )
 from .channel import (
     Link,
     StabilityViolation,
     TimedMessage,
-    deliver_parallel,
-    measure_parallel,
-    negotiate_reference,
     parse_stream,
     serialize_stream,
     transmit,

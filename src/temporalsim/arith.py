@@ -15,16 +15,13 @@ from .core import (
     ClockRef,
     IntervalValue,
     MultiValentTrain,
-    PulseTrain,
     UnaryTrain,
-    encode_pim,
     measure_interval,
 )
 from .errors import (
     ClockMismatch,
     DuplicateValue,
     EmptyInput,
-    MalformedChannel,
     ModeMismatch,
     ZeroValue,
 )
@@ -47,23 +44,6 @@ class MuxChannel:
         if any(p <= 0 for p in pulses):
             raise ValueError("value pulses must be positive ticks")
         object.__setattr__(self, "value_pulses", pulses)
-
-    def as_pulse_train(self) -> PulseTrain:
-        return PulseTrain((0,) + tuple(sorted(self.value_pulses)), self.clock)
-
-
-@dataclass(frozen=True)
-class TuplePair:
-    """An (amplitude, position) pair standing for the product a * b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 1:
-            raise ValueError("amplitude must be >= 1")
-        if self.b < 0:
-            raise ValueError("position must be non-negative")
 
 
 def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
@@ -133,26 +113,6 @@ def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
 def demux(ch: MuxChannel) -> Set[int]:
     """Recover the value set: every value pulse position is one member."""
     return set(ch.value_pulses)
-
-
-def demux_pulse_train(t: PulseTrain) -> Set[int]:
-    """Demux straight from a raw pulse train (start marker at tick 0)."""
-    if not t.pulses or t.pulses[0] != 0:
-        raise MalformedChannel("multiplexed channel needs a pulse at tick 0")
-    return set(t.pulses[1:])
-
-
-def mux_or(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> PulseTrain:
-    """Reference construction of mux: literal pulse-wise OR of PIM codes."""
-    pulses: Set[int] = set()
-    for v in values:
-        pulses.update(encode_pim(v, clock).pulses)
-    return PulseTrain(tuple(sorted(pulses)), clock)
-
-
-def mv_place(pair: TuplePair, clock: ClockRef = DEFAULT_CLOCK) -> MultiValentTrain:
-    """Place amplitude a at temporal position b, encoding the tuple a*b."""
-    return MultiValentTrain(((pair.b, pair.a),), clock)
 
 
 def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:

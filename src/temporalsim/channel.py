@@ -2,14 +2,13 @@
 
 Data rides as the spacing between events, so a link may delay a message
 arbitrarily as long as the delay holds still between the message's first
-and last event. The module also covers reference negotiation and the
-four delivery-mode (de)serializers.
+and last event. The module also lays values out on one channel in the
+two serial delivery modes and reads them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -17,13 +16,11 @@ from .core import (
     DEFAULT_CLOCK,
     ClockRef,
     DeliveryMode,
-    IntervalValue,
     PulseTrain,
 )
 from .errors import (
     GapCountMismatch,
     MalformedStream,
-    OffsetCountMismatch,
     StabilityError,
 )
 
@@ -227,15 +224,6 @@ def transmit(msg: TimedMessage, link: Link) -> TimedMessage:
     return out
 
 
-def negotiate_reference(src: ClockRef, dst: ClockRef) -> Fraction:
-    """Agree the exchange rate between two time references.
-
-    Ratio 1 means a genuinely shared reference; otherwise the receiver
-    re-denominates counts via convert_reference.
-    """
-    return dst.ratio_to(src)
-
-
 # ---------------------------------------------------------------------------
 # Delivery-mode serialization
 
@@ -297,30 +285,3 @@ def parse_stream(t: PulseTrain, mode: DeliveryMode) -> List[int]:
                 "discontinuous stream needs paired delimiters")
         return [pulses[i + 1] - pulses[i] for i in range(0, len(pulses), 2)]
     raise ValueError("not a serial delivery mode: %r" % (mode,))
-
-
-def deliver_parallel(values: Sequence[int], mode: DeliveryMode,
-                     offsets: Optional[Sequence[int]] = None,
-                     clock: ClockRef = DEFAULT_CLOCK) -> List[IntervalValue]:
-    """Spread values across parallel lanes.
-
-    Synchronous lanes all start at tick 0; asynchronous lanes start at
-    caller-given offsets.
-    """
-    if mode is DeliveryMode.PARALLEL_SYNCHRONOUS:
-        if offsets:
-            raise OffsetCountMismatch("synchronous mode takes no offsets")
-        return [IntervalValue(0, v, clock) for v in values]
-    if mode is DeliveryMode.PARALLEL_ASYNCHRONOUS:
-        offsets = list(offsets or [])
-        if len(offsets) != len(values):
-            raise OffsetCountMismatch(
-                "need %d offsets, got %d" % (len(values), len(offsets)))
-        return [IntervalValue(o, o + v, clock)
-                for v, o in zip(values, offsets)]
-    raise ValueError("not a parallel delivery mode: %r" % (mode,))
-
-
-def measure_parallel(lanes: Sequence[IntervalValue]) -> List[int]:
-    """Recover lane values regardless of start offsets."""
-    return [lane.length for lane in lanes]

@@ -33,9 +33,16 @@ EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
 
 
-def _load_netlist(path: str):
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read(), os.path.dirname(path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+
+
+def _load_netlist(path: str):
+    return parse_netlist(_read(path), os.path.dirname(path))
 
 
 def _warn(stats) -> None:
@@ -59,7 +66,7 @@ def cmd_run(args) -> int:
     try:
         net = _load_netlist(args.netlist)
         trace = run(net, budget=args.budget, seed=args.seed)
-    except (OSError, TemporalError) as exc:
+    except (OSError, ValueError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     _warn(trace.stats)
@@ -93,7 +100,7 @@ def cmd_check(args) -> int:
             print("error: tick budget exhausted", file=sys.stderr)
             return EXIT_BUDGET
         expected = oracle_results(net)
-    except (OSError, TemporalError) as exc:
+    except (OSError, ValueError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     mismatches = 0
@@ -183,9 +190,8 @@ def cmd_bench(args) -> int:
 
 def cmd_export(args) -> int:
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            trace = trace_from_csv(fh.read())
-    except (OSError, SimulationError) as exc:
+        trace = trace_from_csv(_read(args.trace))
+    except (OSError, ValueError, SimulationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     _write(args.out, trace_to_waveform(trace))

@@ -72,9 +72,6 @@ class PulseTrain:
             raise ValueError("pulse positions must be strictly increasing")
         object.__setattr__(self, "pulses", pulses)
 
-    def shifted(self, delta: int) -> "PulseTrain":
-        return PulseTrain(tuple(p + delta for p in self.pulses), self.clock)
-
 
 @dataclass(frozen=True)
 class UnaryTrain:
@@ -138,9 +135,6 @@ class MultiValentTrain:
     @property
     def buckets(self) -> dict:
         return dict(self.items)
-
-    def amplitude(self, position: int) -> int:
-        return self.buckets.get(position, 0)
 
 
 # ---------------------------------------------------------------------------

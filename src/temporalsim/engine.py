@@ -192,10 +192,11 @@ def trace_from_csv(text: str) -> Trace:
             key, value = line.split("=", 1)
             trace.results[key] = value
             continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise SimulationError("malformed trace row %r" % line)
-        trace.events.append((int(fields[0]), fields[1], fields[2], fields[3]))
+        try:
+            tick, block, port, role = line.split(",")
+            trace.events.append((int(tick), block, port, role))
+        except ValueError:
+            raise SimulationError("malformed trace row %r" % line) from None
     trace.stats.event_count = len(trace.events)
     trace.stats.total_ticks = max((e[0] for e in trace.events), default=0)
     return trace

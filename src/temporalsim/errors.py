@@ -37,20 +37,12 @@ class ZeroValue(TemporalError):
     """Zero cannot share a channel with the start marker."""
 
 
-class MalformedChannel(TemporalError):
-    """A multiplexed channel is missing its start marker."""
-
-
 class GapCountMismatch(TemporalError):
     """Discontinuous serialization needs exactly one gap per boundary."""
 
 
 class MalformedStream(TemporalError):
     """A pulse train cannot be parsed under the requested delivery mode."""
-
-
-class OffsetCountMismatch(TemporalError):
-    """Asynchronous parallel delivery needs exactly one offset per lane."""
 
 
 class NetlistParseError(TemporalError):

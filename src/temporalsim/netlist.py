@@ -18,6 +18,7 @@ observes its `in`). The engine and the oracle read only that.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -62,30 +63,20 @@ class Netlist:
 _NO_DELAY = Link.constant(0)
 
 
-def _column(line: str, token: str) -> int:
-    pos = line.find(token)
-    return pos + 1 if pos >= 0 else 1
+def _column(line: str, index: int) -> int:
+    """1-based column of the line's index-th whitespace-separated token."""
+    return [m.start() for m in re.finditer(r"\S+", line)][index] + 1
 
 
-def _parse_port_ref(token: str, line: str, lineno: int) -> Tuple[str, str]:
-    if token.count(".") != 1:
+def _parse_port_ref(line: str, lineno: int, parts: List[str],
+                    index: int) -> Tuple[str, str]:
+    token = parts[index]
+    block, _dot, port = token.partition(".")
+    if not block or not port or "." in port:
         raise NetlistParseError(
             "expected <block>.<port>, got %r" % token,
-            lineno, _column(line, token))
-    block, port = token.split(".")
-    if not block or not port:
-        raise NetlistParseError(
-            "expected <block>.<port>, got %r" % token,
-            lineno, _column(line, token))
+            lineno, _column(line, index))
     return block, port
-
-
-def _parse_int(token: str, line: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise NetlistParseError("expected integer, got %r" % token,
-                                lineno, _column(line, token)) from None
 
 
 def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
@@ -138,13 +129,13 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
             except (ValueError, ZeroDivisionError):
                 raise NetlistParseError(
                     "bad frequency %r" % freq_tok, lineno,
-                    _column(line, freq_tok)) from None
+                    _column(line, 2)) from None
             if freq <= 0:
                 raise NetlistParseError(
-                    "frequency must be > 0", lineno, _column(line, freq_tok))
+                    "frequency must be > 0", lineno, _column(line, 2))
             if cid in net.clocks:
                 raise NetlistParseError(
-                    "duplicate clock id %r" % cid, lineno, _column(line, cid))
+                    "duplicate clock id %r" % cid, lineno, _column(line, 1))
             net.clocks[cid] = ClockRef(cid, freq)
         elif keyword == "block":
             if len(parts) < 3:
@@ -152,36 +143,43 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                     "block needs: block <id> <kind> [key=value ...]", lineno)
             bid, kind = parts[1], parts[2]
             params: Dict[str, str] = {}
-            for tok in parts[3:]:
+            for index, tok in enumerate(parts[3:], 3):
                 if "=" not in tok:
                     raise NetlistParseError(
                         "expected key=value, got %r" % tok, lineno,
-                        _column(line, tok))
+                        _column(line, index))
                 key, val = tok.split("=", 1)
                 if key in params:
                     raise NetlistParseError(
-                        "duplicate param %r" % key, lineno, _column(line, tok))
+                        "duplicate param %r" % key, lineno,
+                        _column(line, index))
                 params[key] = val
             if bid in net.blocks:
                 raise NetlistParseError(
-                    "duplicate block id %r" % bid, lineno, _column(line, bid))
+                    "duplicate block id %r" % bid, lineno, _column(line, 1))
             net.blocks[bid] = BlockSpec(bid, kind, params)
         elif keyword == "wire":
             if len(parts) not in (3, 4):
                 raise NetlistParseError(
                     "wire needs: wire <src>.<port> <dst>.<port> "
                     "[latency=<int>|table=<file>]", lineno)
-            src_b, src_p = _parse_port_ref(parts[1], line, lineno)
-            dst_b, dst_p = _parse_port_ref(parts[2], line, lineno)
+            src_b, src_p = _parse_port_ref(line, lineno, parts, 1)
+            dst_b, dst_p = _parse_port_ref(line, lineno, parts, 2)
             link = _NO_DELAY
             if len(parts) == 4:
                 opt = parts[3]
                 if opt.startswith("latency="):
-                    latency = _parse_int(opt[len("latency="):], line, lineno)
+                    value = opt[len("latency="):]
+                    try:
+                        latency = int(value)
+                    except ValueError:
+                        raise NetlistParseError(
+                            "expected integer, got %r" % value, lineno,
+                            _column(line, 3) + len("latency=")) from None
                     if latency < 0:
                         raise NetlistParseError(
                             "latency must be non-negative", lineno,
-                            _column(line, opt))
+                            _column(line, 3))
                     link = Link.constant(latency)
                 elif opt.startswith("table="):
                     path = opt[len("table="):]
@@ -191,21 +189,21 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                     except OSError as exc:
                         raise NetlistParseError(
                             "latency table %s: %s" % (path, exc.strerror),
-                            lineno, _column(line, opt)) from None
+                            lineno, _column(line, 3)) from None
                     except ValueError as exc:
                         raise NetlistParseError(
                             "latency table %s: %s" % (path, exc), lineno,
-                            _column(line, opt)) from None
+                            _column(line, 3)) from None
                 else:
                     raise NetlistParseError(
                         "unknown wire option %r" % opt, lineno,
-                        _column(line, opt))
+                        _column(line, 3))
             net.wires.append(Wire(src_b, src_p, dst_b, dst_p, link))
         elif keyword == "probe":
             if len(parts) != 2:
                 raise NetlistParseError(
                     "probe needs: probe <block>.<port>", lineno)
-            net.probes.append(_parse_port_ref(parts[1], line, lineno))
+            net.probes.append(_parse_port_ref(line, lineno, parts, 1))
         else:
             raise NetlistParseError(
                 "unknown directive %r" % keyword, lineno)

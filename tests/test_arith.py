@@ -7,30 +7,27 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from temporalsim import (
+    DEFAULT_CLOCK,
     ClockRef,
     IntervalValue,
     MultiValentTrain,
     PulseTrain,
-    TuplePair,
     add_concat,
     decode_unary,
     demux,
-    demux_pulse_train,
+    encode_pim,
     encode_unary,
     madd,
     max_race,
     min_race,
     mul_dilate,
     mux,
-    mux_or,
     mv_merge,
-    mv_place,
 )
 from temporalsim.errors import (
     ClockMismatch,
     DuplicateValue,
     EmptyInput,
-    MalformedChannel,
     ModeMismatch,
     ZeroValue,
 )
@@ -119,17 +116,31 @@ class TestRaces:
             assert max_race(_lanes(vals)) == max(vals)
 
 
+def mux_or(values, clock=DEFAULT_CLOCK):
+    """Reference construction of mux: literal pulse-wise OR of the
+    values' interval codes."""
+    pulses = set()
+    for v in values:
+        pulses.update(encode_pim(v, clock).pulses)
+    return PulseTrain(tuple(sorted(pulses)), clock)
+
+
+def channel_train(ch):
+    """The channel's pulses: the start marker at tick 0, then one pulse
+    per value."""
+    return PulseTrain((0,) + tuple(sorted(ch.value_pulses)), ch.clock)
+
+
 class TestMux:
     def test_figure_values(self):
-        ch = mux({5, 7})
-        assert ch.as_pulse_train().pulses == (0, 5, 7)
+        assert channel_train(mux({5, 7})).pulses == (0, 5, 7)
 
     def test_singleton_degenerates_to_interval_code(self):
-        assert mux({9}).as_pulse_train().pulses == (0, 9)
+        assert channel_train(mux({9})).pulses == (0, 9)
 
     def test_matches_pulsewise_or(self):
         # independent construction: OR the individual interval codes
-        assert mux({3, 5, 7, 11}).as_pulse_train() == mux_or({3, 5, 7, 11})
+        assert channel_train(mux({3, 5, 7, 11})) == mux_or({3, 5, 7, 11})
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroValue):
@@ -147,11 +158,6 @@ class TestMux:
         assert demux(mux({5, 7})) == {5, 7}
         assert demux(mux({4})) == {4}
 
-    def test_demux_pulse_train(self):
-        assert demux_pulse_train(PulseTrain((0, 5, 7))) == {5, 7}
-        with pytest.raises(MalformedChannel):
-            demux_pulse_train(PulseTrain((1, 5)))
-
     def test_round_trip_random_sets(self):
         rng = random.Random(104)
         for _ in range(10 ** 3):
@@ -163,36 +169,37 @@ class TestMux:
     def test_order_independent(self, values):
         shuffled = sorted(values, reverse=True)
         assert mux(values) == mux(shuffled)
-        assert mux(values).as_pulse_train() == mux_or(values)
+        assert channel_train(mux(values)) == mux_or(values)
 
 
 class TestMultiValent:
+    # A tuple a*b is amplitude a at position b: the bucket (b, a).
     def test_place_figure_tuples(self):
-        assert mv_place(TuplePair(3, 5)).buckets == {5: 3}
-        assert mv_place(TuplePair(4, 3)).buckets == {3: 4}
+        assert MultiValentTrain(((5, 3),)).buckets == {5: 3}
+        assert MultiValentTrain(((3, 4),)).buckets == {3: 4}
 
     def test_place_unit_at_origin(self):
-        assert mv_place(TuplePair(1, 0)).buckets == {0: 1}
+        assert MultiValentTrain(((0, 1),)).buckets == {0: 1}
 
     def test_merge_disjoint(self):
-        merged = mv_merge([mv_place(TuplePair(3, 2)),
-                           mv_place(TuplePair(4, 3))])
+        merged = mv_merge([MultiValentTrain(((2, 3),)),
+                           MultiValentTrain(((3, 4),))])
         assert merged.buckets == {2: 3, 3: 4}
 
     def test_merge_empty_identity(self):
-        t = mv_place(TuplePair(3, 5))
+        t = MultiValentTrain(((5, 3),))
         assert mv_merge([t, MultiValentTrain()]).buckets == {5: 3}
 
     def test_merge_sums_duplicate_positions(self):
-        merged = mv_merge([mv_place(TuplePair(2, 4)),
-                           mv_place(TuplePair(5, 4))])
+        merged = mv_merge([MultiValentTrain(((4, 2),)),
+                           MultiValentTrain(((4, 5),))])
         assert merged.buckets == {4: 7}
         assert madd(merged) == 4 * 2 + 4 * 5  # distributivity
 
     def test_merge_clock_mismatch(self):
         with pytest.raises(ClockMismatch):
-            mv_merge([mv_place(TuplePair(1, 1), ClockRef("a")),
-                      mv_place(TuplePair(1, 1), ClockRef("b"))])
+            mv_merge([MultiValentTrain(((1, 1),), ClockRef("a")),
+                      MultiValentTrain(((1, 1),), ClockRef("b"))])
 
     def test_amplitude_invariants(self):
         with pytest.raises(ValueError):
@@ -242,7 +249,7 @@ class TestMadd:
         assert madd(MultiValentTrain(((2, 3), (3, 4)))) == 18
 
     def test_single_tuple(self):
-        assert madd(mv_place(TuplePair(3, 5))) == 15
+        assert madd(MultiValentTrain(((5, 3),))) == 15
 
     def test_empty_train(self):
         assert madd(MultiValentTrain()) == 0

@@ -1,5 +1,5 @@
-"""Latency-invariant transport, stability checking, reference
-negotiation, and delivery-mode (de)serialization."""
+"""Latency-invariant transport, stability checking, exchange rates
+between references, and serial delivery-mode (de)serialization."""
 
 import random
 from fractions import Fraction
@@ -14,9 +14,6 @@ from temporalsim import (
     PulseTrain,
     StabilityViolation,
     TimedMessage,
-    deliver_parallel,
-    measure_parallel,
-    negotiate_reference,
     parse_stream,
     serialize_stream,
     transmit,
@@ -25,7 +22,6 @@ from temporalsim import (
 from temporalsim.errors import (
     GapCountMismatch,
     MalformedStream,
-    OffsetCountMismatch,
     StabilityError,
 )
 
@@ -191,17 +187,17 @@ class TestConstructors:
 class TestNegotiateReference:
     def test_shared_reference(self):
         f = ClockRef("f", Fraction(4))
-        assert negotiate_reference(f, f) == 1
+        assert f.ratio_to(f) == 1
 
     def test_triple(self):
         f = ClockRef("f", Fraction(2))
         f3 = ClockRef("f3", Fraction(6))
-        assert negotiate_reference(f, f3) == 3
+        assert f3.ratio_to(f) == 3
 
     def test_rational_reduction(self):
         a = ClockRef("a", Fraction(6))
         b = ClockRef("b", Fraction(4))
-        assert negotiate_reference(a, b) == Fraction(2, 3)
+        assert b.ratio_to(a) == Fraction(2, 3)
 
 
 class TestSerialStreams:
@@ -252,36 +248,3 @@ class TestSerialStreams:
                                     DeliveryMode.SERIAL_DISCONTINUOUS, gaps)
             assert parse_stream(
                 disc, DeliveryMode.SERIAL_DISCONTINUOUS) == values
-
-
-class TestParallelDelivery:
-    def test_synchronous_lanes_share_origin(self):
-        lanes = deliver_parallel([5, 7], DeliveryMode.PARALLEL_SYNCHRONOUS)
-        assert [(l.start, l.end) for l in lanes] == [(0, 5), (0, 7)]
-
-    def test_asynchronous_offsets(self):
-        lanes = deliver_parallel([5, 7], DeliveryMode.PARALLEL_ASYNCHRONOUS,
-                                 offsets=[2, 0])
-        assert [(l.start, l.end) for l in lanes] == [(2, 7), (0, 7)]
-
-    def test_empty(self):
-        assert deliver_parallel([], DeliveryMode.PARALLEL_SYNCHRONOUS) == []
-
-    def test_offset_count_mismatch(self):
-        with pytest.raises(OffsetCountMismatch):
-            deliver_parallel([1, 2], DeliveryMode.PARALLEL_ASYNCHRONOUS,
-                             offsets=[0])
-        with pytest.raises(OffsetCountMismatch):
-            deliver_parallel([1], DeliveryMode.PARALLEL_SYNCHRONOUS,
-                             offsets=[3])
-
-    @given(st.lists(st.integers(0, 10 ** 4), max_size=16), st.data())
-    def test_measure_inverts_both_modes(self, values, data):
-        sync = deliver_parallel(values, DeliveryMode.PARALLEL_SYNCHRONOUS)
-        assert measure_parallel(sync) == values
-        offsets = data.draw(st.lists(st.integers(0, 100),
-                                     min_size=len(values),
-                                     max_size=len(values)))
-        asyn = deliver_parallel(values, DeliveryMode.PARALLEL_ASYNCHRONOUS,
-                                offsets=offsets)
-        assert measure_parallel(asyn) == values

@@ -291,3 +291,29 @@ class TestExport:
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense\n")
         assert main(["export", str(bad)]) == 1
+
+
+NOT_UTF8 = b"clock main 1\n# caf\xe9\n"
+BAD_TICK = b"tick,block,port,role\nx,a,out,start\n"
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["export", "{file}"], BAD_TICK),
+    (["run", "{file}"], NOT_UTF8),
+    (["check", "{file}"], NOT_UTF8),
+    (["export", "{file}"], NOT_UTF8),
+    (["run", "{add34}", "--budget", "0"], None),
+    (["check", "{add34}", "--budget", "0"], None),
+], ids=["export-bad-tick", "run-not-utf8", "check-not-utf8",
+        "export-not-utf8", "run-budget-0", "check-budget-0"])
+def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
+                                                       tmp_path, capsys):
+    # An exception escaping main is what the console script prints as a
+    # traceback.
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [a.format(file=path, add34=GOLDEN / "add34.net") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -80,10 +80,6 @@ class TestPulseTrain:
         with pytest.raises(ValueError):
             PulseTrain((-1, 2))
 
-    def test_shift_preserves_invariant(self):
-        t = PulseTrain((0, 3, 7)).shifted(13)
-        assert t.pulses == (13, 16, 20)
-
 
 class TestMeasureInterval:
     def test_own_clock_is_exact(self):

@@ -64,6 +64,21 @@ def test_parse_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("block c source value=1\nblock c source value=2\n",
+     "line 2:7: duplicate block id 'c'"),
+    ("clock k 1\nclock k 2\n", "line 2:7: duplicate clock id 'k'"),
+    ("block mux mux\nblock x probe\nwire mux.out x.in latency=x\n",
+     "line 3:27: expected integer, got 'x'"),
+], ids=["block-id", "clock-id", "latency-value"])
+def test_parse_error_column_is_the_tokens_own(text, message):
+    # each column points at the offending token, not at the first place
+    # its text appears earlier in the line
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == message
+
+
 def test_unknown_directive():
     with pytest.raises(NetlistParseError):
         parse_netlist("blok a source value=1\n")
