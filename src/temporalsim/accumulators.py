@@ -130,7 +130,7 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    return int(value * dst.ratio_to(src))
+    return measure_interval(IntervalValue(0, value, src), dst)
 
 
 def accumulate(iv: IntervalValue, ref: ClockRef,

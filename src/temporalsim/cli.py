@@ -57,23 +57,26 @@ def _warn(stats) -> None:
 def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError("%s: %s" % (path, exc.strerror)) from None
 
 
 def cmd_run(args) -> int:
     try:
         net = _load_netlist(args.netlist)
         trace = run(net, budget=args.budget, seed=args.seed)
+        _warn(trace.stats)
+        for path, export in ((args.trace, trace_to_csv),
+                             (args.waveform, trace_to_waveform)):
+            if path:
+                _write(path, export(trace))
     except (OSError, ValueError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    _warn(trace.stats)
-    if args.trace:
-        _write(args.trace, trace_to_csv(trace))
-    if args.waveform:
-        _write(args.waveform, trace_to_waveform(trace))
     for key in sorted(trace.results):
         print("probe %s=%s" % (key, format_result(trace.results[key])))
     if args.stats:
@@ -180,21 +183,21 @@ def cmd_bench(args) -> int:
             raise ValueError("sizes must be positive integers")
         rows = bench_rows(args.op, sizes, k=args.k,
                           amplitude=args.amplitude, budget=args.budget)
+        _write(args.out, "size,ticks\n" + "".join("%d,%d\n" % row
+                                                  for row in rows))
     except (ValueError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    out = "size,ticks\n" + "".join("%d,%d\n" % row for row in rows)
-    _write(args.out, out)
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
     try:
         trace = trace_from_csv(_read(args.trace))
+        _write(args.out, trace_to_waveform(trace))
     except (OSError, ValueError, SimulationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    _write(args.out, trace_to_waveform(trace))
     return EXIT_OK
 
 

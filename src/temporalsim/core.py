@@ -181,8 +181,9 @@ def measure_interval(iv: IntervalValue, ref: ClockRef) -> int:
     Exact when ref is the interval's own clock; otherwise floor of the
     rational rescaling (a counter only completes whole pulses).
     """
-    ratio = ref.ratio_to(iv.clock)
-    return int((iv.end - iv.start) * ratio)  # Fraction -> floor for >= 0
+    ref_f, iv_f = ref.frequency, iv.clock.frequency
+    return ((iv.end - iv.start) * ref_f.numerator * iv_f.denominator
+            // (ref_f.denominator * iv_f.numerator))
 
 
 def encode_hybrid(n: int, base: int,

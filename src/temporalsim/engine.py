@@ -9,8 +9,9 @@ computes lives in `blocks.KINDS`.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .blocks import KINDS, Firing
@@ -19,8 +20,6 @@ from .errors import SimulationError, TemporalError
 from .netlist import Netlist
 
 DEFAULT_BUDGET = 10 ** 8
-
-_ROLE_RANK = {"start": 0, "value-pulse": 1, "end": 2}
 
 
 @dataclass
@@ -47,39 +46,35 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
-    stats = trace.stats
+    stats, events = trace.stats, trace.events
     probe_set = set(net.probes)
-
-    pending: Dict[str, Dict[str, TimedMessage]] = {
-        bid: {} for bid in net.blocks}
-
-    queue: List[Tuple[int, str, str, int, TimedMessage]] = []
-    seq = 0
+    probed_outs = {bid for bid, port in probe_set if port == "out"}
+    pending = {bid: {} for bid in net.blocks}  # block -> port -> message
+    # One wire per input port: no two entries tie on (tick, block, port),
+    # and a block fires once, at its last input's tick. Every message ends
+    # at or after its fire tick, so ticks pop in order.
+    queue: List[Tuple[int, str, str, TimedMessage]] = []
 
     def fire(block, t: int) -> None:
-        """Run the block's fire function; its errors name the block."""
+        """Fire a block and send its output; errors name the block."""
         inputs = pending[block.id]
         firing = Firing(block.id, net.params[block.id],
-                        [inputs[p] for p in sorted(inputs)],
+                        [inputs[p] for p in net.inputs[block.id]],
                         t, net.clock_of[block.id], seed, stats)
         try:
-            out, cost = KINDS[block.kind].fire(firing)
+            msg, cost = KINDS[block.kind].fire(firing)
         except (TemporalError, ValueError) as exc:
             raise SimulationError("block %r (%s): %s"
                                   % (block.id, block.kind, exc)) from exc
         stats.block_costs[block.id] = cost
-        if out is not None:
-            emit(block.id, out)
-
-    def emit(block_id: str, msg: TimedMessage) -> None:
-        nonlocal seq
-        if (block_id, "out") in probe_set:
-            trace.results["%s.out" % block_id] = msg.decoded()
-        for wire in net.outputs[block_id]:
-            delivered = transmit_checked(msg, wire.link)
+        if msg is None:
+            return
+        if block.id in probed_outs:
+            trace.results["%s.out" % block.id] = msg.decoded()
+        for src, src_port, dst, port, link in net.outputs[block.id]:
+            delivered = transmit_checked(msg, link)
             if isinstance(delivered, StabilityViolation):
-                name = "%s.%s->%s.%s" % (wire.src_block, wire.src_port,
-                                         wire.dst_block, wire.dst_port)
+                name = "%s.%s->%s.%s" % (src, src_port, dst, port)
                 stats.stability_violations.append(
                     "%s value error %+d" % (name, delivered.value_error))
                 try:
@@ -89,9 +84,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                     raise SimulationError(
                         "wire %s: distorted message is unreadable: %s"
                         % (name, exc)) from exc
-            seq += 1
-            heapq.heappush(queue, (delivered.last_tick, wire.dst_block,
-                                   wire.dst_port, seq, delivered))
+            heappush(queue, (delivered.last_tick, dst, port, delivered))
 
     # Sources fire unconditionally at tick 0.
     for bid in sorted(net.blocks):
@@ -102,21 +95,21 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         if queue[0][0] > budget:
             stats.budget_exhausted = True
             break
-        tick, dst, port, _seq, msg = heapq.heappop(queue)
+        tick, dst, port, msg = heappop(queue)
         for role, etick in msg.events:
-            trace.events.append((etick, dst, port, role))
+            events.append((etick, dst, port, role))
         if (dst, port) in probe_set:
             trace.results["%s.%s" % (dst, port)] = msg.decoded()
-        pending[dst][port] = msg
-        # Each port has one wire, so the last input to arrive fires the
-        # block, once.
-        if len(pending[dst]) == len(net.inputs[dst]):
-            fire(net.blocks[dst],
-                 max(m.last_tick for m in pending[dst].values()))
+        arrived = pending[dst]
+        arrived[port] = msg
+        if len(arrived) == len(net.inputs[dst]):
+            fire(net.blocks[dst], tick)
 
-    trace.events.sort(key=lambda e: (e[0], e[1], e[2], _ROLE_RANK[e[3]]))
-    stats.event_count = len(trace.events)
-    stats.total_ticks = max((e[0] for e in trace.events), default=0)
+    # One wire per port: events that tie on (tick, block, port) are one
+    # message's, already in start, value-pulse, end order; sort is stable.
+    events.sort(key=itemgetter(0, 1, 2))
+    stats.event_count = len(events)
+    stats.total_ticks = events[-1][0] if events else 0
     return trace
 
 

@@ -21,7 +21,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .blocks import KINDS, VARIADIC, parse_params
 from .channel import Link
@@ -29,15 +31,13 @@ from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(NamedTuple):
     id: str
     kind: str
-    params: Dict[str, str] = field(default_factory=dict)
+    params: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(NamedTuple):
     src_block: str
     src_port: str
     dst_block: str
@@ -114,10 +114,10 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     """
     net = Netlist()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+        line = raw.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         keyword = parts[0]
         if keyword == "clock":
             if len(parts) != 3:
@@ -225,33 +225,33 @@ def _validate(net: Netlist) -> None:
     outputs: Dict[str, List[Wire]] = {bid: [] for bid in net.blocks}
     wire_errors: List[str] = []
     for wire in net.wires:
-        src = net.blocks.get(wire.src_block)
-        dst = net.blocks.get(wire.dst_block)
-        for bid, block in ((wire.src_block, src), (wire.dst_block, dst)):
-            if block is None:
-                wire_errors.append(
-                    "wire endpoint references unknown block %r" % bid)
+        src_id, src_port, dst_id, dst_port, _link = wire
+        src, dst = net.blocks.get(src_id), net.blocks.get(dst_id)
+        if src is None or dst is None:
+            wire_errors += ["wire endpoint references unknown block %r" % bid
+                            for bid, block in ((src_id, src), (dst_id, dst))
+                            if block is None]
         if src is not None:
-            outputs[src.id].append(wire)
-            if src.kind in KINDS \
-                    and wire.src_port not in KINDS[src.kind].outputs:
+            outputs[src_id].append(wire)
+            kind = KINDS.get(src.kind)
+            if kind is not None and src_port not in kind.outputs:
                 wire_errors.append("block %r (%s) has no output port %r"
-                                   % (src.id, src.kind, wire.src_port))
-        if dst is not None and dst.kind in KINDS:
-            fixed = KINDS[dst.kind].inputs
-            if fixed is VARIADIC and not (wire.dst_port.startswith("in")
-                                      and wire.dst_port[2:].isdigit()):
+                                   % (src_id, src.kind, src_port))
+        kind = KINDS.get(dst.kind) if dst is not None else None
+        if kind is not None:
+            if kind.inputs is VARIADIC and not (dst_port.startswith("in")
+                                            and dst_port[2:].isdigit()):
                 wire_errors.append(
                     "block %r (%s) input ports are in0, in1, ... (got %r)"
-                    % (dst.id, dst.kind, wire.dst_port))
-            elif fixed is not None and wire.dst_port not in fixed:
+                    % (dst_id, dst.kind, dst_port))
+            elif kind.inputs is not None and dst_port not in kind.inputs:
                 wire_errors.append("block %r (%s) has no input port %r"
-                                   % (dst.id, dst.kind, wire.dst_port))
-        ports = inputs.setdefault(wire.dst_block, {})
-        if wire.dst_port in ports:
+                                   % (dst_id, dst.kind, dst_port))
+        ports = inputs.setdefault(dst_id, {})
+        if dst_port in ports:
             wire_errors.append("input port %s.%s driven by two wires"
-                               % (wire.dst_block, wire.dst_port))
-        ports[wire.dst_port] = wire
+                               % (dst_id, dst_port))
+        ports[dst_port] = wire
 
     # A block without clock= runs on `main` if declared, else the only
     # clock, else none.
@@ -276,6 +276,8 @@ def _validate(net: Netlist) -> None:
                 errors.append("block %r references unknown clock %r"
                               % (block.id, clock_id))
         wired = inputs[block.id]
+        if len(wired) > 1:  # fire order: sorted ports, in10 before in2
+            wired = inputs[block.id] = dict(sorted(wired.items()))
         for port in kind.inputs or ():
             if port not in wired:
                 errors.append("block %r (%s) input %r is not wired"
@@ -309,8 +311,9 @@ def _validate(net: Netlist) -> None:
 
     if errors:
         raise NetlistValidationError(errors)
+    by_dst = attrgetter("dst_block", "dst_port")
     for wires in outputs.values():
-        wires.sort(key=lambda w: (w.dst_block, w.dst_port))
+        wires.sort(key=by_dst)
     declared = set(net.probes)
     net.probes += [(bid, "in") for bid, block in net.blocks.items()
                    if block.kind == "probe" and (bid, "in") not in declared]

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import temporalsim
 from temporalsim import (
@@ -24,6 +25,9 @@ from temporalsim import (
 )
 
 CLK = ClockRef("main", Fraction(1))
+# Clock frequencies p/q with p, q up to 10**6.
+FREQUENCIES = st.builds(Fraction, st.integers(1, 10 ** 6),
+                        st.integers(1, 10 ** 6))
 
 
 def ripple_counter(pulse_count, depth):
@@ -175,6 +179,18 @@ class TestConvertReference:
             a = ClockRef("a", Fraction(1))
             b = ClockRef("b", Fraction(1))  # ratio 1 both ways is integral
             assert convert_reference(convert_reference(v, a, b), b, a) == v
+
+    @given(st.integers(0, 10 ** 18), FREQUENCIES, FREQUENCIES, st.booleans())
+    @example(10 ** 18 - 1, Fraction(999983, 7), Fraction(3, 999979), False)
+    @example(10 ** 18, Fraction(10 ** 6, 999999), Fraction(1), True)
+    def test_integer_rescaling_equals_fraction_floor(self, value, f_src,
+                                                     f_dst, equal):
+        # Both rescale in integers; the reference is the Fraction floor.
+        f_dst = f_src if equal else f_dst
+        src, dst = ClockRef("s", f_src), ClockRef("d", f_dst)
+        expected = int(value * Fraction(f_dst / f_src))
+        assert measure_interval(IntervalValue(0, value, src), dst) == expected
+        assert convert_reference(value, src, dst) == expected
 
     def test_monotone_in_value(self):
         src = ClockRef("s", Fraction(7))

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
 import dataclasses
+import errno
+import os
 import random
 from pathlib import Path
 
@@ -317,3 +319,18 @@ def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{add34}", "--trace", "{out}"],
+    ["run", "{add34}", "--waveform", "{out}"],
+    ["export", "{csv}", "--out", "{out}"],
+    ["bench", "--op", "add", "--sizes", "3", "--out", "{out}"],
+], ids=["run-trace", "run-waveform", "export-out", "bench-out"])
+def test_unwritable_output_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [a.format(add34=GOLDEN / "add34.net", csv=GOLDEN / "add34.csv",
+                     out=out) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (
+        out, os.strerror(errno.ENOENT))

@@ -1,11 +1,13 @@
 """Discrete-event execution: block semantics, costs, determinism, and
 the integer-DAG oracle."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from temporalsim import oracle_results, parse_netlist, run
+from temporalsim import blocks, oracle_results, parse_netlist, run
 from temporalsim.blocks import C0
 from temporalsim.engine import (
     trace_from_csv,
@@ -29,6 +31,15 @@ probe s.out
 
 def _run_text(text, **kwargs):
     return run(parse_netlist(text), **kwargs)
+
+
+_ROLE_RANK = {"start": 0, "value-pulse": 1, "end": 2}
+
+
+def _full_key(event):
+    """The trace order spelled out: tick, block, port, then role."""
+    tick, block, port, role = event
+    return tick, block, port, _ROLE_RANK[role]
 
 
 class TestBlockSemantics:
@@ -205,6 +216,59 @@ class TestEngineContract:
         trace = _run_text(ADD_NET)
         keys = [(t, b, p) for t, b, p, _r in trace.events]
         assert keys == sorted(keys)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_event_order_is_total_on_random_dags(self, seed):
+        trace = run(parse_netlist(random_dag_netlist(random.Random(seed))))
+        assert trace.events == sorted(trace.events, key=_full_key)
+
+    @pytest.mark.parametrize("text, port, expected", [
+        ("block z source value=0 clock=main\nblock p probe\n"
+         "wire z.out p.in\nprobe p.in\n",
+         ("p", "in"), [(0, "start"), (0, "end")]),
+        ("block v source value=3 position=0 clock=main\n"
+         "block w source value=2 position=4 clock=main\nblock d madd\n"
+         "wire v.out d.in0\nwire w.out d.in1\nprobe d.out\n",
+         ("d", "in0"), [(0, "start"), (0, "value-pulse")]),
+        # The table delays the start by 3 and the end by 1: both land on 3.
+        ("block a source value=2 clock=main\nblock p probe\n"
+         "wire a.out p.in table={table}\nprobe p.in\n",
+         ("p", "in"), [(3, "start"), (3, "end")]),
+    ], ids=["zero-value", "mv-position-0", "distorting-table"])
+    def test_events_sharing_a_tick_keep_role_order(self, text, port,
+                                                   expected, tmp_path):
+        table = tmp_path / "delays.tbl"
+        table.write_text("0 3\n2 1\n")
+        trace = _run_text("clock main 1\n" + text.format(table=table))
+        assert [(t, r) for t, b, p, r in trace.events
+                if (b, p) == port] == expected
+        assert trace.events == sorted(trace.events, key=_full_key)
+
+    def test_fire_sees_inputs_in_port_order_at_the_last_arrival(
+            self, monkeypatch):
+        race = blocks.KINDS["min"]
+        seen = []
+
+        def spy(firing):
+            seen.append(([m.decode() for m in firing.inputs], firing.t))
+            return race.fire(firing)
+
+        monkeypatch.setitem(blocks.KINDS, "min",
+                            dataclasses.replace(race, fire=spy))
+        # Port in<i> carries 20 + i. The wires are listed backwards and
+        # delayed so that neither order matches the sorted-port order
+        # in0, in1, in10, in2, ..., in9.
+        lines = ["clock main 1", "block m min", "probe m.out"]
+        arrivals = []
+        for i in reversed(range(11)):
+            latency = (7 * i) % 11 * 3
+            lines += ["block s%d source value=%d clock=main" % (i, 20 + i),
+                      "wire s%d.out m.in%d latency=%d" % (i, i, latency)]
+            arrivals.append(20 + i + latency)
+        trace = _run_text("\n".join(lines) + "\n")
+        ports = sorted("in%d" % i for i in range(11))
+        assert seen == [([20 + int(p[2:]) for p in ports], max(arrivals))]
+        assert trace.results == {"m.out": 20}
 
 
 class TestOracle:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from temporalsim import parse_netlist
+from temporalsim import BlockSpec, Wire, parse_netlist
 from temporalsim.errors import NetlistParseError, NetlistValidationError
 
 ADD_NET = """\
@@ -56,6 +56,54 @@ def test_validation_collects_all_violations():
     text = str(err.value)
     assert "y" in text and "z" in text  # both reported, not first-only
     assert len(err.value.violations) >= 3
+
+
+def test_wire_violations_keep_their_text_and_order():
+    bad = ("clock main 1\n"
+           "block a source value=1 clock=main\n"
+           "block m min\nblock s add\nblock q weird\n"
+           "wire ghost.out s.a\nwire a.out phantom.in\n"
+           "wire ghost.out nowhere.in\nwire a.sideways s.b\n"
+           "wire a.out m.x1\nwire a.out s.c\nwire a.out s.b\n"
+           "wire q.out m.in0\n")
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(bad)
+    assert err.value.violations == [
+        "block 'q' has unknown kind 'weird'",
+        "wire endpoint references unknown block 'ghost'",
+        "wire endpoint references unknown block 'phantom'",
+        "wire endpoint references unknown block 'ghost'",
+        "wire endpoint references unknown block 'nowhere'",
+        "block 'a' (source) has no output port 'sideways'",
+        "block 'm' (min) input ports are in0, in1, ... (got 'x1')",
+        "block 's' (add) has no input port 'c'",
+        "input port s.b driven by two wires",
+    ]
+
+
+def test_records_keep_their_fields_and_stay_immutable():
+    net = parse_netlist(ADD_NET)
+    wire, block = net.wires[0], net.blocks["a"]
+    assert wire == Wire(src_block="a", src_port="out", dst_block="s",
+                        dst_port="a", link=wire.link)
+    assert block == BlockSpec(id="a", kind="source",
+                              params={"value": "3", "clock": "main"})
+    for record, name in ((wire, "dst_port"), (block, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, "x")
+    with pytest.raises(TypeError):
+        BlockSpec("b", "add").params["k"] = "2"  # the shared default
+
+
+def test_inputs_resolve_in_sorted_port_order():
+    lines = ["clock main 1", "block m min", "probe m.out"]
+    for i in reversed(range(11)):
+        lines += ["block s%d source value=1 clock=main" % i,
+                  "wire s%d.out m.in%d" % (i, i)]
+    net = parse_netlist("\n".join(lines) + "\n")
+    # Lexicographic, as the ports were always sorted: in10 before in2.
+    assert list(net.inputs["m"]) == sorted("in%d" % i for i in range(11))
+    assert list(net.inputs["m"])[:3] == ["in0", "in1", "in10"]
 
 
 def test_parse_error_carries_position():
