@@ -117,7 +117,11 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     mean = flux * measure_interval(iv, ref)
     if noise_seed is None:
         return int(mean)
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ValueError("a seeded photon count needs numpy: %s"
+                         % exc) from None
     rng = np.random.default_rng(noise_seed)
     return int(rng.poisson(float(mean)))
 

@@ -50,7 +50,7 @@ class Firing:
     params: Dict[str, object]          # only the keys the netlist sets
     inputs: List[TimedMessage]         # in sorted input-port order
     t: int                             # fire tick: the last input arrival
-    clock: Optional[ClockRef]          # clock=, else the netlist default
+    clock: Optional[ClockRef]          # clock=, else the default if clocked
     seed: Optional[int]                # the run's --seed
     stats: object                      # engine.TraceStats
 
@@ -65,7 +65,7 @@ class Kind:
     fire: Fire
     oracle: Optional[Oracle] = None
     params: Dict[str, Param] = field(default_factory=dict)
-    clocked: bool = False              # needs clock= or a netlist default
+    clocked: bool = False              # no clock= means the netlist default
     outputs: Tuple[str, ...] = ("out",)
     # A rule across parameters: returns a problem, or None when they agree.
     check: Optional[Callable[[Dict[str, object]], Optional[str]]] = None
@@ -192,7 +192,7 @@ def _madd(f: Firing):
 def _accumulator(f: Firing):
     (msg,) = f.inputs
     value = _scalar(msg)
-    ref = f.clock if "clock" in f.params else msg.clock
+    ref = f.clock or msg.clock
     p = f.params
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
     noise_seed = p.get("seed")
@@ -215,15 +215,15 @@ def _convert(f: Firing):
 
 
 def _source_oracle(p, _ins):
-    return (p["position"], p["value"]) if "position" in p else p["value"]
+    return {p["position"]: p["value"]} if "position" in p else p["value"]
 
 
-def _inputs(ins: Dict[str, object], pairs: bool = False) -> list:
-    """An oracle's input values: ints, or (position, amplitude) pairs from
+def _inputs(ins: Dict[str, object], maps: bool = False) -> list:
+    """An oracle's input values: ints, or {position: amplitude} maps from
     multi-valent sources; the wrong sort is an error, as in firing."""
     values = list(ins.values())
-    if any(isinstance(v, tuple) != pairs for v in values):
-        raise SimulationError("expected multi-valent messages" if pairs
+    if any(isinstance(v, dict) != maps for v in values):
+        raise SimulationError("expected multi-valent messages" if maps
                               else "expected a scalar message, got mv")
     return values
 
@@ -258,9 +258,10 @@ KINDS: Dict[str, Kind] = {
     "mux": Kind(VARIADIC, _mux),
     "demux": Kind(("in",), _demux),
     "madd": Kind(VARIADIC, _madd,
-                 lambda _p, ins: sum(pos * amp for pos, amp
-                                     in _inputs(ins, pairs=True))),
-    "accumulator": Kind(("in",), _accumulator, clocked=True,
+                 lambda _p, ins: sum(pos * amp
+                                     for mv in _inputs(ins, maps=True)
+                                     for pos, amp in mv.items())),
+    "accumulator": Kind(("in",), _accumulator,
                         params={"model": Param(AccumulatorModel),
                                 "depth": Param(_int_at_least(1)),
                                 "rate": Param(_positive_fraction),

@@ -8,21 +8,13 @@ two serial delivery modes and reads them back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import (Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
-from .core import (
-    DEFAULT_CLOCK,
-    ClockRef,
-    DeliveryMode,
-    PulseTrain,
-)
-from .errors import (
-    GapCountMismatch,
-    MalformedStream,
-    StabilityError,
-)
+from .core import DEFAULT_CLOCK, ClockRef, DeliveryMode, PulseTrain
+from .errors import GapCountMismatch, MalformedStream, StabilityError
 
 EVENT_START = "start"
 EVENT_END = "end"
@@ -140,30 +132,33 @@ def _pulses(start: int, offsets) -> Tuple[Tuple[str, int], ...]:
 
 @dataclass(frozen=True)
 class Link:
-    """A one-way path whose delay may depend on the emission tick.
+    """A one-way path: an event emitted at tick t arrives `table[t]` ticks
+    later, or `default` ticks where the table does not list t. The table
+    is a read-only copy, so links compare and hash by value."""
 
-    The delay function must be deterministic. A link made by `constant`
-    also records its delay in `fixed`, so transport skips the per-event
-    lookups.
-    """
+    default: int
+    table: Mapping[int, int]
 
-    delay: Callable[[int], int]
-    fixed: Optional[int] = field(default=None, init=False)
+    def __post_init__(self):
+        if self.default < 0 or any(d < 0 for d in self.table.values()):
+            raise ValueError("link delays must be non-negative")
+        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+
+    def __hash__(self):
+        return hash((self.default, frozenset(self.table.items())))
+
+    def delay(self, t: int) -> int:
+        return self.table.get(t, self.default)
 
     @classmethod
     def constant(cls, delay: int) -> "Link":
         if delay < 0:
             raise ValueError("link delay must be non-negative")
-        link = cls(lambda _t, _d=delay: _d)
-        object.__setattr__(link, "fixed", delay)
-        return link
+        return cls(delay, {})
 
     @classmethod
-    def from_table(cls, table: Dict[int, int], default: int = 0) -> "Link":
-        if default < 0 or any(d < 0 for d in table.values()):
-            raise ValueError("link delays must be non-negative")
-        frozen = dict(table)
-        return cls(lambda t: frozen.get(t, default))
+    def from_table(cls, table: Mapping[int, int], default: int = 0) -> "Link":
+        return cls(default, table)
 
 
 @dataclass(frozen=True)
@@ -179,11 +174,14 @@ class StabilityViolation:
 
     original: TimedMessage
     distorted_events: Tuple[Tuple[str, int], ...]
-    value_error: int
 
     @property
     def distorted_value(self) -> int:
         return self.distorted_events[-1][1] - self.distorted_events[0][1]
+
+    @property
+    def value_error(self) -> int:
+        return self.distorted_value - self.original.decode()
 
 
 def transmit_checked(msg: TimedMessage,
@@ -193,16 +191,13 @@ def transmit_checked(msg: TimedMessage,
     The delay only has to hold still between this message's first and
     last event; drift outside that span (or between messages) is legal.
     """
-    delay = link.fixed
-    if delay is None:
-        delays = [link.delay(t) for _, t in msg.events]
+    table, delay = link.table, link.default
+    if table:
+        delays = [table.get(t, delay) for _, t in msg.events]
         delay = delays[0]
         if any(d != delay for d in delays):
-            shifted = tuple((r, t + d)
-                            for (r, t), d in zip(msg.events, delays))
-            distorted_value = shifted[-1][1] - shifted[0][1]
-            return StabilityViolation(msg, shifted,
-                                      distorted_value - msg.decode())
+            return StabilityViolation(msg, tuple(
+                (r, t + d) for (r, t), d in zip(msg.events, delays)))
     if delay == 0:
         return msg
     # A uniform shift keeps a valid message valid.

@@ -66,6 +66,12 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.trace == args.waveform == "-":
+        print("error: --trace and --waveform cannot both write to stdout",
+              file=sys.stderr)
+        return EXIT_ERROR
+    # An export on stdout keeps it to itself; the report goes to stderr.
+    report = sys.stderr if "-" in (args.trace, args.waveform) else sys.stdout
     try:
         net = _load_netlist(args.netlist)
         trace = run(net, budget=args.budget, seed=args.seed)
@@ -78,14 +84,15 @@ def cmd_run(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
     for key in sorted(trace.results):
-        print("probe %s=%s" % (key, format_result(trace.results[key])))
+        print("probe %s=%s" % (key, format_result(trace.results[key])),
+              file=report)
     if args.stats:
         stats = trace.stats
-        print("total_ticks=%d" % stats.total_ticks)
-        print("event_count=%d" % stats.event_count)
+        print("total_ticks=%d" % stats.total_ticks, file=report)
+        print("event_count=%d" % stats.event_count, file=report)
         for bid in sorted(stats.block_costs):
-            print("cost %s=%d" % (bid, stats.block_costs[bid]))
-        print("overhead_per_block=%d" % C0)
+            print("cost %s=%d" % (bid, stats.block_costs[bid]), file=report)
+        print("overhead_per_block=%d" % C0, file=report)
     if trace.stats.budget_exhausted:
         print("error: tick budget exhausted", file=sys.stderr)
         return EXIT_BUDGET

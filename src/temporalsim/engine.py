@@ -181,8 +181,8 @@ def trace_from_csv(text: str) -> Trace:
     for line in lines[1:]:
         if not line:
             continue
-        if "=" in line and "," not in line.split("=", 1)[0]:
-            key, value = line.split("=", 1)
+        key, eq, value = line.partition("=")
+        if eq and not any(c == "," or c.isspace() for c in key):
             trace.results[key] = value
             continue
         try:

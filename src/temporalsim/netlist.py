@@ -253,8 +253,8 @@ def _validate(net: Netlist) -> None:
                                % (dst_id, dst_port))
         ports[dst_port] = wire
 
-    # A block without clock= runs on `main` if declared, else the only
-    # clock, else none.
+    # A clocked kind without clock= runs on `main` if declared, else the
+    # only clock; any other block without clock= has none.
     default_clock = "main" if "main" in net.clocks else (
         next(iter(net.clocks)) if len(net.clocks) == 1 else None)
     params: Dict[str, Dict[str, object]] = {}
@@ -267,14 +267,14 @@ def _validate(net: Netlist) -> None:
             continue
         params[block.id], problems = parse_params(block)
         errors.extend(problems)
-        clock_id = block.params.get("clock", default_clock)
+        clock_id = params[block.id].get(
+            "clock", default_clock if kind.clocked else None)
         clock_of[block.id] = net.clocks.get(clock_id)
-        if kind.clocked:
-            if clock_id is None:
-                errors.append("block %r needs an explicit clock" % block.id)
-            elif clock_id not in net.clocks:
-                errors.append("block %r references unknown clock %r"
-                              % (block.id, clock_id))
+        if clock_id is None and kind.clocked:
+            errors.append("block %r needs an explicit clock" % block.id)
+        elif clock_id is not None and clock_id not in net.clocks:
+            errors.append("block %r references unknown clock %r"
+                          % (block.id, clock_id))
         wired = inputs[block.id]
         if len(wired) > 1:  # fire order: sorted ports, in10 before in2
             wired = inputs[block.id] = dict(sorted(wired.items()))

@@ -97,13 +97,16 @@ MESSAGES = st.one_of(
 
 
 class TestConstantLinks:
-    @given(MESSAGES, st.integers(0, 10 ** 6))
-    @example(TimedMessage.interval(7, 2), 0)
-    @example(TimedMessage.multiplexed({5, 7}), 0)
-    @example(TimedMessage.multivalent([(2, 3), (3, 4)]), 0)
-    def test_recorded_delay_matches_the_delay_function(self, msg, d):
+    @given(MESSAGES, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+    @example(TimedMessage.interval(7, 2), 0, 1)
+    @example(TimedMessage.multiplexed({5, 7}), 0, 0)
+    @example(TimedMessage.multivalent([(2, 3), (3, 4)]), 0, 5)
+    def test_uniform_shift_matches_the_per_event_lookups(self, msg, d, d2):
+        # A table listing every event tick takes the per-event path, with
+        # a delay that holds still across the message.
+        table = Link.from_table({t: d for _r, t in msg.events}, default=d2)
         fast = transmit_checked(msg, Link.constant(d))
-        slow = transmit_checked(msg, Link(lambda _t: d))
+        slow = transmit_checked(msg, table)
         assert isinstance(fast, TimedMessage)
         assert fast.events == slow.events
         assert fast.events == tuple((r, t + d) for r, t in msg.events)
@@ -114,12 +117,26 @@ class TestConstantLinks:
     def test_zero_delay_delivers_the_message_itself(self):
         msg = TimedMessage.interval(7)
         assert transmit_checked(msg, Link.constant(0)) is msg
-        assert transmit_checked(msg, Link(lambda _t: 0)) is msg
+        assert transmit_checked(msg, Link.from_table({0: 0, 7: 0}, 3)) is msg
 
-    def test_only_constant_links_record_their_delay(self):
-        assert Link.constant(3).fixed == 3
-        assert Link(lambda _t: 3).fixed is None
-        assert Link.from_table({}, default=3).fixed is None
+    def test_links_are_values(self):
+        assert Link.constant(3) == Link.from_table({}, default=3)
+        assert hash(Link.constant(3)) == hash(Link.from_table({}, 3))
+        assert Link.from_table({0: 5}) == Link.from_table({0: 5})
+        assert hash(Link.from_table({0: 5})) == hash(Link.from_table({0: 5}))
+        assert Link.from_table({0: 5}) != Link.from_table({0: 6})
+        assert Link.constant(3) != Link.constant(4)
+        assert "default=3" in repr(Link.from_table({0: 5}, 3))
+        assert "{0: 5}" in repr(Link.from_table({0: 5}, 3))
+        table = {0: 5}
+        link = Link.from_table(table)
+        table[0] = 9
+        table[7] = 1
+        assert (link.delay(0), link.delay(7)) == (5, 0)
+        with pytest.raises(TypeError):
+            link.table[0] = 1
+        with pytest.raises(ValueError, match="delays must be non-negative"):
+            Link(-1, {})
 
 
 def _checked(events, clock, amplitudes=()):

@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,8 +110,8 @@ class TestRun:
         monkeypatch.chdir(tmp_path / cwd)
         assert main(["run", netlist, "--trace", "-"]) == 0
         out, err = capsys.readouterr()
-        assert err == ""
-        assert "2,sum,a,start\n" in out and "probe sum.out=7\n" in out
+        assert err == "probe sum.out=7\n"
+        assert "2,sum,a,start\n" in out and out.endswith("sum.out=7\n")
 
     def test_warnings_go_to_stderr(self, tmp_path, capsys):
         # The end event is delayed 5 ticks more than the start (a readable
@@ -130,6 +131,44 @@ class TestRun:
         assert out == "probe acc.out=0\nprobe s.out=12\n"
         assert err == ("warning: unstable link a.out->s.a value error +5\n"
                        "warning: block 'acc': toggle chain overflowed\n")
+
+    def test_trace_on_stdout_is_the_trace_alone(self, capsys):
+        net = str(GOLDEN / "add34.net")
+        assert main(["run", net, "--trace", "-", "--stats"]) == 0
+        out, err = capsys.readouterr()
+        assert out == (GOLDEN / "add34.csv").read_text()
+        assert err.startswith("probe sum.out=7\ntotal_ticks=")
+        assert main(["run", net, "--waveform", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("$timescale") and "probe" not in out
+        assert err == "probe sum.out=7\n"
+        # Both on stdout would interleave two formats.
+        assert main(["run", net, "--trace", "-", "--waveform", "-"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_seeded_photon_count_without_numpy(self, tmp_path, monkeypatch,
+                                               capsys):
+        path = tmp_path / "photon.net"
+        path.write_text("clock main 1\nblock a source value=5\n"
+                        "block acc accumulator model=photon\n"
+                        "wire a.out acc.in\nprobe acc.out\n")
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert main(["--seed", "3", "run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: block 'acc' (accumulator): a seeded "
+                              "photon count needs numpy: ")
+        assert err.count("\n") == 1
+
+    def test_accumulator_counts_on_its_input_clock(self, tmp_path, capsys):
+        # No `main` and two clocks: no netlist default, and none needed.
+        path = tmp_path / "acc.net"
+        path.write_text("clock a 1\nclock b 2\n"
+                        "block s source value=6 clock=a\n"
+                        "block acc accumulator\n"
+                        "wire s.out acc.in\nprobe acc.out\n")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == "probe acc.out=6\n"
 
     def test_stats_output(self, add_net, capsys):
         assert main(["run", add_net, "--stats"]) == 0
@@ -288,6 +327,16 @@ class TestExport:
         capsys.readouterr()
         assert main(["export", str(trace), "--format", "waveform"]) == 0
         assert capsys.readouterr().out.startswith("$timescale 1 tick $end\n")
+
+    def test_probe_line_is_not_a_result(self, tmp_path, capsys):
+        # What `run --trace -` printed before the probe lines moved to
+        # stderr: a trace with a `probe sum.out=7` line after its footer.
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text((GOLDEN / "add34.csv").read_text()
+                         + "probe sum.out=7\n")
+        assert main(["export", str(mixed)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed trace row 'probe sum.out=7'\n")
 
     def test_bad_trace_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

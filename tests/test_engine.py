@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from temporalsim import blocks, oracle_results, parse_netlist, run
 from temporalsim.blocks import C0
+from temporalsim.cli import main
 from temporalsim.engine import (
     trace_from_csv,
     trace_to_csv,
@@ -297,6 +298,20 @@ class TestOracle:
         with pytest.raises(SimulationError) as err:
             oracle_results(parse_netlist(ADD_NET + tail))
         assert str(err.value) == error
+
+    def test_multivalent_values_match_the_engine(self, tmp_path):
+        text = ("clock main 1\n"
+                "block t0 source value=3 position=2\n"
+                "block t1 source value=4 position=3\n"
+                "block d madd\n"
+                "wire t0.out d.in0\nwire t1.out d.in1\n"
+                "probe d.out\nprobe t0.out\nprobe d.in1\n")
+        net = parse_netlist(text)
+        assert oracle_results(net) == run(net).results == {
+            "d.out": 18, "t0.out": {2: 3}, "d.in1": {3: 4}}
+        path = tmp_path / "mv.net"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 0
 
     def test_deep_chain_agrees_with_run(self):
         depth = 1500

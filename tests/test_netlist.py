@@ -155,6 +155,26 @@ def test_unknown_clock_reference():
     assert "nope" in str(err.value)
 
 
+def test_clock_violations_keep_their_text_and_order():
+    # Two clocks and no `main`: no netlist default.
+    bad = ("clock a 1\nclock b 2\n"
+           "block s source value=1\n"
+           "block t source value=1 clock=nope\n"
+           "block c convert clock=gone\n"
+           "block acc accumulator clock=nope\n"
+           "block m mul k=2 clock=nope\n"
+           "wire s.out c.in\nwire t.out acc.in\nwire c.out m.in\n")
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(bad)
+    assert err.value.violations == [
+        "block 's' needs an explicit clock",
+        "block 't' references unknown clock 'nope'",
+        "block 'c' references unknown clock 'gone'",
+        "block 'acc' references unknown clock 'nope'",
+        "block 'm' (mul) unknown param 'clock'",
+    ]
+
+
 def test_unwired_required_input():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\n"
@@ -233,6 +253,14 @@ def test_absolute_table_path_ignores_the_base_dir(tmp_path):
         ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=%s" % table),
         base_dir=str(tmp_path / "elsewhere"))
     assert net.wires[0].link.delay(0) == 2
+
+
+def test_parses_of_one_text_compare_equal(tmp_path):
+    (tmp_path / "late.tbl").write_text("default 2\n0 5\n")
+    text = (ADD_NET.replace("wire a.out s.a", "wire a.out s.a latency=3")
+            .replace("wire b.out s.b", "wire b.out s.b table=late.tbl"))
+    assert parse_netlist(text, str(tmp_path)) \
+        == parse_netlist(text, str(tmp_path))
 
 
 def test_probe_out_needs_an_out_port():
