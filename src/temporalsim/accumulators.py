@@ -16,6 +16,11 @@ from typing import Optional, Tuple
 
 from .core import ClockRef, IntervalValue, measure_interval
 
+# The deepest toggle chain a netlist may ask for. It counts mod 2**256;
+# firing a chain builds one bit per stage, so an unbounded depth= could
+# exhaust memory on one fire.
+MAX_CHAIN_DEPTH = 256
+
 
 class AccumulatorModel(enum.Enum):
     DIGITAL_COUNTER = "digital"
@@ -39,6 +44,18 @@ class AccumulatorConfig:
             raise ValueError("rate must be > 0")
         if Fraction(self.flux) <= 0:
             raise ValueError("flux must be > 0")
+
+    @classmethod
+    def _trusted(cls, model: AccumulatorModel, chain_depth: int,
+                 rate: Fraction, flux: Fraction,
+                 noise_seed: Optional[int]) -> "AccumulatorConfig":
+        """A config whose fields are already known to be valid, built
+        without the check."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "__dict__", {
+            "model": model, "chain_depth": chain_depth, "rate": rate,
+            "flux": flux, "noise_seed": noise_seed})
+        return config
 
 
 @dataclass(frozen=True)
@@ -134,7 +151,7 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    return measure_interval(IntervalValue(0, value, src), dst)
+    return measure_interval(IntervalValue._trusted(0, value, src), dst)
 
 
 def accumulate(iv: IntervalValue, ref: ClockRef,

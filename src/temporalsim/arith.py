@@ -48,10 +48,10 @@ class MuxChannel:
 
 def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
     """Add by concatenating mark runs; cost is linear in the operands."""
-    if x.clock != y.clock:
+    if x.clock is not y.clock and x.clock != y.clock:
         raise ClockMismatch(
             "cannot concatenate %s with %s" % (x.clock.id, y.clock.id))
-    return UnaryTrain(x.length + y.length, x.clock)
+    return UnaryTrain._trusted(x.length + y.length, x.clock)
 
 
 def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
@@ -62,19 +62,19 @@ def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
     if k == 1:
         return x
     fast = x.clock.scaled(k)
-    span = IntervalValue(0, x.length, x.clock)
-    return UnaryTrain(measure_interval(span, fast), x.clock)
+    span = IntervalValue._trusted(0, x.length, x.clock)
+    return UnaryTrain._trusted(measure_interval(span, fast), x.clock)
 
 
 def _check_race_lanes(lanes: Sequence[IntervalValue]) -> None:
     if not lanes:
         raise EmptyInput("race needs at least one lane")
-    first = lanes[0]
+    start, clock = lanes[0].start, lanes[0].clock
     for lane in lanes[1:]:
-        if lane.start != first.start:
+        if lane.start != start:
             raise ModeMismatch(
                 "synchronous race requires a shared start tick")
-        if lane.clock != first.clock:
+        if lane.clock is not clock and lane.clock != clock:
             raise ModeMismatch("race lanes must share one clock")
 
 
@@ -82,14 +82,14 @@ def min_race(lanes: Sequence[IntervalValue]) -> int:
     """First arrival among synchronous lanes (OR-gate semantics)."""
     lanes = list(lanes)
     _check_race_lanes(lanes)
-    return min(lane.length for lane in lanes)
+    return min(lane.end for lane in lanes) - lanes[0].start
 
 
 def max_race(lanes: Sequence[IntervalValue]) -> int:
     """Last arrival among synchronous lanes (AND-gate semantics)."""
     lanes = list(lanes)
     _check_race_lanes(lanes)
-    return max(lane.length for lane in lanes)
+    return max(lane.end for lane in lanes) - lanes[0].start
 
 
 def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
@@ -126,11 +126,12 @@ def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:
     clock = trains[0].clock
     merged: Dict[int, int] = {}
     for train in trains:
-        if train.clock != clock:
+        if train.clock is not clock and train.clock != clock:
             raise ClockMismatch("merge requires one shared clock")
         for pos, amp in train.items:
             merged[pos] = merged.get(pos, 0) + amp
-    return MultiValentTrain.from_buckets(merged, clock)
+    # Valid trains give unique positions >= 0 and amplitude sums >= 1.
+    return MultiValentTrain._trusted(tuple(sorted(merged.items())), clock)
 
 
 def madd(train: MultiValentTrain) -> int:

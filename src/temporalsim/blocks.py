@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import arith
 from .accumulators import (
+    MAX_CHAIN_DEPTH,
     AccumulatorConfig,
     AccumulatorModel,
     accumulate,
@@ -28,7 +29,7 @@ from .accumulators import (
     convert_reference,
     toggle_chain_overflowed,
 )
-from .channel import TimedMessage
+from .channel import EVENT_END, EVENT_START, EVENT_VALUE, TimedMessage
 from .core import ClockRef, IntervalValue, MultiValentTrain, UnaryTrain
 from .errors import SimulationError
 
@@ -74,7 +75,8 @@ class Kind:
 VARIADIC = None
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
+def _int_in(minimum: int,
+            maximum: Optional[int] = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -82,6 +84,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise ValueError("is not an integer") from None
         if value < minimum:
             raise ValueError("must be >= %d" % minimum)
+        if maximum is not None and value > maximum:
+            raise ValueError("must be <= %d" % maximum)
         return value
     return parse
 
@@ -121,34 +125,44 @@ def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     return values, errors
 
 
+# Fire functions build their values with the `_trusted` constructors:
+# every input message was checked where it was built, and parameters
+# where the netlist was parsed, so a value derived from them is valid.
+
+
 def _scalar(msg: TimedMessage) -> int:
-    if msg.kind != "scalar":
+    events = msg.events
+    role, end = events[-1]
+    if msg.amplitudes or role == EVENT_VALUE:
         raise SimulationError("expected a scalar message, got %s" % msg.kind)
-    return msg.decode()
+    return end - events[0][1]
 
 
 def _out(value: int, f: Firing, clock: ClockRef) -> TimedMessage:
-    return TimedMessage.interval(value, f.t, clock)
+    # value >= 0: every fire function's result is a count.
+    return TimedMessage._trusted(
+        ((EVENT_START, f.t), (EVENT_END, f.t + value)), clock)
 
 
 def _source(f: Firing):
     value = f.params["value"]
     if "position" in f.params:
         pos = f.params["position"]
-        msg = TimedMessage.multivalent(((pos, value),), f.t, f.clock)
+        msg = TimedMessage._trusted(
+            ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock, (value,))
         return msg, pos + C0
     return _out(value, f, f.clock), value + C0
 
 
 def _add(f: Firing):
-    a, b = (UnaryTrain(_scalar(m), m.clock) for m in f.inputs)
+    a, b = (UnaryTrain._trusted(_scalar(m), m.clock) for m in f.inputs)
     total = arith.add_concat(a, b).length
     return _out(total, f, a.clock), total + C0
 
 
 def _mul(f: Firing):
     (msg,) = f.inputs
-    out = arith.mul_dilate(UnaryTrain(_scalar(msg), msg.clock),
+    out = arith.mul_dilate(UnaryTrain._trusted(_scalar(msg), msg.clock),
                            f.params["k"]).length
     return _out(out, f, msg.clock), out + C0
 
@@ -157,7 +171,8 @@ def _race(race) -> Fire:
     # Lanes start together on the first port's clock and race raw counts.
     def fire(f: Firing):
         clock = f.inputs[0].clock
-        out = race([IntervalValue(0, _scalar(m), clock) for m in f.inputs])
+        out = race([IntervalValue._trusted(0, _scalar(m), clock)
+                    for m in f.inputs])
         return _out(out, f, clock), out + C0
     return fire
 
@@ -180,12 +195,20 @@ def _demux(f: Firing):
 def _madd(f: Firing):
     trains = []
     for msg in f.inputs:
-        if msg.kind != "mv":
+        amplitudes = msg.amplitudes
+        if not amplitudes:
             raise SimulationError("expected multi-valent messages")
-        trains.append(MultiValentTrain(
-            tuple(zip(msg.value_offsets(), msg.amplitudes)), msg.clock))
+        # A checked message's events never go back in time, so its value
+        # pulses are sorted positions >= 0; only a repeat can be wrong.
+        events = msg.events
+        start = events[0][1]
+        positions = [t - start for role, t in events if role == EVENT_VALUE]
+        if len(set(positions)) != len(positions):
+            raise ValueError("duplicate bucket positions")
+        trains.append(MultiValentTrain._trusted(
+            tuple(zip(positions, amplitudes)), msg.clock))
     merged = arith.mv_merge(trains)
-    sweep = max((p for p, _a in merged.items), default=0)
+    sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), f, merged.clock), sweep + C0
 
 
@@ -199,9 +222,10 @@ def _accumulator(f: Firing):
     if (noise_seed is None and f.seed is not None
             and model is AccumulatorModel.PHOTON_COUNTER):
         noise_seed = f.seed ^ zlib.crc32(f.block_id.encode())
-    config = AccumulatorConfig(model, p.get("depth", 8), p.get("rate", 1),
-                               p.get("flux", 1), noise_seed)
-    iv = IntervalValue(0, value, msg.clock)
+    config = AccumulatorConfig._trusted(
+        model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
+        noise_seed)
+    iv = IntervalValue._trusted(0, value, msg.clock)
     if model is AccumulatorModel.TOGGLE_CHAIN and toggle_chain_overflowed(
             accumulate_digital(iv, ref), config.chain_depth):
         f.stats.overflow_flags.append(f.block_id)
@@ -240,7 +264,7 @@ def _toggle_depth(p) -> Optional[str]:
     return None
 
 
-_COUNT = _int_at_least(0)
+_COUNT = _int_in(0)
 _CLOCK = Param(str)
 
 KINDS: Dict[str, Kind] = {
@@ -250,7 +274,7 @@ KINDS: Dict[str, Kind] = {
                    check=_one_amplitude),
     "add": Kind(("a", "b"), _add, lambda _p, ins: sum(_inputs(ins))),
     "mul": Kind(("in",), _mul, lambda p, ins: _inputs(ins)[0] * p["k"],
-                params={"k": Param(_int_at_least(1), True)}),
+                params={"k": Param(_int_in(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
                 lambda _p, ins: min(_inputs(ins))),
     "max": Kind(VARIADIC, _race(arith.max_race),
@@ -263,7 +287,7 @@ KINDS: Dict[str, Kind] = {
                                      for pos, amp in mv.items())),
     "accumulator": Kind(("in",), _accumulator,
                         params={"model": Param(AccumulatorModel),
-                                "depth": Param(_int_at_least(1)),
+                                "depth": Param(_int_in(1, MAX_CHAIN_DEPTH)),
                                 "rate": Param(_positive_fraction),
                                 "flux": Param(_positive_fraction),
                                 "seed": Param(_COUNT), "clock": _CLOCK},

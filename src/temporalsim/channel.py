@@ -57,9 +57,8 @@ class TimedMessage:
         re-check. The constructors below check only what their arguments
         can break, then build through this."""
         msg = object.__new__(cls)
-        object.__setattr__(msg, "events", events)
-        object.__setattr__(msg, "clock", clock)
-        object.__setattr__(msg, "amplitudes", amplitudes)
+        object.__setattr__(msg, "__dict__", {
+            "events": events, "clock": clock, "amplitudes": amplitudes})
         return msg
 
     @classmethod

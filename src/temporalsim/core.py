@@ -38,11 +38,22 @@ class ClockRef:
         """Exact frequency ratio self/other."""
         return self.frequency / other.frequency
 
+    @classmethod
+    def _trusted(cls, id: str, frequency: Fraction) -> "ClockRef":
+        """A clock already known to be valid (a positive `Fraction`),
+        built without the check."""
+        clock = object.__new__(cls)
+        object.__setattr__(clock, "__dict__",
+                           {"id": id, "frequency": frequency})
+        return clock
+
     def scaled(self, k: int) -> "ClockRef":
         """A derived reference running k times faster."""
         if k < 1:
             raise ValueError("scale factor must be >= 1")
-        return ClockRef("%sx%d" % (self.id, k), self.frequency * k)
+        # A positive frequency times a factor >= 1 needs no re-check.
+        return ClockRef._trusted("%sx%d" % (self.id, k),
+                                 self.frequency * Fraction(k))
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))
@@ -84,6 +95,14 @@ class UnaryTrain:
         if self.length < 0:
             raise ValueError("unary length must be non-negative")
 
+    @classmethod
+    def _trusted(cls, length: int, clock: ClockRef) -> "UnaryTrain":
+        """A train already known to be valid, built without the check."""
+        train = object.__new__(cls)
+        object.__setattr__(train, "__dict__",
+                           {"length": length, "clock": clock})
+        return train
+
 
 @dataclass(frozen=True)
 class IntervalValue:
@@ -98,6 +117,16 @@ class IntervalValue:
             raise ValueError("interval start must be non-negative")
         if self.end < self.start:
             raise ValueError("interval end precedes start")
+
+    @classmethod
+    def _trusted(cls, start: int, end: int,
+                 clock: ClockRef) -> "IntervalValue":
+        """An interval already known to be valid, built without the
+        check."""
+        iv = object.__new__(cls)
+        object.__setattr__(iv, "__dict__",
+                           {"start": start, "end": end, "clock": clock})
+        return iv
 
     @property
     def length(self) -> int:
@@ -126,6 +155,17 @@ class MultiValentTrain:
         if len({p for p, _ in items}) != len(items):
             raise ValueError("duplicate bucket positions")
         object.__setattr__(self, "items", items)
+
+    @classmethod
+    def _trusted(cls, items: Tuple[Tuple[int, int], ...],
+                 clock: ClockRef) -> "MultiValentTrain":
+        """A train whose items are already a tuple of int pairs sorted by
+        unique position >= 0, each amplitude >= 1; built without the
+        check."""
+        train = object.__new__(cls)
+        object.__setattr__(train, "__dict__",
+                           {"items": items, "clock": clock})
+        return train
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[int, int],

@@ -113,6 +113,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     NetlistValidationError carrying every structural violation.
     """
     net = Netlist()
+    latency_links: Dict[int, Link] = {}  # one shared Link per latency=
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         parts = line.split()
@@ -180,7 +181,10 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                         raise NetlistParseError(
                             "latency must be non-negative", lineno,
                             _column(line, 3))
-                    link = Link.constant(latency)
+                    link = latency_links.get(latency)
+                    if link is None:
+                        link = latency_links[latency] = Link.constant(
+                            latency)
                 elif opt.startswith("table="):
                     path = opt[len("table="):]
                     try:

@@ -263,6 +263,15 @@ def test_parses_of_one_text_compare_equal(tmp_path):
         == parse_netlist(text, str(tmp_path))
 
 
+def test_wires_of_one_latency_share_a_link():
+    net = parse_netlist(ADD_NET.replace("s.a", "s.a latency=3")
+                        .replace("s.b", "s.b latency=3")
+                        + "block p probe\nwire s.out p.in latency=4\n")
+    first, second, third = (w.link for w in net.wires)
+    assert first is second and first.delay(0) == 3
+    assert third.delay(0) == 4
+
+
 def test_probe_out_needs_an_out_port():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\nblock a source value=3\n"
@@ -300,6 +309,19 @@ def test_depth_below_one_rejected_for_analog():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist(_accumulator_net("model=analog depth=0"))
     assert "depth='0': must be >= 1" in str(err.value)
+
+
+@pytest.mark.parametrize("model", ["toggle", "digital"])
+def test_depth_above_the_chain_bound_rejected(model):
+    # Parsed only: firing a chain this deep would build its every bit.
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(_accumulator_net("model=%s depth=99999999999" % model))
+    assert err.value.violations == [
+        "block 'acc' param depth='99999999999': must be <= 256"]
+    with pytest.raises(NetlistValidationError, match="must be <= 256"):
+        parse_netlist(_accumulator_net("model=%s depth=257" % model))
+    net = parse_netlist(_accumulator_net("model=%s depth=256" % model))
+    assert net.params["acc"]["depth"] == 256
 
 
 def test_seed_must_be_an_integer():
