@@ -4,8 +4,10 @@ Values are time intervals between start/end events, counted in pulses of
 a reference clock. Arithmetic runs on unary/interval codes (add by
 concatenation, multiply by clock dilation, min/max by racing lanes,
 dot products by the multi-valent counting sweep), blocks exchange data
-asynchronously over latency-tolerant links, and a deterministic
-discrete-event engine wires it all together from a netlist file.
+asynchronously over latency-tolerant links, and a deterministic engine
+wires it all together from a netlist file: in simulated time blocks fire
+on event arrival, while the host evaluates them in one pass in
+topological order.
 """
 
 from .accumulators import (

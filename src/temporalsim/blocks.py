@@ -75,13 +75,39 @@ class Kind:
 VARIADIC = None
 
 
+# CPython converts at most 4300 decimal digits to an int by default. A
+# longer number token is refused before conversion, on any interpreter.
+MAX_NUMBER_CHARS = 4300
+
+
+def too_long(token: str) -> Optional[str]:
+    """Why a number token is too long to convert, or None."""
+    if len(token) <= MAX_NUMBER_CHARS:
+        return None
+    return "is too long (%d characters, at most %d)" % (len(token),
+                                                        MAX_NUMBER_CHARS)
+
+
+def quote(token: str) -> str:
+    """A token as an error message echoes it: cut short when long."""
+    return repr(token) if len(token) <= 40 else repr(token[:20]) + "..."
+
+
+def _number(convert: Callable[[str], object], text: str, problem: str):
+    """`convert(text)`, or a ValueError: `problem`, or that the token is
+    too long to convert."""
+    if too_long(text):
+        raise ValueError(too_long(text))
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(problem) from None
+
+
 def _int_in(minimum: int,
             maximum: Optional[int] = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError("is not an integer") from None
+        value = _number(int, text, "is not an integer")
         if value < minimum:
             raise ValueError("must be >= %d" % minimum)
         if maximum is not None and value > maximum:
@@ -91,10 +117,7 @@ def _int_in(minimum: int,
 
 
 def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("is not rational") from None
+    value = _number(Fraction, text, "is not rational")
     if value <= 0:
         raise ValueError("must be > 0")
     return value
@@ -115,8 +138,8 @@ def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
         try:
             values[key] = param.parse(block.params[key])
         except ValueError as exc:
-            errors.append("block %r param %s=%r: %s"
-                          % (block.id, key, block.params[key], exc))
+            errors.append("block %r param %s=%s: %s"
+                          % (block.id, key, quote(block.params[key]), exc))
     problem = kind.check(values) if kind.check and not errors else None
     if problem:
         errors.append("block %r (%s): %s" % (block.id, block.kind, problem))

@@ -1,16 +1,17 @@
 """Deterministic discrete-event execution of a netlist.
 
-Blocks fire on event arrival, never on a global control clock; the only
-ordering guarantee is the fixed event-queue tiebreak (tick, block id,
-port), which makes every run a pure function of the netlist text and
-seeds. Costs are simulated ticks, never wall-clock. What each block kind
-computes lives in `blocks.KINDS`.
+In simulated time blocks fire on event arrival, never on a global
+control clock: each block fires once, when its last input ends. The
+host therefore evaluates them in one pass over the netlist's
+topological order, and sorts the events by (tick, block id, port) and
+the warnings by (fire tick, block id), so every run is a pure function
+of the netlist text and seeds. Costs are simulated ticks, never
+wall-clock. What each block kind computes lives in `blocks.KINDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -41,70 +42,69 @@ class Trace:
 
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         seed: Optional[int] = None) -> Trace:
-    """Execute a netlist that `parse_netlist` returned to quiescence or
-    budget exhaustion."""
+    """Execute a netlist that `parse_netlist` returned, in one pass over
+    `net.order`. A block fires when every input port holds a delivered
+    message, at the largest last tick among them (0 for a source); a
+    message that ends past the budget is dropped. Warnings are listed,
+    and of several failing blocks the one raised is chosen, by (fire
+    tick, block id)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
-    stats, events = trace.stats, trace.events
+    stats, events, results = trace.stats, trace.events, trace.results
     probe_set = set(net.probes)
-    probed_outs = {bid for bid, port in probe_set if port == "out"}
-    pending = {bid: {} for bid in net.blocks}  # block -> port -> message
-    # One wire per input port: no two entries tie on (tick, block, port),
-    # and a block fires once, at its last input's tick. Every message ends
-    # at or after its fire tick, so ticks pop in order.
-    queue: List[Tuple[int, str, str, TimedMessage]] = []
-
-    def fire(block, t: int) -> None:
-        """Fire a block and send its output; errors name the block."""
-        inputs = pending[block.id]
-        firing = Firing(block.id, net.params[block.id],
-                        [inputs[p] for p in net.inputs[block.id]],
-                        t, net.clock_of[block.id], seed, stats)
+    delivered: Dict[Tuple[str, str], TimedMessage] = {}  # (block, port)
+    fire_tick: Dict[str, int] = {}
+    unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
+    failures: List[Tuple[int, str, str, Exception]] = []
+    for bid in net.order:
         try:
-            msg, cost = KINDS[block.kind].fire(firing)
+            inputs = [delivered[bid, port] for port in net.inputs[bid]]
+        except KeyError:  # dropped past the budget, or its source failed
+            continue
+        t = fire_tick[bid] = max([m.last_tick for m in inputs], default=0)
+        kind = net.blocks[bid].kind
+        try:
+            msg, cost = KINDS[kind].fire(Firing(
+                bid, net.params[bid], inputs, t, net.clock_of[bid], seed,
+                stats))
         except (TemporalError, ValueError) as exc:
-            raise SimulationError("block %r (%s): %s"
-                                  % (block.id, block.kind, exc)) from exc
-        stats.block_costs[block.id] = cost
+            failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
+                             exc))
+            continue
+        stats.block_costs[bid] = cost
         if msg is None:
-            return
-        if block.id in probed_outs:
-            trace.results["%s.out" % block.id] = msg.decoded()
-        for src, src_port, dst, port, link in net.outputs[block.id]:
-            delivered = transmit_checked(msg, link)
-            if isinstance(delivered, StabilityViolation):
+            continue
+        if (bid, "out") in probe_set:
+            results["%s.out" % bid] = msg.decoded()
+        for src, src_port, dst, port, link in net.outputs[bid]:
+            out = transmit_checked(msg, link)
+            if isinstance(out, StabilityViolation):
                 name = "%s.%s->%s.%s" % (src, src_port, dst, port)
-                stats.stability_violations.append(
-                    "%s value error %+d" % (name, delivered.value_error))
+                unstable.append((t, bid, "%s value error %+d"
+                                 % (name, out.value_error)))
                 try:
-                    delivered = TimedMessage(delivered.distorted_events,
-                                             msg.clock, msg.amplitudes)
+                    out = TimedMessage(out.distorted_events, msg.clock,
+                                       msg.amplitudes)
                 except ValueError as exc:
-                    raise SimulationError(
-                        "wire %s: distorted message is unreadable: %s"
-                        % (name, exc)) from exc
-            heappush(queue, (delivered.last_tick, dst, port, delivered))
+                    failures.append((t, bid, "wire %s: distorted message is "
+                                     "unreadable: %s" % (name, exc), exc))
+                    break
+            if out.last_tick > budget:
+                stats.budget_exhausted = True
+                continue
+            delivered[dst, port] = out
+            for role, etick in out.events:
+                events.append((etick, dst, port, role))
+            if (dst, port) in probe_set:
+                results["%s.%s" % (dst, port)] = out.decoded()
 
-    # Sources fire unconditionally at tick 0.
-    for bid in sorted(net.blocks):
-        if net.blocks[bid].kind == "source":
-            fire(net.blocks[bid], 0)
-
-    while queue:
-        if queue[0][0] > budget:
-            stats.budget_exhausted = True
-            break
-        tick, dst, port, msg = heappop(queue)
-        for role, etick in msg.events:
-            events.append((etick, dst, port, role))
-        if (dst, port) in probe_set:
-            trace.results["%s.%s" % (dst, port)] = msg.decoded()
-        arrived = pending[dst]
-        arrived[port] = msg
-        if len(arrived) == len(net.inputs[dst]):
-            fire(net.blocks[dst], tick)
-
+    if failures:
+        _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
+        raise SimulationError(text) from cause
+    stats.overflow_flags.sort(key=lambda b: (fire_tick[b], b))
+    unstable.sort(key=itemgetter(0, 1))
+    stats.stability_violations = [text for _t, _b, text in unstable]
     # One wire per port: events that tie on (tick, block, port) are one
     # message's, already in start, value-pulse, end order; sort is stable.
     events.sort(key=itemgetter(0, 1, 2))

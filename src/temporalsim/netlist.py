@@ -25,7 +25,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .blocks import KINDS, VARIADIC, parse_params
+from .blocks import KINDS, VARIADIC, parse_params, quote, too_long
 from .channel import Link
 from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
@@ -92,6 +92,11 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
                 continue
             if len(parts) != 2:
                 raise ValueError("line %d: needs two fields" % lineno)
+            for token in parts:
+                problem = too_long(token)
+                if problem:
+                    raise ValueError("line %d: %s %s"
+                                     % (lineno, quote(token), problem))
             try:
                 delay = int(parts[1])
                 if parts[0] == "default":
@@ -99,8 +104,8 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
                 else:
                     table[int(parts[0])] = delay
             except ValueError:
-                raise ValueError("line %d: expected integers, got %r"
-                                 % (lineno, " ".join(parts))) from None
+                raise ValueError("line %d: expected integers, got %s"
+                                 % (lineno, quote(" ".join(parts)))) from None
     return table, default
 
 
@@ -125,11 +130,16 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "clock needs: clock <id> <freq>", lineno)
             cid, freq_tok = parts[1], parts[2]
+            problem = too_long(freq_tok)
+            if problem:
+                raise NetlistParseError(
+                    "frequency %s %s" % (quote(freq_tok), problem), lineno,
+                    _column(line, 2))
             try:
                 freq = Fraction(freq_tok)
             except (ValueError, ZeroDivisionError):
                 raise NetlistParseError(
-                    "bad frequency %r" % freq_tok, lineno,
+                    "bad frequency %s" % quote(freq_tok), lineno,
                     _column(line, 2)) from None
             if freq <= 0:
                 raise NetlistParseError(
@@ -171,11 +181,16 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 opt = parts[3]
                 if opt.startswith("latency="):
                     value = opt[len("latency="):]
+                    problem = too_long(value)
+                    if problem:
+                        raise NetlistParseError(
+                            "latency %s %s" % (quote(value), problem), lineno,
+                            _column(line, 3) + len("latency="))
                     try:
                         latency = int(value)
                     except ValueError:
                         raise NetlistParseError(
-                            "expected integer, got %r" % value, lineno,
+                            "expected integer, got %s" % quote(value), lineno,
                             _column(line, 3) + len("latency=")) from None
                     if latency < 0:
                         raise NetlistParseError(

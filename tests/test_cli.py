@@ -370,6 +370,33 @@ def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+LONG = "7" * 5000   # past CPython's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("netlist, table", [
+    ("block a source value={long}\n", None),
+    ("block a source value=3\nblock c accumulator model=analog rate={long}\n"
+     "wire a.out c.in\n", None),
+    ("block a source value=3\nblock c accumulator model=photon flux={long}\n"
+     "wire a.out c.in\n", None),
+    ("block a source value=3\nblock p probe\nwire a.out p.in latency={long}\n",
+     None),
+    ("block a source value=3\nblock p probe\nwire a.out p.in table=t.tbl\n",
+     "{long} 2\n"),
+    ("clock fast {long}\nblock a source value=3\n", None),
+], ids=["value", "rate", "flux", "latency", "table-tick", "frequency"])
+def test_an_overlong_number_is_one_short_error_line(netlist, table, tmp_path,
+                                                    capsys):
+    if table is not None:
+        (tmp_path / "t.tbl").write_text(table.format(long=LONG))
+    path = tmp_path / "long.net"
+    path.write_text("clock main 1\n" + netlist.format(long=LONG))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "is too long (5000 characters" in err and len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{add34}", "--trace", "{out}"],
     ["run", "{add34}", "--waveform", "{out}"],

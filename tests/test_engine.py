@@ -3,6 +3,7 @@ the integer-DAG oracle."""
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,8 @@ from temporalsim.engine import (
 from temporalsim.errors import SimulationError
 
 from dagutil import random_dag_netlist
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ADD_NET = """\
 clock main 1
@@ -270,6 +273,74 @@ class TestEngineContract:
         ports = sorted("in%d" % i for i in range(11))
         assert seen == [([20 + int(p[2:]) for p in ports], max(arrivals))]
         assert trace.results == {"m.out": 20}
+
+
+class TestBudget:
+    @pytest.mark.parametrize("budget, exhausted, code", [
+        (4, False, 0), (3, True, 2)])
+    def test_an_event_at_the_budget_is_delivered(self, budget, exhausted,
+                                                 code, capsys):
+        # add34's last event, the end of b's 4 at sum.b, is at tick 4.
+        path = str(GOLDEN / "add34.net")
+        with open(path) as fh:
+            trace = _run_text(fh.read(), budget=budget)
+        assert trace.stats.budget_exhausted is exhausted
+        assert trace.stats.total_ticks == min(budget, 4)
+        assert main(["run", path, "--budget", str(budget)]) == code
+
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_a_budget_cut_run_is_a_prefix_of_the_full_run(self, seed,
+                                                          data):
+        net = parse_netlist(random_dag_netlist(random.Random(seed)))
+        full = run(net)
+        total = full.stats.total_ticks
+        budget = data.draw(st.integers(1, max(total, 1)), label="budget")
+        cut = run(net, budget=budget)
+        rest = iter(full.events)
+        assert all(e[0] <= budget and e in rest for e in cut.events)
+        for part, whole in ((cut.stats.block_costs, full.stats.block_costs),
+                            (cut.results, full.results)):
+            assert part == {k: whole[k] for k in part}
+        assert cut.stats.budget_exhausted is (budget < total)
+        assert trace_to_csv(run(net, budget=max(total, 1))) == \
+            trace_to_csv(full)
+
+
+class TestReportOrder:
+    """Warnings are listed, and of several failing blocks the one raised
+    is chosen, by (fire tick, block id), whatever the netlist order."""
+
+    # `late` is declared first; its source ends at 20, `early`'s at 5.
+    TWO_SOURCES = ("clock main 1\n"
+                   "block late {kind}\nblock early {kind}\n"
+                   "block s20 source value=20\nblock s5 source value=5\n"
+                   "wire s20.out late.in\nwire s5.out early.in\n")
+
+    def test_warnings_by_fire_tick(self):
+        text = self.TWO_SOURCES.format(kind="accumulator model=toggle depth=2")
+        assert _run_text(text).stats.overflow_flags == ["early", "late"]
+
+    def test_the_earliest_failure_is_raised(self):
+        with pytest.raises(SimulationError) as err:
+            _run_text(self.TWO_SOURCES.format(kind="demux"))
+        assert str(err.value).startswith("block 'early' (demux): ")
+
+    def test_same_tick_fires_by_block_id(self, tmp_path):
+        # d fires at 5 with a zero-length output, so a's last input also
+        # arrives at 5, as b's does; both outputs end at 10 and the table
+        # delays that end by 3.
+        table = tmp_path / "late_end.tbl"
+        table.write_text("5 0\n10 3\n")
+        text = ("clock main 1\n"
+                "block s5 source value=5\nblock s0 source value=0\n"
+                "block d min\nwire s5.out d.in0\nwire s0.out d.in1\n"
+                "block a add\nwire s5.out a.a\nwire d.out a.b\n"
+                "block b mul k=1\nwire s5.out b.in\n"
+                "block pa probe\nblock pb probe\n"
+                "wire a.out pa.in table={0}\nwire b.out pb.in table={0}\n"
+                .format(table))
+        assert _run_text(text).stats.stability_violations == [
+            "a.out->pa.in value error +3", "b.out->pb.in value error +3"]
 
 
 class TestOracle:
