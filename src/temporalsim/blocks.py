@@ -123,28 +123,44 @@ def _positive_fraction(text: str) -> Fraction:
     return value
 
 
+def _model(text: str) -> AccumulatorModel:
+    try:
+        return AccumulatorModel(text)
+    except ValueError:
+        raise ValueError("must be one of %s" % ", ".join(
+            model.value for model in AccumulatorModel)) from None
+
+
 def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     """Parse a block's params by its kind's schema: (values, errors).
     A key the schema does not list is an error."""
     kind = KINDS[block.kind]
+    raw, schema = block.params, kind.params
+    if not raw and not schema:
+        return {}, []
     values: Dict[str, object] = {}
     errors: List[str] = []
-    for key, param in kind.params.items():
-        if key not in block.params:
+    for key, param in schema.items():
+        text = raw.get(key)
+        if text is None:
             if param.required:
                 errors.append("block %r (%s) missing param %r"
                               % (block.id, block.kind, key))
             continue
         try:
-            values[key] = param.parse(block.params[key])
+            values[key] = param.parse(text)
         except ValueError as exc:
             errors.append("block %r param %s=%s: %s"
-                          % (block.id, key, quote(block.params[key]), exc))
+                          % (block.id, key, quote(text), exc))
     problem = kind.check(values) if kind.check and not errors else None
     if problem:
         errors.append("block %r (%s): %s" % (block.id, block.kind, problem))
-    errors += ["block %r (%s) unknown param %r" % (block.id, block.kind, key)
-               for key in block.params if key not in kind.params]
+    # With no error, every schema key in `raw` is in `values`, so equal
+    # counts mean no unknown key.
+    if errors or len(values) != len(raw):
+        errors += ["block %r (%s) unknown param %r"
+                   % (block.id, block.kind, key)
+                   for key in raw if key not in schema]
     return values, errors
 
 
@@ -309,7 +325,7 @@ KINDS: Dict[str, Kind] = {
                                      for mv in _inputs(ins, maps=True)
                                      for pos, amp in mv.items())),
     "accumulator": Kind(("in",), _accumulator,
-                        params={"model": Param(AccumulatorModel),
+                        params={"model": Param(_model),
                                 "depth": Param(_int_in(1, MAX_CHAIN_DEPTH)),
                                 "rate": Param(_positive_fraction),
                                 "flux": Param(_positive_fraction),

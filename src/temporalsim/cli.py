@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success/quiescence, 1 parse or validation error, 2 budget
-exhausted, 3 simulator/oracle mismatch. All output is byte-stable for
+Exit codes: 0 success/quiescence, 1 usage, parse or validation error, 2
+budget exhausted, 3 simulator/oracle mismatch. All output is byte-stable for
 identical inputs, and bench reports simulated ticks only, never
 wall-clock.
 """
@@ -13,7 +13,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .blocks import C0
+from .blocks import C0, quote, too_long
 from .core import encode_hybrid, encode_pim, encode_unary
 from .engine import (
     DEFAULT_BUDGET,
@@ -208,17 +208,52 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit code 1, like
+    any other bad input; exit code 2 means the budget ran out."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s"
+                       % " ".join(quote(arg) for arg in extras))
+        return args
+
+    def _check_value(self, action, value):
+        # argparse's own message echoes a bad choice whole. This overrides
+        # an argparse internal, whose signature holds on the Python
+        # versions the CI matrix tests (3.10 to 3.13).
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, "%s is not one of %s" % (
+                quote(value), ", ".join(map(str, action.choices))))
+
+    def error(self, message):
+        self.exit(EXIT_ERROR, "error: %s\n" % message)
+
+
+def _integer(text: str) -> int:
+    """An integer argument, read as a netlist reads one; a bad one is
+    echoed cut short."""
+    problem = too_long(text)
+    if problem is None:
+        try:
+            return int(text)
+        except ValueError:
+            problem = "is not an integer"
+    raise argparse.ArgumentTypeError("%s %s" % (quote(text), problem))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="temporalsim",
         description="Simulate temporal (time-delay) computing netlists.")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_integer, default=None,
                         help="seed for all stochastic components")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate a netlist")
     p.add_argument("netlist")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("--trace", help="write event CSV to this path")
     p.add_argument("--waveform", help="write waveform text to this path")
     p.add_argument("--stats", action="store_true",
@@ -228,26 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check",
                        help="diff simulator against the integer oracle")
     p.add_argument("netlist")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("encode", help="encode integers as temporal codes")
     p.add_argument("--scheme", choices=("unary", "pim", "hybrid"),
                    required=True)
-    p.add_argument("--base", type=int, default=10,
+    p.add_argument("--base", type=_integer, default=10,
                    help="positional base for the hybrid scheme")
-    p.add_argument("values", nargs="+", type=int)
+    p.add_argument("values", nargs="+", type=_integer)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bench", help="tick-cost sweep for one operation")
     p.add_argument("--op", choices=("add", "mul", "madd"), required=True)
     p.add_argument("--sizes", required=True,
                    help="comma-separated operand sizes")
-    p.add_argument("--k", type=int, default=3,
+    p.add_argument("--k", type=_integer, default=3,
                    help="dilation factor for mul")
-    p.add_argument("--amplitude", type=int, default=3,
+    p.add_argument("--amplitude", type=_integer, default=3,
                    help="bucket amplitude for madd")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 

@@ -109,6 +109,47 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
     return table, default
 
 
+def _wire_option(opt: str, line: str, lineno: int,
+                 base_dir: Optional[str],
+                 latency_links: Dict[int, Link]) -> Link:
+    """The Link a wire's `latency=` or `table=` option names."""
+    if opt.startswith("latency="):
+        value = opt[len("latency="):]
+        problem = too_long(value)
+        if problem:
+            raise NetlistParseError(
+                "latency %s %s" % (quote(value), problem), lineno,
+                _column(line, 3) + len("latency="))
+        try:
+            latency = int(value)
+        except ValueError:
+            raise NetlistParseError(
+                "expected integer, got %s" % quote(value), lineno,
+                _column(line, 3) + len("latency=")) from None
+        if latency < 0:
+            raise NetlistParseError(
+                "latency must be non-negative", lineno, _column(line, 3))
+        link = latency_links.get(latency)
+        if link is None:
+            link = latency_links[latency] = Link.constant(latency)
+        return link
+    if opt.startswith("table="):
+        path = opt[len("table="):]
+        try:
+            return Link.from_table(*load_latency_table(
+                os.path.join(base_dir or "", path)))
+        except OSError as exc:
+            raise NetlistParseError(
+                "latency table %s: %s" % (path, exc.strerror),
+                lineno, _column(line, 3)) from None
+        except ValueError as exc:
+            raise NetlistParseError(
+                "latency table %s: %s" % (path, exc), lineno,
+                _column(line, 3)) from None
+    raise NetlistParseError(
+        "unknown wire option %r" % opt, lineno, _column(line, 3))
+
+
 def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     """Parse and validate netlist text.
 
@@ -118,14 +159,55 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     NetlistValidationError carrying every structural violation.
     """
     net = Netlist()
+    wires, blocks = net.wires, net.blocks
     latency_links: Dict[int, Link] = {}  # one shared Link per latency=
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
         if not parts:
             continue
         keyword = parts[0]
-        if keyword == "clock":
+        if keyword == "wire":
+            count = len(parts)
+            if count not in (3, 4):
+                raise NetlistParseError(
+                    "wire needs: wire <src>.<port> <dst>.<port> "
+                    "[latency=<int>|table=<file>]", lineno)
+            # `_parse_port_ref`'s rule, inline; it runs only to raise.
+            src_b, _dot, src_p = parts[1].partition(".")
+            dst_b, _dot, dst_p = parts[2].partition(".")
+            if not (src_b and src_p and dst_b and dst_p) \
+                    or "." in src_p or "." in dst_p:
+                _parse_port_ref(line, lineno, parts, 1)
+                _parse_port_ref(line, lineno, parts, 2)
+            link = _NO_DELAY
+            if count == 4:
+                link = _wire_option(parts[3], line, lineno, base_dir,
+                                    latency_links)
+            wires.append(Wire(src_b, src_p, dst_b, dst_p, link))
+        elif keyword == "block":
+            if len(parts) < 3:
+                raise NetlistParseError(
+                    "block needs: block <id> <kind> [key=value ...]", lineno)
+            bid, kind = parts[1], parts[2]
+            params: Dict[str, str] = {}
+            for index, tok in enumerate(parts[3:], 3):
+                key, eq, val = tok.partition("=")
+                if not eq:
+                    raise NetlistParseError(
+                        "expected key=value, got %r" % tok, lineno,
+                        _column(line, index))
+                if key in params:
+                    raise NetlistParseError(
+                        "duplicate param %r" % key, lineno,
+                        _column(line, index))
+                params[key] = val
+            if bid in blocks:
+                raise NetlistParseError(
+                    "duplicate block id %r" % bid, lineno, _column(line, 1))
+            blocks[bid] = BlockSpec(bid, kind, params)
+        elif keyword == "clock":
             if len(parts) != 3:
                 raise NetlistParseError(
                     "clock needs: clock <id> <freq>", lineno)
@@ -148,76 +230,6 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "duplicate clock id %r" % cid, lineno, _column(line, 1))
             net.clocks[cid] = ClockRef(cid, freq)
-        elif keyword == "block":
-            if len(parts) < 3:
-                raise NetlistParseError(
-                    "block needs: block <id> <kind> [key=value ...]", lineno)
-            bid, kind = parts[1], parts[2]
-            params: Dict[str, str] = {}
-            for index, tok in enumerate(parts[3:], 3):
-                if "=" not in tok:
-                    raise NetlistParseError(
-                        "expected key=value, got %r" % tok, lineno,
-                        _column(line, index))
-                key, val = tok.split("=", 1)
-                if key in params:
-                    raise NetlistParseError(
-                        "duplicate param %r" % key, lineno,
-                        _column(line, index))
-                params[key] = val
-            if bid in net.blocks:
-                raise NetlistParseError(
-                    "duplicate block id %r" % bid, lineno, _column(line, 1))
-            net.blocks[bid] = BlockSpec(bid, kind, params)
-        elif keyword == "wire":
-            if len(parts) not in (3, 4):
-                raise NetlistParseError(
-                    "wire needs: wire <src>.<port> <dst>.<port> "
-                    "[latency=<int>|table=<file>]", lineno)
-            src_b, src_p = _parse_port_ref(line, lineno, parts, 1)
-            dst_b, dst_p = _parse_port_ref(line, lineno, parts, 2)
-            link = _NO_DELAY
-            if len(parts) == 4:
-                opt = parts[3]
-                if opt.startswith("latency="):
-                    value = opt[len("latency="):]
-                    problem = too_long(value)
-                    if problem:
-                        raise NetlistParseError(
-                            "latency %s %s" % (quote(value), problem), lineno,
-                            _column(line, 3) + len("latency="))
-                    try:
-                        latency = int(value)
-                    except ValueError:
-                        raise NetlistParseError(
-                            "expected integer, got %s" % quote(value), lineno,
-                            _column(line, 3) + len("latency=")) from None
-                    if latency < 0:
-                        raise NetlistParseError(
-                            "latency must be non-negative", lineno,
-                            _column(line, 3))
-                    link = latency_links.get(latency)
-                    if link is None:
-                        link = latency_links[latency] = Link.constant(
-                            latency)
-                elif opt.startswith("table="):
-                    path = opt[len("table="):]
-                    try:
-                        link = Link.from_table(*load_latency_table(
-                            os.path.join(base_dir or "", path)))
-                    except OSError as exc:
-                        raise NetlistParseError(
-                            "latency table %s: %s" % (path, exc.strerror),
-                            lineno, _column(line, 3)) from None
-                    except ValueError as exc:
-                        raise NetlistParseError(
-                            "latency table %s: %s" % (path, exc), lineno,
-                            _column(line, 3)) from None
-                else:
-                    raise NetlistParseError(
-                        "unknown wire option %r" % opt, lineno,
-                        _column(line, 3))
-            net.wires.append(Wire(src_b, src_p, dst_b, dst_p, link))
         elif keyword == "probe":
             if len(parts) != 2:
                 raise NetlistParseError(
@@ -235,38 +247,47 @@ def _validate(net: Netlist) -> None:
     on success, store the parsed params, the wiring and the topological
     order on `net`; otherwise raise with every violation."""
     errors: List[str] = []
-    if not net.blocks:
+    blocks = net.blocks
+    if not blocks:
         errors.append("no blocks")
+    # Each block's Kind, looked up once; None for an unknown kind.
+    kinds = {bid: KINDS.get(block.kind) for bid, block in blocks.items()}
 
     # The wiring first: the block checks below read it, but its own
     # problems are reported after theirs.
-    inputs: Dict[str, Dict[str, Wire]] = {bid: {} for bid in net.blocks}
-    outputs: Dict[str, List[Wire]] = {bid: [] for bid in net.blocks}
+    inputs: Dict[str, Dict[str, Wire]] = {bid: {} for bid in blocks}
+    outputs: Dict[str, List[Wire]] = {bid: [] for bid in blocks}
     wire_errors: List[str] = []
+    variadic_ports = set()  # in0, in1, ... names already accepted
     for wire in net.wires:
         src_id, src_port, dst_id, dst_port, _link = wire
-        src, dst = net.blocks.get(src_id), net.blocks.get(dst_id)
-        if src is None or dst is None:
+        src_wires = outputs.get(src_id)
+        if src_wires is None or dst_id not in kinds:
             wire_errors += ["wire endpoint references unknown block %r" % bid
-                            for bid, block in ((src_id, src), (dst_id, dst))
-                            if block is None]
-        if src is not None:
-            outputs[src_id].append(wire)
-            kind = KINDS.get(src.kind)
+                            for bid in (src_id, dst_id) if bid not in kinds]
+        if src_wires is not None:
+            src_wires.append(wire)
+            kind = kinds[src_id]
             if kind is not None and src_port not in kind.outputs:
                 wire_errors.append("block %r (%s) has no output port %r"
-                                   % (src_id, src.kind, src_port))
-        kind = KINDS.get(dst.kind) if dst is not None else None
+                                   % (src_id, blocks[src_id].kind, src_port))
+        kind = kinds.get(dst_id)
         if kind is not None:
-            if kind.inputs is VARIADIC and not (dst_port.startswith("in")
-                                            and dst_port[2:].isdigit()):
-                wire_errors.append(
-                    "block %r (%s) input ports are in0, in1, ... (got %r)"
-                    % (dst_id, dst.kind, dst_port))
-            elif kind.inputs is not None and dst_port not in kind.inputs:
+            if kind.inputs is VARIADIC:
+                if dst_port not in variadic_ports:
+                    if dst_port.startswith("in") and dst_port[2:].isdigit():
+                        variadic_ports.add(dst_port)
+                    else:
+                        wire_errors.append(
+                            "block %r (%s) input ports are in0, in1, ... "
+                            "(got %r)" % (dst_id, blocks[dst_id].kind,
+                                          dst_port))
+            elif dst_port not in kind.inputs:
                 wire_errors.append("block %r (%s) has no input port %r"
-                                   % (dst_id, dst.kind, dst_port))
-        ports = inputs.setdefault(dst_id, {})
+                                   % (dst_id, blocks[dst_id].kind, dst_port))
+        ports = inputs.get(dst_id)
+        if ports is None:
+            ports = inputs[dst_id] = {}
         if dst_port in ports:
             wire_errors.append("input port %s.%s driven by two wires"
                                % (dst_id, dst_port))
@@ -274,43 +295,49 @@ def _validate(net: Netlist) -> None:
 
     # A clocked kind without clock= runs on `main` if declared, else the
     # only clock; any other block without clock= has none.
-    default_clock = "main" if "main" in net.clocks else (
-        next(iter(net.clocks)) if len(net.clocks) == 1 else None)
+    clocks = net.clocks
+    default_clock = "main" if "main" in clocks else (
+        next(iter(clocks)) if len(clocks) == 1 else None)
     params: Dict[str, Dict[str, object]] = {}
     clock_of: Dict[str, Optional[ClockRef]] = {}
-    for block in net.blocks.values():
-        kind = KINDS.get(block.kind)
+    for bid, block in blocks.items():
+        kind = kinds[bid]
         if kind is None:
-            errors.append("block %r has unknown kind %r"
-                          % (block.id, block.kind))
+            errors.append("block %r has unknown kind %r" % (bid, block.kind))
             continue
-        params[block.id], problems = parse_params(block)
-        errors.extend(problems)
-        clock_id = params[block.id].get(
-            "clock", default_clock if kind.clocked else None)
-        clock_of[block.id] = net.clocks.get(clock_id)
+        values, problems = parse_params(block)
+        params[bid] = values
+        errors += problems
+        clock_id = values.get("clock", default_clock if kind.clocked
+                              else None)
+        clock_of[bid] = clocks.get(clock_id)
         if clock_id is None and kind.clocked:
-            errors.append("block %r needs an explicit clock" % block.id)
-        elif clock_id is not None and clock_id not in net.clocks:
+            errors.append("block %r needs an explicit clock" % bid)
+        elif clock_id is not None and clock_id not in clocks:
             errors.append("block %r references unknown clock %r"
-                          % (block.id, clock_id))
-        wired = inputs[block.id]
+                          % (bid, clock_id))
+        wired = inputs[bid]
         if len(wired) > 1:  # fire order: sorted ports, in10 before in2
-            wired = inputs[block.id] = dict(sorted(wired.items()))
-        for port in kind.inputs or ():
-            if port not in wired:
-                errors.append("block %r (%s) input %r is not wired"
-                              % (block.id, block.kind, port))
-        if kind.inputs is VARIADIC and not wired:
-            errors.append("block %r (%s) has no wired inputs"
-                          % (block.id, block.kind))
+            ports = list(wired)
+            ordered = sorted(ports)
+            if ordered != ports:
+                wired = inputs[bid] = {port: wired[port] for port in ordered}
+        if kind.inputs is VARIADIC:
+            if not wired:
+                errors.append("block %r (%s) has no wired inputs"
+                              % (bid, block.kind))
+        else:
+            for port in kind.inputs:
+                if port not in wired:
+                    errors.append("block %r (%s) input %r is not wired"
+                                  % (bid, block.kind, port))
     errors.extend(wire_errors)
 
     for bid, port in net.probes:
-        if bid not in net.blocks:
+        if bid not in blocks:
             errors.append("probe references unknown block %r" % bid)
             continue
-        kind = KINDS.get(net.blocks[bid].kind)
+        kind = kinds[bid]
         if port not in inputs[bid] \
                 and port not in (kind.outputs if kind else ("out",)):
             errors.append("probe references unknown port %s.%s" % (bid, port))
@@ -318,21 +345,23 @@ def _validate(net: Netlist) -> None:
     order: List[str] = []
     if not errors:
         # Kahn's algorithm; the loop visits the blocks it appends.
-        indeg = {bid: len(inputs[bid]) for bid in net.blocks}
+        indeg = {bid: len(ports) for bid, ports in inputs.items()}
         order = [bid for bid, d in indeg.items() if d == 0]
         for bid in order:
             for wire in outputs[bid]:
-                indeg[wire.dst_block] -= 1
-                if indeg[wire.dst_block] == 0:
-                    order.append(wire.dst_block)
-        if len(order) != len(net.blocks):
+                dst = wire.dst_block
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    order.append(dst)
+        if len(order) != len(blocks):
             errors.append("netlist contains a cycle (feed-forward only)")
 
     if errors:
         raise NetlistValidationError(errors)
     by_dst = attrgetter("dst_block", "dst_port")
     for wires in outputs.values():
-        wires.sort(key=by_dst)
+        if len(wires) > 1:
+            wires.sort(key=by_dst)
     declared = set(net.probes)
     net.probes += [(bid, "in") for bid, block in net.blocks.items()
                    if block.kind == "probe" and (bid, "in") not in declared]

@@ -283,7 +283,7 @@ class TestEncode:
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["encode", "--scheme", "unary", "--bogus", "7"])
-        assert err.value.code == 2
+        assert err.value.code == 1
 
 
 class TestBench:
@@ -410,3 +410,53 @@ def test_unwritable_output_is_one_error_line(argv, tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: %s: %s\n" % (
         out, os.strerror(errno.ENOENT))
+
+
+def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
+    path = tmp_path / "model.net"
+    path.write_text("clock main 1\nblock a source value=3\n"
+                    "block c accumulator model=%s\nwire a.out c.in\n"
+                    % ("x" * 5000))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: block 'c' param model='xxxxxxxxxxxxxxxxxxxx'...: "
+                   "must be one of digital, toggle, analog, photon\n")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "{add34}", "--budget", "abc"],
+     "error: argument --budget: 'abc' is not an integer\n"),
+    (["run", "{add34}", "--bogus"],
+     "error: unrecognized arguments: '--bogus'\n"),
+    (["run", "{add34}", "--budget", LONG],
+     "error: argument --budget: '77777777777777777777'... is too long "
+     "(5000 characters, at most 4300)\n"),
+    (["encode", "--scheme", "unary", LONG],
+     "error: argument values: '77777777777777777777'... is too long "
+     "(5000 characters, at most 4300)\n"),
+    (["run", "{add34}", "--bogus=" + LONG],
+     "error: unrecognized arguments: '--bogus=777777777777'...\n"),
+    (["encode", "--scheme", "x" * 5000, "7"],
+     "error: argument --scheme: 'xxxxxxxxxxxxxxxxxxxx'... is not one of "
+     "unary, pim, hybrid\n"),
+    (["x" * 5000],
+     "error: argument command: 'xxxxxxxxxxxxxxxxxxxx'... is not one of "
+     "run, check, encode, bench, export\n"),
+], ids=["budget-abc", "unknown-flag", "long-budget", "long-encode",
+        "long-unknown-flag", "long-choice", "long-command"])
+def test_a_usage_error_is_one_error_line_and_exit_1(argv, message, capsys):
+    # Exit code 2 means the budget ran out, so a usage error must not use it.
+    with pytest.raises(SystemExit) as err:
+        main([a.format(add34=GOLDEN / "add34.net") for a in argv])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert len(message.encode()) < 200
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: temporalsim run")

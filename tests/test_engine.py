@@ -3,12 +3,21 @@ the integer-DAG oracle."""
 
 import dataclasses
 import random
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from temporalsim import blocks, oracle_results, parse_netlist, run
+from temporalsim import (
+    ClockRef,
+    IntervalValue,
+    accumulate_photonic,
+    blocks,
+    oracle_results,
+    parse_netlist,
+    run,
+)
 from temporalsim.blocks import C0
 from temporalsim.cli import main
 from temporalsim.engine import (
@@ -131,12 +140,40 @@ class TestBlockSemantics:
         assert trace.results == {"acc.out": 2}
         assert trace.stats.overflow_flags == ["acc"]
 
+    @pytest.mark.parametrize("value, flags", [(8, ["acc"]), (7, [])])
+    def test_toggle_chain_wraps_at_two_to_the_depth(self, value, flags):
+        # depth=3 holds 2**3 - 1 pulses; the 8th wraps the chain to 0.
+        text = ("clock main 1\n"
+                "block a source value=%d clock=main\n"
+                "block acc accumulator model=toggle depth=3\n"
+                "wire a.out acc.in\nprobe acc.out\n" % value)
+        trace = _run_text(text)
+        assert trace.results == {"acc.out": value % 8}
+        assert trace.stats.overflow_flags == flags
+
     def test_convert_block(self):
         text = ("clock main 1\nclock fast 3\n"
                 "block a source value=5 clock=main\n"
                 "block c convert clock=fast\n"
                 "wire a.out c.in\nprobe c.out\n")
-        assert _run_text(text).results == {"c.out": 15}
+        trace = _run_text(text)
+        assert trace.results == {"c.out": 15}
+        assert trace.stats.block_costs["c"] == C0
+
+    def test_photon_counters_draw_from_their_own_seeds(self):
+        text = ("clock main 1\n"
+                "block a source value=40 clock=main\n"
+                "block p accumulator model=photon flux=3\n"
+                "block q accumulator model=photon flux=3\n"
+                "wire a.out p.in\nwire a.out q.in\n"
+                "probe p.out\nprobe q.out\n")
+        seed = 1234
+        main_clock = ClockRef("main", 1)
+        trace = _run_text(text, seed=seed)
+        for bid in ("p", "q"):
+            assert trace.results[bid + ".out"] == accumulate_photonic(
+                IntervalValue(0, 40, main_clock), main_clock, 3,
+                noise_seed=seed ^ zlib.crc32(bid.encode()))
 
     def test_add_rejects_mixed_clocks(self):
         text = ("clock main 1\nclock other 2\n"

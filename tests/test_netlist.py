@@ -1,9 +1,14 @@
 """Netlist parsing and validation."""
 
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from temporalsim import BlockSpec, Wire, parse_netlist
 from temporalsim.errors import NetlistParseError, NetlistValidationError
+
+from dagutil import random_dag_netlist
 
 ADD_NET = """\
 clock main 1
@@ -104,6 +109,19 @@ def test_inputs_resolve_in_sorted_port_order():
     # Lexicographic, as the ports were always sorted: in10 before in2.
     assert list(net.inputs["m"]) == sorted("in%d" % i for i in range(11))
     assert list(net.inputs["m"])[:3] == ["in0", "in1", "in10"]
+
+
+@pytest.mark.parametrize("tail, expected", [
+    ("block q probe\nblock p probe\nwire a.out q.in\nwire a.out p.in\n",
+     [("p", "in"), ("q", "in")]),
+    ("block q probe\nblock p probe\nblock m min\n"
+     "wire a.out q.in\nwire a.out m.in1\nwire a.out p.in\n"
+     "wire a.out m.in0\n",
+     [("m", "in0"), ("m", "in1"), ("p", "in"), ("q", "in")]),
+], ids=["two", "four"])
+def test_outputs_resolve_in_destination_order(tail, expected):
+    net = parse_netlist("clock main 1\nblock a source value=1\n" + tail)
+    assert [(w.dst_block, w.dst_port) for w in net.outputs["a"]] == expected
 
 
 def test_parse_error_carries_position():
@@ -356,3 +374,88 @@ def test_unknown_param_rejected(source, mul, error):
         parse_netlist("clock main 1\nblock a source %s\nblock m mul %s\n"
                       "wire a.out m.in\nprobe m.out\n" % (source, mul))
     assert err.value.violations == [error]
+
+
+# A number token reads as int() reads it: a sign, underscores between
+# digits and any Unicode decimal digit are accepted; a digit that is not
+# decimal (a superscript) is not.
+@pytest.mark.parametrize("token, value", [
+    ("+3", 3), ("1_000", 1000), ("\u0663", 3), ("007", 7),
+], ids=["plus-sign", "underscore", "arabic-indic-3", "leading-zeros"])
+def test_number_tokens_read_as_int_reads_them(token, value):
+    net = parse_netlist("clock main 1\nblock a source value=%s\n"
+                        "block p probe\nwire a.out p.in latency=%s\n"
+                        % (token, token))
+    assert net.params["a"]["value"] == value
+    assert net.wires[0].link.delay(0) == value
+
+
+def test_a_superscript_digit_is_not_an_integer():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("clock main 1\nblock a source value=\u00b2\n")
+    assert err.value.violations == [
+        "block 'a' param value='\u00b2': is not an integer"]
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("block a source value=1\nblock p probe\n"
+                      "wire a.out p.in latency=\u00b2\n")
+    assert str(err.value) == "line 3:25: expected integer, got '\u00b2'"
+
+
+@pytest.mark.parametrize("ref", ["a.b.c", ".out", "a."])
+@pytest.mark.parametrize("line, column", [
+    ("wire {ref} p.in", 6),
+    ("wire a.out  {ref}", 13),
+    ("wire {ref} {ref} latency=x", 6),       # the first bad token wins
+    ("wire a.out {ref} latency=x", 12),      # a bad ref before the option
+    ("probe\t{ref}", 7),
+], ids=["wire-src", "wire-dst", "wire-both", "wire-dst-and-option",
+        "probe"])
+def test_a_bad_port_ref_keeps_its_error_and_column(ref, line, column):
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("block a source value=1\n" + line.format(ref=ref))
+    assert str(err.value) == ("line 2:%d: expected <block>.<port>, got %r"
+                              % (column, ref))
+
+
+def test_tabs_separate_tokens_and_a_hash_starts_a_comment():
+    spaced = parse_netlist(ADD_NET)
+    tabbed = parse_netlist(
+        "clock\tmain 1  # the clock\n"
+        "\tblock a\tsource value=3\t clock=main#no space\n"
+        "block b source value=4 clock=main # block x add\n"
+        "block  s  add\n\n# wire b.out s.a\n"
+        "wire a.out\ts.a\t# latency=x\nwire b.out s.b\t\n"
+        "probe s.out #\n")
+    assert (tabbed.blocks, tabbed.wires, tabbed.probes, tabbed.order) == \
+        (spaced.blocks, spaced.wires, spaced.probes, spaced.order)
+
+
+def _respell(text, rng):
+    """The same netlist with other runs of spaces and tabs between and
+    around its tokens, comments, blank lines and `latency=0` wires."""
+    def gap():
+        return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
+
+    lines = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[0] == "wire" and rng.random() < 0.5:
+            parts.append("latency=0")
+        spelled = rng.choice(["", gap()]) + parts[0] + "".join(
+            gap() + part for part in parts[1:])
+        if rng.random() < 0.3:
+            spelled += rng.choice(["", gap()]) + "# wire x.out y.in " + gap()
+        lines.append(spelled)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", gap(), "# block z add", "#"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_a_respelled_netlist_resolves_the_same(dag_seed, spell_seed):
+    text = random_dag_netlist(random.Random(dag_seed))
+    canonical = parse_netlist(text)
+    respelled = parse_netlist(_respell(text, random.Random(spell_seed)))
+    for name in ("order", "inputs", "outputs", "params", "clock_of",
+                 "probes"):
+        assert getattr(respelled, name) == getattr(canonical, name), name
