@@ -171,6 +171,10 @@ def _bench_netlist(op: str, size: int, k: int, amplitude: int) -> str:
             "wire a.out d.in0\nprobe d.out\n" % (amplitude, size))
 
 
+class _BudgetExhausted(Exception):
+    """A bench size whose operands end past the budget; args[0] is it."""
+
+
 def bench_rows(op: str, sizes: List[int], k: int = 3,
                amplitude: int = 3, budget: int = DEFAULT_BUDGET):
     """Simulated tick cost of one op block across a size sweep."""
@@ -179,6 +183,8 @@ def bench_rows(op: str, sizes: List[int], k: int = 3,
     for size in sizes:
         net = parse_netlist(_bench_netlist(op, size, k, amplitude))
         trace = run(net, budget=budget)
+        if trace.stats.budget_exhausted:  # the op block never fired
+            raise _BudgetExhausted(size)
         rows.append((size, trace.stats.block_costs[block]))
     return rows
 
@@ -195,6 +201,10 @@ def cmd_bench(args) -> int:
     except (ValueError, TemporalError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except _BudgetExhausted as exc:
+        print("error: tick budget exhausted at size %d" % exc.args[0],
+              file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 

@@ -3,15 +3,17 @@
 In simulated time blocks fire on event arrival, never on a global
 control clock: each block fires once, when its last input ends. The
 host therefore evaluates them in one pass over the netlist's
-topological order, and sorts the events by (tick, block id, port) and
-the warnings by (fire tick, block id), so every run is a pure function
-of the netlist text and seeds. Costs are simulated ticks, never
+topological order, keeps each delivered message, and sorts the
+warnings by (fire tick, block id); the trace lists the events by
+(tick, block id, port) when first read. So every run is a pure
+function of the netlist text and seeds. Costs are simulated ticks, never
 wall-clock. What each block kind computes lives in `blocks.KINDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -35,9 +37,33 @@ class TraceStats:
 
 @dataclass
 class Trace:
-    events: List[Tuple[int, str, str, str]] = field(default_factory=list)
+    """A run's outcome. `delivered` maps each (block, port) that received
+    a message to that message, in delivery order; `events` is derived
+    from it on first read. A trace read back from CSV has events and
+    results but no messages."""
+
+    delivered: Dict[Tuple[str, str], TimedMessage] = field(
+        default_factory=dict)
     results: Dict[str, object] = field(default_factory=dict)
     stats: TraceStats = field(default_factory=TraceStats)
+
+    @cached_property
+    def events(self) -> List[Tuple[int, str, str, str]]:
+        """Every delivered event as (tick, block, port, role), sorted by
+        (tick, block, port). One wire per port: events that tie on that
+        key are one message's, already in start, value-pulse, end order,
+        and the sort is stable."""
+        events = [(tick, block, port, role)
+                  for (block, port), msg in self.delivered.items()
+                  for role, tick in msg.events]
+        events.sort(key=itemgetter(0, 1, 2))
+        return events
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.events, self.results, self.stats) == \
+            (other.events, other.results, other.stats)
 
 
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
@@ -51,34 +77,39 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
-    stats, events, results = trace.stats, trace.events, trace.results
-    probe_set = set(net.probes)
-    delivered: Dict[Tuple[str, str], TimedMessage] = {}  # (block, port)
+    stats, results, delivered = trace.stats, trace.results, trace.delivered
+    costs = stats.block_costs
+    # Bound once per run; `transmit_checked` is still read from this
+    # module at call time, so a wrapper installed on it sees every call.
+    transmit = transmit_checked
+    blocks, params, clock_of = net.blocks, net.params, net.clock_of
+    inputs_of, outputs_of = net.inputs, net.outputs
+    out_probes = {bid for bid, port in net.probes if port == "out"}
     fire_tick: Dict[str, int] = {}
     unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
     failures: List[Tuple[int, str, str, Exception]] = []
     for bid in net.order:
         try:
-            inputs = [delivered[bid, port] for port in net.inputs[bid]]
+            inputs = [delivered[bid, port] for port in inputs_of[bid]]
         except KeyError:  # dropped past the budget, or its source failed
             continue
-        t = fire_tick[bid] = max([m.last_tick for m in inputs], default=0)
-        kind = net.blocks[bid].kind
+        t = fire_tick[bid] = max([m.events[-1][1] for m in inputs],
+                                 default=0)
+        kind = blocks[bid].kind
         try:
             msg, cost = KINDS[kind].fire(Firing(
-                bid, net.params[bid], inputs, t, net.clock_of[bid], seed,
-                stats))
+                bid, params[bid], inputs, t, clock_of[bid], seed, stats))
         except (TemporalError, ValueError) as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
                              exc))
             continue
-        stats.block_costs[bid] = cost
+        costs[bid] = cost
         if msg is None:
             continue
-        if (bid, "out") in probe_set:
+        if bid in out_probes:
             results["%s.out" % bid] = msg.decoded()
-        for src, src_port, dst, port, link in net.outputs[bid]:
-            out = transmit_checked(msg, link)
+        for src, src_port, dst, port, link in outputs_of[bid]:
+            out = transmit(msg, link)
             if isinstance(out, StabilityViolation):
                 name = "%s.%s->%s.%s" % (src, src_port, dst, port)
                 unstable.append((t, bid, "%s value error %+d"
@@ -90,14 +121,10 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                     failures.append((t, bid, "wire %s: distorted message is "
                                      "unreadable: %s" % (name, exc), exc))
                     break
-            if out.last_tick > budget:
+            if out.events[-1][1] > budget:
                 stats.budget_exhausted = True
                 continue
             delivered[dst, port] = out
-            for role, etick in out.events:
-                events.append((etick, dst, port, role))
-            if (dst, port) in probe_set:
-                results["%s.%s" % (dst, port)] = out.decoded()
 
     if failures:
         _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
@@ -105,11 +132,14 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     stats.overflow_flags.sort(key=lambda b: (fire_tick[b], b))
     unstable.sort(key=itemgetter(0, 1))
     stats.stability_violations = [text for _t, _b, text in unstable]
-    # One wire per port: events that tie on (tick, block, port) are one
-    # message's, already in start, value-pulse, end order; sort is stable.
-    events.sort(key=itemgetter(0, 1, 2))
-    stats.event_count = len(events)
-    stats.total_ticks = events[-1][0] if events else 0
+    # A message dropped past the budget was never delivered: its events
+    # and its in-port probe are absent.
+    for bid, port in net.probes:
+        if port != "out" and (bid, port) in delivered:
+            results["%s.%s" % (bid, port)] = delivered[bid, port].decoded()
+    messages = delivered.values()
+    stats.event_count = sum([len(m.events) for m in messages])
+    stats.total_ticks = max([m.events[-1][1] for m in messages], default=0)
     return trace
 
 
@@ -173,11 +203,12 @@ def trace_to_csv(trace: Trace) -> str:
 
 
 def trace_from_csv(text: str) -> Trace:
-    """Rebuild a Trace (events and results only) from its CSV export."""
+    """Rebuild a Trace (events and results only, no delivered messages)
+    from its CSV export."""
     lines = text.splitlines()
     if not lines or lines[0] != "tick,block,port,role":
         raise SimulationError("not a trace CSV (missing header)")
-    trace = Trace()
+    trace, events = Trace(), []
     for line in lines[1:]:
         if not line:
             continue
@@ -187,11 +218,12 @@ def trace_from_csv(text: str) -> Trace:
             continue
         try:
             tick, block, port, role = line.split(",")
-            trace.events.append((int(tick), block, port, role))
+            events.append((int(tick), block, port, role))
         except ValueError:
             raise SimulationError("malformed trace row %r" % line) from None
-    trace.stats.event_count = len(trace.events)
-    trace.stats.total_ticks = max((e[0] for e in trace.events), default=0)
+    trace.events = events  # in file order; the CSV carries no messages
+    trace.stats.event_count = len(events)
+    trace.stats.total_ticks = max((e[0] for e in events), default=0)
     return trace
 
 

@@ -275,7 +275,9 @@ def _validate(net: Netlist) -> None:
         if kind is not None:
             if kind.inputs is VARIADIC:
                 if dst_port not in variadic_ports:
-                    if dst_port.startswith("in") and dst_port[2:].isdigit():
+                    number = dst_port[2:]
+                    if (dst_port.startswith("in") and number.isascii()
+                            and number.isdigit()):
                         variadic_ports.add(dst_port)
                     else:
                         wire_errors.append(

@@ -319,6 +319,17 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         assert main(["bench", "--op", "add", "--sizes", "0"]) == 1
 
+    @pytest.mark.parametrize("argv, size", [
+        (["--op", "add", "--sizes", "3,200000000"], 200000000),
+        (["--op", "mul", "--sizes", "5", "--budget", "3"], 5),
+    ], ids=["add-past-default-budget", "mul-past-budget"])
+    def test_a_size_past_the_budget_is_exit_2_and_no_csv(self, argv, size,
+                                                        capsys):
+        assert main(["bench"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tick budget exhausted at size %d\n" % size
+
 
 class TestExport:
     def test_waveform_from_trace(self, add_net, tmp_path, capsys):

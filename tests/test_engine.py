@@ -18,9 +18,11 @@ from temporalsim import (
     parse_netlist,
     run,
 )
+from temporalsim import cli
 from temporalsim.blocks import C0
 from temporalsim.cli import main
 from temporalsim.engine import (
+    format_result,
     trace_from_csv,
     trace_to_csv,
     trace_to_waveform,
@@ -469,3 +471,75 @@ class TestStatsAndExport:
         assert any(line.startswith("$var wire 1 ") for line in lines)
         assert any(line.startswith("#") for line in lines)
         assert wave.endswith("\n")
+
+
+FIGURES = ("unary7", "add34", "mul5x3", "mux57", "madd")
+# The five golden figures and random `dagutil` netlists.
+NETLISTS = st.one_of(
+    st.sampled_from([(GOLDEN / (f + ".net")).read_text() for f in FIGURES]),
+    st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: random_dag_netlist(random.Random(seed))))
+
+
+class TestTraceContract:
+    """A trace keeps the messages its run delivered; its event list is
+    derived from them on first read and never built by `run` itself."""
+
+    @given(NETLISTS)
+    def test_stats_and_exports_agree_with_the_events(self, text):
+        net = parse_netlist(text)
+        trace, unread = run(net), run(net)
+        events, stats = trace.events, trace.stats
+        assert stats.event_count == len(events)
+        assert stats.total_ticks == (events[-1][0] if events else 0)
+        assert events == sorted(events, key=_full_key)
+        csv = trace_to_csv(trace)
+        assert "events" not in vars(unread)
+        assert trace_to_csv(unread) == csv
+        again = trace_from_csv(csv)
+        assert again.delivered == {}
+        assert again.events == events
+        assert again.results == {k: format_result(v)
+                                 for k, v in trace.results.items()}
+        assert trace_to_waveform(again) == trace_to_waveform(trace)
+
+    def test_run_builds_no_event_list(self):
+        trace = _run_text(ADD_NET)
+        assert "events" not in vars(trace)
+        assert list(trace.delivered) == [("s", "a"), ("s", "b")]
+        assert trace.stats.event_count == 4
+        assert trace.stats.total_ticks == 4
+        assert "events" not in vars(trace)
+
+    def test_check_builds_no_event_list(self, monkeypatch, capsys):
+        traces, cli_run = [], cli.run
+
+        def keep(*args, **kwargs):
+            traces.append(cli_run(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(cli, "run", keep)
+        assert main(["check", str(GOLDEN / "add34.net")]) == 0
+        assert capsys.readouterr().out == "ok sum.out=7\n"
+        assert len(traces) == 1 and "events" not in vars(traces[0])
+
+    def test_a_message_cut_by_the_budget_is_absent(self):
+        text = ("clock main 1\n"
+                "block a source value=10 clock=main\n"
+                "block b source value=2 clock=main\n"
+                "block p probe\nblock q probe\n"
+                "wire a.out p.in\nwire b.out q.in\n"
+                "probe p.in\nprobe q.in\n")
+        trace = _run_text(text, budget=5)
+        assert trace.stats.budget_exhausted
+        assert list(trace.delivered) == [("q", "in")]
+        assert trace.events == [(0, "q", "in", "start"),
+                                (2, "q", "in", "end")]
+        assert trace.results == {"q.in": 2}
+
+    def test_csv_traces_differing_in_one_row_are_unequal(self):
+        text = trace_to_csv(_run_text(ADD_NET))
+        assert trace_from_csv(text) == trace_from_csv(text)
+        other = text.replace("4,s,b,end", "5,s,b,end")
+        assert other != text
+        assert trace_from_csv(other) != trace_from_csv(text)

@@ -111,6 +111,26 @@ def test_inputs_resolve_in_sorted_port_order():
     assert list(net.inputs["m"])[:3] == ["in0", "in1", "in10"]
 
 
+VARIADIC_NET = ("clock main 1\nblock a source value=1 clock=main\n"
+                "block b source value=2 clock=main\nblock m min\n"
+                "wire a.out m.in3\nwire b.out m.{port}\nprobe m.out\n")
+
+
+@pytest.mark.parametrize("port", ["in٣", "in²", "in3²"],
+                         ids=["arabic-indic-3", "superscript-2",
+                              "3-superscript-2"])
+def test_a_variadic_port_is_numbered_in_ascii_digits(port):
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(VARIADIC_NET.format(port=port))
+    assert err.value.violations == [
+        "block 'm' (min) input ports are in0, in1, ... (got %r)" % port]
+
+
+def test_a_variadic_port_may_have_leading_zeros():
+    net = parse_netlist(VARIADIC_NET.format(port="in007"))
+    assert list(net.inputs["m"]) == ["in007", "in3"]
+
+
 @pytest.mark.parametrize("tail, expected", [
     ("block q probe\nblock p probe\nwire a.out q.in\nwire a.out p.in\n",
      [("p", "in"), ("q", "in")]),
