@@ -10,7 +10,7 @@ conversion of a count between time references.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -29,21 +29,24 @@ class AccumulatorModel(enum.Enum):
     PHOTON_COUNTER = "photon"
 
 
-@dataclass(frozen=True)
-class AccumulatorConfig:
-    model: AccumulatorModel = AccumulatorModel.DIGITAL_COUNTER
-    chain_depth: int = 8            # toggle chain only
-    rate: Fraction = Fraction(1)    # analog charge per reference pulse
-    flux: Fraction = Fraction(1)    # expected photons per reference pulse
-    noise_seed: Optional[int] = None
+class AccumulatorConfig(namedtuple(
+        "AccumulatorConfig", "model chain_depth rate flux noise_seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.chain_depth < 1:
+    def __new__(cls,
+                model: AccumulatorModel = AccumulatorModel.DIGITAL_COUNTER,
+                chain_depth: int = 8,           # toggle chain only
+                rate: Fraction = Fraction(1),   # analog charge per pulse
+                flux: Fraction = Fraction(1),   # expected photons per pulse
+                noise_seed: Optional[int] = None):
+        if chain_depth < 1:
             raise ValueError("chain depth must be >= 1")
-        if Fraction(self.rate) <= 0:
+        if Fraction(rate) <= 0:
             raise ValueError("rate must be > 0")
-        if Fraction(self.flux) <= 0:
+        if Fraction(flux) <= 0:
             raise ValueError("flux must be > 0")
+        return tuple.__new__(cls, (model, chain_depth, rate, flux,
+                                   noise_seed))
 
     @classmethod
     def _trusted(cls, model: AccumulatorModel, chain_depth: int,
@@ -51,24 +54,21 @@ class AccumulatorConfig:
                  noise_seed: Optional[int]) -> "AccumulatorConfig":
         """A config whose fields are already known to be valid, built
         without the check."""
-        config = object.__new__(cls)
-        object.__setattr__(config, "__dict__", {
-            "model": model, "chain_depth": chain_depth, "rate": rate,
-            "flux": flux, "noise_seed": noise_seed})
-        return config
+        return tuple.__new__(cls, (model, chain_depth, rate, flux,
+                                   noise_seed))
 
 
-@dataclass(frozen=True)
-class BinaryWord:
+class BinaryWord(namedtuple("BinaryWord", "bits")):
     """Least-significant-first bit vector produced by a toggle chain."""
 
-    bits: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+    def __new__(cls, bits: Tuple[int, ...]):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
-        if not self.bits:
+        if not bits:
             raise ValueError("width must be >= 1")
+        return tuple.__new__(cls, (bits,))
 
     @property
     def width(self) -> int:

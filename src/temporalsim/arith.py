@@ -7,8 +7,8 @@ multi-valent train turns a dot product into a single counting sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Sequence, Set
+from collections import namedtuple
+from typing import Dict, Iterable, Sequence, Set
 
 from .core import (
     DEFAULT_CLOCK,
@@ -27,8 +27,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class MuxChannel:
+class MuxChannel(namedtuple("MuxChannel", "value_pulses clock")):
     """Several duplicate-free values sharing one channel.
 
     The channel is the pulse-wise OR of the members' interval codes from
@@ -36,14 +35,14 @@ class MuxChannel:
     leading span of a longer one.
     """
 
-    value_pulses: FrozenSet[int]
-    clock: ClockRef = DEFAULT_CLOCK
+    __slots__ = ()
 
-    def __post_init__(self):
-        pulses = frozenset(int(p) for p in self.value_pulses)
+    def __new__(cls, value_pulses: Iterable[int],
+                clock: ClockRef = DEFAULT_CLOCK):
+        pulses = frozenset(int(p) for p in value_pulses)
         if any(p <= 0 for p in pulses):
             raise ValueError("value pulses must be positive ticks")
-        object.__setattr__(self, "value_pulses", pulses)
+        return tuple.__new__(cls, (pulses, clock))
 
 
 def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:

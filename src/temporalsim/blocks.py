@@ -15,7 +15,8 @@ integer arithmetic only, so the two stay independent.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -37,10 +38,11 @@ from .errors import SimulationError
 C0 = 1
 
 
-@dataclass(frozen=True)
-class Param:
-    parse: Callable[[str], object]     # raises ValueError on a bad value
-    required: bool = False
+class Param(namedtuple("Param", "parse required", defaults=(False,))):
+    """A parameter's parser, which raises ValueError on a bad value, and
+    whether the netlist must set it."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -60,16 +62,25 @@ Fire = Callable[[Firing], Tuple[Optional[TimedMessage], int]]
 Oracle = Callable[[Dict[str, object], Dict[str, object]], object]
 
 
-@dataclass(frozen=True)
-class Kind:
-    inputs: Optional[Tuple[str, ...]]  # VARIADIC: in0, in1, ...
-    fire: Fire
-    oracle: Optional[Oracle] = None
-    params: Dict[str, Param] = field(default_factory=dict)
-    clocked: bool = False              # no clock= means the netlist default
-    outputs: Tuple[str, ...] = ("out",)
-    # A rule across parameters: returns a problem, or None when they agree.
-    check: Optional[Callable[[Dict[str, object]], Optional[str]]] = None
+class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
+                             "check")):
+    """A block kind. `inputs` lists its ports, or is VARIADIC for in0,
+    in1, ...; without clock=, a `clocked` kind runs on the netlist's
+    default clock; `check` is a rule across parameters that returns a
+    problem, or None when they agree."""
+
+    __slots__ = ()
+
+    def __new__(cls, inputs: Optional[Tuple[str, ...]], fire: Fire,
+                oracle: Optional[Oracle] = None,
+                params: Optional[Dict[str, Param]] = None,
+                clocked: bool = False, outputs: Tuple[str, ...] = ("out",),
+                check: Optional[Callable[[Dict[str, object]],
+                                         Optional[str]]] = None):
+        # Each kind gets its own params dict, never a shared default.
+        return tuple.__new__(cls, (inputs, fire, oracle,
+                                   {} if params is None else params,
+                                   clocked, outputs, check))
 
 
 VARIADIC = None

@@ -8,7 +8,7 @@ two serial delivery modes and reads them back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 from typing import (Iterable, List, Mapping, Optional, Sequence, Tuple,
                     Union)
@@ -21,8 +21,7 @@ EVENT_END = "end"
 EVENT_VALUE = "value-pulse"
 
 
-@dataclass(frozen=True)
-class TimedMessage:
+class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     """A sequence of (role, emission tick) events; one start event first.
 
     The payload is implicit in the spacing: the decoded value is the gap
@@ -32,23 +31,23 @@ class TimedMessage:
     `amplitudes` empty.
     """
 
-    events: Tuple[Tuple[str, int], ...]
-    clock: ClockRef = DEFAULT_CLOCK
-    amplitudes: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        events = tuple((str(r), int(t)) for r, t in self.events)
+    def __new__(cls, events: Sequence[Tuple[str, int]],
+                clock: ClockRef = DEFAULT_CLOCK,
+                amplitudes: Sequence[int] = ()):
+        events = tuple((str(r), int(t)) for r, t in events)
         if not events or events[0][0] != EVENT_START:
             raise ValueError("message must open with a start event")
         ticks = [t for _, t in events]
         if any(b < a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("events must be in non-decreasing order")
-        object.__setattr__(self, "events", events)
-        if self.amplitudes:
-            amps = tuple(int(a) for a in self.amplitudes)
-            if len(amps) != len(self.value_offsets()) or min(amps) < 1:
+        if amplitudes:
+            amplitudes = tuple(int(a) for a in amplitudes)
+            pulses = sum(1 for r, _t in events if r == EVENT_VALUE)
+            if len(amplitudes) != pulses or min(amplitudes) < 1:
                 raise ValueError("need one amplitude >= 1 per value pulse")
-            object.__setattr__(self, "amplitudes", amps)
+        return tuple.__new__(cls, (events, clock, amplitudes))
 
     @classmethod
     def _trusted(cls, events: Tuple[Tuple[str, int], ...], clock: ClockRef,
@@ -56,10 +55,7 @@ class TimedMessage:
         """A message already known to be valid, built without the
         re-check. The constructors below check only what their arguments
         can break, then build through this."""
-        msg = object.__new__(cls)
-        object.__setattr__(msg, "__dict__", {
-            "events": events, "clock": clock, "amplitudes": amplitudes})
-        return msg
+        return tuple.__new__(cls, (events, clock, amplitudes))
 
     @classmethod
     def interval(cls, value: int, start: int = 0,
@@ -129,19 +125,17 @@ def _pulses(start: int, offsets) -> Tuple[Tuple[str, int], ...]:
     return ((EVENT_START, start),) + tuple((EVENT_VALUE, t) for t in ticks)
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(namedtuple("Link", "default table")):
     """A one-way path: an event emitted at tick t arrives `table[t]` ticks
     later, or `default` ticks where the table does not list t. The table
     is a read-only copy, so links compare and hash by value."""
 
-    default: int
-    table: Mapping[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.default < 0 or any(d < 0 for d in self.table.values()):
+    def __new__(cls, default: int, table: Mapping[int, int]):
+        if default < 0 or any(d < 0 for d in table.values()):
             raise ValueError("link delays must be non-negative")
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
+        return tuple.__new__(cls, (default, MappingProxyType(dict(table))))
 
     def __hash__(self):
         return hash((self.default, frozenset(self.table.items())))
@@ -160,8 +154,8 @@ class Link:
         return cls(default, table)
 
 
-@dataclass(frozen=True)
-class StabilityViolation:
+class StabilityViolation(namedtuple("StabilityViolation",
+                                   "original distorted_events")):
     """Diagnosis of a link whose delay changed inside the data interval.
 
     Not an exception: the distorted events and the induced value error
@@ -171,8 +165,7 @@ class StabilityViolation:
     when the final event overtakes the start marker.
     """
 
-    original: TimedMessage
-    distorted_events: Tuple[Tuple[str, int], ...]
+    __slots__ = ()
 
     @property
     def distorted_value(self) -> int:

@@ -153,26 +153,29 @@ def cmd_encode(args) -> int:
 
 
 def _bench_netlist(op: str, size: int, k: int, amplitude: int) -> str:
+    # The op block's output feeds a probe block, so an output past the
+    # budget is a dropped delivery like any other.
     if op == "add":
         return ("clock main 1\n"
                 "block a source value=%d clock=main\n"
                 "block b source value=%d clock=main\n"
-                "block s add\n"
-                "wire a.out s.a\nwire b.out s.b\nprobe s.out\n"
+                "block s add\nblock p probe\n"
+                "wire a.out s.a\nwire b.out s.b\nwire s.out p.in\n"
                 % (size, size))
     if op == "mul":
         return ("clock main 1\n"
                 "block a source value=%d clock=main\n"
-                "block m mul k=%d\n"
-                "wire a.out m.in\nprobe m.out\n" % (size, k))
+                "block m mul k=%d\nblock p probe\n"
+                "wire a.out m.in\nwire m.out p.in\n" % (size, k))
     return ("clock main 1\n"
             "block a source value=%d position=%d clock=main\n"
-            "block d madd\n"
-            "wire a.out d.in0\nprobe d.out\n" % (amplitude, size))
+            "block d madd\nblock p probe\n"
+            "wire a.out d.in0\nwire d.out p.in\n" % (amplitude, size))
 
 
 class _BudgetExhausted(Exception):
-    """A bench size whose operands end past the budget; args[0] is it."""
+    """A bench size whose operands or output end past the budget; args[0]
+    is it."""
 
 
 def bench_rows(op: str, sizes: List[int], k: int = 3,
@@ -183,7 +186,9 @@ def bench_rows(op: str, sizes: List[int], k: int = 3,
     for size in sizes:
         net = parse_netlist(_bench_netlist(op, size, k, amplitude))
         trace = run(net, budget=budget)
-        if trace.stats.budget_exhausted:  # the op block never fired
+        # An operand past the budget: the op block never fired. Its output
+        # past the budget: the probe never received it.
+        if trace.stats.budget_exhausted:
             raise _BudgetExhausted(size)
         rows.append((size, trace.stats.block_costs[block]))
     return rows

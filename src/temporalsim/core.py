@@ -8,7 +8,7 @@ functions; nothing touches global state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple, Union
 
@@ -17,22 +17,20 @@ from .errors import DigitOverflow, InvalidBase, MalformedCode
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class ClockRef:
+class ClockRef(namedtuple("ClockRef", "id frequency")):
     """A named time reference with an exact rational frequency.
 
     Frequencies are abstract pulses-per-unit-time; only ratios between
     clocks ever matter, like exchange rates between currencies.
     """
 
-    id: str
-    frequency: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        freq = Fraction(self.frequency)
+    def __new__(cls, id: str, frequency: Rational = Fraction(1)):
+        freq = Fraction(frequency)
         if freq <= 0:
-            raise ValueError("clock %r frequency must be > 0" % self.id)
-        object.__setattr__(self, "frequency", freq)
+            raise ValueError("clock %r frequency must be > 0" % id)
+        return tuple.__new__(cls, (id, freq))
 
     def ratio_to(self, other: "ClockRef") -> Fraction:
         """Exact frequency ratio self/other."""
@@ -42,10 +40,7 @@ class ClockRef:
     def _trusted(cls, id: str, frequency: Fraction) -> "ClockRef":
         """A clock already known to be valid (a positive `Fraction`),
         built without the check."""
-        clock = object.__new__(cls)
-        object.__setattr__(clock, "__dict__",
-                           {"id": id, "frequency": frequency})
-        return clock
+        return tuple.__new__(cls, (id, frequency))
 
     def scaled(self, k: int) -> "ClockRef":
         """A derived reference running k times faster."""
@@ -68,73 +63,61 @@ class DeliveryMode(enum.Enum):
     PARALLEL_ASYNCHRONOUS = "parallel_asynchronous"
 
 
-@dataclass(frozen=True)
-class PulseTrain:
+class PulseTrain(namedtuple("PulseTrain", "pulses clock")):
     """Pulses at strictly increasing tick positions on one channel."""
 
-    pulses: Tuple[int, ...]
-    clock: ClockRef = DEFAULT_CLOCK
+    __slots__ = ()
 
-    def __post_init__(self):
-        pulses = tuple(int(p) for p in self.pulses)
+    def __new__(cls, pulses: Sequence[int], clock: ClockRef = DEFAULT_CLOCK):
+        pulses = tuple(int(p) for p in pulses)
         if any(p < 0 for p in pulses):
             raise ValueError("pulse positions must be non-negative")
         if any(b <= a for a, b in zip(pulses, pulses[1:])):
             raise ValueError("pulse positions must be strictly increasing")
-        object.__setattr__(self, "pulses", pulses)
+        return tuple.__new__(cls, (pulses, clock))
 
 
-@dataclass(frozen=True)
-class UnaryTrain:
+class UnaryTrain(namedtuple("UnaryTrain", "length clock")):
     """A run of contiguous marks starting at tick 0; length is the value."""
 
-    length: int
-    clock: ClockRef = DEFAULT_CLOCK
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __new__(cls, length: int, clock: ClockRef = DEFAULT_CLOCK):
+        if length < 0:
             raise ValueError("unary length must be non-negative")
+        return tuple.__new__(cls, (length, clock))
 
     @classmethod
     def _trusted(cls, length: int, clock: ClockRef) -> "UnaryTrain":
         """A train already known to be valid, built without the check."""
-        train = object.__new__(cls)
-        object.__setattr__(train, "__dict__",
-                           {"length": length, "clock": clock})
-        return train
+        return tuple.__new__(cls, (length, clock))
 
 
-@dataclass(frozen=True)
-class IntervalValue:
+class IntervalValue(namedtuple("IntervalValue", "start end clock")):
     """One datum as a (start, end) event pair; value = end - start."""
 
-    start: int
-    end: int
-    clock: ClockRef = DEFAULT_CLOCK
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start < 0:
+    def __new__(cls, start: int, end: int, clock: ClockRef = DEFAULT_CLOCK):
+        if start < 0:
             raise ValueError("interval start must be non-negative")
-        if self.end < self.start:
+        if end < start:
             raise ValueError("interval end precedes start")
+        return tuple.__new__(cls, (start, end, clock))
 
     @classmethod
     def _trusted(cls, start: int, end: int,
                  clock: ClockRef) -> "IntervalValue":
         """An interval already known to be valid, built without the
         check."""
-        iv = object.__new__(cls)
-        object.__setattr__(iv, "__dict__",
-                           {"start": start, "end": end, "clock": clock})
-        return iv
+        return tuple.__new__(cls, (start, end, clock))
 
     @property
     def length(self) -> int:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class MultiValentTrain:
+class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
     """Marks with integer amplitudes: position -> amplitude buckets.
 
     An amplitude a at position b encodes the product contribution a*b.
@@ -142,11 +125,11 @@ class MultiValentTrain:
     is hashable; absent positions mean amplitude 0.
     """
 
-    items: Tuple[Tuple[int, int], ...] = ()
-    clock: ClockRef = DEFAULT_CLOCK
+    __slots__ = ()
 
-    def __post_init__(self):
-        items = tuple(sorted((int(p), int(a)) for p, a in self.items))
+    def __new__(cls, items: Sequence[Tuple[int, int]] = (),
+                clock: ClockRef = DEFAULT_CLOCK):
+        items = tuple(sorted((int(p), int(a)) for p, a in items))
         for pos, amp in items:
             if pos < 0:
                 raise ValueError("bucket position must be non-negative")
@@ -154,7 +137,7 @@ class MultiValentTrain:
                 raise ValueError("bucket amplitude must be >= 1")
         if len({p for p, _ in items}) != len(items):
             raise ValueError("duplicate bucket positions")
-        object.__setattr__(self, "items", items)
+        return tuple.__new__(cls, (items, clock))
 
     @classmethod
     def _trusted(cls, items: Tuple[Tuple[int, int], ...],
@@ -162,10 +145,7 @@ class MultiValentTrain:
         """A train whose items are already a tuple of int pairs sorted by
         unique position >= 0, each amplitude >= 1; built without the
         check."""
-        train = object.__new__(cls)
-        object.__setattr__(train, "__dict__",
-                           {"items": items, "clock": clock})
-        return train
+        return tuple.__new__(cls, (items, clock))
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[int, int],

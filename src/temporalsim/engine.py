@@ -88,13 +88,19 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     fire_tick: Dict[str, int] = {}
     unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
     failures: List[Tuple[int, str, str, Exception]] = []
+    event_count = total_ticks = 0
     for bid in net.order:
+        inputs, t = [], 0
         try:
-            inputs = [delivered[bid, port] for port in inputs_of[bid]]
+            for port in inputs_of[bid]:
+                msg = delivered[bid, port]
+                inputs.append(msg)
+                last = msg.events[-1][1]
+                if last > t:
+                    t = last
         except KeyError:  # dropped past the budget, or its source failed
             continue
-        t = fire_tick[bid] = max([m.events[-1][1] for m in inputs],
-                                 default=0)
+        fire_tick[bid] = t
         kind = blocks[bid].kind
         try:
             msg, cost = KINDS[kind].fire(Firing(
@@ -121,10 +127,14 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                     failures.append((t, bid, "wire %s: distorted message is "
                                      "unreadable: %s" % (name, exc), exc))
                     break
-            if out.events[-1][1] > budget:
+            last = out.events[-1][1]
+            if last > budget:
                 stats.budget_exhausted = True
                 continue
             delivered[dst, port] = out
+            event_count += len(out.events)
+            if last > total_ticks:
+                total_ticks = last
 
     if failures:
         _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
@@ -137,9 +147,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     for bid, port in net.probes:
         if port != "out" and (bid, port) in delivered:
             results["%s.%s" % (bid, port)] = delivered[bid, port].decoded()
-    messages = delivered.values()
-    stats.event_count = sum([len(m.events) for m in messages])
-    stats.total_ticks = max([m.events[-1][1] for m in messages], default=0)
+    stats.event_count, stats.total_ticks = event_count, total_ticks
     return trace
 
 

@@ -10,9 +10,14 @@ from hypothesis import given, strategies as st
 from temporalsim import (
     AccumulatorConfig,
     AccumulatorModel,
+    BinaryWord,
     ClockRef,
     IntervalValue,
+    Link,
     MultiValentTrain,
+    MuxChannel,
+    PulseTrain,
+    StabilityViolation,
     TimedMessage,
     UnaryTrain,
     add_concat,
@@ -22,7 +27,7 @@ from temporalsim import (
     mul_dilate,
     mv_merge,
 )
-from temporalsim.blocks import KINDS, Firing
+from temporalsim.blocks import KINDS, Firing, Kind, Param
 from temporalsim.errors import (
     ClockMismatch,
     EmptyInput,
@@ -223,3 +228,144 @@ def test_scaled_builds_the_public_clock(clock, k):
 def test_scaled_takes_a_non_integer_factor():
     assert MAIN.scaled(2.5) == ClockRef("mainx2", Fraction(5, 2))
     assert mul_dilate(UnaryTrain(3), 2.5).length == 7
+
+
+# ---------------------------------------------------------------------------
+# The value types are tuple records. Each keeps the field names, repr and
+# constructor errors it had as a frozen dataclass, cannot be assigned to,
+# and hashes by its fields. Each example passes what the constructor
+# normalises (an int frequency, lists, a set) in the loose form.
+
+_M = "ClockRef(id='main', frequency=Fraction(1, 1))"
+_MSG = "TimedMessage(events=(('start', 0), ('end', 3)), clock=%s, " \
+       "amplitudes=())" % _M
+
+# class: (example, field names, repr, [(call, exception type, text)]).
+# A text of None pins the type only: a missing argument's TypeError
+# names the function that reports it.
+VALUE_TYPES = {
+    ClockRef: (
+        lambda: ClockRef("fast", 3), ("id", "frequency"),
+        "ClockRef(id='fast', frequency=Fraction(3, 1))",
+        [(lambda: ClockRef("c", Fraction(0)), ValueError,
+          "clock 'c' frequency must be > 0"),
+         (lambda: ClockRef("c", -2), ValueError,
+          "clock 'c' frequency must be > 0")]),
+    PulseTrain: (
+        lambda: PulseTrain([0, 5]), ("pulses", "clock"),
+        "PulseTrain(pulses=(0, 5), clock=%s)" % _M,
+        [(lambda: PulseTrain((-1, 2)), ValueError,
+          "pulse positions must be non-negative"),
+         (lambda: PulseTrain((3, 3)), ValueError,
+          "pulse positions must be strictly increasing")]),
+    UnaryTrain: (
+        lambda: UnaryTrain(3), ("length", "clock"),
+        "UnaryTrain(length=3, clock=%s)" % _M,
+        [(lambda: UnaryTrain(-1), ValueError,
+          "unary length must be non-negative")]),
+    IntervalValue: (
+        lambda: IntervalValue(2, 5), ("start", "end", "clock"),
+        "IntervalValue(start=2, end=5, clock=%s)" % _M,
+        [(lambda: IntervalValue(-1, 3), ValueError,
+          "interval start must be non-negative"),
+         (lambda: IntervalValue(5, 3), ValueError,
+          "interval end precedes start")]),
+    MultiValentTrain: (
+        lambda: MultiValentTrain(((3, 1), (1, 2))), ("items", "clock"),
+        "MultiValentTrain(items=((1, 2), (3, 1)), clock=%s)" % _M,
+        [(lambda: MultiValentTrain(((-1, 2),)), ValueError,
+          "bucket position must be non-negative"),
+         (lambda: MultiValentTrain(((2, 0),)), ValueError,
+          "bucket amplitude must be >= 1"),
+         (lambda: MultiValentTrain(((2, 1), (2, 3))), ValueError,
+          "duplicate bucket positions")]),
+    TimedMessage: (
+        lambda: TimedMessage([("start", 0), ("end", 3)]),
+        ("events", "clock", "amplitudes"), _MSG,
+        [(lambda: TimedMessage(()), ValueError,
+          "message must open with a start event"),
+         (lambda: TimedMessage((("end", 0),)), ValueError,
+          "message must open with a start event"),
+         (lambda: TimedMessage((("start", 3), ("end", 2))), ValueError,
+          "events must be in non-decreasing order"),
+         (lambda: TimedMessage((("start", 0), ("value-pulse", 2)), MAIN,
+                               (1, 2)), ValueError,
+          "need one amplitude >= 1 per value pulse"),
+         (lambda: TimedMessage((("start", 0), ("value-pulse", 2)), MAIN,
+                               (0,)), ValueError,
+          "need one amplitude >= 1 per value pulse")]),
+    Link: (
+        lambda: Link(2, {0: 1}), ("default", "table"),
+        "Link(default=2, table=mappingproxy({0: 1}))",
+        [(lambda: Link(-1, {}), ValueError,
+          "link delays must be non-negative"),
+         (lambda: Link(0, {1: -1}), ValueError,
+          "link delays must be non-negative"),
+         (lambda: Link.constant(-1), ValueError,
+          "link delay must be non-negative")]),
+    StabilityViolation: (
+        lambda: StabilityViolation(TimedMessage.interval(3),
+                                   (("start", 1), ("end", 3))),
+        ("original", "distorted_events"),
+        "StabilityViolation(original=%s, distorted_events=(('start', 1), "
+        "('end', 3)))" % _MSG,
+        [(lambda: StabilityViolation(TimedMessage.interval(3)), TypeError,
+          None)]),
+    MuxChannel: (
+        lambda: MuxChannel({5, 2}), ("value_pulses", "clock"),
+        "MuxChannel(value_pulses=frozenset({2, 5}), clock=%s)" % _M,
+        [(lambda: MuxChannel({0, 2}), ValueError,
+          "value pulses must be positive ticks")]),
+    AccumulatorConfig: (
+        AccumulatorConfig,
+        ("model", "chain_depth", "rate", "flux", "noise_seed"),
+        "AccumulatorConfig(model=<AccumulatorModel.DIGITAL_COUNTER: "
+        "'digital'>, chain_depth=8, rate=Fraction(1, 1), "
+        "flux=Fraction(1, 1), noise_seed=None)",
+        [(lambda: AccumulatorConfig(chain_depth=0), ValueError,
+          "chain depth must be >= 1"),
+         (lambda: AccumulatorConfig(rate=0), ValueError, "rate must be > 0"),
+         (lambda: AccumulatorConfig(flux=Fraction(-1)), ValueError,
+          "flux must be > 0")]),
+    BinaryWord: (
+        lambda: BinaryWord((1, 0, 1)), ("bits",),
+        "BinaryWord(bits=(1, 0, 1))",
+        [(lambda: BinaryWord((1, 2)), ValueError, "bits must be 0 or 1"),
+         (lambda: BinaryWord(()), ValueError, "width must be >= 1")]),
+    Param: (
+        lambda: Param(int, True), ("parse", "required"),
+        "Param(parse=<class 'int'>, required=True)",
+        [(lambda: Param(), TypeError, None)]),
+    Kind: (
+        lambda: Kind(("a",), len),
+        ("inputs", "fire", "oracle", "params", "clocked", "outputs",
+         "check"),
+        "Kind(inputs=('a',), fire=<built-in function len>, oracle=None, "
+        "params={}, clocked=False, outputs=('out',), check=None)",
+        [(lambda: Kind(("a",)), TypeError, None)]),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUE_TYPES),
+                         ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    example, fields, text, rejected = VALUE_TYPES[cls]
+    value, twin = example(), example()
+    assert type(value) is cls and value is not twin
+    assert cls._fields == fields
+    assert repr(value) == text
+    for name in (fields[0], "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value == twin
+    if cls is Kind:     # its params are a dict, as they always were
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin)
+    for call, exc_type, message in rejected:
+        with pytest.raises(exc_type) as err:
+            call()
+        assert type(err.value) is exc_type
+        if message is not None:
+            assert str(err.value) == message

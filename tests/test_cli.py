@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
-import dataclasses
 import errno
 import os
 import random
@@ -191,7 +190,7 @@ class TestCheck:
                                           out.clock), cost)
 
         monkeypatch.setitem(blocks.KINDS, "add",
-                            dataclasses.replace(add, fire=biased))
+                            add._replace(fire=biased))
         assert main(["check", add_net]) == 3
         out = capsys.readouterr().out
         assert "MISMATCH sum.out expected=7 actual=8" in out
@@ -322,7 +321,9 @@ class TestBench:
     @pytest.mark.parametrize("argv, size", [
         (["--op", "add", "--sizes", "3,200000000"], 200000000),
         (["--op", "mul", "--sizes", "5", "--budget", "3"], 5),
-    ], ids=["add-past-default-budget", "mul-past-budget"])
+        (["--op", "mul", "--sizes", "5", "--k", "100", "--budget", "10"], 5),
+    ], ids=["add-past-default-budget", "mul-past-budget",
+            "mul-output-past-budget"])
     def test_a_size_past_the_budget_is_exit_2_and_no_csv(self, argv, size,
                                                         capsys):
         assert main(["bench"] + argv) == 2

@@ -1,7 +1,6 @@
 """Discrete-event execution: block semantics, costs, determinism, and
 the integer-DAG oracle."""
 
-import dataclasses
 import random
 import zlib
 from pathlib import Path
@@ -297,7 +296,7 @@ class TestEngineContract:
             return race.fire(firing)
 
         monkeypatch.setitem(blocks.KINDS, "min",
-                            dataclasses.replace(race, fire=spy))
+                            race._replace(fire=spy))
         # Port in<i> carries 20 + i. The wires are listed backwards and
         # delayed so that neither order matches the sorted-port order
         # in0, in1, in10, in2, ..., in9.
@@ -536,6 +535,24 @@ class TestTraceContract:
         assert trace.events == [(0, "q", "in", "start"),
                                 (2, "q", "in", "end")]
         assert trace.results == {"q.in": 2}
+
+    def test_counts_are_the_delivered_messages(self):
+        # m fans out over a zero-latency wire and over a delayed one; the
+        # budget cuts the delayed copy, which must count for nothing.
+        text = ("clock main 1\n"
+                "block a source value=3 clock=main\n"
+                "block m mul k=2\n"
+                "block p probe\nblock q probe\n"
+                "wire a.out m.in\n"
+                "wire m.out p.in\nwire m.out q.in latency=10\n")
+        trace = _run_text(text, budget=12)
+        delivered, stats = trace.delivered, trace.stats
+        assert stats.budget_exhausted
+        assert list(delivered) == [("m", "in"), ("p", "in")]
+        assert stats.event_count == sum(len(m.events)
+                                        for m in delivered.values()) == 4
+        assert stats.total_ticks == max(m.events[-1][1]
+                                        for m in delivered.values()) == 9
 
     def test_csv_traces_differing_in_one_row_are_unequal(self):
         text = trace_to_csv(_run_text(ADD_NET))
