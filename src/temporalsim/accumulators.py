@@ -48,15 +48,6 @@ class AccumulatorConfig(namedtuple(
         return tuple.__new__(cls, (model, chain_depth, rate, flux,
                                    noise_seed))
 
-    @classmethod
-    def _trusted(cls, model: AccumulatorModel, chain_depth: int,
-                 rate: Fraction, flux: Fraction,
-                 noise_seed: Optional[int]) -> "AccumulatorConfig":
-        """A config whose fields are already known to be valid, built
-        without the check."""
-        return tuple.__new__(cls, (model, chain_depth, rate, flux,
-                                   noise_seed))
-
 
 class BinaryWord(namedtuple("BinaryWord", "bits")):
     """Least-significant-first bit vector produced by a toggle chain."""
@@ -151,7 +142,7 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    return measure_interval(IntervalValue._trusted(0, value, src), dst)
+    return measure_interval(IntervalValue._make((0, value, src)), dst)
 
 
 def accumulate(iv: IntervalValue, ref: ClockRef,

@@ -30,7 +30,13 @@ from .accumulators import (
     convert_reference,
     toggle_chain_overflowed,
 )
-from .channel import EVENT_END, EVENT_START, EVENT_VALUE, TimedMessage
+from .channel import (
+    EVENT_END,
+    EVENT_START,
+    EVENT_VALUE,
+    TimedMessage,
+    _pulses,
+)
 from .core import ClockRef, IntervalValue, MultiValentTrain, UnaryTrain
 from .errors import SimulationError
 
@@ -175,7 +181,7 @@ def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     return values, errors
 
 
-# Fire functions build their values with the `_trusted` constructors:
+# Fire functions build their values with namedtuple's unchecked `_make`:
 # every input message was checked where it was built, and parameters
 # where the netlist was parsed, so a value derived from them is valid.
 
@@ -190,29 +196,30 @@ def _scalar(msg: TimedMessage) -> int:
 
 def _out(value: int, f: Firing, clock: ClockRef) -> TimedMessage:
     # value >= 0: every fire function's result is a count.
-    return TimedMessage._trusted(
-        ((EVENT_START, f.t), (EVENT_END, f.t + value)), clock)
+    return TimedMessage._make(
+        (((EVENT_START, f.t), (EVENT_END, f.t + value)), clock, ()))
 
 
 def _source(f: Firing):
     value = f.params["value"]
     if "position" in f.params:
         pos = f.params["position"]
-        msg = TimedMessage._trusted(
-            ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock, (value,))
+        msg = TimedMessage._make(
+            (((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
+             (value,)))
         return msg, pos + C0
     return _out(value, f, f.clock), value + C0
 
 
 def _add(f: Firing):
-    a, b = (UnaryTrain._trusted(_scalar(m), m.clock) for m in f.inputs)
+    a, b = (UnaryTrain._make((_scalar(m), m.clock)) for m in f.inputs)
     total = arith.add_concat(a, b).length
     return _out(total, f, a.clock), total + C0
 
 
 def _mul(f: Firing):
     (msg,) = f.inputs
-    out = arith.mul_dilate(UnaryTrain._trusted(_scalar(msg), msg.clock),
+    out = arith.mul_dilate(UnaryTrain._make((_scalar(msg), msg.clock)),
                            f.params["k"]).length
     return _out(out, f, msg.clock), out + C0
 
@@ -221,7 +228,7 @@ def _race(race) -> Fire:
     # Lanes start together on the first port's clock and race raw counts.
     def fire(f: Firing):
         clock = f.inputs[0].clock
-        out = race([IntervalValue._trusted(0, _scalar(m), clock)
+        out = race([IntervalValue._make((0, _scalar(m), clock))
                     for m in f.inputs])
         return _out(out, f, clock), out + C0
     return fire
@@ -230,16 +237,18 @@ def _race(race) -> Fire:
 def _mux(f: Firing):
     clock = f.inputs[0].clock
     channel = arith.mux([_scalar(m) for m in f.inputs], clock)
-    pulses = channel.value_pulses
-    return (TimedMessage.multiplexed(pulses, f.t, clock), max(pulses) + C0)
+    pulses = sorted(channel.value_pulses)
+    return (TimedMessage._make((_pulses(f.t, pulses), clock, ())),
+            pulses[-1] + C0)
 
 
 def _demux(f: Firing):
     (msg,) = f.inputs
     if msg.kind != "mux":
         raise SimulationError("expected a multiplexed message")
-    values = msg.decoded()
-    return TimedMessage.multiplexed(values, f.t, msg.clock), max(values) + C0
+    values = sorted(msg.decoded())
+    return (TimedMessage._make((_pulses(f.t, values), msg.clock, ())),
+            values[-1] + C0)
 
 
 def _madd(f: Firing):
@@ -255,8 +264,8 @@ def _madd(f: Firing):
         positions = [t - start for role, t in events if role == EVENT_VALUE]
         if len(set(positions)) != len(positions):
             raise ValueError("duplicate bucket positions")
-        trains.append(MultiValentTrain._trusted(
-            tuple(zip(positions, amplitudes)), msg.clock))
+        trains.append(MultiValentTrain._make(
+            (tuple(zip(positions, amplitudes)), msg.clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), f, merged.clock), sweep + C0
@@ -272,10 +281,10 @@ def _accumulator(f: Firing):
     if (noise_seed is None and f.seed is not None
             and model is AccumulatorModel.PHOTON_COUNTER):
         noise_seed = f.seed ^ zlib.crc32(f.block_id.encode())
-    config = AccumulatorConfig._trusted(
-        model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
-        noise_seed)
-    iv = IntervalValue._trusted(0, value, msg.clock)
+    config = AccumulatorConfig._make(
+        (model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
+         noise_seed))
+    iv = IntervalValue._make((0, value, msg.clock))
     if model is AccumulatorModel.TOGGLE_CHAIN and toggle_chain_overflowed(
             accumulate_digital(iv, ref), config.chain_depth):
         f.stats.overflow_flags.append(f.block_id)

@@ -42,45 +42,31 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         ticks = [t for _, t in events]
         if any(b < a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("events must be in non-decreasing order")
+        amplitudes = tuple(int(a) for a in amplitudes)
         if amplitudes:
-            amplitudes = tuple(int(a) for a in amplitudes)
             pulses = sum(1 for r, _t in events if r == EVENT_VALUE)
             if len(amplitudes) != pulses or min(amplitudes) < 1:
                 raise ValueError("need one amplitude >= 1 per value pulse")
         return tuple.__new__(cls, (events, clock, amplitudes))
 
     @classmethod
-    def _trusted(cls, events: Tuple[Tuple[str, int], ...], clock: ClockRef,
-                 amplitudes: Tuple[int, ...] = ()) -> "TimedMessage":
-        """A message already known to be valid, built without the
-        re-check. The constructors below check only what their arguments
-        can break, then build through this."""
-        return tuple.__new__(cls, (events, clock, amplitudes))
-
-    @classmethod
     def interval(cls, value: int, start: int = 0,
                  clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        start, end = int(start), int(start + value)
-        if end < start:
-            raise ValueError("events must be in non-decreasing order")
-        return cls._trusted(((EVENT_START, start), (EVENT_END, end)), clock)
+        return cls(((EVENT_START, start), (EVENT_END, start + value)), clock)
 
     @classmethod
     def multiplexed(cls, values: Iterable[int], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """A value set as one value pulse per member after the start."""
-        return cls._trusted(_pulses(start, sorted(values)), clock)
+        return cls(_pulses(start, sorted(values)), clock)
 
     @classmethod
     def multivalent(cls, items: Iterable[Tuple[int, int]], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """(position, amplitude) buckets as amplitude-carrying pulses."""
         items = sorted(items)
-        events = _pulses(start, [p for p, _a in items])
-        amps = tuple(int(a) for _p, a in items)
-        if amps and min(amps) < 1:
-            raise ValueError("need one amplitude >= 1 per value pulse")
-        return cls._trusted(events, clock, amps)
+        return cls(_pulses(start, [p for p, _a in items]), clock,
+                   [a for _p, a in items])
 
     @property
     def kind(self) -> str:
@@ -118,11 +104,8 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
 
 def _pulses(start: int, offsets) -> Tuple[Tuple[str, int], ...]:
     """A start event, then one value pulse per sorted offset."""
-    ticks = [int(start + v) for v in offsets]
-    start = int(start)
-    if ticks and ticks[0] < start:
-        raise ValueError("events must be in non-decreasing order")
-    return ((EVENT_START, start),) + tuple((EVENT_VALUE, t) for t in ticks)
+    return ((EVENT_START, start),) + tuple((EVENT_VALUE, start + v)
+                                           for v in offsets)
 
 
 class Link(namedtuple("Link", "default table")):
@@ -193,8 +176,8 @@ def transmit_checked(msg: TimedMessage,
     if delay == 0:
         return msg
     # A uniform shift keeps a valid message valid.
-    return TimedMessage._trusted(tuple((r, t + delay) for r, t in msg.events),
-                                 msg.clock, msg.amplitudes)
+    return TimedMessage._make((tuple((r, t + delay) for r, t in msg.events),
+                               msg.clock, msg.amplitudes))
 
 
 def transmit(msg: TimedMessage, link: Link) -> TimedMessage:

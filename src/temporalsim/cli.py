@@ -24,7 +24,7 @@ from .engine import (
     trace_to_csv,
     trace_to_waveform,
 )
-from .errors import SimulationError, TemporalError
+from .errors import TemporalError
 from .netlist import parse_netlist
 
 EXIT_OK = 0
@@ -72,17 +72,13 @@ def cmd_run(args) -> int:
         return EXIT_ERROR
     # An export on stdout keeps it to itself; the report goes to stderr.
     report = sys.stderr if "-" in (args.trace, args.waveform) else sys.stdout
-    try:
-        net = _load_netlist(args.netlist)
-        trace = run(net, budget=args.budget, seed=args.seed)
-        _warn(trace.stats)
-        for path, export in ((args.trace, trace_to_csv),
-                             (args.waveform, trace_to_waveform)):
-            if path:
-                _write(path, export(trace))
-    except (OSError, ValueError, TemporalError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    net = _load_netlist(args.netlist)
+    trace = run(net, budget=args.budget, seed=args.seed)
+    _warn(trace.stats)
+    for path, export in ((args.trace, trace_to_csv),
+                         (args.waveform, trace_to_waveform)):
+        if path:
+            _write(path, export(trace))
     for key in sorted(trace.results):
         print("probe %s=%s" % (key, format_result(trace.results[key])),
               file=report)
@@ -100,19 +96,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        net = _load_netlist(args.netlist)
-        # The engine first: its errors name the block that cannot fire,
-        # and a run cut short by the budget leaves nothing to judge.
-        trace = run(net, budget=args.budget, seed=args.seed)
-        _warn(trace.stats)
-        if trace.stats.budget_exhausted:
-            print("error: tick budget exhausted", file=sys.stderr)
-            return EXIT_BUDGET
-        expected = oracle_results(net)
-    except (OSError, ValueError, TemporalError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    net = _load_netlist(args.netlist)
+    # The engine first: its errors name the block that cannot fire, and a
+    # run cut short by the budget leaves nothing to judge.
+    trace = run(net, budget=args.budget, seed=args.seed)
+    _warn(trace.stats)
+    if trace.stats.budget_exhausted:
+        print("error: tick budget exhausted", file=sys.stderr)
+        return EXIT_BUDGET
+    expected = oracle_results(net)
     mismatches = 0
     for key in sorted(expected):
         exp = expected[key]
@@ -129,24 +121,21 @@ def cmd_check(args) -> int:
 
 def cmd_encode(args) -> int:
     lines = []
-    try:
-        for value in args.values:
-            if args.scheme == "unary":
-                train = encode_unary(value)
-                lines.append("value=%d scheme=unary length=%d"
-                             % (value, train.length))
-            elif args.scheme == "pim":
-                train = encode_pim(value)
-                lines.append("value=%d scheme=pim pulses=%s"
-                             % (value, ",".join(str(p) for p in train.pulses)))
-            else:
-                digits = encode_hybrid(value, args.base)
-                lines.append("value=%d scheme=hybrid base=%d digits=%s"
-                             % (value, args.base,
-                                ",".join(str(d.length) for d in digits)))
-    except (ValueError, TemporalError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    for value in args.values:
+        if args.scheme == "unary":
+            train = encode_unary(value)
+            lines.append("value=%d scheme=unary length=%d"
+                         % (value, train.length))
+        elif args.scheme == "pim":
+            train = encode_pim(value)
+            lines.append("value=%d scheme=pim pulses=%s"
+                         % (value, ",".join(str(p) for p in train.pulses)))
+        else:
+            digits = encode_hybrid(value, args.base)
+            lines.append("value=%d scheme=hybrid base=%d digits=%s"
+                         % (value, args.base,
+                            ",".join(str(d.length) for d in digits)))
+    # Nothing is printed until every value has encoded.
     for line in lines:
         print(line)
     return EXIT_OK
@@ -195,31 +184,23 @@ def bench_rows(op: str, sizes: List[int], k: int = 3,
 
 
 def cmd_bench(args) -> int:
+    if not args.sizes or any(s < 1 for s in args.sizes):
+        raise ValueError("sizes must be positive integers")
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        if not sizes or any(s < 1 for s in sizes):
-            raise ValueError("sizes must be positive integers")
-        rows = bench_rows(args.op, sizes, k=args.k,
+        rows = bench_rows(args.op, args.sizes, k=args.k,
                           amplitude=args.amplitude, budget=args.budget)
-        _write(args.out, "size,ticks\n" + "".join("%d,%d\n" % row
-                                                  for row in rows))
-    except (ValueError, TemporalError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
     except _BudgetExhausted as exc:
         print("error: tick budget exhausted at size %d" % exc.args[0],
               file=sys.stderr)
         return EXIT_BUDGET
+    _write(args.out, "size,ticks\n" + "".join("%d,%d\n" % row
+                                              for row in rows))
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    try:
-        trace = trace_from_csv(_read(args.trace))
-        _write(args.out, trace_to_waveform(trace))
-    except (OSError, ValueError, SimulationError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
+    trace = trace_from_csv(_read(args.trace))
+    _write(args.out, trace_to_waveform(trace))
     return EXIT_OK
 
 
@@ -258,6 +239,11 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError("%s %s" % (quote(text), problem))
 
 
+def _integers(text: str) -> List[int]:
+    """A comma-separated list, each item read by `_integer`."""
+    return [_integer(item) for item in text.split(",") if item]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="temporalsim",
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="tick-cost sweep for one operation")
     p.add_argument("--op", choices=("add", "mul", "madd"), required=True)
-    p.add_argument("--sizes", required=True,
+    p.add_argument("--sizes", type=_integers, required=True,
                    help="comma-separated operand sizes")
     p.add_argument("--k", type=_integer, default=3,
                    help="dilation factor for mul")
@@ -311,7 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Every command's bad input ends here as one `error:` line.
+    try:
+        return args.func(args)
+    except (OSError, ValueError, TemporalError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

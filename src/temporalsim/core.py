@@ -36,19 +36,13 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
         """Exact frequency ratio self/other."""
         return self.frequency / other.frequency
 
-    @classmethod
-    def _trusted(cls, id: str, frequency: Fraction) -> "ClockRef":
-        """A clock already known to be valid (a positive `Fraction`),
-        built without the check."""
-        return tuple.__new__(cls, (id, frequency))
-
     def scaled(self, k: int) -> "ClockRef":
         """A derived reference running k times faster."""
         if k < 1:
             raise ValueError("scale factor must be >= 1")
         # A positive frequency times a factor >= 1 needs no re-check.
-        return ClockRef._trusted("%sx%d" % (self.id, k),
-                                 self.frequency * Fraction(k))
+        return ClockRef._make(("%sx%d" % (self.id, k),
+                               self.frequency * Fraction(k)))
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))
@@ -59,8 +53,6 @@ class DeliveryMode(enum.Enum):
 
     SERIAL = "serial"
     SERIAL_DISCONTINUOUS = "serial_discontinuous"
-    PARALLEL_SYNCHRONOUS = "parallel_synchronous"
-    PARALLEL_ASYNCHRONOUS = "parallel_asynchronous"
 
 
 class PulseTrain(namedtuple("PulseTrain", "pulses clock")):
@@ -87,11 +79,6 @@ class UnaryTrain(namedtuple("UnaryTrain", "length clock")):
             raise ValueError("unary length must be non-negative")
         return tuple.__new__(cls, (length, clock))
 
-    @classmethod
-    def _trusted(cls, length: int, clock: ClockRef) -> "UnaryTrain":
-        """A train already known to be valid, built without the check."""
-        return tuple.__new__(cls, (length, clock))
-
 
 class IntervalValue(namedtuple("IntervalValue", "start end clock")):
     """One datum as a (start, end) event pair; value = end - start."""
@@ -103,13 +90,6 @@ class IntervalValue(namedtuple("IntervalValue", "start end clock")):
             raise ValueError("interval start must be non-negative")
         if end < start:
             raise ValueError("interval end precedes start")
-        return tuple.__new__(cls, (start, end, clock))
-
-    @classmethod
-    def _trusted(cls, start: int, end: int,
-                 clock: ClockRef) -> "IntervalValue":
-        """An interval already known to be valid, built without the
-        check."""
         return tuple.__new__(cls, (start, end, clock))
 
     @property
@@ -137,14 +117,6 @@ class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
                 raise ValueError("bucket amplitude must be >= 1")
         if len({p for p, _ in items}) != len(items):
             raise ValueError("duplicate bucket positions")
-        return tuple.__new__(cls, (items, clock))
-
-    @classmethod
-    def _trusted(cls, items: Tuple[Tuple[int, int], ...],
-                 clock: ClockRef) -> "MultiValentTrain":
-        """A train whose items are already a tuple of int pairs sorted by
-        unique position >= 0, each amplitude >= 1; built without the
-        check."""
         return tuple.__new__(cls, (items, clock))
 
     @classmethod

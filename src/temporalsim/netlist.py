@@ -191,6 +191,13 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "block needs: block <id> <kind> [key=value ...]", lineno)
             bid, kind = parts[1], parts[2]
+            # `.` splits a port reference, and `,` and `=` split a trace
+            # CSV row and its footer.
+            if "." in bid or "," in bid or "=" in bid:
+                char = next(c for c in bid if c in ".,=")
+                raise NetlistParseError(
+                    "block id %s may not contain %r" % (quote(bid), char),
+                    lineno, _column(line, 1))
             params: Dict[str, str] = {}
             for index, tok in enumerate(parts[3:], 3):
                 key, eq, val = tok.partition("=")

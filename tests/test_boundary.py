@@ -1,6 +1,7 @@
 """Where values are checked: public constructors and paper operations
-reject bad input, while fire functions build the same values unchecked
-from inputs that were checked where they entered the library."""
+reject bad input, while fire functions build the same values unchecked,
+with namedtuple's `_make`, from inputs that were checked where they
+entered the library."""
 
 from fractions import Fraction
 
@@ -156,7 +157,7 @@ def test_fire_rejects_the_wrong_sort_of_message():
 
 
 # ---------------------------------------------------------------------------
-# A value built the trusted way is the value the public constructor builds.
+# A value built with `_make` is the value the public constructor builds.
 
 COUNTS = st.integers(0, 10 ** 6)
 FREQS = st.fractions(min_value=Fraction(1, 100), max_value=100)
@@ -164,25 +165,25 @@ CLOCKS = st.builds(ClockRef, st.sampled_from(["main", "fast", "c"]), FREQS)
 BUCKETS = st.dictionaries(COUNTS, st.integers(1, 50), max_size=8)
 
 
-def _same(trusted, public):
-    return (trusted == public and public == trusted
-            and hash(trusted) == hash(public))
+def _same(made, public):
+    return (made == public and public == made
+            and hash(made) == hash(public))
 
 
 @given(st.text(min_size=1, max_size=4), FREQS)
 def test_trusted_clock(name, freq):
-    assert _same(ClockRef._trusted(name, freq), ClockRef(name, freq))
+    assert _same(ClockRef._make((name, freq)), ClockRef(name, freq))
 
 
 @given(COUNTS, CLOCKS)
 def test_trusted_unary(length, clock):
-    assert _same(UnaryTrain._trusted(length, clock),
+    assert _same(UnaryTrain._make((length, clock)),
                  UnaryTrain(length, clock))
 
 
 @given(COUNTS, COUNTS, CLOCKS)
 def test_trusted_interval(start, length, clock):
-    assert _same(IntervalValue._trusted(start, start + length, clock),
+    assert _same(IntervalValue._make((start, start + length, clock)),
                  IntervalValue(start, start + length, clock))
 
 
@@ -190,7 +191,7 @@ def test_trusted_interval(start, length, clock):
 def test_trusted_multivalent(buckets, clock):
     items = tuple(sorted(buckets.items()))
     public = MultiValentTrain(tuple(reversed(items)), clock)
-    assert _same(MultiValentTrain._trusted(items, clock), public)
+    assert _same(MultiValentTrain._make((items, clock)), public)
     assert _same(public, MultiValentTrain.from_buckets(dict(items), clock))
 
 
@@ -208,14 +209,14 @@ def test_merge_builds_the_public_train(trains, clock):
 @given(st.sampled_from(list(AccumulatorModel)), st.integers(1, 64), FREQS,
        FREQS, st.none() | COUNTS)
 def test_trusted_config(model, depth, rate, flux, seed):
-    assert _same(AccumulatorConfig._trusted(model, depth, rate, flux, seed),
+    assert _same(AccumulatorConfig._make((model, depth, rate, flux, seed)),
                  AccumulatorConfig(model, depth, rate, flux, seed))
 
 
 @given(COUNTS, COUNTS, CLOCKS)
 def test_trusted_message(value, start, clock):
     events = (("start", start), ("end", start + value))
-    assert _same(TimedMessage._trusted(events, clock),
+    assert _same(TimedMessage._make((events, clock, ())),
                  TimedMessage(events, clock))
 
 

@@ -161,8 +161,8 @@ SIGNED = st.one_of(st.integers(-50, 50),
 
 
 class TestConstructors:
-    """Each constructor checks only what its arguments can break; it
-    accepts and rejects exactly what the full check does."""
+    """Each shape builder lays out its events and runs the full check; it
+    accepts and rejects exactly what a direct TimedMessage call does."""
 
     @given(SIGNED, SIGNED)
     def test_interval(self, value, start):
@@ -189,6 +189,16 @@ class TestConstructors:
         assert _outcome(
             lambda: TimedMessage.multivalent(items, start, clk)) \
             == _checked(events, clk, [a for _p, a in ordered])
+
+    def test_empty_amplitudes_are_a_tuple(self):
+        # A list would make the message unhashable and unequal to the same
+        # message built with the default.
+        msg = TimedMessage([("start", 0), ("end", 3)],
+                           ClockRef("main", Fraction(1)), [])
+        assert msg.amplitudes == ()
+        assert msg == TimedMessage.interval(3)
+        assert hash(msg) == hash(TimedMessage.interval(3))
+        assert TimedMessage.multivalent([]).amplitudes == ()
 
     def test_bad_arguments_raise(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -252,6 +262,15 @@ class TestSerialStreams:
         with pytest.raises(MalformedStream):
             parse_stream(PulseTrain((0, 2, 5)),
                          DeliveryMode.SERIAL_DISCONTINUOUS)
+
+    def test_a_non_mode_is_rejected(self):
+        # Only the two serial modes lay values out on one channel.
+        for call in (lambda: serialize_stream([3], "serial"),
+                     lambda: parse_stream(PulseTrain((0, 3)), "serial")):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert type(err.value) is ValueError
+            assert str(err.value) == "not a serial delivery mode: 'serial'"
 
     def test_round_trip_random_streams(self):
         rng = random.Random(303)

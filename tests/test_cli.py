@@ -455,8 +455,14 @@ def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
     (["x" * 5000],
      "error: argument command: 'xxxxxxxxxxxxxxxxxxxx'... is not one of "
      "run, check, encode, bench, export\n"),
+    (["bench", "--op", "add", "--sizes", "1,abc"],
+     "error: argument --sizes: 'abc' is not an integer\n"),
+    (["bench", "--op", "add", "--sizes", "1," + LONG],
+     "error: argument --sizes: '77777777777777777777'... is too long "
+     "(5000 characters, at most 4300)\n"),
 ], ids=["budget-abc", "unknown-flag", "long-budget", "long-encode",
-        "long-unknown-flag", "long-choice", "long-command"])
+        "long-unknown-flag", "long-choice", "long-command", "sizes-abc",
+        "long-sizes"])
 def test_a_usage_error_is_one_error_line_and_exit_1(argv, message, capsys):
     # Exit code 2 means the budget ran out, so a usage error must not use it.
     with pytest.raises(SystemExit) as err:

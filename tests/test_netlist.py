@@ -165,6 +165,17 @@ def test_parse_error_column_is_the_tokens_own(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bid, char", [("a.b", "."), ("a,b", ","),
+                                       ("a=b", "=")])
+def test_block_id_rejects_reference_and_trace_separators(bid, char):
+    # An id with `.` could never be wired or probed; one with `,` or `=`
+    # would break the trace CSV row or its `probe=value` footer.
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nblock %s source value=3\n" % bid)
+    assert str(err.value) == ("line 2:7: block id %r may not contain %r"
+                              % (bid, char))
+
+
 def test_unknown_directive():
     with pytest.raises(NetlistParseError):
         parse_netlist("blok a source value=1\n")
