@@ -142,7 +142,8 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    return measure_interval(IntervalValue._make((0, value, src)), dst)
+    return measure_interval(tuple.__new__(IntervalValue, (0, value, src)),
+                            dst)
 
 
 def accumulate(iv: IntervalValue, ref: ClockRef,

@@ -50,7 +50,7 @@ def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
     if x.clock is not y.clock and x.clock != y.clock:
         raise ClockMismatch(
             "cannot concatenate %s with %s" % (x.clock.id, y.clock.id))
-    return UnaryTrain._make((x.length + y.length, x.clock))
+    return tuple.__new__(UnaryTrain, (x.length + y.length, x.clock))
 
 
 def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
@@ -61,8 +61,9 @@ def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
     if k == 1:
         return x
     fast = x.clock.scaled(k)
-    span = IntervalValue._make((0, x.length, x.clock))
-    return UnaryTrain._make((measure_interval(span, fast), x.clock))
+    span = tuple.__new__(IntervalValue, (0, x.length, x.clock))
+    return tuple.__new__(UnaryTrain,
+                         (measure_interval(span, fast), x.clock))
 
 
 def _check_race_lanes(lanes: Sequence[IntervalValue]) -> None:
@@ -100,13 +101,15 @@ def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
     values = list(values)
     if not values:
         raise EmptyInput("mux needs at least one value")
+    if not all(isinstance(v, int) for v in values):
+        raise ValueError("mux values must be integers")
     if len(set(values)) != len(values):
         raise DuplicateValue("mux requires duplicate-free values")
     if any(v == 0 for v in values):
         raise ZeroValue("0 collides with the start marker")
     if any(v < 0 for v in values):
         raise ValueError("mux values must be positive")
-    return MuxChannel._make((frozenset(values), clock))
+    return tuple.__new__(MuxChannel, (frozenset(values), clock))
 
 
 def demux(ch: MuxChannel) -> Set[int]:
@@ -130,7 +133,8 @@ def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:
         for pos, amp in train.items:
             merged[pos] = merged.get(pos, 0) + amp
     # Valid trains give unique positions >= 0 and amplitude sums >= 1.
-    return MultiValentTrain._make((tuple(sorted(merged.items())), clock))
+    return tuple.__new__(MultiValentTrain,
+                         (tuple(sorted(merged.items())), clock))
 
 
 def madd(train: MultiValentTrain) -> int:

@@ -1,9 +1,10 @@
 """Every block kind, defined once.
 
 `KINDS` maps a kind name to its input ports, its parameter schema,
-whether it needs a clock, the fire function the engine runs and the
-integer oracle function `check` compares against. The validator, the
-engine and the oracle read this table and nothing else.
+whether it needs a clock, the sort of message it takes and emits, the
+fire function the engine runs and the integer oracle function `check`
+compares against. The validator, the engine and the oracle read this
+table and nothing else.
 
 Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
@@ -18,7 +19,7 @@ import zlib
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import arith
 from .accumulators import (
@@ -38,10 +39,13 @@ from .channel import (
     _pulses,
 )
 from .core import ClockRef, IntervalValue, MultiValentTrain, UnaryTrain
-from .errors import SimulationError
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
+
+# The sorts of message, as `TimedMessage.kind` names them: a start/end
+# interval, a value set, a multi-valent train.
+SCALAR, MUX, MV = "scalar", "mux", "mv"
 
 
 class Param(namedtuple("Param", "parse required", defaults=(False,))):
@@ -69,11 +73,13 @@ Oracle = Callable[[Dict[str, object], Dict[str, object]], object]
 
 
 class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
-                             "check")):
+                             "check takes emits")):
     """A block kind. `inputs` lists its ports, or is VARIADIC for in0,
     in1, ...; without clock=, a `clocked` kind runs on the netlist's
     default clock; `check` is a rule across parameters that returns a
-    problem, or None when they agree."""
+    problem, or None when they agree. Every input takes the sort
+    `takes` (None: any sort); `emits` is the output's sort, or a function
+    from the block's params, as the netlist writes them, to that sort."""
 
     __slots__ = ()
 
@@ -82,11 +88,14 @@ class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
                 params: Optional[Dict[str, Param]] = None,
                 clocked: bool = False, outputs: Tuple[str, ...] = ("out",),
                 check: Optional[Callable[[Dict[str, object]],
-                                         Optional[str]]] = None):
+                                         Optional[str]]] = None,
+                takes: Optional[str] = SCALAR,
+                emits: Union[str, Callable[[Mapping[str, str]], str]]
+                = SCALAR):
         # Each kind gets its own params dict, never a shared default.
         return tuple.__new__(cls, (inputs, fire, oracle,
                                    {} if params is None else params,
-                                   clocked, outputs, check))
+                                   clocked, outputs, check, takes, emits))
 
 
 VARIADIC = None
@@ -151,76 +160,79 @@ def _model(text: str) -> AccumulatorModel:
 def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     """Parse a block's params by its kind's schema: (values, errors).
     A key the schema does not list is an error."""
-    kind = KINDS[block.kind]
-    raw, schema = block.params, kind.params
+    bid, name, raw = block
+    kind = KINDS[name]
+    schema = kind.params
     if not raw and not schema:
         return {}, []
     values: Dict[str, object] = {}
     errors: List[str] = []
-    for key, param in schema.items():
+    for key, (parse, required) in schema.items():
         text = raw.get(key)
         if text is None:
-            if param.required:
+            if required:
                 errors.append("block %r (%s) missing param %r"
-                              % (block.id, block.kind, key))
+                              % (bid, name, key))
             continue
         try:
-            values[key] = param.parse(text)
+            values[key] = parse(text)
         except ValueError as exc:
             errors.append("block %r param %s=%s: %s"
-                          % (block.id, key, quote(text), exc))
-    problem = kind.check(values) if kind.check and not errors else None
+                          % (bid, key, quote(text), exc))
+    check = kind.check
+    problem = check(values) if check and not errors else None
     if problem:
-        errors.append("block %r (%s): %s" % (block.id, block.kind, problem))
+        errors.append("block %r (%s): %s" % (bid, name, problem))
     # With no error, every schema key in `raw` is in `values`, so equal
     # counts mean no unknown key.
     if errors or len(values) != len(raw):
-        errors += ["block %r (%s) unknown param %r"
-                   % (block.id, block.kind, key)
+        errors += ["block %r (%s) unknown param %r" % (bid, name, key)
                    for key in raw if key not in schema]
     return values, errors
 
 
-# Fire functions build their values with namedtuple's unchecked `_make`:
-# every input message was checked where it was built, and parameters
-# where the netlist was parsed, so a value derived from them is valid.
+# Fire functions build their values unchecked, with the C call
+# `tuple.__new__(X, (...))` that namedtuple's `_make` makes: every input
+# message was checked where it was built, its sort where the netlist was
+# validated, and parameters where they were parsed, so a value derived
+# from them is valid.
 
 
 def _scalar(msg: TimedMessage) -> int:
     events = msg.events
-    role, end = events[-1]
-    if msg.amplitudes or role == EVENT_VALUE:
-        raise SimulationError("expected a scalar message, got %s" % msg.kind)
-    return end - events[0][1]
+    return events[-1][1] - events[0][1]
 
 
 def _out(value: int, f: Firing, clock: ClockRef) -> TimedMessage:
     # value >= 0: every fire function's result is a count.
-    return TimedMessage._make(
-        (((EVENT_START, f.t), (EVENT_END, f.t + value)), clock, ()))
+    return tuple.__new__(TimedMessage, (
+        ((EVENT_START, f.t), (EVENT_END, f.t + value)), clock, ()))
 
 
 def _source(f: Firing):
     value = f.params["value"]
     if "position" in f.params:
         pos = f.params["position"]
-        msg = TimedMessage._make(
-            (((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
-             (value,)))
+        msg = tuple.__new__(TimedMessage, (
+            ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
+            (value,)))
         return msg, pos + C0
     return _out(value, f, f.clock), value + C0
 
 
+def _unary(msg: TimedMessage) -> UnaryTrain:
+    return tuple.__new__(UnaryTrain, (_scalar(msg), msg.clock))
+
+
 def _add(f: Firing):
-    a, b = (UnaryTrain._make((_scalar(m), m.clock)) for m in f.inputs)
+    a, b = map(_unary, f.inputs)
     total = arith.add_concat(a, b).length
     return _out(total, f, a.clock), total + C0
 
 
 def _mul(f: Firing):
     (msg,) = f.inputs
-    out = arith.mul_dilate(UnaryTrain._make((_scalar(msg), msg.clock)),
-                           f.params["k"]).length
+    out = arith.mul_dilate(_unary(msg), f.params["k"]).length
     return _out(out, f, msg.clock), out + C0
 
 
@@ -228,7 +240,7 @@ def _race(race) -> Fire:
     # Lanes start together on the first port's clock and race raw counts.
     def fire(f: Firing):
         clock = f.inputs[0].clock
-        out = race([IntervalValue._make((0, _scalar(m), clock))
+        out = race([tuple.__new__(IntervalValue, (0, _scalar(m), clock))
                     for m in f.inputs])
         return _out(out, f, clock), out + C0
     return fire
@@ -238,25 +250,21 @@ def _mux(f: Firing):
     clock = f.inputs[0].clock
     channel = arith.mux([_scalar(m) for m in f.inputs], clock)
     pulses = sorted(channel.value_pulses)
-    return (TimedMessage._make((_pulses(f.t, pulses), clock, ())),
+    return (tuple.__new__(TimedMessage, (_pulses(f.t, pulses), clock, ())),
             pulses[-1] + C0)
 
 
 def _demux(f: Firing):
     (msg,) = f.inputs
-    if msg.kind != "mux":
-        raise SimulationError("expected a multiplexed message")
-    values = sorted(msg.decoded())
-    return (TimedMessage._make((_pulses(f.t, values), msg.clock, ())),
+    values = sorted(set(msg.value_offsets()))
+    return (tuple.__new__(TimedMessage,
+                          (_pulses(f.t, values), msg.clock, ())),
             values[-1] + C0)
 
 
 def _madd(f: Firing):
     trains = []
     for msg in f.inputs:
-        amplitudes = msg.amplitudes
-        if not amplitudes:
-            raise SimulationError("expected multi-valent messages")
         # A checked message's events never go back in time, so its value
         # pulses are sorted positions >= 0; only a repeat can be wrong.
         events = msg.events
@@ -264,8 +272,8 @@ def _madd(f: Firing):
         positions = [t - start for role, t in events if role == EVENT_VALUE]
         if len(set(positions)) != len(positions):
             raise ValueError("duplicate bucket positions")
-        trains.append(MultiValentTrain._make(
-            (tuple(zip(positions, amplitudes)), msg.clock)))
+        trains.append(tuple.__new__(MultiValentTrain, (
+            tuple(zip(positions, msg.amplitudes)), msg.clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), f, merged.clock), sweep + C0
@@ -281,10 +289,10 @@ def _accumulator(f: Firing):
     if (noise_seed is None and f.seed is not None
             and model is AccumulatorModel.PHOTON_COUNTER):
         noise_seed = f.seed ^ zlib.crc32(f.block_id.encode())
-    config = AccumulatorConfig._make(
-        (model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
-         noise_seed))
-    iv = IntervalValue._make((0, value, msg.clock))
+    config = tuple.__new__(AccumulatorConfig, (
+        model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
+        noise_seed))
+    iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
     if model is AccumulatorModel.TOGGLE_CHAIN and toggle_chain_overflowed(
             accumulate_digital(iv, ref), config.chain_depth):
         f.stats.overflow_flags.append(f.block_id)
@@ -301,14 +309,8 @@ def _source_oracle(p, _ins):
     return {p["position"]: p["value"]} if "position" in p else p["value"]
 
 
-def _inputs(ins: Dict[str, object], maps: bool = False) -> list:
-    """An oracle's input values: ints, or {position: amplitude} maps from
-    multi-valent sources; the wrong sort is an error, as in firing."""
-    values = list(ins.values())
-    if any(isinstance(v, dict) != maps for v in values):
-        raise SimulationError("expected multi-valent messages" if maps
-                              else "expected a scalar message, got mv")
-    return values
+def _source_sort(raw: Mapping[str, str]) -> str:
+    return MV if "position" in raw else SCALAR
 
 
 def _one_amplitude(p) -> Optional[str]:
@@ -330,20 +332,20 @@ KINDS: Dict[str, Kind] = {
     "source": Kind((), _source, _source_oracle, clocked=True,
                    params={"value": Param(_COUNT, True),
                            "position": Param(_COUNT), "clock": _CLOCK},
-                   check=_one_amplitude),
-    "add": Kind(("a", "b"), _add, lambda _p, ins: sum(_inputs(ins))),
-    "mul": Kind(("in",), _mul, lambda p, ins: _inputs(ins)[0] * p["k"],
+                   check=_one_amplitude, emits=_source_sort),
+    "add": Kind(("a", "b"), _add, lambda _p, ins: sum(ins.values())),
+    "mul": Kind(("in",), _mul, lambda p, ins: ins["in"] * p["k"],
                 params={"k": Param(_int_in(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
-                lambda _p, ins: min(_inputs(ins))),
+                lambda _p, ins: min(ins.values())),
     "max": Kind(VARIADIC, _race(arith.max_race),
-                lambda _p, ins: max(_inputs(ins))),
-    "mux": Kind(VARIADIC, _mux),
-    "demux": Kind(("in",), _demux),
+                lambda _p, ins: max(ins.values())),
+    "mux": Kind(VARIADIC, _mux, emits=MUX),
+    "demux": Kind(("in",), _demux, takes=MUX, emits=MUX),
     "madd": Kind(VARIADIC, _madd,
-                 lambda _p, ins: sum(pos * amp
-                                     for mv in _inputs(ins, maps=True)
-                                     for pos, amp in mv.items())),
+                 lambda _p, ins: sum(pos * amp for mv in ins.values()
+                                     for pos, amp in mv.items()),
+                 takes=MV),
     "accumulator": Kind(("in",), _accumulator,
                         params={"model": Param(_model),
                                 "depth": Param(_int_in(1, MAX_CHAIN_DEPTH)),
@@ -354,5 +356,5 @@ KINDS: Dict[str, Kind] = {
     "convert": Kind(("in",), _convert, clocked=True,
                     params={"clock": Param(str, True)}),
     "probe": Kind(("in",), lambda _f: (None, 0), lambda _p, ins: ins["in"],
-                  outputs=()),
+                  outputs=(), takes=None),
 }

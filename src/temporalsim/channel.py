@@ -176,8 +176,9 @@ def transmit_checked(msg: TimedMessage,
     if delay == 0:
         return msg
     # A uniform shift keeps a valid message valid.
-    return TimedMessage._make((tuple((r, t + delay) for r, t in msg.events),
-                               msg.clock, msg.amplitudes))
+    return tuple.__new__(TimedMessage, (
+        tuple((r, t + delay) for r, t in msg.events), msg.clock,
+        msg.amplitudes))
 
 
 def transmit(msg: TimedMessage, link: Link) -> TimedMessage:

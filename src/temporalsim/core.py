@@ -41,8 +41,8 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
         if k < 1:
             raise ValueError("scale factor must be >= 1")
         # A positive frequency times a factor >= 1 needs no re-check.
-        return ClockRef._make(("%sx%d" % (self.id, k),
-                               self.frequency * Fraction(k)))
+        return tuple.__new__(ClockRef, ("%sx%d" % (self.id, k),
+                                        self.frequency * Fraction(k)))
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))

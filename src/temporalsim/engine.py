@@ -85,7 +85,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     blocks, params, clock_of = net.blocks, net.params, net.clock_of
     inputs_of, outputs_of = net.inputs, net.outputs
     out_probes = {bid for bid, port in net.probes if port == "out"}
-    fire_tick: Dict[str, int] = {}
+    fires = {name: kind.fire for name, kind in KINDS.items()}
     unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
     failures: List[Tuple[int, str, str, Exception]] = []
     event_count = total_ticks = 0
@@ -100,10 +100,9 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                     t = last
         except KeyError:  # dropped past the budget, or its source failed
             continue
-        fire_tick[bid] = t
         kind = blocks[bid].kind
         try:
-            msg, cost = KINDS[kind].fire(Firing(
+            msg, cost = fires[kind](Firing(
                 bid, params[bid], inputs, t, clock_of[bid], seed, stats))
         except (TemporalError, ValueError) as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
@@ -139,7 +138,12 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     if failures:
         _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
         raise SimulationError(text) from cause
-    stats.overflow_flags.sort(key=lambda b: (fire_tick[b], b))
+
+    def fire_tick(bid: str) -> int:  # the largest last tick, as it fired
+        return max((delivered[bid, port].events[-1][1]
+                    for port in inputs_of[bid]), default=0)
+
+    stats.overflow_flags.sort(key=lambda b: (fire_tick(b), b))
     unstable.sort(key=itemgetter(0, 1))
     stats.stability_violations = [text for _t, _b, text in unstable]
     # A message dropped past the budget was never delivered: its events
@@ -163,25 +167,21 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
     `blocks.KINDS` folds ordinary +, *, min, max and an explicit sum for
     the dot product over the netlist's topological order.
     """
-    for block in net.blocks.values():
-        if KINDS[block.kind].oracle is None:
+    blocks, inputs, params = net.blocks, net.inputs, net.params
+    oracles = {name: kind.oracle for name, kind in KINDS.items()}
+    for block in blocks.values():
+        if oracles[block.kind] is None:
             raise SimulationError(
                 "oracle does not support block kind %r" % block.kind)
 
     values: Dict[str, object] = {}
     for bid in net.order:
-        kind = net.blocks[bid].kind
-        ins = {port: values[w.src_block]
-               for port, w in net.inputs[bid].items()}
-        try:
-            values[bid] = KINDS[kind].oracle(net.params[bid], ins)
-        except SimulationError as exc:
-            raise SimulationError("block %r (%s): %s"
-                                  % (bid, kind, exc)) from exc
+        ins = {port: values[w.src_block] for port, w in inputs[bid].items()}
+        values[bid] = oracles[blocks[bid].kind](params[bid], ins)
 
     results: Dict[str, object] = {}
     for bid, port in net.probes:
-        src = bid if port == "out" else net.inputs[bid][port].src_block
+        src = bid if port == "out" else inputs[bid][port].src_block
         results["%s.%s" % (bid, port)] = values[src]
     return results
 

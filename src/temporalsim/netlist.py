@@ -161,6 +161,9 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     net = Netlist()
     wires, blocks = net.wires, net.blocks
     latency_links: Dict[int, Link] = {}  # one shared Link per latency=
+    # Each record is built by the C call inside namedtuple's `_make`; a
+    # literal tuple of its fields always has the right length.
+    new = tuple.__new__
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -185,7 +188,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
             if count == 4:
                 link = _wire_option(parts[3], line, lineno, base_dir,
                                     latency_links)
-            wires.append(Wire(src_b, src_p, dst_b, dst_p, link))
+            wires.append(new(Wire, (src_b, src_p, dst_b, dst_p, link)))
         elif keyword == "block":
             if len(parts) < 3:
                 raise NetlistParseError(
@@ -213,7 +216,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
             if bid in blocks:
                 raise NetlistParseError(
                     "duplicate block id %r" % bid, lineno, _column(line, 1))
-            blocks[bid] = BlockSpec(bid, kind, params)
+            blocks[bid] = new(BlockSpec, (bid, kind, params))
         elif keyword == "clock":
             if len(parts) != 3:
                 raise NetlistParseError(
@@ -257,11 +260,17 @@ def _validate(net: Netlist) -> None:
     blocks = net.blocks
     if not blocks:
         errors.append("no blocks")
-    # Each block's Kind, looked up once; None for an unknown kind.
-    kinds = {bid: KINDS.get(block.kind) for bid, block in blocks.items()}
+    # What this pass reads of each kind, read from `KINDS` once per call:
+    # (input ports, output ports, the sort it takes, the sort it emits,
+    # clocked). Each block's row is looked up once; None for an unknown
+    # kind.
+    rows = {name: (kind.inputs, kind.outputs, kind.takes, kind.emits,
+                   kind.clocked) for name, kind in KINDS.items()}
+    kinds = {bid: rows.get(block.kind) for bid, block in blocks.items()}
 
     # The wiring first: the block checks below read it, but its own
-    # problems are reported after theirs.
+    # problems are reported after theirs. A wire whose two ports exist
+    # must carry the sort its destination takes.
     inputs: Dict[str, Dict[str, Wire]] = {bid: {} for bid in blocks}
     outputs: Dict[str, List[Wire]] = {bid: [] for bid in blocks}
     wire_errors: List[str] = []
@@ -272,28 +281,43 @@ def _validate(net: Netlist) -> None:
         if src_wires is None or dst_id not in kinds:
             wire_errors += ["wire endpoint references unknown block %r" % bid
                             for bid in (src_id, dst_id) if bid not in kinds]
+        sort = None
         if src_wires is not None:
             src_wires.append(wire)
-            kind = kinds[src_id]
-            if kind is not None and src_port not in kind.outputs:
-                wire_errors.append("block %r (%s) has no output port %r"
-                                   % (src_id, blocks[src_id].kind, src_port))
-        kind = kinds.get(dst_id)
-        if kind is not None:
-            if kind.inputs is VARIADIC:
+            row = kinds[src_id]
+            if row is not None:
+                _ins, outs, _takes, sort, _clocked = row
+                if src_port not in outs:
+                    sort = None
+                    wire_errors.append(
+                        "block %r (%s) has no output port %r"
+                        % (src_id, blocks[src_id].kind, src_port))
+                elif callable(sort):
+                    sort = sort(blocks[src_id].params)
+        row = kinds.get(dst_id)
+        if row is not None:
+            ins, _outs, takes, _emits, _clocked = row
+            if ins is VARIADIC:
                 if dst_port not in variadic_ports:
                     number = dst_port[2:]
                     if (dst_port.startswith("in") and number.isascii()
                             and number.isdigit()):
                         variadic_ports.add(dst_port)
                     else:
+                        sort = None
                         wire_errors.append(
                             "block %r (%s) input ports are in0, in1, ... "
                             "(got %r)" % (dst_id, blocks[dst_id].kind,
                                           dst_port))
-            elif dst_port not in kind.inputs:
+            elif dst_port not in ins:
+                sort = None
                 wire_errors.append("block %r (%s) has no input port %r"
                                    % (dst_id, blocks[dst_id].kind, dst_port))
+            if sort != takes and sort is not None and takes is not None:
+                wire_errors.append(
+                    "block %r (%s) input %r takes %s, got %s from %r"
+                    % (dst_id, blocks[dst_id].kind, dst_port, takes, sort,
+                       "%s.%s" % (src_id, src_port)))
         ports = inputs.get(dst_id)
         if ports is None:
             ports = inputs[dst_id] = {}
@@ -310,17 +334,18 @@ def _validate(net: Netlist) -> None:
     params: Dict[str, Dict[str, object]] = {}
     clock_of: Dict[str, Optional[ClockRef]] = {}
     for bid, block in blocks.items():
-        kind = kinds[bid]
-        if kind is None:
+        row = kinds[bid]
+        if row is None:
             errors.append("block %r has unknown kind %r" % (bid, block.kind))
             continue
+        ins, _outs, _takes, _emits, clocked = row
         values, problems = parse_params(block)
         params[bid] = values
-        errors += problems
-        clock_id = values.get("clock", default_clock if kind.clocked
-                              else None)
+        if problems:
+            errors += problems
+        clock_id = values.get("clock", default_clock if clocked else None)
         clock_of[bid] = clocks.get(clock_id)
-        if clock_id is None and kind.clocked:
+        if clock_id is None and clocked:
             errors.append("block %r needs an explicit clock" % bid)
         elif clock_id is not None and clock_id not in clocks:
             errors.append("block %r references unknown clock %r"
@@ -331,12 +356,12 @@ def _validate(net: Netlist) -> None:
             ordered = sorted(ports)
             if ordered != ports:
                 wired = inputs[bid] = {port: wired[port] for port in ordered}
-        if kind.inputs is VARIADIC:
+        if ins is VARIADIC:
             if not wired:
                 errors.append("block %r (%s) has no wired inputs"
                               % (bid, block.kind))
         else:
-            for port in kind.inputs:
+            for port in ins:
                 if port not in wired:
                     errors.append("block %r (%s) input %r is not wired"
                                   % (bid, block.kind, port))
@@ -346,9 +371,9 @@ def _validate(net: Netlist) -> None:
         if bid not in blocks:
             errors.append("probe references unknown block %r" % bid)
             continue
-        kind = kinds[bid]
+        row = kinds[bid]
         if port not in inputs[bid] \
-                and port not in (kind.outputs if kind else ("out",)):
+                and port not in (row[1] if row else ("out",)):
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
     order: List[str] = []
@@ -357,8 +382,7 @@ def _validate(net: Netlist) -> None:
         indeg = {bid: len(ports) for bid, ports in inputs.items()}
         order = [bid for bid, d in indeg.items() if d == 0]
         for bid in order:
-            for wire in outputs[bid]:
-                dst = wire.dst_block
+            for _src, _port, dst, _dst_port, _link in outputs[bid]:
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     order.append(dst)

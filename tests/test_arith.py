@@ -2,6 +2,7 @@
 multiplexing, and the multi-valent dot-product sweep."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -153,6 +154,16 @@ class TestMux:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             mux([])
+
+    @pytest.mark.parametrize("values", [[1.5, 2], [2.0], [Fraction(3)],
+                                        [1.5, 1.5], ["3"]])
+    def test_non_integer_rejected(self, values):
+        # A pulse is a tick: a value that is not an int is refused, not
+        # floored, before any other rule reads it.
+        with pytest.raises(ValueError) as err:
+            mux(values)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "mux values must be integers"
 
     def test_demux_inverts(self):
         assert demux(mux({5, 7})) == {5, 7}

@@ -216,8 +216,10 @@ class TestCheck:
         net.write_text((GOLDEN / "add34.net").read_text()
                        + "block d madd\nwire sum.out d.in0\nprobe d.out\n")
         assert main(["check", str(net)]) == 1
-        assert ("block 'd' (madd): expected multi-valent messages"
-                in capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert captured.err == ("error: block 'd' (madd) input 'in0' takes "
+                                "mv, got scalar from 'sum.out'\n")
+        assert captured.out == ""
 
     def test_warnings_go_to_stderr(self, tmp_path, capsys):
         (tmp_path / "late_end.tbl").write_text("default 0\n3 5\n")
@@ -231,14 +233,18 @@ class TestCheck:
 
     def test_budget_cut_is_reported_before_the_oracle(self, tmp_path,
                                                       capsys):
-        # the run stops before d fires, so the oracle is never asked
-        net = tmp_path / "madd.net"
+        # the run stops before d fires, so the oracle, which has no
+        # function for mux, is never asked
+        net = tmp_path / "mux.net"
         net.write_text((GOLDEN / "add34.net").read_text()
-                       + "block d madd\nwire sum.out d.in0\nprobe d.out\n")
+                       + "block d mux\nwire sum.out d.in0\nprobe d.out\n")
         assert main(["check", str(net), "--budget", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: tick budget exhausted\n"
         assert captured.out == ""
+        assert main(["check", str(net)]) == 1
+        assert capsys.readouterr().err == (
+            "error: oracle does not support block kind 'mux'\n")
 
     def test_probe_block_is_judged(self, tmp_path, capsys):
         net = tmp_path / "probe.net"

@@ -2,6 +2,7 @@
 the integer-DAG oracle."""
 
 import random
+import re
 import zlib
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from temporalsim import (
     ClockRef,
     IntervalValue,
+    TimedMessage,
     accumulate_photonic,
     blocks,
     oracle_results,
@@ -26,7 +28,7 @@ from temporalsim.engine import (
     trace_to_csv,
     trace_to_waveform,
 )
-from temporalsim.errors import SimulationError
+from temporalsim.errors import NetlistValidationError, SimulationError
 
 from dagutil import random_dag_netlist
 
@@ -358,10 +360,32 @@ class TestReportOrder:
         text = self.TWO_SOURCES.format(kind="accumulator model=toggle depth=2")
         assert _run_text(text).stats.overflow_flags == ["early", "late"]
 
+    @pytest.mark.parametrize("latency, flags", [
+        (0, ["z", "a"]), (30, ["a", "z"])])
+    def test_overflow_flags_follow_the_fire_tick_not_the_id(self, latency,
+                                                            flags):
+        # `a` fires at 20; `z` fires when its delayed input ends, at 5 or
+        # 35.
+        text = ("clock main 1\n"
+                "block a accumulator model=toggle depth=2\n"
+                "block z accumulator model=toggle depth=2\n"
+                "block s20 source value=20\nblock s5 source value=5\n"
+                "wire s20.out a.in\nwire s5.out z.in latency=%d\n"
+                % latency)
+        assert _run_text(text).stats.overflow_flags == flags
+
     def test_the_earliest_failure_is_raised(self):
+        # A mux over two equal values fails when it fires; `early` fires
+        # at 5 and `late` at 20.
+        text = ("clock main 1\n"
+                "block late mux\nblock early mux\n"
+                "block s20 source value=20\nblock s5 source value=5\n"
+                "wire s20.out late.in0\nwire s20.out late.in1\n"
+                "wire s5.out early.in0\nwire s5.out early.in1\n")
         with pytest.raises(SimulationError) as err:
-            _run_text(self.TWO_SOURCES.format(kind="demux"))
-        assert str(err.value).startswith("block 'early' (demux): ")
+            _run_text(text)
+        assert str(err.value) == ("block 'early' (mux): mux requires "
+                                  "duplicate-free values")
 
     def test_same_tick_fires_by_block_id(self, tmp_path):
         # d fires at 5 with a zero-length output, so a's last input also
@@ -396,17 +420,18 @@ class TestOracle:
         with pytest.raises(SimulationError):
             oracle_results(parse_netlist(text))
 
+    # A wrong sort never reaches the oracle: validation rejects it.
     @pytest.mark.parametrize("tail,error", [
         ("block d madd\nwire s.out d.in0\nprobe d.out\n",
-         "block 'd' (madd): expected multi-valent messages"),
+         "block 'd' (madd) input 'in0' takes mv, got scalar from 's.out'"),
         ("block v source value=2 position=3 clock=main\nblock m mul k=2\n"
          "wire v.out m.in\nprobe m.out\n",
-         "block 'm' (mul): expected a scalar message, got mv"),
+         "block 'm' (mul) input 'in' takes scalar, got mv from 'v.out'"),
     ], ids=["scalar-into-madd", "mv-into-mul"])
     def test_wrong_sort_of_input_names_the_block(self, tail, error):
-        with pytest.raises(SimulationError) as err:
-            oracle_results(parse_netlist(ADD_NET + tail))
-        assert str(err.value) == error
+        with pytest.raises(NetlistValidationError) as err:
+            parse_netlist(ADD_NET + tail)
+        assert err.value.violations == [error]
 
     def test_multivalent_values_match_the_engine(self, tmp_path):
         text = ("clock main 1\n"
@@ -501,6 +526,20 @@ class TestTraceContract:
         assert again.results == {k: format_result(v)
                                  for k, v in trace.results.items()}
         assert trace_to_waveform(again) == trace_to_waveform(trace)
+
+    @given(NETLISTS, st.integers(0, 3))
+    def test_delivered_messages_pass_the_checked_constructor(self, text,
+                                                             latency):
+        # Fire functions and a uniform delay build each message unchecked;
+        # the checked constructor must accept it and build the same value.
+        text = re.sub(r"^wire .*", r"\g<0> latency=%d" % latency, text,
+                      flags=re.M)
+        delivered = run(parse_netlist(text)).delivered
+        assert delivered
+        for msg in delivered.values():
+            checked = TimedMessage(msg.events, msg.clock, msg.amplitudes)
+            assert type(msg) is TimedMessage
+            assert msg == checked and hash(msg) == hash(checked)
 
     def test_run_builds_no_event_list(self):
         trace = _run_text(ADD_NET)

@@ -86,6 +86,57 @@ def test_wire_violations_keep_their_text_and_order():
     ]
 
 
+# A block that emits each sort, as `e`, and one that takes each sort, as
+# `t` with the port the wire reaches.
+EMITS = {
+    "scalar": "block e source value=2\n",
+    "mux": "block x source value=2\nblock e mux\nwire x.out e.in0\n",
+    "mv": "block e source value=2 position=3\n",
+}
+TAKES = {"scalar": ("mul k=2", "in"), "mux": ("demux", "in"),
+         "mv": ("madd", "in0")}
+
+
+@pytest.mark.parametrize("emitted,taken", [
+    (emitted, taken) for emitted in EMITS for taken in TAKES
+    if emitted != taken])
+def test_a_wire_of_the_wrong_sort_is_a_validation_error(emitted, taken):
+    kind, port = TAKES[taken]
+    text = ("clock main 1\n" + EMITS[emitted]
+            + "block t %s\nwire e.out t.%s\n" % (kind, port))
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(text)
+    assert err.value.violations == [
+        "block 't' (%s) input %r takes %s, got %s from 'e.out'"
+        % (kind.split()[0], port, taken, emitted)]
+
+
+@pytest.mark.parametrize("sort", list(EMITS))
+def test_a_wire_of_the_sort_taken_is_valid(sort):
+    kind, port = TAKES[sort]
+    net = parse_netlist("clock main 1\n" + EMITS[sort]
+                        + "block t %s\nwire e.out t.%s\n" % (kind, port)
+                        + "block p probe\nwire e.out p.in\n")
+    assert net.inputs["t"][port].src_block == "e"
+    assert net.inputs["p"]["in"].src_block == "e"
+
+
+def test_every_sort_error_is_listed_at_once():
+    text = ("clock main 1\n" + EMITS["mux"]
+            + "block v source value=2 position=3\n"
+            "block s add\nwire e.out s.a\nwire v.out s.b\n"
+            "block d madd\nwire s.out d.in0\nwire v.out d.in1\n"
+            "block u demux\nwire v.out u.in\n")
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(text)
+    assert err.value.violations == [
+        "block 's' (add) input 'a' takes scalar, got mux from 'e.out'",
+        "block 's' (add) input 'b' takes scalar, got mv from 'v.out'",
+        "block 'd' (madd) input 'in0' takes mv, got scalar from 's.out'",
+        "block 'u' (demux) input 'in' takes mux, got mv from 'v.out'",
+    ]
+
+
 def test_records_keep_their_fields_and_stay_immutable():
     net = parse_netlist(ADD_NET)
     wire, block = net.wires[0], net.blocks["a"]
