@@ -309,6 +309,17 @@ def _source_oracle(p, _ins):
     return {p["position"]: p["value"]} if "position" in p else p["value"]
 
 
+def _mux_oracle(_p, ins):
+    # The engine's rules and texts, checked here with plain sets.
+    values = list(ins.values())
+    members = set(values)
+    if len(members) != len(values):
+        raise ValueError("mux requires duplicate-free values")
+    if 0 in members:
+        raise ValueError("0 collides with the start marker")
+    return members
+
+
 def _source_sort(raw: Mapping[str, str]) -> str:
     return MV if "position" in raw else SCALAR
 
@@ -340,8 +351,9 @@ KINDS: Dict[str, Kind] = {
                 lambda _p, ins: min(ins.values())),
     "max": Kind(VARIADIC, _race(arith.max_race),
                 lambda _p, ins: max(ins.values())),
-    "mux": Kind(VARIADIC, _mux, emits=MUX),
-    "demux": Kind(("in",), _demux, takes=MUX, emits=MUX),
+    "mux": Kind(VARIADIC, _mux, _mux_oracle, emits=MUX),
+    "demux": Kind(("in",), _demux, lambda _p, ins: ins["in"], takes=MUX,
+                  emits=MUX),
     "madd": Kind(VARIADIC, _madd,
                  lambda _p, ins: sum(pos * amp for mv in ins.values()
                                      for pos, amp in mv.items()),

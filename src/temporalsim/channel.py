@@ -177,7 +177,7 @@ def transmit_checked(msg: TimedMessage,
         return msg
     # A uniform shift keeps a valid message valid.
     return tuple.__new__(TimedMessage, (
-        tuple((r, t + delay) for r, t in msg.events), msg.clock,
+        tuple([(r, t + delay) for r, t in msg.events]), msg.clock,
         msg.amplitudes))
 
 

@@ -12,10 +12,11 @@ wall-clock. What each block kind computes lives in `blocks.KINDS`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .blocks import KINDS, Firing
 from .channel import StabilityViolation, TimedMessage, transmit_checked
@@ -50,13 +51,15 @@ class Trace:
     @cached_property
     def events(self) -> List[Tuple[int, str, str, str]]:
         """Every delivered event as (tick, block, port, role), sorted by
-        (tick, block, port). One wire per port: events that tie on that
-        key are one message's, already in start, value-pulse, end order,
-        and the sort is stable."""
+        (tick, block, port). Laid out by sorted (block, port), each
+        message's events in its own start, value-pulse, end order, then
+        sorted stably by tick alone: one wire per port, so that is the
+        full order."""
+        delivered = self.delivered
         events = [(tick, block, port, role)
-                  for (block, port), msg in self.delivered.items()
-                  for role, tick in msg.events]
-        events.sort(key=itemgetter(0, 1, 2))
+                  for block, port in sorted(delivered)
+                  for role, tick in delivered[block, port].events]
+        events.sort(key=itemgetter(0))
         return events
 
     def __eq__(self, other):
@@ -164,8 +167,9 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
     plain integer arithmetic.
 
     Independent of the event engine: each block's oracle function in
-    `blocks.KINDS` folds ordinary +, *, min, max and an explicit sum for
-    the dot product over the netlist's topological order.
+    `blocks.KINDS` folds ordinary +, *, min, max, an explicit sum for the
+    dot product and plain sets for mux and demux over the netlist's
+    topological order.
     """
     blocks, inputs, params = net.blocks, net.inputs, net.params
     oracles = {name: kind.oracle for name, kind in KINDS.items()}
@@ -177,7 +181,12 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
     values: Dict[str, object] = {}
     for bid in net.order:
         ins = {port: values[w.src_block] for port, w in inputs[bid].items()}
-        values[bid] = oracles[blocks[bid].kind](params[bid], ins)
+        kind = blocks[bid].kind
+        try:
+            values[bid] = oracles[kind](params[bid], ins)
+        except ValueError as exc:  # a mux's repeated or zero input
+            raise SimulationError("block %r (%s): %s"
+                                  % (bid, kind, exc)) from exc
 
     results: Dict[str, object] = {}
     for bid, port in net.probes:
@@ -203,8 +212,7 @@ def format_result(value) -> str:
 def trace_to_csv(trace: Trace) -> str:
     """Event CSV with a key=value results footer; byte-stable."""
     lines = ["tick,block,port,role"]
-    for tick, block, port, role in trace.events:
-        lines.append("%d,%s,%s,%s" % (tick, block, port, role))
+    lines += ["%d,%s,%s,%s" % event for event in trace.events]
     for key in sorted(trace.results):
         lines.append("%s=%s" % (key, format_result(trace.results[key])))
     return "\n".join(lines) + "\n"
@@ -235,6 +243,10 @@ def trace_from_csv(text: str) -> Trace:
     return trace
 
 
+# The first 94 identifier codes, one character each.
+_VCD_CHARS = "".join(map(chr, range(33, 127)))
+
+
 def _vcd_code(index: int) -> str:
     # printable identifier codes, base 94 starting at '!'
     chars = []
@@ -246,21 +258,34 @@ def _vcd_code(index: int) -> str:
 
 
 def trace_to_waveform(trace: Trace) -> str:
-    """Value-change-dump-style text waveform of the trace's pulse events."""
-    signals = sorted({(b, p) for _t, b, p, _r in trace.events})
-    codes = {sig: _vcd_code(i) for i, sig in enumerate(signals)}
-    changes: Dict[int, Dict[str, int]] = {}
+    """Value-change-dump-style text waveform of the trace's pulse events:
+    one signal per (block, port), coded in sorted order, 1 at each of its
+    event ticks and 0 the tick after unless it has an event then. Changes
+    are listed by (tick, code string)."""
+    ticks_of: Dict[Tuple[str, str], Set[int]] = defaultdict(set)
     for tick, block, port, _role in trace.events:
-        code = codes[(block, port)]
-        changes.setdefault(tick, {})[code] = 1
-        changes.setdefault(tick + 1, {}).setdefault(code, 0)
+        ticks_of[block, port].add(tick)
+    signals = sorted(ticks_of)
+    codes = list(_VCD_CHARS[:len(signals)])
+    codes += map(_vcd_code, range(len(_VCD_CHARS), len(signals)))
 
     lines = ["$timescale 1 tick $end", "$scope module netlist $end"]
-    for (block, port), code in sorted(codes.items(), key=lambda kv: kv[0]):
-        lines.append("$var wire 1 %s %s.%s $end" % (code, block, port))
-    lines.extend(["$upscope $end", "$enddefinitions $end"])
-    for tick in sorted(changes):
-        lines.append("#%d" % tick)
-        for code in sorted(changes[tick]):
-            lines.append("%d%s" % (changes[tick][code], code))
+    lines += ["$var wire 1 %s %s.%s $end" % (code, block, port)
+              for (block, port), code in zip(signals, codes)]
+    lines += ["$upscope $end", "$enddefinitions $end"]
+    changes: List[Tuple[int, str, str]] = []
+    for signal, code in zip(signals, codes):
+        ticks = ticks_of[signal]
+        one, zero = "1" + code, "0" + code
+        for tick in ticks:
+            changes.append((tick, code, one))
+            if tick + 1 not in ticks:
+                changes.append((tick + 1, code, zero))
+    changes.sort()
+    last = None
+    for tick, _code, line in changes:
+        if tick != last:
+            lines.append("#%d" % tick)
+            last = tick
+        lines.append(line)
     return "\n".join(lines) + "\n"

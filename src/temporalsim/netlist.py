@@ -111,8 +111,9 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
 
 def _wire_option(opt: str, line: str, lineno: int,
                  base_dir: Optional[str],
-                 latency_links: Dict[int, Link]) -> Link:
-    """The Link a wire's `latency=` or `table=` option names."""
+                 latency_links: Dict[str, Link]) -> Link:
+    """The Link a wire's `latency=` or `table=` option names. A good
+    `latency=` text's link is stored in `latency_links` under that text."""
     if opt.startswith("latency="):
         value = opt[len("latency="):]
         problem = too_long(value)
@@ -129,9 +130,7 @@ def _wire_option(opt: str, line: str, lineno: int,
         if latency < 0:
             raise NetlistParseError(
                 "latency must be non-negative", lineno, _column(line, 3))
-        link = latency_links.get(latency)
-        if link is None:
-            link = latency_links[latency] = Link.constant(latency)
+        link = latency_links[opt] = Link.constant(latency)
         return link
     if opt.startswith("table="):
         path = opt[len("table="):]
@@ -160,7 +159,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     """
     net = Netlist()
     wires, blocks = net.wires, net.blocks
-    latency_links: Dict[int, Link] = {}  # one shared Link per latency=
+    latency_links: Dict[str, Link] = {}  # one Link per latency= text
     # Each record is built by the C call inside namedtuple's `_make`; a
     # literal tuple of its fields always has the right length.
     new = tuple.__new__
@@ -186,8 +185,10 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 _parse_port_ref(line, lineno, parts, 2)
             link = _NO_DELAY
             if count == 4:
-                link = _wire_option(parts[3], line, lineno, base_dir,
-                                    latency_links)
+                link = latency_links.get(parts[3])
+                if link is None:
+                    link = _wire_option(parts[3], line, lineno, base_dir,
+                                        latency_links)
             wires.append(new(Wire, (src_b, src_p, dst_b, dst_p, link)))
         elif keyword == "block":
             if len(parts) < 3:

@@ -181,6 +181,10 @@ class TestCheck:
         assert main(["check", str(GOLDEN / "madd.net")]) == 0
         assert "ok d.out=18" in capsys.readouterr().out
 
+    def test_golden_mux57_matches(self, capsys):
+        assert main(["check", str(GOLDEN / "mux57.net")]) == 0
+        assert capsys.readouterr().out == "ok d.out={5,7}\nok x.out={5,7}\n"
+
     def test_injected_fault_detected(self, add_net, capsys, monkeypatch):
         add = blocks.KINDS["add"]
 
@@ -234,17 +238,18 @@ class TestCheck:
     def test_budget_cut_is_reported_before_the_oracle(self, tmp_path,
                                                       capsys):
         # the run stops before d fires, so the oracle, which has no
-        # function for mux, is never asked
-        net = tmp_path / "mux.net"
+        # function for accumulator, is never asked
+        net = tmp_path / "acc.net"
         net.write_text((GOLDEN / "add34.net").read_text()
-                       + "block d mux\nwire sum.out d.in0\nprobe d.out\n")
+                       + "block d accumulator\nwire sum.out d.in\n"
+                       "probe d.out\n")
         assert main(["check", str(net), "--budget", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: tick budget exhausted\n"
         assert captured.out == ""
         assert main(["check", str(net)]) == 1
         assert capsys.readouterr().err == (
-            "error: oracle does not support block kind 'mux'\n")
+            "error: oracle does not support block kind 'accumulator'\n")
 
     def test_probe_block_is_judged(self, tmp_path, capsys):
         net = tmp_path / "probe.net"

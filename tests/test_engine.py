@@ -49,6 +49,12 @@ def _run_text(text, **kwargs):
     return run(parse_netlist(text), **kwargs)
 
 
+def _with_latency(text, latency):
+    """The netlist with `latency=<latency>` on every wire."""
+    return re.sub(r"^wire .*", r"\g<0> latency=%d" % latency, text,
+                  flags=re.M)
+
+
 _ROLE_RANK = {"start": 0, "value-pulse": 1, "end": 2}
 
 
@@ -420,6 +426,30 @@ class TestOracle:
         with pytest.raises(SimulationError):
             oracle_results(parse_netlist(text))
 
+    def test_mux_and_demux_are_sets(self):
+        net = parse_netlist((GOLDEN / "mux57.net").read_text()
+                            + "probe x.in1\n")
+        assert oracle_results(net) == run(net).results == {
+            "x.out": {5, 7}, "d.out": {5, 7}, "x.in1": 7}
+
+    @pytest.mark.parametrize("values, error", [
+        ((5, 5), "mux requires duplicate-free values"),
+        ((0, 7), "0 collides with the start marker"),
+        ((0, 0), "mux requires duplicate-free values"),
+    ], ids=["repeated", "zero", "repeated-zero"])
+    def test_a_bad_mux_is_the_engines_error(self, values, error):
+        net = parse_netlist("clock main 1\nblock x mux\nblock d demux\n"
+                            "wire x.out d.in\nprobe d.out\n" + "".join(
+                                "block s%d source value=%d\n"
+                                "wire s%d.out x.in%d\n" % (i, v, i, i)
+                                for i, v in enumerate(values)))
+        with pytest.raises(SimulationError) as ran:
+            run(net)
+        with pytest.raises(SimulationError) as judged:
+            oracle_results(net)
+        assert str(judged.value) == str(ran.value) == (
+            "block 'x' (mux): " + error)
+
     # A wrong sort never reaches the oracle: validation rejects it.
     @pytest.mark.parametrize("tail,error", [
         ("block d madd\nwire s.out d.in0\nprobe d.out\n",
@@ -532,9 +562,7 @@ class TestTraceContract:
                                                              latency):
         # Fire functions and a uniform delay build each message unchecked;
         # the checked constructor must accept it and build the same value.
-        text = re.sub(r"^wire .*", r"\g<0> latency=%d" % latency, text,
-                      flags=re.M)
-        delivered = run(parse_netlist(text)).delivered
+        delivered = run(parse_netlist(_with_latency(text, latency))).delivered
         assert delivered
         for msg in delivered.values():
             checked = TimedMessage(msg.events, msg.clock, msg.amplitudes)
@@ -599,3 +627,120 @@ class TestTraceContract:
         other = text.replace("4,s,b,end", "5,s,b,end")
         assert other != text
         assert trace_from_csv(other) != trace_from_csv(text)
+
+
+# The export algorithms as they were first written, kept as the
+# reference: an event list sorted by a (tick, block, port) key, and a
+# waveform built from one dict of code values per tick.
+
+
+def _reference_events(delivered):
+    events = [(tick, block, port, role)
+              for (block, port), msg in delivered.items()
+              for role, tick in msg.events]
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    return events
+
+
+def _reference_code(index):
+    chars = []
+    index += 1
+    while index:
+        index, rem = divmod(index - 1, 94)
+        chars.append(chr(33 + rem))
+    return "".join(reversed(chars))
+
+
+def _reference_waveform(events):
+    signals = sorted({(b, p) for _t, b, p, _r in events})
+    codes = {sig: _reference_code(i) for i, sig in enumerate(signals)}
+    changes = {}
+    for tick, block, port, _role in events:
+        code = codes[(block, port)]
+        changes.setdefault(tick, {})[code] = 1
+        changes.setdefault(tick + 1, {}).setdefault(code, 0)
+    lines = ["$timescale 1 tick $end", "$scope module netlist $end"]
+    for (block, port), code in sorted(codes.items()):
+        lines.append("$var wire 1 %s %s.%s $end" % (code, block, port))
+    lines.extend(["$upscope $end", "$enddefinitions $end"])
+    for tick in sorted(changes):
+        lines.append("#%d" % tick)
+        for code in sorted(changes[tick]):
+            lines.append("%d%s" % (changes[tick][code], code))
+    return "\n".join(lines) + "\n"
+
+
+def _csv_rows(text):
+    lines = text.splitlines()
+    rows = [line for line in lines[1:] if "=" not in line]
+    return lines[0], rows, [line for line in lines[1:] if "=" in line]
+
+
+# 100 sources of distinct values race into one min: 100 signals, so
+# codes from index 94 on are two characters long.
+WIDE_NET = "clock main 1\n" + "".join(
+    "block s%d source value=%d\nwire s%d.out m.in%d\n"
+    % (i, 100 - i, i, i) for i in range(100)) + "block m min\nprobe m.out\n"
+
+
+class TestExportMatchesTheReference:
+    """The event list, the CSV and the waveform equal what the reference
+    algorithms above give, byte for byte."""
+
+    @given(NETLISTS, st.integers(0, 3))
+    def test_run_traces(self, text, latency):
+        trace = _run_text(_with_latency(text, latency))
+        assert trace.events == _reference_events(trace.delivered)
+        assert trace_to_waveform(trace) == _reference_waveform(trace.events)
+        again = trace_from_csv(trace_to_csv(trace))
+        assert trace_to_waveform(again) == trace_to_waveform(trace)
+
+    @given(NETLISTS, st.randoms(use_true_random=False))
+    def test_csv_rows_in_any_order(self, text, rng):
+        trace = _run_text(text)
+        header, rows, footer = _csv_rows(trace_to_csv(trace))
+        rng.shuffle(rows)
+        shuffled = trace_from_csv("\n".join([header] + rows + footer))
+        assert trace_to_waveform(shuffled) == trace_to_waveform(trace)
+        assert trace_to_waveform(shuffled) == _reference_waveform(
+            shuffled.events)
+
+    def test_duplicated_csv_rows(self):
+        trace = _run_text(ADD_NET)
+        header, rows, footer = _csv_rows(trace_to_csv(trace))
+        doubled = trace_from_csv("\n".join([header] + rows[::-1] + rows
+                                           + footer))
+        assert len(doubled.events) == 2 * len(trace.events)
+        assert trace_to_waveform(doubled) == trace_to_waveform(trace) == \
+            _reference_waveform(doubled.events)
+
+    def test_negative_ticks(self):
+        trace = trace_from_csv("tick,block,port,role\n"
+                               "0,b,in,end\n-3,a,in,start\n-2,a,in,end\n"
+                               "-1,b,in,start\n-12,c,in,start\n"
+                               "-11,c,in,end\n")
+        wave = trace_to_waveform(trace)
+        assert wave == _reference_waveform(trace.events)
+        assert wave.split("$enddefinitions $end\n")[1] == (
+            "#-12\n1#\n#-11\n1#\n#-10\n0#\n#-3\n1!\n#-2\n1!\n"
+            "#-1\n0!\n1\"\n#0\n1\"\n#1\n0\"\n")
+
+    def test_multi_character_codes(self):
+        trace = _run_text(WIDE_NET)
+        wave = trace_to_waveform(trace)
+        assert wave == _reference_waveform(trace.events)
+        assert wave.count("$var wire") == 100
+        # Signal 0 is m.in0 (code !), 1 is m.in1 ("), 94 is m.in94 (!!)
+        # and 95 is m.in95 (!"). Within a tick the changes follow the code
+        # strings, so the two-character codes come between ! and ".
+        assert "$var wire 1 !! m.in94 $end" in wave
+        assert '#0\n1!\n1!!\n1!"\n1!#\n1!$\n1!%\n1!&\n1"\n' in wave
+
+    def test_empty_trace(self):
+        trace = _run_text("clock main 1\nblock a source value=5\n")
+        assert trace.events == _reference_events(trace.delivered) == []
+        assert trace_to_waveform(trace) == _reference_waveform([]) == (
+            "$timescale 1 tick $end\n$scope module netlist $end\n"
+            "$upscope $end\n$enddefinitions $end\n")
+        assert trace_to_waveform(trace_from_csv(trace_to_csv(trace))) == \
+            trace_to_waveform(trace)

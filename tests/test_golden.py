@@ -1,5 +1,7 @@
-"""Byte lock on the five figure netlists: the `run --trace` CSV and the
-`run --stats` stdout must match the files committed beside them."""
+"""Byte lock on the five figure netlists: the `run --trace` CSV, the
+`run --waveform` text and the `run --stats` stdout must match the files
+committed beside them, and `export` of the committed CSV must give the
+committed waveform."""
 
 from pathlib import Path
 
@@ -21,3 +23,17 @@ def test_trace_and_stats_match_golden_bytes(name, tmp_path, capsys):
     assert main(["run", net, "--stats"]) == 0
     assert (capsys.readouterr().out.encode()
             == (GOLDEN / (name + ".stats")).read_bytes())
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_waveform_matches_golden_bytes(name, tmp_path, capsys):
+    golden = (GOLDEN / (name + ".vcd")).read_bytes()
+    wave = tmp_path / "wave.vcd"
+    assert main(["run", str(GOLDEN / (name + ".net")),
+                 "--waveform", str(wave)]) == 0
+    assert wave.read_bytes() == golden
+    exported = tmp_path / "export.vcd"
+    assert main(["export", str(GOLDEN / (name + ".csv")),
+                 "--out", str(exported)]) == 0
+    capsys.readouterr()
+    assert exported.read_bytes() == golden

@@ -372,6 +372,36 @@ def test_wires_of_one_latency_share_a_link():
     assert third.delay(0) == 4
 
 
+def test_latency_texts_of_one_value_give_equal_links():
+    net = parse_netlist(ADD_NET.replace("s.a", "s.a latency=3")
+                        .replace("s.b", "s.b latency=03"))
+    first, second = (w.link for w in net.wires)
+    assert first == second and hash(first) == hash(second)
+    assert first.delay(0) == second.delay(0) == 3
+
+
+# Each distinct `latency=` text is resolved once per parse. A bad one is
+# never stored, so it raises at its own line and column, whatever good
+# texts came before it.
+@pytest.mark.parametrize("earlier", ["", " latency=3", " latency=03"],
+                         ids=["alone", "after-latency-3",
+                              "after-latency-03"])
+@pytest.mark.parametrize("option, error", [
+    ("latency=x", "line 6:28: expected integer, got 'x'"),
+    ("latency=-1", "line 6:20: latency must be non-negative"),
+    ("latency=3x", "line 6:28: expected integer, got '3x'"),
+], ids=["not-a-number", "negative", "trailing-letter"])
+def test_a_bad_latency_text_keeps_its_error_and_column(earlier, option,
+                                                       error):
+    text = (ADD_NET.replace("wire a.out s.a", "wire a.out s.a" + earlier)
+            .replace("wire b.out s.b", "wire b.out   s.b   " + option))
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == error
+    assert (err.value.line, err.value.column) == (
+        6, int(error.split(":")[1]))
+
+
 def test_probe_out_needs_an_out_port():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\nblock a source value=3\n"
