@@ -37,15 +37,12 @@ from .channel import (
     Link,
     StabilityViolation,
     TimedMessage,
-    parse_stream,
-    serialize_stream,
     transmit,
     transmit_checked,
 )
 from .core import (
     DEFAULT_CLOCK,
     ClockRef,
-    DeliveryMode,
     IntervalValue,
     MultiValentTrain,
     PulseTrain,

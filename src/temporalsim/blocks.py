@@ -15,6 +15,7 @@ integer arithmetic only, so the two stay independent.
 
 from __future__ import annotations
 
+import re
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass
@@ -114,16 +115,41 @@ def too_long(token: str) -> Optional[str]:
                                                         MAX_NUMBER_CHARS)
 
 
+def too_big(token: str) -> Optional[str]:
+    """Why a rational token is too long, or its decimal exponent too large
+    in magnitude, to convert; or None. `Fraction("1e99999999")` would
+    build 10**99999999, so the exponent is read before `Fraction` runs."""
+    problem = too_long(token)
+    if problem:
+        return problem
+    head, e, exponent = token.replace("E", "e").rpartition("e")
+    if not e:
+        return None
+    try:
+        # Zeroing the exponent's digits keeps the token's shape, so this
+        # accepts exactly what `Fraction` accepts on this interpreter.
+        Fraction(head + e + re.sub(r"\d", "0", exponent))
+    except ValueError:
+        return None
+    power = int(exponent)
+    if abs(power) <= MAX_NUMBER_CHARS:
+        return None
+    return "is too large (exponent %d, at most %d)" % (power,
+                                                       MAX_NUMBER_CHARS)
+
+
 def quote(token: str) -> str:
     """A token as an error message echoes it: cut short when long."""
     return repr(token) if len(token) <= 40 else repr(token[:20]) + "..."
 
 
-def _number(convert: Callable[[str], object], text: str, problem: str):
-    """`convert(text)`, or a ValueError: `problem`, or that the token is
-    too long to convert."""
-    if too_long(text):
-        raise ValueError(too_long(text))
+def _number(convert: Callable[[str], object], text: str, problem: str,
+            limit: Callable[[str], Optional[str]] = too_long):
+    """`convert(text)`, or a ValueError: `problem`, or why `limit` finds
+    the token too big to convert."""
+    reason = limit(text)
+    if reason:
+        raise ValueError(reason)
     try:
         return convert(text)
     except (ValueError, ZeroDivisionError):
@@ -143,7 +169,7 @@ def _int_in(minimum: int,
 
 
 def _positive_fraction(text: str) -> Fraction:
-    value = _number(Fraction, text, "is not rational")
+    value = _number(Fraction, text, "is not rational", too_big)
     if value <= 0:
         raise ValueError("must be > 0")
     return value

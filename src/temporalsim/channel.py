@@ -2,19 +2,17 @@
 
 Data rides as the spacing between events, so a link may delay a message
 arbitrarily as long as the delay holds still between the message's first
-and last event. The module also lays values out on one channel in the
-two serial delivery modes and reads them back.
+and last event.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from types import MappingProxyType
-from typing import (Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .core import DEFAULT_CLOCK, ClockRef, DeliveryMode, PulseTrain
-from .errors import GapCountMismatch, MalformedStream, StabilityError
+from .core import DEFAULT_CLOCK, ClockRef
+from .errors import StabilityError
 
 EVENT_START = "start"
 EVENT_END = "end"
@@ -194,65 +192,3 @@ def transmit(msg: TimedMessage, link: Link) -> TimedMessage:
             "(value error %+d)" % out.value_error)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Delivery-mode serialization
-
-
-def serialize_stream(values: Sequence[int], mode: DeliveryMode,
-                     gaps: Optional[Sequence[int]] = None,
-                     clock: ClockRef = DEFAULT_CLOCK) -> PulseTrain:
-    """Lay out values on one channel in a serial delivery mode.
-
-    Serial: zero idle time, interior pulses double as end-of-one and
-    start-of-next delimiters (which is why concatenation adds). Serial
-    discontinuous: each value keeps its own delimiters, separated by
-    caller-specified idle gaps. Values must be >= 1 in both modes; a
-    zero-length code collapses to a single pulse and cannot be parsed
-    back unambiguously.
-    """
-    if any(v < 1 for v in values):
-        raise MalformedStream("stream values must be >= 1")
-    if mode is DeliveryMode.SERIAL:
-        if gaps:
-            raise GapCountMismatch("serial mode takes no gaps")
-        pulses = [0]
-        for v in values:
-            pulses.append(pulses[-1] + v)
-        return PulseTrain(tuple(pulses), clock)
-    if mode is DeliveryMode.SERIAL_DISCONTINUOUS:
-        gaps = list(gaps or [])
-        boundaries = max(len(values) - 1, 0)
-        if len(gaps) != boundaries:
-            raise GapCountMismatch(
-                "need %d gaps for %d values, got %d"
-                % (boundaries, len(values), len(gaps)))
-        if any(g < 1 for g in gaps):
-            raise MalformedStream("idle gaps must be >= 1")
-        pulses = []
-        cursor = 0
-        for i, v in enumerate(values):
-            pulses.extend((cursor, cursor + v))
-            cursor += v
-            if i < boundaries:
-                cursor += gaps[i]
-        return PulseTrain(tuple(pulses) if pulses else (0,), clock)
-    raise ValueError("not a serial delivery mode: %r" % (mode,))
-
-
-def parse_stream(t: PulseTrain, mode: DeliveryMode) -> List[int]:
-    """Read a serial channel back into its value sequence (right inverse
-    of serialize_stream for the same mode)."""
-    pulses = t.pulses
-    if mode is DeliveryMode.SERIAL:
-        if not pulses or pulses[0] != 0:
-            raise MalformedStream("serial stream must start at tick 0")
-        return [b - a for a, b in zip(pulses, pulses[1:])]
-    if mode is DeliveryMode.SERIAL_DISCONTINUOUS:
-        if pulses == (0,):
-            return []
-        if len(pulses) % 2 != 0:
-            raise MalformedStream(
-                "discontinuous stream needs paired delimiters")
-        return [pulses[i + 1] - pulses[i] for i in range(0, len(pulses), 2)]
-    raise ValueError("not a serial delivery mode: %r" % (mode,))

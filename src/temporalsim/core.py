@@ -7,7 +7,6 @@ functions; nothing touches global state.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple, Union
@@ -46,13 +45,6 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))
-
-
-class DeliveryMode(enum.Enum):
-    """How a collection of time delays is laid out on channels."""
-
-    SERIAL = "serial"
-    SERIAL_DISCONTINUOUS = "serial_discontinuous"
 
 
 class PulseTrain(namedtuple("PulseTrain", "pulses clock")):

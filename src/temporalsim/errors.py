@@ -37,14 +37,6 @@ class ZeroValue(TemporalError):
     """Zero cannot share a channel with the start marker."""
 
 
-class GapCountMismatch(TemporalError):
-    """Discontinuous serialization needs exactly one gap per boundary."""
-
-
-class MalformedStream(TemporalError):
-    """A pulse train cannot be parsed under the requested delivery mode."""
-
-
 class NetlistParseError(TemporalError):
     """Netlist text could not be tokenized; carries line/column."""
 

@@ -25,7 +25,8 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .blocks import KINDS, VARIADIC, parse_params, quote, too_long
+from .blocks import (KINDS, VARIADIC, parse_params, quote, too_big,
+                     too_long)
 from .channel import Link
 from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
@@ -129,7 +130,8 @@ def _wire_option(opt: str, line: str, lineno: int,
                 _column(line, 3) + len("latency=")) from None
         if latency < 0:
             raise NetlistParseError(
-                "latency must be non-negative", lineno, _column(line, 3))
+                "latency must be non-negative", lineno,
+                _column(line, 3) + len("latency="))
         link = latency_links[opt] = Link.constant(latency)
         return link
     if opt.startswith("table="):
@@ -223,7 +225,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "clock needs: clock <id> <freq>", lineno)
             cid, freq_tok = parts[1], parts[2]
-            problem = too_long(freq_tok)
+            problem = too_big(freq_tok)
             if problem:
                 raise NetlistParseError(
                     "frequency %s %s" % (quote(freq_tok), problem), lineno,

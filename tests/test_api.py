@@ -1,20 +1,22 @@
 """The documented library surface: the names `import temporalsim`
-exposes, and the README's quick tour."""
+exposes, the README's quick tour and its CLI examples."""
 
 import ast
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import temporalsim
+from temporalsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Growing or shrinking the public API is a deliberate edit of this list.
 PUBLIC_NAMES = [
     "AccumulatorConfig", "AccumulatorModel", "BinaryWord", "BlockSpec",
-    "ClockRef", "DEFAULT_CLOCK", "DeliveryMode", "IntervalValue", "Link",
+    "ClockRef", "DEFAULT_CLOCK", "IntervalValue", "Link",
     "MultiValentTrain", "MuxChannel", "Netlist", "PulseTrain",
     "StabilityViolation", "TemporalError", "TimedMessage", "Trace",
     "UnaryTrain", "Wire", "accumulate", "accumulate_analog",
@@ -23,9 +25,9 @@ PUBLIC_NAMES = [
     "decode_hybrid", "decode_pim", "decode_unary", "demux", "encode_hybrid",
     "encode_pim", "encode_unary", "engine", "errors", "madd", "max_race",
     "measure_interval", "min_race", "mul_dilate", "mux", "mv_merge",
-    "netlist", "oracle_results", "parse_netlist", "parse_stream", "run",
-    "serialize_stream", "toggle_chain", "toggle_chain_overflowed",
-    "trace_to_csv", "trace_to_waveform", "transmit", "transmit_checked",
+    "netlist", "oracle_results", "parse_netlist", "run", "toggle_chain",
+    "toggle_chain_overflowed", "trace_to_csv", "trace_to_waveform",
+    "transmit", "transmit_checked",
 ]
 
 
@@ -69,3 +71,22 @@ def test_readme_quick_tour_values():
         assert eval(code, namespace) == expected, code
         checked += 1
     assert checked
+
+
+def test_readme_cli_outputs(monkeypatch, capsys):
+    # Each command whose `# ...` comment states an output (it holds `=`)
+    # runs from the repository root and prints exactly that comment.
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)
+    checked = 0
+    for line in block.splitlines():
+        command, _hash, comment = line.partition("#")
+        if "=" not in comment:
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "temporalsim", line
+        assert main(argv[1:]) == 0, line
+        assert capsys.readouterr().out == comment.strip() + "\n", line
+        checked += 1
+    assert checked >= 2

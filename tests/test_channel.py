@@ -1,5 +1,5 @@
-"""Latency-invariant transport, stability checking, exchange rates
-between references, and serial delivery-mode (de)serialization."""
+"""Latency-invariant transport, stability checking, message
+constructors and exchange rates between references."""
 
 import random
 from fractions import Fraction
@@ -9,21 +9,13 @@ from hypothesis import example, given, strategies as st
 
 from temporalsim import (
     ClockRef,
-    DeliveryMode,
     Link,
-    PulseTrain,
     StabilityViolation,
     TimedMessage,
-    parse_stream,
-    serialize_stream,
     transmit,
     transmit_checked,
 )
-from temporalsim.errors import (
-    GapCountMismatch,
-    MalformedStream,
-    StabilityError,
-)
+from temporalsim.errors import StabilityError
 
 
 class TestTransmit:
@@ -226,61 +218,3 @@ class TestNegotiateReference:
         b = ClockRef("b", Fraction(4))
         assert b.ratio_to(a) == Fraction(2, 3)
 
-
-class TestSerialStreams:
-    def test_serial_concatenation_adds(self):
-        t = serialize_stream([3, 4], DeliveryMode.SERIAL)
-        assert t.pulses == (0, 3, 7)
-        assert parse_stream(t, DeliveryMode.SERIAL) == [3, 4]
-        assert t.pulses[-1] == 7  # last pulse reads off the sum
-
-    def test_empty_serial(self):
-        t = serialize_stream([], DeliveryMode.SERIAL)
-        assert t.pulses == (0,)
-        assert parse_stream(t, DeliveryMode.SERIAL) == []
-
-    def test_discontinuous_offsets(self):
-        t = serialize_stream([5, 2], DeliveryMode.SERIAL_DISCONTINUOUS,
-                             gaps=[4])
-        assert t.pulses == (0, 5, 9, 11)
-        assert parse_stream(t, DeliveryMode.SERIAL_DISCONTINUOUS) == [5, 2]
-
-    def test_gap_count_mismatch(self):
-        with pytest.raises(GapCountMismatch):
-            serialize_stream([5, 2], DeliveryMode.SERIAL_DISCONTINUOUS,
-                             gaps=[4, 4])
-        with pytest.raises(GapCountMismatch):
-            serialize_stream([1, 2], DeliveryMode.SERIAL, gaps=[1])
-
-    def test_zero_values_rejected(self):
-        with pytest.raises(MalformedStream):
-            serialize_stream([3, 0], DeliveryMode.SERIAL)
-
-    def test_malformed_streams(self):
-        with pytest.raises(MalformedStream):
-            parse_stream(PulseTrain((1, 4)), DeliveryMode.SERIAL)
-        with pytest.raises(MalformedStream):
-            parse_stream(PulseTrain((0, 2, 5)),
-                         DeliveryMode.SERIAL_DISCONTINUOUS)
-
-    def test_a_non_mode_is_rejected(self):
-        # Only the two serial modes lay values out on one channel.
-        for call in (lambda: serialize_stream([3], "serial"),
-                     lambda: parse_stream(PulseTrain((0, 3)), "serial")):
-            with pytest.raises(ValueError) as err:
-                call()
-            assert type(err.value) is ValueError
-            assert str(err.value) == "not a serial delivery mode: 'serial'"
-
-    def test_round_trip_random_streams(self):
-        rng = random.Random(303)
-        for _ in range(10 ** 3):
-            values = [rng.randint(1, 100)
-                      for _ in range(rng.randint(0, 10))]
-            serial = serialize_stream(values, DeliveryMode.SERIAL)
-            assert parse_stream(serial, DeliveryMode.SERIAL) == values
-            gaps = [rng.randint(1, 20) for _ in range(max(len(values) - 1, 0))]
-            disc = serialize_stream(values,
-                                    DeliveryMode.SERIAL_DISCONTINUOUS, gaps)
-            assert parse_stream(
-                disc, DeliveryMode.SERIAL_DISCONTINUOUS) == values

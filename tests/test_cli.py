@@ -420,6 +420,21 @@ def test_an_overlong_number_is_one_short_error_line(netlist, table, tmp_path,
     assert "is too long (5000 characters" in err and len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("netlist, power", [
+    ("clock main 1e99999999\nblock a source value=3\n", 99999999),
+    ("clock main 1\nblock a source value=3\nblock c accumulator "
+     "model=analog rate=1e-99999999\nwire a.out c.in\n", -99999999),
+], ids=["frequency", "rate"])
+def test_a_huge_exponent_is_one_error_line(netlist, power, tmp_path, capsys):
+    # `Fraction` would build a 10**99999999 before anything else ran.
+    path = tmp_path / "exp.net"
+    path.write_text(netlist)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.endswith("is too large (exponent %d, at most 4300)\n" % power)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "{add34}", "--trace", "{out}"],
     ["run", "{add34}", "--waveform", "{out}"],

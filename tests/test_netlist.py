@@ -1,12 +1,17 @@
 """Netlist parsing and validation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from temporalsim import BlockSpec, Wire, parse_netlist
-from temporalsim.errors import NetlistParseError, NetlistValidationError
+from temporalsim.errors import (
+    NetlistParseError,
+    NetlistValidationError,
+    TemporalError,
+)
 
 from dagutil import random_dag_netlist
 
@@ -388,7 +393,7 @@ def test_latency_texts_of_one_value_give_equal_links():
                               "after-latency-03"])
 @pytest.mark.parametrize("option, error", [
     ("latency=x", "line 6:28: expected integer, got 'x'"),
-    ("latency=-1", "line 6:20: latency must be non-negative"),
+    ("latency=-1", "line 6:28: latency must be non-negative"),
     ("latency=3x", "line 6:28: expected integer, got '3x'"),
 ], ids=["not-a-number", "negative", "trailing-letter"])
 def test_a_bad_latency_text_keeps_its_error_and_column(earlier, option,
@@ -400,6 +405,76 @@ def test_a_bad_latency_text_keeps_its_error_and_column(earlier, option,
     assert str(err.value) == error
     assert (err.value.line, err.value.column) == (
         6, int(error.split(":")[1]))
+
+
+# `Fraction("1e99999999")` builds 10**99999999, so a rational token's
+# decimal exponent has the bound a written-out integer has: 4300.
+RATIONAL_NETS = {
+    "clock": "clock main {tok}\nblock a source value=3\n",
+    "rate": "clock main 1\nblock a source value=3\n"
+            "block c accumulator model=analog rate={tok}\nwire a.out c.in\n",
+    "flux": "clock main 1\nblock a source value=3\n"
+            "block c accumulator model=photon flux={tok}\nwire a.out c.in\n",
+}
+
+
+def _rational_error(where, tok, problem=None):
+    """The error text; without a problem, the one for a non-rational."""
+    if where == "clock":
+        if problem is None:
+            return "line 1:12: bad frequency %r" % tok
+        return "line 1:12: frequency %r %s" % (tok, problem)
+    return "block 'c' param %s=%r: %s" % (where, tok,
+                                          problem or "is not rational")
+
+
+def _too_large(power):
+    return "is too large (exponent %d, at most 4300)" % power
+
+
+@pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
+@pytest.mark.parametrize("tok", ["1e4300", "1e-4300", "1E+4300", "0.5e4300",
+                                 "1e٤٣٠٠"])
+def test_a_rational_exponent_up_to_4300_is_accepted(where, tok):
+    net = parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    value = (net.clocks["main"].frequency if where == "clock"
+             else net.params["c"][where])
+    assert value == Fraction(tok)
+
+
+@pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
+@pytest.mark.parametrize("tok, power", [
+    ("1e4301", 4301), ("1e-4301", -4301), ("1E+99999999", 99999999),
+    ("0.5e-99999999", -99999999), ("1e٤٣٠١", 4301),
+])
+def test_a_rational_exponent_past_4300_is_refused(where, tok, power):
+    with pytest.raises(TemporalError) as err:
+        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    assert str(err.value) == _rational_error(where, tok, _too_large(power))
+
+
+@pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
+@pytest.mark.parametrize("tok", ["1e5e99999999", "3/2e99999999",
+                                 "xe99999999", "1e+-99999999"])
+def test_a_non_rational_with_a_large_exponent_keeps_its_error(where, tok):
+    with pytest.raises(TemporalError) as err:
+        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    assert str(err.value) == _rational_error(where, tok)
+
+
+@pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
+def test_an_underscored_exponent_is_read_as_fraction_reads_it(where):
+    # From Python 3.11 on, `Fraction` reads an underscore between digits;
+    # on 3.10 it refuses the token.
+    try:
+        Fraction("1e1_0")
+        problem = _too_large(99999999)
+    except ValueError:
+        problem = None
+    tok = "1e99_999_999"
+    with pytest.raises(TemporalError) as err:
+        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    assert str(err.value) == _rational_error(where, tok, problem)
 
 
 def test_probe_out_needs_an_out_port():
