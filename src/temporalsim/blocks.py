@@ -32,21 +32,12 @@ from .accumulators import (
     convert_reference,
     toggle_chain_overflowed,
 )
-from .channel import (
-    EVENT_END,
-    EVENT_START,
-    EVENT_VALUE,
-    TimedMessage,
-    _pulses,
-)
+from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
+                      TimedMessage, _pulses)
 from .core import ClockRef, IntervalValue, MultiValentTrain, UnaryTrain
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
-
-# The sorts of message, as `TimedMessage.kind` names them: a start/end
-# interval, a value set, a multi-valent train.
-SCALAR, MUX, MV = "scalar", "mux", "mv"
 
 
 class Param(namedtuple("Param", "parse required", defaults=(False,))):
@@ -102,12 +93,14 @@ class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
 VARIADIC = None
 
 
-# CPython converts at most 4300 decimal digits to an int by default. A
-# longer number token is refused before conversion, on any interpreter.
+# `integer` and `positive_fraction` read every number token the package
+# reads; a bad one raises ValueError with the reason, and the caller names
+# the token. CPython converts at most 4300 decimal digits to an int by
+# default: a longer token is refused before conversion, on any interpreter.
 MAX_NUMBER_CHARS = 4300
 
 
-def too_long(token: str) -> Optional[str]:
+def _too_long(token: str) -> Optional[str]:
     """Why a number token is too long to convert, or None."""
     if len(token) <= MAX_NUMBER_CHARS:
         return None
@@ -115,11 +108,11 @@ def too_long(token: str) -> Optional[str]:
                                                         MAX_NUMBER_CHARS)
 
 
-def too_big(token: str) -> Optional[str]:
+def _too_big(token: str) -> Optional[str]:
     """Why a rational token is too long, or its decimal exponent too large
     in magnitude, to convert; or None. `Fraction("1e99999999")` would
     build 10**99999999, so the exponent is read before `Fraction` runs."""
-    problem = too_long(token)
+    problem = _too_long(token)
     if problem:
         return problem
     head, e, exponent = token.replace("E", "e").rpartition("e")
@@ -144,7 +137,7 @@ def quote(token: str) -> str:
 
 
 def _number(convert: Callable[[str], object], text: str, problem: str,
-            limit: Callable[[str], Optional[str]] = too_long):
+            limit: Callable[[str], Optional[str]] = _too_long):
     """`convert(text)`, or a ValueError: `problem`, or why `limit` finds
     the token too big to convert."""
     reason = limit(text)
@@ -156,11 +149,13 @@ def _number(convert: Callable[[str], object], text: str, problem: str,
         raise ValueError(problem) from None
 
 
-def _int_in(minimum: int,
+def integer(minimum: Optional[int] = None,
             maximum: Optional[int] = None) -> Callable[[str], int]:
+    """A reader of an integer token as `int()` reads it, within the
+    bounds given."""
     def parse(text: str) -> int:
         value = _number(int, text, "is not an integer")
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise ValueError("must be >= %d" % minimum)
         if maximum is not None and value > maximum:
             raise ValueError("must be <= %d" % maximum)
@@ -168,8 +163,9 @@ def _int_in(minimum: int,
     return parse
 
 
-def _positive_fraction(text: str) -> Fraction:
-    value = _number(Fraction, text, "is not rational", too_big)
+def positive_fraction(text: str) -> Fraction:
+    """A rational token as `Fraction` reads it, > 0."""
+    value = _number(Fraction, text, "is not rational", _too_big)
     if value <= 0:
         raise ValueError("must be > 0")
     return value
@@ -362,17 +358,17 @@ def _toggle_depth(p) -> Optional[str]:
     return None
 
 
-_COUNT = _int_in(0)
+COUNT = integer(0)
 _CLOCK = Param(str)
 
 KINDS: Dict[str, Kind] = {
     "source": Kind((), _source, _source_oracle, clocked=True,
-                   params={"value": Param(_COUNT, True),
-                           "position": Param(_COUNT), "clock": _CLOCK},
+                   params={"value": Param(COUNT, True),
+                           "position": Param(COUNT), "clock": _CLOCK},
                    check=_one_amplitude, emits=_source_sort),
     "add": Kind(("a", "b"), _add, lambda _p, ins: sum(ins.values())),
     "mul": Kind(("in",), _mul, lambda p, ins: ins["in"] * p["k"],
-                params={"k": Param(_int_in(1), True)}),
+                params={"k": Param(integer(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
                 lambda _p, ins: min(ins.values())),
     "max": Kind(VARIADIC, _race(arith.max_race),
@@ -386,10 +382,10 @@ KINDS: Dict[str, Kind] = {
                  takes=MV),
     "accumulator": Kind(("in",), _accumulator,
                         params={"model": Param(_model),
-                                "depth": Param(_int_in(1, MAX_CHAIN_DEPTH)),
-                                "rate": Param(_positive_fraction),
-                                "flux": Param(_positive_fraction),
-                                "seed": Param(_COUNT), "clock": _CLOCK},
+                                "depth": Param(integer(1, MAX_CHAIN_DEPTH)),
+                                "rate": Param(positive_fraction),
+                                "flux": Param(positive_fraction),
+                                "seed": Param(COUNT), "clock": _CLOCK},
                         check=_toggle_depth),
     "convert": Kind(("in",), _convert, clocked=True,
                     params={"clock": Param(str, True)}),

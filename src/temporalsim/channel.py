@@ -18,6 +18,10 @@ EVENT_START = "start"
 EVENT_END = "end"
 EVENT_VALUE = "value-pulse"
 
+# The sorts of message `TimedMessage.kind` tells apart: a start/end
+# interval, a value set, a multi-valent train.
+SCALAR, MUX, MV = "scalar", "mux", "mv"
+
 
 class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     """A sequence of (role, emission tick) events; one start event first.
@@ -70,8 +74,8 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     def kind(self) -> str:
         """scalar (start/end interval), mux (value set) or mv."""
         if self.amplitudes:
-            return "mv"
-        return "mux" if self.events[-1][0] == EVENT_VALUE else "scalar"
+            return MV
+        return MUX if self.events[-1][0] == EVENT_VALUE else SCALAR
 
     @property
     def start_tick(self) -> int:
@@ -93,9 +97,9 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     def decoded(self):
         """The payload: an int, a value set, or a position->amplitude map."""
         kind = self.kind
-        if kind == "scalar":
+        if kind == SCALAR:
             return self.decode()
-        if kind == "mux":
+        if kind == MUX:
             return set(self.value_offsets())
         return dict(zip(self.value_offsets(), self.amplitudes))
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from .blocks import C0, quote, too_long
+from .blocks import C0, integer, quote
 from .core import encode_hybrid, encode_pim, encode_unary
 from .engine import (
     DEFAULT_BUDGET,
@@ -184,7 +184,7 @@ def bench_rows(op: str, sizes: List[int], k: int = 3,
 
 
 def cmd_bench(args) -> int:
-    if not args.sizes or any(s < 1 for s in args.sizes):
+    if not args.sizes:
         raise ValueError("sizes must be positive integers")
     try:
         rows = bench_rows(args.op, args.sizes, k=args.k,
@@ -227,34 +227,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, "error: %s\n" % message)
 
 
-def _integer(text: str) -> int:
-    """An integer argument, read as a netlist reads one; a bad one is
-    echoed cut short."""
-    problem = too_long(text)
-    if problem is None:
+def _integer(minimum: int) -> Callable[[str], int]:
+    """An integer argument >= `minimum`, read as a netlist reads one; a
+    bad one is echoed cut short."""
+    read = integer(minimum)
+
+    def parse(text: str) -> int:
         try:
-            return int(text)
-        except ValueError:
-            problem = "is not an integer"
-    raise argparse.ArgumentTypeError("%s %s" % (quote(text), problem))
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                "%s %s" % (quote(text), exc)) from None
+    return parse
 
 
-def _integers(text: str) -> List[int]:
-    """A comma-separated list, each item read by `_integer`."""
-    return [_integer(item) for item in text.split(",") if item]
+def _integers(minimum: int) -> Callable[[str], List[int]]:
+    """A comma-separated list, each item read by `_integer(minimum)`."""
+    item = _integer(minimum)
+    return lambda text: [item(each) for each in text.split(",") if each]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="temporalsim",
         description="Simulate temporal (time-delay) computing netlists.")
-    parser.add_argument("--seed", type=_integer, default=None,
+    parser.add_argument("--seed", type=_integer(0), default=None,
                         help="seed for all stochastic components")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate a netlist")
     p.add_argument("netlist")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer(1), default=DEFAULT_BUDGET)
     p.add_argument("--trace", help="write event CSV to this path")
     p.add_argument("--waveform", help="write waveform text to this path")
     p.add_argument("--stats", action="store_true",
@@ -264,26 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check",
                        help="diff simulator against the integer oracle")
     p.add_argument("netlist")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer(1), default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("encode", help="encode integers as temporal codes")
     p.add_argument("--scheme", choices=("unary", "pim", "hybrid"),
                    required=True)
-    p.add_argument("--base", type=_integer, default=10,
+    p.add_argument("--base", type=_integer(2), default=10,
                    help="positional base for the hybrid scheme")
-    p.add_argument("values", nargs="+", type=_integer)
+    p.add_argument("values", nargs="+", type=_integer(0))
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bench", help="tick-cost sweep for one operation")
     p.add_argument("--op", choices=("add", "mul", "madd"), required=True)
-    p.add_argument("--sizes", type=_integers, required=True,
+    p.add_argument("--sizes", type=_integers(1), required=True,
                    help="comma-separated operand sizes")
-    p.add_argument("--k", type=_integer, default=3,
+    p.add_argument("--k", type=_integer(1), default=3,
                    help="dilation factor for mul")
-    p.add_argument("--amplitude", type=_integer, default=3,
+    p.add_argument("--amplitude", type=_integer(1), default=3,
                    help="bucket amplitude for madd")
-    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer(1), default=DEFAULT_BUDGET)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_bench)
 

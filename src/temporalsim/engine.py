@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .blocks import KINDS, Firing
+from .blocks import KINDS, Firing, integer, quote
 from .channel import StabilityViolation, TimedMessage, transmit_checked
 from .errors import SimulationError, TemporalError
 from .netlist import Netlist
@@ -224,7 +224,7 @@ def trace_from_csv(text: str) -> Trace:
     lines = text.splitlines()
     if not lines or lines[0] != "tick,block,port,role":
         raise SimulationError("not a trace CSV (missing header)")
-    trace, events = Trace(), []
+    trace, events, read_tick = Trace(), [], integer()
     for line in lines[1:]:
         if not line:
             continue
@@ -232,11 +232,15 @@ def trace_from_csv(text: str) -> Trace:
         if eq and not any(c == "," or c.isspace() for c in key):
             trace.results[key] = value
             continue
+        row = line.split(",")
+        if len(row) != 4:
+            raise SimulationError("malformed trace row %s" % quote(line))
         try:
-            tick, block, port, role = line.split(",")
-            events.append((int(tick), block, port, role))
-        except ValueError:
-            raise SimulationError("malformed trace row %r" % line) from None
+            row[0] = read_tick(row[0])
+        except ValueError as exc:
+            raise SimulationError("trace tick %s %s"
+                                  % (quote(row[0]), exc)) from None
+        events.append(tuple(row))
     trace.events = events  # in file order; the CSV carries no messages
     trace.stats.event_count = len(events)
     trace.stats.total_ticks = max((e[0] for e in events), default=0)

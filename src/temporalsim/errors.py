@@ -26,7 +26,7 @@ class EmptyInput(TemporalError):
 
 
 class ModeMismatch(TemporalError):
-    """Lanes do not satisfy the declared delivery mode."""
+    """Race lanes do not share a start tick and a clock."""
 
 
 class DuplicateValue(TemporalError):

@@ -20,13 +20,12 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .blocks import (KINDS, VARIADIC, parse_params, quote, too_big,
-                     too_long)
+from .blocks import (COUNT, KINDS, VARIADIC, integer, parse_params,
+                     positive_fraction, quote)
 from .channel import Link
 from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
@@ -85,7 +84,7 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
 
     Raises ValueError naming the table's own line."""
     table: Dict[int, int] = {}
-    default = 0
+    default, read_tick = 0, integer()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split("#", 1)[0].split()
@@ -93,20 +92,18 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
                 continue
             if len(parts) != 2:
                 raise ValueError("line %d: needs two fields" % lineno)
-            for token in parts:
-                problem = too_long(token)
-                if problem:
-                    raise ValueError("line %d: %s %s"
-                                     % (lineno, quote(token), problem))
+            token = parts[0]
             try:
-                delay = int(parts[1])
-                if parts[0] == "default":
-                    default = delay
-                else:
-                    table[int(parts[0])] = delay
-            except ValueError:
-                raise ValueError("line %d: expected integers, got %s"
-                                 % (lineno, quote(" ".join(parts)))) from None
+                tick = None if token == "default" else read_tick(token)
+                token = parts[1]
+                delay = COUNT(token)
+            except ValueError as exc:
+                raise ValueError("line %d: %s %s"
+                                 % (lineno, quote(token), exc)) from None
+            if tick is None:
+                default = delay
+            else:
+                table[tick] = delay
     return table, default
 
 
@@ -117,21 +114,12 @@ def _wire_option(opt: str, line: str, lineno: int,
     `latency=` text's link is stored in `latency_links` under that text."""
     if opt.startswith("latency="):
         value = opt[len("latency="):]
-        problem = too_long(value)
-        if problem:
-            raise NetlistParseError(
-                "latency %s %s" % (quote(value), problem), lineno,
-                _column(line, 3) + len("latency="))
         try:
-            latency = int(value)
-        except ValueError:
+            latency = COUNT(value)
+        except ValueError as exc:
             raise NetlistParseError(
-                "expected integer, got %s" % quote(value), lineno,
+                "latency %s %s" % (quote(value), exc), lineno,
                 _column(line, 3) + len("latency=")) from None
-        if latency < 0:
-            raise NetlistParseError(
-                "latency must be non-negative", lineno,
-                _column(line, 3) + len("latency="))
         link = latency_links[opt] = Link.constant(latency)
         return link
     if opt.startswith("table="):
@@ -163,7 +151,8 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     wires, blocks = net.wires, net.blocks
     latency_links: Dict[str, Link] = {}  # one Link per latency= text
     # Each record is built by the C call inside namedtuple's `_make`; a
-    # literal tuple of its fields always has the right length.
+    # literal tuple of its fields always has the right length, and a
+    # clock's frequency is checked as it is read.
     new = tuple.__new__
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
@@ -225,24 +214,16 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "clock needs: clock <id> <freq>", lineno)
             cid, freq_tok = parts[1], parts[2]
-            problem = too_big(freq_tok)
-            if problem:
-                raise NetlistParseError(
-                    "frequency %s %s" % (quote(freq_tok), problem), lineno,
-                    _column(line, 2))
             try:
-                freq = Fraction(freq_tok)
-            except (ValueError, ZeroDivisionError):
+                freq = positive_fraction(freq_tok)
+            except ValueError as exc:
                 raise NetlistParseError(
-                    "bad frequency %s" % quote(freq_tok), lineno,
+                    "frequency %s %s" % (quote(freq_tok), exc), lineno,
                     _column(line, 2)) from None
-            if freq <= 0:
-                raise NetlistParseError(
-                    "frequency must be > 0", lineno, _column(line, 2))
             if cid in net.clocks:
                 raise NetlistParseError(
                     "duplicate clock id %r" % cid, lineno, _column(line, 1))
-            net.clocks[cid] = ClockRef(cid, freq)
+            net.clocks[cid] = new(ClockRef, (cid, freq))
         elif keyword == "probe":
             if len(parts) != 2:
                 raise NetlistParseError(

@@ -287,8 +287,11 @@ class TestEncode:
             "value=23 scheme=hybrid base=10 digits=3,2\n"
 
     def test_bad_base(self, capsys):
-        assert main(["encode", "--scheme", "hybrid", "--base", "1",
-                     "3"]) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["encode", "--scheme", "hybrid", "--base", "1", "3"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --base: '1' must be >= 2\n")
 
     def test_unknown_flag_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -327,7 +330,11 @@ class TestBench:
         assert out.read_text() == "size,ticks\n10,21\n"
 
     def test_bad_sizes(self, capsys):
-        assert main(["bench", "--op", "add", "--sizes", "0"]) == 1
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--op", "add", "--sizes", "0"])
+        assert err.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --sizes: '0' must be >= 1\n")
 
     @pytest.mark.parametrize("argv, size", [
         (["--op", "add", "--sizes", "3,200000000"], 200000000),
@@ -361,6 +368,14 @@ class TestExport:
         assert capsys.readouterr().err == (
             "error: malformed trace row 'probe sum.out=7'\n")
 
+    def test_a_long_malformed_row_is_echoed_cut_short(self, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("tick,block,port,role\n%s,a,out\n" % ("7" * 5000))
+        assert main(["export", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed trace row '77777777777777777777'...\n")
+
     def test_bad_trace_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nonsense\n")
@@ -388,7 +403,11 @@ def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
     if content is not None:
         path.write_bytes(content)
     argv = [a.format(file=path, add34=GOLDEN / "add34.net") for a in argv]
-    assert main(argv) == 1
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # a usage error, such as --budget 0
+        code = exc.code
+    assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -497,6 +516,86 @@ def test_a_usage_error_is_one_error_line_and_exit_1(argv, message, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
     assert len(message.encode()) < 200
+
+
+# One number rule at every site that reads a number token: (argv, the
+# input file, a table file, the error line, a token below the site's
+# range and its reason, or None). {tok} is the token; the error line
+# holds its echo {q} and the reason.
+GE0, GE1 = ("-1", "must be >= 0"), ("0", "must be >= 1")
+NUMBER_SITES = {
+    "param": (["run", "{net}"], "clock main 1\nblock a source value={tok}\n",
+              None, "block 'a' param value={q}: {reason}", GE0),
+    "frequency": (["run", "{net}"],
+                  "clock main {tok}\nblock a source value=3\n", None,
+                  "line 1:12: frequency {q} {reason}", ("0", "must be > 0")),
+    "latency": (["run", "{net}"],
+                "clock main 1\nblock a source value=3\nblock p probe\n"
+                "wire a.out p.in latency={tok}\n", None,
+                "line 4:25: latency {q} {reason}", GE0),
+    "table-tick": (["run", "{net}"],
+                   "clock main 1\nblock a source value=3\nblock p probe\n"
+                   "wire a.out p.in table=t.tbl\n", "{tok} 2\n",
+                   "line 4:17: latency table t.tbl: line 1: {q} {reason}",
+                   None),
+    "table-delay": (["run", "{net}"],
+                    "clock main 1\nblock a source value=3\nblock p probe\n"
+                    "wire a.out p.in table=t.tbl\n", "0 {tok}\n",
+                    "line 4:17: latency table t.tbl: line 1: {q} {reason}",
+                    GE0),
+    "trace-tick": (["export", "{net}"],
+                   "tick,block,port,role\n{tok},a,out,start\n", None,
+                   "trace tick {q} {reason}", None),
+    "--seed": (["--seed", "{tok}", "run", "{add34}"], None, None,
+               "argument --seed: {q} {reason}", GE0),
+    "--budget": (["check", "{add34}", "--budget", "{tok}"], None, None,
+                 "argument --budget: {q} {reason}", GE1),
+    "--base": (["encode", "--scheme", "hybrid", "--base", "{tok}", "7"],
+               None, None, "argument --base: {q} {reason}",
+               ("1", "must be >= 2")),
+    "--k": (["bench", "--op", "mul", "--sizes", "3", "--k", "{tok}"], None,
+            None, "argument --k: {q} {reason}", GE1),
+    "--amplitude": (["bench", "--op", "madd", "--sizes", "3",
+                     "--amplitude", "{tok}"], None, None,
+                    "argument --amplitude: {q} {reason}", GE1),
+    "--sizes": (["bench", "--op", "add", "--sizes", "3,{tok}"], None, None,
+                "argument --sizes: {q} {reason}", GE1),
+    "encode-value": (["encode", "--scheme", "unary", "{tok}"], None, None,
+                     "argument values: {q} {reason}", GE0),
+}
+
+
+def _number_cases():
+    for site, (*_rest, below) in NUMBER_SITES.items():
+        yield pytest.param(site, "7" * 4301, "'77777777777777777777'...",
+                           "is too long (4301 characters, at most 4300)",
+                           id=site + "-long")
+        yield pytest.param(site, "x", "'x'",
+                           "is not rational" if site == "frequency"
+                           else "is not an integer", id=site + "-not-a-number")
+        if below is not None:
+            yield pytest.param(site, below[0], repr(below[0]), below[1],
+                               id=site + "-below-range")
+
+
+@pytest.mark.parametrize("site, tok, q, reason", _number_cases())
+def test_every_number_site_reads_by_one_rule(site, tok, q, reason, tmp_path,
+                                             capsys):
+    argv, net, table, line, _below = NUMBER_SITES[site]
+    if net is not None:
+        (tmp_path / "input").write_text(net.format(tok=tok))
+    if table is not None:
+        (tmp_path / "t.tbl").write_text(table.format(tok=tok))
+    argv = [a.format(tok=tok, net=tmp_path / "input",
+                     add34=GOLDEN / "add34.net") for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage error
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % line.format(q=q, reason=reason)
 
 
 def test_help_still_exits_0(capsys):

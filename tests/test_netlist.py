@@ -211,7 +211,7 @@ def test_parse_error_carries_position():
      "line 2:7: duplicate block id 'c'"),
     ("clock k 1\nclock k 2\n", "line 2:7: duplicate clock id 'k'"),
     ("block mux mux\nblock x probe\nwire mux.out x.in latency=x\n",
-     "line 3:27: expected integer, got 'x'"),
+     "line 3:27: latency 'x' is not an integer"),
 ], ids=["block-id", "clock-id", "latency-value"])
 def test_parse_error_column_is_the_tokens_own(text, message):
     # each column points at the offending token, not at the first place
@@ -318,7 +318,8 @@ def test_negative_table_delay_rejected(tmp_path):
     with pytest.raises(NetlistParseError) as err:
         parse_netlist("clock main 1\nwire a.out b.in table=%s\n" % table)
     assert (err.value.line, err.value.column) == (2, 17)
-    assert "delays must be non-negative" in str(err.value)
+    assert str(err.value) == ("line 2:17: latency table %s: line 1: '-3' "
+                              "must be >= 0" % table)
 
 
 def test_malformed_table_line_names_the_table(tmp_path):
@@ -392,9 +393,9 @@ def test_latency_texts_of_one_value_give_equal_links():
                          ids=["alone", "after-latency-3",
                               "after-latency-03"])
 @pytest.mark.parametrize("option, error", [
-    ("latency=x", "line 6:28: expected integer, got 'x'"),
-    ("latency=-1", "line 6:28: latency must be non-negative"),
-    ("latency=3x", "line 6:28: expected integer, got '3x'"),
+    ("latency=x", "line 6:28: latency 'x' is not an integer"),
+    ("latency=-1", "line 6:28: latency '-1' must be >= 0"),
+    ("latency=3x", "line 6:28: latency '3x' is not an integer"),
 ], ids=["not-a-number", "negative", "trailing-letter"])
 def test_a_bad_latency_text_keeps_its_error_and_column(earlier, option,
                                                        error):
@@ -422,7 +423,7 @@ def _rational_error(where, tok, problem=None):
     """The error text; without a problem, the one for a non-rational."""
     if where == "clock":
         if problem is None:
-            return "line 1:12: bad frequency %r" % tok
+            return "line 1:12: frequency %r is not rational" % tok
         return "line 1:12: frequency %r %s" % (tok, problem)
     return "block 'c' param %s=%r: %s" % (where, tok,
                                           problem or "is not rational")
@@ -585,7 +586,7 @@ def test_a_superscript_digit_is_not_an_integer():
     with pytest.raises(NetlistParseError) as err:
         parse_netlist("block a source value=1\nblock p probe\n"
                       "wire a.out p.in latency=\u00b2\n")
-    assert str(err.value) == "line 3:25: expected integer, got '\u00b2'"
+    assert str(err.value) == "line 3:25: latency '\u00b2' is not an integer"
 
 
 @pytest.mark.parametrize("ref", ["a.b.c", ".out", "a."])
