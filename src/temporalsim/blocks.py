@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import zlib
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -47,17 +46,23 @@ class Param(namedtuple("Param", "parse required", defaults=(False,))):
     __slots__ = ()
 
 
-@dataclass
 class Firing:
     """What a fire function sees: one block, its inputs and the run."""
 
-    block_id: str
-    params: Dict[str, object]          # only the keys the netlist sets
-    inputs: List[TimedMessage]         # in sorted input-port order
-    t: int                             # fire tick: the last input arrival
-    clock: Optional[ClockRef]          # clock=, else the default if clocked
-    seed: Optional[int]                # the run's --seed
-    stats: object                      # engine.TraceStats
+    __slots__ = ("block_id", "params", "inputs", "t", "clock", "seed",
+                 "stats")
+
+    def __init__(self, block_id: str, params: Dict[str, object],
+                 inputs: List[TimedMessage], t: int,
+                 clock: Optional[ClockRef], seed: Optional[int],
+                 stats: object) -> None:
+        self.block_id = block_id
+        self.params = params    # only the keys the netlist sets
+        self.inputs = inputs    # in sorted input-port order
+        self.t = t              # fire tick: the last input arrival
+        self.clock = clock      # clock=, else the default if clocked
+        self.seed = seed        # the run's --seed
+        self.stats = stats      # engine.TraceStats
 
 
 Fire = Callable[[Firing], Tuple[Optional[TimedMessage], int]]

@@ -184,8 +184,6 @@ def bench_rows(op: str, sizes: List[int], k: int = 3,
 
 
 def cmd_bench(args) -> int:
-    if not args.sizes:
-        raise ValueError("sizes must be positive integers")
     try:
         rows = bench_rows(args.op, args.sizes, k=args.k,
                           amplitude=args.amplitude, budget=args.budget)
@@ -242,9 +240,17 @@ def _integer(minimum: int) -> Callable[[str], int]:
 
 
 def _integers(minimum: int) -> Callable[[str], List[int]]:
-    """A comma-separated list, each item read by `_integer(minimum)`."""
+    """A comma-separated list of at least one item, each read by
+    `_integer(minimum)`."""
     item = _integer(minimum)
-    return lambda text: [item(each) for each in text.split(",") if each]
+
+    def parse(text: str) -> List[int]:
+        items = [item(each) for each in text.split(",") if each]
+        if not items:
+            raise argparse.ArgumentTypeError("%s holds no integer"
+                                             % quote(text))
+        return items
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:

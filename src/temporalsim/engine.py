@@ -13,12 +13,11 @@ wall-clock. What each block kind computes lives in `blocks.KINDS`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .blocks import KINDS, Firing, integer, quote
+from .blocks import COUNT, KINDS, Firing, quote
 from .channel import StabilityViolation, TimedMessage, transmit_checked
 from .errors import SimulationError, TemporalError
 from .netlist import Netlist
@@ -26,27 +25,42 @@ from .netlist import Netlist
 DEFAULT_BUDGET = 10 ** 8
 
 
-@dataclass
 class TraceStats:
-    total_ticks: int = 0
-    event_count: int = 0
-    block_costs: Dict[str, int] = field(default_factory=dict)
-    overflow_flags: List[str] = field(default_factory=list)
-    stability_violations: List[str] = field(default_factory=list)
-    budget_exhausted: bool = False
+    """A run's costs and warnings. Two stats compare equal when every field
+    does."""
+
+    def __init__(self) -> None:
+        self.total_ticks = 0
+        self.event_count = 0
+        self.block_costs: Dict[str, int] = {}
+        self.overflow_flags: List[str] = []
+        self.stability_violations: List[str] = []
+        self.budget_exhausted = False
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "TraceStats(%s)" % ", ".join("%s=%r" % field
+                                            for field in vars(self).items())
 
 
-@dataclass
 class Trace:
     """A run's outcome. `delivered` maps each (block, port) that received
     a message to that message, in delivery order; `events` is derived
     from it on first read. A trace read back from CSV has events and
     results but no messages."""
 
-    delivered: Dict[Tuple[str, str], TimedMessage] = field(
-        default_factory=dict)
-    results: Dict[str, object] = field(default_factory=dict)
-    stats: TraceStats = field(default_factory=TraceStats)
+    def __init__(self,
+                 delivered: Optional[Dict[Tuple[str, str],
+                                          TimedMessage]] = None,
+                 results: Optional[Dict[str, object]] = None,
+                 stats: Optional[TraceStats] = None) -> None:
+        self.delivered = {} if delivered is None else delivered
+        self.results = {} if results is None else results
+        self.stats = TraceStats() if stats is None else stats
 
     @cached_property
     def events(self) -> List[Tuple[int, str, str, str]]:
@@ -67,6 +81,10 @@ class Trace:
             return NotImplemented
         return (self.events, self.results, self.stats) == \
             (other.events, other.results, other.stats)
+
+    def __repr__(self) -> str:
+        return "Trace(delivered=%r, results=%r, stats=%r)" % (
+            self.delivered, self.results, self.stats)
 
 
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
@@ -224,7 +242,7 @@ def trace_from_csv(text: str) -> Trace:
     lines = text.splitlines()
     if not lines or lines[0] != "tick,block,port,role":
         raise SimulationError("not a trace CSV (missing header)")
-    trace, events, read_tick = Trace(), [], integer()
+    trace, events = Trace(), []
     for line in lines[1:]:
         if not line:
             continue
@@ -236,7 +254,7 @@ def trace_from_csv(text: str) -> Trace:
         if len(row) != 4:
             raise SimulationError("malformed trace row %s" % quote(line))
         try:
-            row[0] = read_tick(row[0])
+            row[0] = COUNT(row[0])
         except ValueError as exc:
             raise SimulationError("trace tick %s %s"
                                   % (quote(row[0]), exc)) from None

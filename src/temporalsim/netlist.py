@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .blocks import (COUNT, KINDS, VARIADIC, integer, parse_params,
                      positive_fraction, quote)
@@ -31,32 +31,46 @@ from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
 
 
-class BlockSpec(NamedTuple):
-    id: str
-    kind: str
-    params: Mapping[str, str] = MappingProxyType({})
+class BlockSpec(namedtuple("BlockSpec", "id kind params",
+                           defaults=(MappingProxyType({}),))):
+    """A `block` line: its id, kind and params as the netlist writes them.
+    Without params it shares one read-only empty mapping."""
+
+    __slots__ = ()
 
 
-class Wire(NamedTuple):
-    src_block: str
-    src_port: str
-    dst_block: str
-    dst_port: str
-    link: Link
+class Wire(namedtuple("Wire",
+                      "src_block src_port dst_block dst_port link")):
+    """A `wire` line: source and destination port, and its `Link`."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Netlist:
-    clocks: Dict[str, ClockRef] = field(default_factory=dict)
-    blocks: Dict[str, BlockSpec] = field(default_factory=dict)
-    wires: List[Wire] = field(default_factory=list)
-    probes: List[Tuple[str, str]] = field(default_factory=list)
-    # Resolved by validation:
-    params: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    clock_of: Dict[str, Optional[ClockRef]] = field(default_factory=dict)
-    inputs: Dict[str, Dict[str, Wire]] = field(default_factory=dict)
-    outputs: Dict[str, List[Wire]] = field(default_factory=dict)  # by dst
-    order: List[str] = field(default_factory=list)    # topological
+    """A parsed netlist. `clocks`, `blocks`, `wires` and `probes` are what
+    the text declares; validation resolves the rest. Two netlists compare
+    equal when every field does."""
+
+    def __init__(self) -> None:
+        self.clocks: Dict[str, ClockRef] = {}
+        self.blocks: Dict[str, BlockSpec] = {}
+        self.wires: List[Wire] = []
+        self.probes: List[Tuple[str, str]] = []
+        # Resolved by validation:
+        self.params: Dict[str, Dict[str, object]] = {}
+        self.clock_of: Dict[str, Optional[ClockRef]] = {}
+        self.inputs: Dict[str, Dict[str, Wire]] = {}
+        self.outputs: Dict[str, List[Wire]] = {}  # by dst
+        self.order: List[str] = []                # topological
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "Netlist(%s)" % ", ".join("%s=%r" % field
+                                         for field in vars(self).items())
 
 
 # Links are immutable, so every wire without an option shares this one.

@@ -46,6 +46,22 @@ def test_public_names_are_pinned():
     assert out.stdout.split() == sorted(PUBLIC_NAMES)
 
 
+def test_import_loads_no_code_generator():
+    # `-S` leaves site-packages off the path, so only the standard library
+    # and the package itself can load. `dataclasses` and `typing.NamedTuple`
+    # generate and compile source on every import, and bring in `inspect`;
+    # numpy is needed only by a seeded photon count, when it runs.
+    code = ("import sys, temporalsim, temporalsim.cli\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy')"
+            " if m in sys.modules))\n")
+    src = str(Path(temporalsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "\n"
+
+
 def _quick_tour() -> str:
     section = README.read_text(encoding="utf-8").split(
         "## Library quick tour", 1)[1]

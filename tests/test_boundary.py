@@ -12,15 +12,19 @@ from temporalsim import (
     AccumulatorConfig,
     AccumulatorModel,
     BinaryWord,
+    BlockSpec,
     ClockRef,
     IntervalValue,
     Link,
     MultiValentTrain,
     MuxChannel,
+    Netlist,
     PulseTrain,
     StabilityViolation,
     TimedMessage,
+    Trace,
     UnaryTrain,
+    Wire,
     add_concat,
     convert_reference,
     max_race,
@@ -29,6 +33,7 @@ from temporalsim import (
     mv_merge,
 )
 from temporalsim.blocks import KINDS, Firing, Kind, Param
+from temporalsim.engine import TraceStats
 from temporalsim.errors import (
     ClockMismatch,
     EmptyInput,
@@ -363,3 +368,74 @@ def test_value_type_contract(cls):
         assert type(err.value) is exc_type
         if message is not None:
             assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The mutable records are plain classes. Each instance builds its own
+# dicts and lists; `Netlist` and `TraceStats` compare by their fields and,
+# like any record that defines equality, do not hash. `Firing`, like the
+# netlist's `Wire` and `BlockSpec` rows, has no instance dict.
+
+def _containers(record):
+    """Every dict and list a record holds, its stats' included."""
+    found = []
+    for value in vars(record).values():
+        if isinstance(value, TraceStats):
+            found += _containers(value)
+        elif isinstance(value, (dict, list)):
+            found.append(value)
+    return found
+
+
+# How many dicts and lists each record holds.
+CONTAINERS = {Netlist: 9, Trace: 5, TraceStats: 3}
+
+
+@pytest.mark.parametrize("cls", list(CONTAINERS),
+                         ids=lambda cls: cls.__name__)
+def test_records_share_no_container(cls):
+    one, two = _containers(cls()), _containers(cls())
+    assert len(one) == len(two) == CONTAINERS[cls]
+    assert not {id(c) for c in one} & {id(c) for c in two}
+
+
+def _changed(value):
+    """A value of `value`'s type that differs from it."""
+    if isinstance(value, dict):
+        return {"x": 1}
+    if isinstance(value, list):
+        return ["x"]
+    return not value if isinstance(value, bool) else value + 1
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls in (Netlist, TraceStats) for field in vars(cls())])
+def test_records_that_differ_in_one_field_compare_unequal(cls, field):
+    one, two = cls(), cls()
+    assert one == two and not one != two
+    setattr(two, field, _changed(getattr(two, field)))
+    assert one != two and not one == two
+    if cls is TraceStats:
+        assert Trace(stats=one) != Trace(stats=two)
+    with pytest.raises(TypeError, match="unhashable type"):
+        hash(one)
+
+
+def test_records_without_an_instance_dict_reject_an_unknown_attribute():
+    firing = Firing("x", {}, [], 0, None, None, None)
+    firing.t = 3    # a field can still be set
+    for record in (firing, Wire("a", "out", "b", "in", Link.constant(0)),
+                   BlockSpec("b", "add")):
+        with pytest.raises(AttributeError):
+            record.other = 1
+        assert not hasattr(record, "__dict__")
+
+
+def test_records_print_their_fields():
+    assert repr(Netlist()) == (
+        "Netlist(clocks={}, blocks={}, wires=[], probes=[], params={}, "
+        "clock_of={}, inputs={}, outputs={}, order=[])")
+    assert repr(Trace()) == (
+        "Trace(delivered={}, results={}, stats=TraceStats(total_ticks=0, "
+        "event_count=0, block_costs={}, overflow_flags=[], "
+        "stability_violations=[], budget_exhausted=False))")

@@ -505,9 +505,11 @@ def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
     (["bench", "--op", "add", "--sizes", "1," + LONG],
      "error: argument --sizes: '77777777777777777777'... is too long "
      "(5000 characters, at most 4300)\n"),
+    (["bench", "--op", "add", "--sizes", ","],
+     "error: argument --sizes: ',' holds no integer\n"),
 ], ids=["budget-abc", "unknown-flag", "long-budget", "long-encode",
         "long-unknown-flag", "long-choice", "long-command", "sizes-abc",
-        "long-sizes"])
+        "long-sizes", "no-sizes"])
 def test_a_usage_error_is_one_error_line_and_exit_1(argv, message, capsys):
     # Exit code 2 means the budget ran out, so a usage error must not use it.
     with pytest.raises(SystemExit) as err:
@@ -545,7 +547,7 @@ NUMBER_SITES = {
                     GE0),
     "trace-tick": (["export", "{net}"],
                    "tick,block,port,role\n{tok},a,out,start\n", None,
-                   "trace tick {q} {reason}", None),
+                   "trace tick {q} {reason}", GE0),
     "--seed": (["--seed", "{tok}", "run", "{add34}"], None, None,
                "argument --seed: {q} {reason}", GE0),
     "--budget": (["check", "{add34}", "--budget", "{tok}"], None, None,

@@ -23,6 +23,7 @@ from temporalsim import cli
 from temporalsim.blocks import C0
 from temporalsim.cli import main
 from temporalsim.engine import (
+    Trace,
     format_result,
     trace_from_csv,
     trace_to_csv,
@@ -715,10 +716,12 @@ class TestExportMatchesTheReference:
             _reference_waveform(doubled.events)
 
     def test_negative_ticks(self):
-        trace = trace_from_csv("tick,block,port,role\n"
-                               "0,b,in,end\n-3,a,in,start\n-2,a,in,end\n"
-                               "-1,b,in,start\n-12,c,in,start\n"
-                               "-11,c,in,end\n")
+        # No run or trace CSV holds a tick below 0, so the events are set
+        # directly, in this order, to pin the waveform's order on them.
+        trace = Trace()
+        trace.events = [(0, "b", "in", "end"), (-3, "a", "in", "start"),
+                        (-2, "a", "in", "end"), (-1, "b", "in", "start"),
+                        (-12, "c", "in", "start"), (-11, "c", "in", "end")]
         wave = trace_to_waveform(trace)
         assert wave == _reference_waveform(trace.events)
         assert wave.split("$enddefinitions $end\n")[1] == (
