@@ -130,8 +130,11 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     except ImportError as exc:
         raise ValueError("a seeded photon count needs numpy: %s"
                          % exc) from None
-    rng = np.random.default_rng(noise_seed)
-    return int(rng.poisson(float(mean)))
+    try:
+        lam = float(mean)
+    except OverflowError:
+        raise ValueError("photon mean is too large for a float") from None
+    return int(np.random.default_rng(noise_seed).poisson(lam))
 
 
 def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:

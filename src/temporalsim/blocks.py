@@ -4,7 +4,9 @@
 whether it needs a clock, the sort of message it takes and emits, the
 fire function the engine runs and the integer oracle function `check`
 compares against. The validator, the engine and the oracle read this
-table and nothing else.
+table and nothing else. A fire function returns all it found as one
+tuple `(message, cost, warnings)`: its output (None for a probe), its
+cost in ticks and its warning texts, `()` when there are none.
 
 Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
@@ -47,25 +49,22 @@ class Param(namedtuple("Param", "parse required", defaults=(False,))):
 
 
 class Firing:
-    """What a fire function sees: one block, its inputs and the run."""
+    """What a fire function sees: one block, its inputs and the seed."""
 
-    __slots__ = ("block_id", "params", "inputs", "t", "clock", "seed",
-                 "stats")
+    __slots__ = ("block_id", "params", "inputs", "t", "clock", "seed")
 
     def __init__(self, block_id: str, params: Dict[str, object],
                  inputs: List[TimedMessage], t: int,
-                 clock: Optional[ClockRef], seed: Optional[int],
-                 stats: object) -> None:
+                 clock: Optional[ClockRef], seed: Optional[int]) -> None:
         self.block_id = block_id
         self.params = params    # only the keys the netlist sets
         self.inputs = inputs    # in sorted input-port order
         self.t = t              # fire tick: the last input arrival
         self.clock = clock      # clock=, else the default if clocked
         self.seed = seed        # the run's --seed
-        self.stats = stats      # engine.TraceStats
 
 
-Fire = Callable[[Firing], Tuple[Optional[TimedMessage], int]]
+Fire = Callable[[Firing], Tuple[Optional[TimedMessage], int, Tuple[str, ...]]]
 Oracle = Callable[[Dict[str, object], Dict[str, object]], object]
 
 
@@ -243,8 +242,8 @@ def _source(f: Firing):
         msg = tuple.__new__(TimedMessage, (
             ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
             (value,)))
-        return msg, pos + C0
-    return _out(value, f, f.clock), value + C0
+        return msg, pos + C0, ()
+    return _out(value, f, f.clock), value + C0, ()
 
 
 def _unary(msg: TimedMessage) -> UnaryTrain:
@@ -254,13 +253,13 @@ def _unary(msg: TimedMessage) -> UnaryTrain:
 def _add(f: Firing):
     a, b = map(_unary, f.inputs)
     total = arith.add_concat(a, b).length
-    return _out(total, f, a.clock), total + C0
+    return _out(total, f, a.clock), total + C0, ()
 
 
 def _mul(f: Firing):
     (msg,) = f.inputs
     out = arith.mul_dilate(_unary(msg), f.params["k"]).length
-    return _out(out, f, msg.clock), out + C0
+    return _out(out, f, msg.clock), out + C0, ()
 
 
 def _race(race) -> Fire:
@@ -269,7 +268,7 @@ def _race(race) -> Fire:
         clock = f.inputs[0].clock
         out = race([tuple.__new__(IntervalValue, (0, _scalar(m), clock))
                     for m in f.inputs])
-        return _out(out, f, clock), out + C0
+        return _out(out, f, clock), out + C0, ()
     return fire
 
 
@@ -278,7 +277,7 @@ def _mux(f: Firing):
     channel = arith.mux([_scalar(m) for m in f.inputs], clock)
     pulses = sorted(channel.value_pulses)
     return (tuple.__new__(TimedMessage, (_pulses(f.t, pulses), clock, ())),
-            pulses[-1] + C0)
+            pulses[-1] + C0, ())
 
 
 def _demux(f: Firing):
@@ -286,7 +285,7 @@ def _demux(f: Firing):
     values = sorted(set(msg.value_offsets()))
     return (tuple.__new__(TimedMessage,
                           (_pulses(f.t, values), msg.clock, ())),
-            values[-1] + C0)
+            values[-1] + C0, ())
 
 
 def _madd(f: Firing):
@@ -303,7 +302,7 @@ def _madd(f: Firing):
             tuple(zip(positions, msg.amplitudes)), msg.clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
-    return _out(arith.madd(merged), f, merged.clock), sweep + C0
+    return _out(arith.madd(merged), f, merged.clock), sweep + C0, ()
 
 
 def _accumulator(f: Firing):
@@ -320,16 +319,17 @@ def _accumulator(f: Firing):
         model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
         noise_seed))
     iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
+    found = ()
     if model is AccumulatorModel.TOGGLE_CHAIN and toggle_chain_overflowed(
             accumulate_digital(iv, ref), config.chain_depth):
-        f.stats.overflow_flags.append(f.block_id)
-    return _out(accumulate(iv, ref, config), f, ref), value + C0
+        found = ("toggle chain overflowed",)
+    return _out(accumulate(iv, ref, config), f, ref), value + C0, found
 
 
 def _convert(f: Firing):
     (msg,) = f.inputs
     return _out(convert_reference(_scalar(msg), msg.clock, f.clock), f,
-                f.clock), C0
+                f.clock), C0, ()
 
 
 def _source_oracle(p, _ins):
@@ -394,6 +394,6 @@ KINDS: Dict[str, Kind] = {
                         check=_toggle_depth),
     "convert": Kind(("in",), _convert, clocked=True,
                     params={"clock": Param(str, True)}),
-    "probe": Kind(("in",), lambda _f: (None, 0), lambda _p, ins: ins["in"],
+    "probe": Kind(("in",), lambda _f: (None, 0, ()), lambda _p, ins: ins["in"],
                   outputs=(), takes=None),
 }

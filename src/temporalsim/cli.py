@@ -49,9 +49,8 @@ def _warn(stats) -> None:
     """The run's warnings, one stderr line each; stdout is untouched."""
     for violation in stats.stability_violations:
         print("warning: unstable link %s" % violation, file=sys.stderr)
-    for block_id in stats.overflow_flags:
-        print("warning: block %r: toggle chain overflowed" % block_id,
-              file=sys.stderr)
+    for text in stats.block_warnings:
+        print("warning: %s" % text, file=sys.stderr)
 
 
 def _write(path: Optional[str], text: str) -> None:

@@ -33,7 +33,7 @@ class TraceStats:
         self.total_ticks = 0
         self.event_count = 0
         self.block_costs: Dict[str, int] = {}
-        self.overflow_flags: List[str] = []
+        self.block_warnings: List[str] = []
         self.stability_violations: List[str] = []
         self.budget_exhausted = False
 
@@ -108,6 +108,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     out_probes = {bid for bid, port in net.probes if port == "out"}
     fires = {name: kind.fire for name, kind in KINDS.items()}
     unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
+    warned: List[Tuple[int, str, str]] = []     # (tick, block, fire's text)
     failures: List[Tuple[int, str, str, Exception]] = []
     event_count = total_ticks = 0
     for bid in net.order:
@@ -123,13 +124,16 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
             continue
         kind = blocks[bid].kind
         try:
-            msg, cost = fires[kind](Firing(
-                bid, params[bid], inputs, t, clock_of[bid], seed, stats))
+            msg, cost, found = fires[kind](Firing(
+                bid, params[bid], inputs, t, clock_of[bid], seed))
         except (TemporalError, ValueError) as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
                              exc))
             continue
         costs[bid] = cost
+        if found:
+            warned += [(t, bid, "block %r: %s" % (bid, text))
+                       for text in found]
         if msg is None:
             continue
         if bid in out_probes:
@@ -160,13 +164,10 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
         raise SimulationError(text) from cause
 
-    def fire_tick(bid: str) -> int:  # the largest last tick, as it fired
-        return max((delivered[bid, port].events[-1][1]
-                    for port in inputs_of[bid]), default=0)
-
-    stats.overflow_flags.sort(key=lambda b: (fire_tick(b), b))
     unstable.sort(key=itemgetter(0, 1))
     stats.stability_violations = [text for _t, _b, text in unstable]
+    warned.sort(key=itemgetter(0, 1))   # stable: a block's texts keep order
+    stats.block_warnings = [text for _t, _b, text in warned]
     # A message dropped past the budget was never delivered: its events
     # and its in-port probe are absent.
     for bid, port in net.probes:

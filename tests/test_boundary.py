@@ -135,7 +135,7 @@ def test_equal_clocks_need_not_be_one_object():
 
 def _madd_fire(*messages):
     return KINDS["madd"].fire(Firing("x", {}, list(messages), 0, None,
-                                     None, None))
+                                     None))
 
 
 def test_madd_fire_rejects_a_repeated_position():
@@ -422,7 +422,7 @@ def test_records_that_differ_in_one_field_compare_unequal(cls, field):
 
 
 def test_records_without_an_instance_dict_reject_an_unknown_attribute():
-    firing = Firing("x", {}, [], 0, None, None, None)
+    firing = Firing("x", {}, [], 0, None, None)
     firing.t = 3    # a field can still be set
     for record in (firing, Wire("a", "out", "b", "in", Link.constant(0)),
                    BlockSpec("b", "add")):
@@ -437,5 +437,5 @@ def test_records_print_their_fields():
         "clock_of={}, inputs={}, outputs={}, order=[])")
     assert repr(Trace()) == (
         "Trace(delivered={}, results={}, stats=TraceStats(total_ticks=0, "
-        "event_count=0, block_costs={}, overflow_flags=[], "
+        "event_count=0, block_costs={}, block_warnings=[], "
         "stability_violations=[], budget_exhausted=False))")

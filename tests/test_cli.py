@@ -112,24 +112,38 @@ class TestRun:
         assert err == "probe sum.out=7\n"
         assert "2,sum,a,start\n" in out and out.endswith("sum.out=7\n")
 
-    def test_warnings_go_to_stderr(self, tmp_path, capsys):
-        # The end event is delayed 5 ticks more than the start (a readable
-        # distortion), and 12 overflows a two-stage toggle chain.
-        (tmp_path / "late_end.tbl").write_text("default 0\n3 5\n")
+    # Each table delays the end event at its tick 5 ticks more than the
+    # start (a readable distortion), and 12 overflows a two-stage toggle
+    # chain. In the second netlist the chain fires at tick 12 and the
+    # distorted link at 20: the unstable links still come first.
+    @pytest.mark.parametrize("table, net, out, link", [
+        ("default 0\n3 5\n",
+         "block a source value=3 clock=main\n"
+         "block b source value=4 clock=main\n"
+         "block s add\n"
+         "block acc accumulator model=toggle depth=2\n"
+         "wire a.out s.a table=late_end.tbl\n"
+         "wire b.out s.b\nwire s.out acc.in\n"
+         "probe s.out\nprobe acc.out\n",
+         "probe acc.out=0\nprobe s.out=12\n", "a.out->s.a"),
+        ("default 0\n40 5\n",
+         "block s12 source value=12\n"
+         "block acc accumulator model=toggle depth=2\n"
+         "block s20 source value=20\nblock m mul k=1\nblock p probe\n"
+         "wire s12.out acc.in\nwire s20.out m.in\n"
+         "wire m.out p.in table=late_end.tbl\n"
+         "probe acc.out\nprobe p.in\n",
+         "probe acc.out=0\nprobe p.in=25\n", "m.out->p.in"),
+    ], ids=["link-fires-first", "chain-fires-first"])
+    def test_warnings_go_to_stderr(self, table, net, out, link, tmp_path,
+                                   capsys):
+        (tmp_path / "late_end.tbl").write_text(table)
         path = tmp_path / "warn.net"
-        path.write_text("clock main 1\n"
-                        "block a source value=3 clock=main\n"
-                        "block b source value=4 clock=main\n"
-                        "block s add\n"
-                        "block acc accumulator model=toggle depth=2\n"
-                        "wire a.out s.a table=late_end.tbl\n"
-                        "wire b.out s.b\nwire s.out acc.in\n"
-                        "probe s.out\nprobe acc.out\n")
+        path.write_text("clock main 1\n" + net)
         assert main(["run", str(path)]) == 0
-        out, err = capsys.readouterr()
-        assert out == "probe acc.out=0\nprobe s.out=12\n"
-        assert err == ("warning: unstable link a.out->s.a value error +5\n"
-                       "warning: block 'acc': toggle chain overflowed\n")
+        assert capsys.readouterr() == (
+            out, "warning: unstable link %s value error +5\n"
+                 "warning: block 'acc': toggle chain overflowed\n" % link)
 
     def test_trace_on_stdout_is_the_trace_alone(self, capsys):
         net = str(GOLDEN / "add34.net")
@@ -189,9 +203,9 @@ class TestCheck:
         add = blocks.KINDS["add"]
 
         def biased(firing):
-            out, cost = add.fire(firing)
+            out, cost, found = add.fire(firing)
             return (TimedMessage.interval(out.decode() + 1, firing.t,
-                                          out.clock), cost)
+                                          out.clock), cost, found)
 
         monkeypatch.setitem(blocks.KINDS, "add",
                             add._replace(fire=biased))
@@ -383,6 +397,13 @@ class TestExport:
 
 
 NOT_UTF8 = b"clock main 1\n# caf\xe9\n"
+# A photon mean past a float's range, with and without the block's seed.
+PHOTON = b"""clock main 1
+block s source value=3
+block acc accumulator model=photon flux=1e400%s
+wire s.out acc.in
+probe acc.out
+"""
 BAD_TICK = b"tick,block,port,role\nx,a,out,start\n"
 
 
@@ -393,8 +414,11 @@ BAD_TICK = b"tick,block,port,role\nx,a,out,start\n"
     (["export", "{file}"], NOT_UTF8),
     (["run", "{add34}", "--budget", "0"], None),
     (["check", "{add34}", "--budget", "0"], None),
+    (["run", "{file}"], PHOTON % b" seed=1"),
+    (["--seed", "1", "run", "{file}"], PHOTON % b""),
 ], ids=["export-bad-tick", "run-not-utf8", "check-not-utf8",
-        "export-not-utf8", "run-budget-0", "check-budget-0"])
+        "export-not-utf8", "run-budget-0", "check-budget-0",
+        "run-huge-photon-mean", "run-seed-huge-photon-mean"])
 def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
                                                        tmp_path, capsys):
     # An exception escaping main is what the console script prints as a

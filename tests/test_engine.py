@@ -140,6 +140,12 @@ class TestBlockSemantics:
                 "block acc accumulator clock=fast\n"
                 "wire a.out acc.in\nprobe acc.out\n")
         assert _run_text(text).results == {"acc.out": 15}
+        # An analog integrator charges rate * 5 = 7.5 and reads the floor.
+        trace = _run_text("clock main 1\nblock a source value=5\n"
+                          "block acc accumulator model=analog rate=3/2\n"
+                          "wire a.out acc.in\nprobe acc.out\n")
+        assert trace.results == {"acc.out": 7}
+        assert trace.stats.block_costs == {"a": 6, "acc": 6}
 
     def test_toggle_accumulator_flags_overflow(self):
         text = ("clock main 1\n"
@@ -148,7 +154,8 @@ class TestBlockSemantics:
                 "wire a.out acc.in\nprobe acc.out\n")
         trace = _run_text(text)
         assert trace.results == {"acc.out": 2}
-        assert trace.stats.overflow_flags == ["acc"]
+        assert trace.stats.block_warnings == [
+            "block 'acc': toggle chain overflowed"]
 
     @pytest.mark.parametrize("value, flags", [(8, ["acc"]), (7, [])])
     def test_toggle_chain_wraps_at_two_to_the_depth(self, value, flags):
@@ -159,7 +166,8 @@ class TestBlockSemantics:
                 "wire a.out acc.in\nprobe acc.out\n" % value)
         trace = _run_text(text)
         assert trace.results == {"acc.out": value % 8}
-        assert trace.stats.overflow_flags == flags
+        assert trace.stats.block_warnings == [
+            "block %r: toggle chain overflowed" % bid for bid in flags]
 
     def test_convert_block(self):
         text = ("clock main 1\nclock fast 3\n"
@@ -335,6 +343,11 @@ class TestBudget:
         assert trace.stats.total_ticks == min(budget, 4)
         assert main(["run", path, "--budget", str(budget)]) == code
 
+    def test_a_budget_below_one_is_refused(self):
+        net = parse_netlist((GOLDEN / "add34.net").read_text())
+        with pytest.raises(ValueError, match=r"^budget must be >= 1$"):
+            run(net, budget=0)
+
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_a_budget_cut_run_is_a_prefix_of_the_full_run(self, seed,
                                                           data):
@@ -365,7 +378,9 @@ class TestReportOrder:
 
     def test_warnings_by_fire_tick(self):
         text = self.TWO_SOURCES.format(kind="accumulator model=toggle depth=2")
-        assert _run_text(text).stats.overflow_flags == ["early", "late"]
+        assert _run_text(text).stats.block_warnings == [
+            "block 'early': toggle chain overflowed",
+            "block 'late': toggle chain overflowed"]
 
     @pytest.mark.parametrize("latency, flags", [
         (0, ["z", "a"]), (30, ["a", "z"])])
@@ -379,7 +394,8 @@ class TestReportOrder:
                 "block s20 source value=20\nblock s5 source value=5\n"
                 "wire s20.out a.in\nwire s5.out z.in latency=%d\n"
                 % latency)
-        assert _run_text(text).stats.overflow_flags == flags
+        assert _run_text(text).stats.block_warnings == [
+            "block %r: toggle chain overflowed" % bid for bid in flags]
 
     def test_the_earliest_failure_is_raised(self):
         # A mux over two equal values fails when it fires; `early` fires

@@ -212,10 +212,24 @@ def test_parse_error_carries_position():
     ("clock k 1\nclock k 2\n", "line 2:7: duplicate clock id 'k'"),
     ("block mux mux\nblock x probe\nwire mux.out x.in latency=x\n",
      "line 3:27: latency 'x' is not an integer"),
-], ids=["block-id", "clock-id", "latency-value"])
+    ("clock main 1\nblock a source value=1\nwire a.out\n",
+     "line 3:1: wire needs: wire <src>.<port> <dst>.<port> "
+     "[latency=<int>|table=<file>]"),
+    ("clock main 1\nblock a\n",
+     "line 2:1: block needs: block <id> <kind> [key=value ...]"),
+    ("clock main 1\nblock a source value\n",
+     "line 2:16: expected key=value, got 'value'"),
+    ("clock main 1\nblock a source value=1 value=2\n",
+     "line 2:24: duplicate param 'value'"),
+    ("clock main\n", "line 1:1: clock needs: clock <id> <freq>"),
+    ("clock main 1\nblock a source value=1\nprobe\n",
+     "line 3:1: probe needs: probe <block>.<port>"),
+], ids=["block-id", "clock-id", "latency-value", "short-wire", "short-block",
+        "bare-param", "duplicate-param", "short-clock", "short-probe"])
 def test_parse_error_column_is_the_tokens_own(text, message):
-    # each column points at the offending token, not at the first place
-    # its text appears earlier in the line
+    # each column points at the offending token, or at the directive when
+    # the line is too short, not at the first place its text appears
+    # earlier in the line
     with pytest.raises(NetlistParseError) as err:
         parse_netlist(text)
     assert str(err.value) == message
@@ -287,6 +301,12 @@ def test_unwired_required_input():
                       "block s add\n"
                       "wire a.out s.a\n")
     assert "'b' is not wired" in str(err.value)
+
+
+def test_a_variadic_block_needs_a_wired_input():
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("clock main 1\nblock m min\nprobe m.out\n")
+    assert err.value.violations == ["block 'm' (min) has no wired inputs"]
 
 
 def test_cycle_rejected():
