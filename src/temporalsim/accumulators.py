@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .core import ClockRef, IntervalValue, measure_interval
 
@@ -38,7 +37,7 @@ class AccumulatorConfig(namedtuple(
                 chain_depth: int = 8,           # toggle chain only
                 rate: Fraction = Fraction(1),   # analog charge per pulse
                 flux: Fraction = Fraction(1),   # expected photons per pulse
-                noise_seed: Optional[int] = None):
+                noise_seed: int | None = None):
         if chain_depth < 1:
             raise ValueError("chain depth must be >= 1")
         if Fraction(rate) <= 0:
@@ -54,16 +53,12 @@ class BinaryWord(namedtuple("BinaryWord", "bits")):
 
     __slots__ = ()
 
-    def __new__(cls, bits: Tuple[int, ...]):
+    def __new__(cls, bits: tuple[int, ...]):
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
         if not bits:
             raise ValueError("width must be >= 1")
         return tuple.__new__(cls, (bits,))
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
 
     @property
     def value(self) -> int:
@@ -98,7 +93,7 @@ def toggle_chain_overflowed(pulse_count: int, depth: int) -> bool:
 
 
 def accumulate_analog(iv: IntervalValue, ref: ClockRef,
-                      rate: Fraction) -> Tuple[Fraction, int]:
+                      rate: Fraction) -> tuple[Fraction, int]:
     """Ideal integrator: charge grows at `rate` per reference pulse.
 
     Returns the exact rational charge and its floor as the quantized
@@ -112,7 +107,7 @@ def accumulate_analog(iv: IntervalValue, ref: ClockRef,
 
 
 def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
-                        noise_seed: Optional[int] = None) -> int:
+                        noise_seed: int | None = None) -> int:
     """Photon counter: collected count is proportional to interval length.
 
     Noiseless by default (floor of flux * count). With a seed, draws a
@@ -130,11 +125,13 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     except ImportError as exc:
         raise ValueError("a seeded photon count needs numpy: %s"
                          % exc) from None
+    rng = np.random.default_rng(noise_seed)
     try:
-        lam = float(mean)
-    except OverflowError:
-        raise ValueError("photon mean is too large for a float") from None
-    return int(np.random.default_rng(noise_seed).poisson(lam))
+        return int(rng.poisson(float(mean)))
+    except (OverflowError, ValueError):
+        # Past a float's range, or past numpy's own Poisson bound (about
+        # 9.2e18), whose text names numpy's parameter.
+        raise ValueError("photon mean is too large to draw") from None
 
 
 def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:

@@ -8,7 +8,7 @@ multi-valent train turns a dot product into a single counting sweep.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Dict, Iterable, Sequence, Set
+from collections.abc import Iterable, Sequence
 
 from .core import (
     DEFAULT_CLOCK,
@@ -112,7 +112,7 @@ def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
     return tuple.__new__(MuxChannel, (frozenset(values), clock))
 
 
-def demux(ch: MuxChannel) -> Set[int]:
+def demux(ch: MuxChannel) -> set[int]:
     """Recover the value set: every value pulse position is one member."""
     return set(ch.value_pulses)
 
@@ -126,7 +126,7 @@ def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:
     if not trains:
         return MultiValentTrain()
     clock = trains[0].clock
-    merged: Dict[int, int] = {}
+    merged: dict[int, int] = {}
     for train in trains:
         if train.clock is not clock and train.clock != clock:
             raise ClockMismatch("merge requires one shared clock")

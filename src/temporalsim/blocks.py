@@ -20,8 +20,8 @@ from __future__ import annotations
 import re
 import zlib
 from collections import namedtuple
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import arith
 from .accumulators import (
@@ -53,19 +53,15 @@ class Firing:
 
     __slots__ = ("block_id", "params", "inputs", "t", "clock", "seed")
 
-    def __init__(self, block_id: str, params: Dict[str, object],
-                 inputs: List[TimedMessage], t: int,
-                 clock: Optional[ClockRef], seed: Optional[int]) -> None:
+    def __init__(self, block_id: str, params: dict[str, object],
+                 inputs: list[TimedMessage], t: int,
+                 clock: ClockRef | None, seed: int | None) -> None:
         self.block_id = block_id
         self.params = params    # only the keys the netlist sets
         self.inputs = inputs    # in sorted input-port order
         self.t = t              # fire tick: the last input arrival
         self.clock = clock      # clock=, else the default if clocked
         self.seed = seed        # the run's --seed
-
-
-Fire = Callable[[Firing], Tuple[Optional[TimedMessage], int, Tuple[str, ...]]]
-Oracle = Callable[[Dict[str, object], Dict[str, object]], object]
 
 
 class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
@@ -79,15 +75,14 @@ class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
 
     __slots__ = ()
 
-    def __new__(cls, inputs: Optional[Tuple[str, ...]], fire: Fire,
-                oracle: Optional[Oracle] = None,
-                params: Optional[Dict[str, Param]] = None,
-                clocked: bool = False, outputs: Tuple[str, ...] = ("out",),
-                check: Optional[Callable[[Dict[str, object]],
-                                         Optional[str]]] = None,
-                takes: Optional[str] = SCALAR,
-                emits: Union[str, Callable[[Mapping[str, str]], str]]
-                = SCALAR):
+    def __new__(cls, inputs: tuple[str, ...] | None,
+                fire: Callable[[Firing], tuple],
+                oracle: Callable[[dict, dict], object] | None = None,
+                params: dict[str, Param] | None = None,
+                clocked: bool = False, outputs: tuple[str, ...] = ("out",),
+                check: Callable[[dict], str | None] | None = None,
+                takes: str | None = SCALAR,
+                emits: str | Callable[[Mapping[str, str]], str] = SCALAR):
         # Each kind gets its own params dict, never a shared default.
         return tuple.__new__(cls, (inputs, fire, oracle,
                                    {} if params is None else params,
@@ -104,7 +99,7 @@ VARIADIC = None
 MAX_NUMBER_CHARS = 4300
 
 
-def _too_long(token: str) -> Optional[str]:
+def _too_long(token: str) -> str | None:
     """Why a number token is too long to convert, or None."""
     if len(token) <= MAX_NUMBER_CHARS:
         return None
@@ -112,7 +107,7 @@ def _too_long(token: str) -> Optional[str]:
                                                         MAX_NUMBER_CHARS)
 
 
-def _too_big(token: str) -> Optional[str]:
+def _too_big(token: str) -> str | None:
     """Why a rational token is too long, or its decimal exponent too large
     in magnitude, to convert; or None. `Fraction("1e99999999")` would
     build 10**99999999, so the exponent is read before `Fraction` runs."""
@@ -141,7 +136,7 @@ def quote(token: str) -> str:
 
 
 def _number(convert: Callable[[str], object], text: str, problem: str,
-            limit: Callable[[str], Optional[str]] = _too_long):
+            limit: Callable[[str], str | None] = _too_long):
     """`convert(text)`, or a ValueError: `problem`, or why `limit` finds
     the token too big to convert."""
     reason = limit(text)
@@ -153,8 +148,8 @@ def _number(convert: Callable[[str], object], text: str, problem: str,
         raise ValueError(problem) from None
 
 
-def integer(minimum: Optional[int] = None,
-            maximum: Optional[int] = None) -> Callable[[str], int]:
+def integer(minimum: int | None = None,
+            maximum: int | None = None) -> Callable[[str], int]:
     """A reader of an integer token as `int()` reads it, within the
     bounds given."""
     def parse(text: str) -> int:
@@ -183,7 +178,7 @@ def _model(text: str) -> AccumulatorModel:
             model.value for model in AccumulatorModel)) from None
 
 
-def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
+def parse_params(block) -> tuple[dict[str, object], list[str]]:
     """Parse a block's params by its kind's schema: (values, errors).
     A key the schema does not list is an error."""
     bid, name, raw = block
@@ -191,8 +186,8 @@ def parse_params(block) -> Tuple[Dict[str, object], List[str]]:
     schema = kind.params
     if not raw and not schema:
         return {}, []
-    values: Dict[str, object] = {}
-    errors: List[str] = []
+    values: dict[str, object] = {}
+    errors: list[str] = []
     for key, (parse, required) in schema.items():
         text = raw.get(key)
         if text is None:
@@ -262,7 +257,7 @@ def _mul(f: Firing):
     return _out(out, f, msg.clock), out + C0, ()
 
 
-def _race(race) -> Fire:
+def _race(race) -> Callable[[Firing], tuple]:
     # Lanes start together on the first port's clock and race raw counts.
     def fire(f: Firing):
         clock = f.inputs[0].clock
@@ -289,18 +284,11 @@ def _demux(f: Firing):
 
 
 def _madd(f: Firing):
-    trains = []
-    for msg in f.inputs:
-        # A checked message's events never go back in time, so its value
-        # pulses are sorted positions >= 0; only a repeat can be wrong.
-        events = msg.events
-        start = events[0][1]
-        positions = [t - start for role, t in events if role == EVENT_VALUE]
-        if len(set(positions)) != len(positions):
-            raise ValueError("duplicate bucket positions")
-        trains.append(tuple.__new__(MultiValentTrain, (
-            tuple(zip(positions, msg.amplitudes)), msg.clock)))
-    merged = arith.mv_merge(trains)
+    # An input may repeat a position; `mv_merge` sums the amplitudes at
+    # an equal position, within one input as across inputs.
+    merged = arith.mv_merge([tuple.__new__(MultiValentTrain, (
+        tuple(zip(msg.value_offsets(), msg.amplitudes)), msg.clock))
+        for msg in f.inputs])
     sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), f, merged.clock), sweep + C0, ()
 
@@ -351,13 +339,13 @@ def _source_sort(raw: Mapping[str, str]) -> str:
     return MV if "position" in raw else SCALAR
 
 
-def _one_amplitude(p) -> Optional[str]:
+def _one_amplitude(p) -> str | None:
     if "position" in p and p["value"] < 1:
         return "multi-valent amplitude value=0 must be >= 1"
     return None
 
 
-def _toggle_depth(p) -> Optional[str]:
+def _toggle_depth(p) -> str | None:
     if p.get("model") is AccumulatorModel.TOGGLE_CHAIN and "depth" not in p:
         return "missing param 'depth' (model=toggle)"
     return None
@@ -366,7 +354,7 @@ def _toggle_depth(p) -> Optional[str]:
 COUNT = integer(0)
 _CLOCK = Param(str)
 
-KINDS: Dict[str, Kind] = {
+KINDS: dict[str, Kind] = {
     "source": Kind((), _source, _source_oracle, clocked=True,
                    params={"value": Param(COUNT, True),
                            "position": Param(COUNT), "clock": _CLOCK},

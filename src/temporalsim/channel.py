@@ -8,8 +8,8 @@ and last event.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .core import DEFAULT_CLOCK, ClockRef
 from .errors import StabilityError
@@ -35,7 +35,7 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
 
     __slots__ = ()
 
-    def __new__(cls, events: Sequence[Tuple[str, int]],
+    def __new__(cls, events: Sequence[tuple[str, int]],
                 clock: ClockRef = DEFAULT_CLOCK,
                 amplitudes: Sequence[int] = ()):
         events = tuple((str(r), int(t)) for r, t in events)
@@ -63,7 +63,7 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         return cls(_pulses(start, sorted(values)), clock)
 
     @classmethod
-    def multivalent(cls, items: Iterable[Tuple[int, int]], start: int = 0,
+    def multivalent(cls, items: Iterable[tuple[int, int]], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """(position, amplitude) buckets as amplitude-carrying pulses."""
         items = sorted(items)
@@ -89,7 +89,7 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         """Interval length from start to the final event."""
         return self.last_tick - self.start_tick
 
-    def value_offsets(self) -> Tuple[int, ...]:
+    def value_offsets(self) -> tuple[int, ...]:
         """Value-pulse positions relative to the start marker."""
         start = self.start_tick
         return tuple(t - start for r, t in self.events if r == EVENT_VALUE)
@@ -104,7 +104,7 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         return dict(zip(self.value_offsets(), self.amplitudes))
 
 
-def _pulses(start: int, offsets) -> Tuple[Tuple[str, int], ...]:
+def _pulses(start: int, offsets) -> tuple[tuple[str, int], ...]:
     """A start event, then one value pulse per sorted offset."""
     return ((EVENT_START, start),) + tuple((EVENT_VALUE, start + v)
                                            for v in offsets)
@@ -124,9 +124,6 @@ class Link(namedtuple("Link", "default table")):
 
     def __hash__(self):
         return hash((self.default, frozenset(self.table.items())))
-
-    def delay(self, t: int) -> int:
-        return self.table.get(t, self.default)
 
     @classmethod
     def constant(cls, delay: int) -> "Link":
@@ -162,7 +159,7 @@ class StabilityViolation(namedtuple("StabilityViolation",
 
 
 def transmit_checked(msg: TimedMessage,
-                     link: Link) -> Union[TimedMessage, StabilityViolation]:
+                     link: Link) -> TimedMessage | StabilityViolation:
     """Send a message, diagnosing in-span delay instability.
 
     The delay only has to hold still between this message's first and

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, List, Optional
+from collections.abc import Callable
 
 from .blocks import C0, integer, quote
 from .core import encode_hybrid, encode_pim, encode_unary
@@ -53,7 +53,7 @@ def _warn(stats) -> None:
         print("warning: %s" % text, file=sys.stderr)
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
@@ -166,7 +166,7 @@ class _BudgetExhausted(Exception):
     is it."""
 
 
-def bench_rows(op: str, sizes: List[int], k: int = 3,
+def bench_rows(op: str, sizes: list[int], k: int = 3,
                amplitude: int = 3, budget: int = DEFAULT_BUDGET):
     """Simulated tick cost of one op block across a size sweep."""
     rows = []
@@ -238,12 +238,12 @@ def _integer(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-def _integers(minimum: int) -> Callable[[str], List[int]]:
+def _integers(minimum: int) -> Callable[[str], list[int]]:
     """A comma-separated list of at least one item, each read by
     `_integer(minimum)`."""
     item = _integer(minimum)
 
-    def parse(text: str) -> List[int]:
+    def parse(text: str) -> list[int]:
         items = [item(each) for each in text.split(",") if each]
         if not items:
             raise argparse.ArgumentTypeError("%s holds no integer"
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # Every command's bad input ends here as one `error:` line.
     try:

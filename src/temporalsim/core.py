@@ -8,12 +8,10 @@ functions; nothing touches global state.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
 
 from .errors import DigitOverflow, InvalidBase, MalformedCode
-
-Rational = Union[int, Fraction]
 
 
 class ClockRef(namedtuple("ClockRef", "id frequency")):
@@ -25,7 +23,7 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
 
     __slots__ = ()
 
-    def __new__(cls, id: str, frequency: Rational = Fraction(1)):
+    def __new__(cls, id: str, frequency: int | Fraction = Fraction(1)):
         freq = Fraction(frequency)
         if freq <= 0:
             raise ValueError("clock %r frequency must be > 0" % id)
@@ -84,10 +82,6 @@ class IntervalValue(namedtuple("IntervalValue", "start end clock")):
             raise ValueError("interval end precedes start")
         return tuple.__new__(cls, (start, end, clock))
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
     """Marks with integer amplitudes: position -> amplitude buckets.
@@ -99,7 +93,7 @@ class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
 
     __slots__ = ()
 
-    def __new__(cls, items: Sequence[Tuple[int, int]] = (),
+    def __new__(cls, items: Sequence[tuple[int, int]] = (),
                 clock: ClockRef = DEFAULT_CLOCK):
         items = tuple(sorted((int(p), int(a)) for p, a in items))
         for pos, amp in items:
@@ -115,10 +109,6 @@ class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
     def from_buckets(cls, buckets: Mapping[int, int],
                      clock: ClockRef = DEFAULT_CLOCK) -> "MultiValentTrain":
         return cls(tuple(buckets.items()), clock)
-
-    @property
-    def buckets(self) -> dict:
-        return dict(self.items)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,7 @@ def measure_interval(iv: IntervalValue, ref: ClockRef) -> int:
 
 
 def encode_hybrid(n: int, base: int,
-                  clock: ClockRef = DEFAULT_CLOCK) -> Tuple[UnaryTrain, ...]:
+                  clock: ClockRef = DEFAULT_CLOCK) -> tuple[UnaryTrain, ...]:
     """Positional digits, little-endian, each digit kept in unary.
 
     Trades the log-scaling of positional codes against the arithmetic

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, Optional, Set, Tuple
 
 from .blocks import COUNT, KINDS, Firing, quote
 from .channel import StabilityViolation, TimedMessage, transmit_checked
@@ -32,9 +31,9 @@ class TraceStats:
     def __init__(self) -> None:
         self.total_ticks = 0
         self.event_count = 0
-        self.block_costs: Dict[str, int] = {}
-        self.block_warnings: List[str] = []
-        self.stability_violations: List[str] = []
+        self.block_costs: dict[str, int] = {}
+        self.block_warnings: list[str] = []
+        self.stability_violations: list[str] = []
         self.budget_exhausted = False
 
     def __eq__(self, other):
@@ -54,16 +53,15 @@ class Trace:
     results but no messages."""
 
     def __init__(self,
-                 delivered: Optional[Dict[Tuple[str, str],
-                                          TimedMessage]] = None,
-                 results: Optional[Dict[str, object]] = None,
-                 stats: Optional[TraceStats] = None) -> None:
+                 delivered: dict[tuple[str, str], TimedMessage] | None = None,
+                 results: dict[str, object] | None = None,
+                 stats: TraceStats | None = None) -> None:
         self.delivered = {} if delivered is None else delivered
         self.results = {} if results is None else results
         self.stats = TraceStats() if stats is None else stats
 
     @cached_property
-    def events(self) -> List[Tuple[int, str, str, str]]:
+    def events(self) -> list[tuple[int, str, str, str]]:
         """Every delivered event as (tick, block, port, role), sorted by
         (tick, block, port). Laid out by sorted (block, port), each
         message's events in its own start, value-pulse, end order, then
@@ -88,7 +86,7 @@ class Trace:
 
 
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
-        seed: Optional[int] = None) -> Trace:
+        seed: int | None = None) -> Trace:
     """Execute a netlist that `parse_netlist` returned, in one pass over
     `net.order`. A block fires when every input port holds a delivered
     message, at the largest last tick among them (0 for a source); a
@@ -107,9 +105,9 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     inputs_of, outputs_of = net.inputs, net.outputs
     out_probes = {bid for bid, port in net.probes if port == "out"}
     fires = {name: kind.fire for name, kind in KINDS.items()}
-    unstable: List[Tuple[int, str, str]] = []   # (tick, block, warning)
-    warned: List[Tuple[int, str, str]] = []     # (tick, block, fire's text)
-    failures: List[Tuple[int, str, str, Exception]] = []
+    unstable: list[tuple[int, str, str]] = []   # (tick, block, warning)
+    warned: list[tuple[int, str, str]] = []     # (tick, block, fire's text)
+    failures: list[tuple[int, str, str, Exception]] = []
     event_count = total_ticks = 0
     for bid in net.order:
         inputs, t = [], 0
@@ -181,7 +179,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 # Integer-DAG oracle
 
 
-def oracle_results(net: Netlist) -> Dict[str, object]:
+def oracle_results(net: Netlist) -> dict[str, object]:
     """Evaluate the probes of a netlist that `parse_netlist` returned with
     plain integer arithmetic.
 
@@ -197,7 +195,7 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
             raise SimulationError(
                 "oracle does not support block kind %r" % block.kind)
 
-    values: Dict[str, object] = {}
+    values: dict[str, object] = {}
     for bid in net.order:
         ins = {port: values[w.src_block] for port, w in inputs[bid].items()}
         kind = blocks[bid].kind
@@ -207,7 +205,7 @@ def oracle_results(net: Netlist) -> Dict[str, object]:
             raise SimulationError("block %r (%s): %s"
                                   % (bid, kind, exc)) from exc
 
-    results: Dict[str, object] = {}
+    results: dict[str, object] = {}
     for bid, port in net.probes:
         src = bid if port == "out" else inputs[bid][port].src_block
         results["%s.%s" % (bid, port)] = values[src]
@@ -285,7 +283,7 @@ def trace_to_waveform(trace: Trace) -> str:
     one signal per (block, port), coded in sorted order, 1 at each of its
     event ticks and 0 the tick after unless it has an event then. Changes
     are listed by (tick, code string)."""
-    ticks_of: Dict[Tuple[str, str], Set[int]] = defaultdict(set)
+    ticks_of: dict[tuple[str, str], set[int]] = defaultdict(set)
     for tick, block, port, _role in trace.events:
         ticks_of[block, port].add(tick)
     signals = sorted(ticks_of)
@@ -296,7 +294,7 @@ def trace_to_waveform(trace: Trace) -> str:
     lines += ["$var wire 1 %s %s.%s $end" % (code, block, port)
               for (block, port), code in zip(signals, codes)]
     lines += ["$upscope $end", "$enddefinitions $end"]
-    changes: List[Tuple[int, str, str]] = []
+    changes: list[tuple[int, str, str]] = []
     for signal, code in zip(signals, codes):
         ticks = ticks_of[signal]
         one, zero = "1" + code, "0" + code

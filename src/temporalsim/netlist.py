@@ -22,7 +22,6 @@ import re
 from collections import namedtuple
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple
 
 from .blocks import (COUNT, KINDS, VARIADIC, integer, parse_params,
                      positive_fraction, quote)
@@ -52,16 +51,16 @@ class Netlist:
     equal when every field does."""
 
     def __init__(self) -> None:
-        self.clocks: Dict[str, ClockRef] = {}
-        self.blocks: Dict[str, BlockSpec] = {}
-        self.wires: List[Wire] = []
-        self.probes: List[Tuple[str, str]] = []
+        self.clocks: dict[str, ClockRef] = {}
+        self.blocks: dict[str, BlockSpec] = {}
+        self.wires: list[Wire] = []
+        self.probes: list[tuple[str, str]] = []
         # Resolved by validation:
-        self.params: Dict[str, Dict[str, object]] = {}
-        self.clock_of: Dict[str, Optional[ClockRef]] = {}
-        self.inputs: Dict[str, Dict[str, Wire]] = {}
-        self.outputs: Dict[str, List[Wire]] = {}  # by dst
-        self.order: List[str] = []                # topological
+        self.params: dict[str, dict[str, object]] = {}
+        self.clock_of: dict[str, ClockRef | None] = {}
+        self.inputs: dict[str, dict[str, Wire]] = {}
+        self.outputs: dict[str, list[Wire]] = {}  # by dst
+        self.order: list[str] = []                # topological
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -82,8 +81,8 @@ def _column(line: str, index: int) -> int:
     return [m.start() for m in re.finditer(r"\S+", line)][index] + 1
 
 
-def _parse_port_ref(line: str, lineno: int, parts: List[str],
-                    index: int) -> Tuple[str, str]:
+def _parse_port_ref(line: str, lineno: int, parts: list[str],
+                    index: int) -> tuple[str, str]:
     token = parts[index]
     block, _dot, port = token.partition(".")
     if not block or not port or "." in port:
@@ -93,11 +92,11 @@ def _parse_port_ref(line: str, lineno: int, parts: List[str],
     return block, port
 
 
-def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
+def load_latency_table(path: str) -> tuple[dict[int, int], int]:
     """Latency table file: lines `default <d>` or `<tick> <d>`.
 
     Raises ValueError naming the table's own line."""
-    table: Dict[int, int] = {}
+    table: dict[int, int] = {}
     default, read_tick = 0, integer()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -122,8 +121,8 @@ def load_latency_table(path: str) -> Tuple[Dict[int, int], int]:
 
 
 def _wire_option(opt: str, line: str, lineno: int,
-                 base_dir: Optional[str],
-                 latency_links: Dict[str, Link]) -> Link:
+                 base_dir: str | None,
+                 latency_links: dict[str, Link]) -> Link:
     """The Link a wire's `latency=` or `table=` option names. A good
     `latency=` text's link is stored in `latency_links` under that text."""
     if opt.startswith("latency="):
@@ -153,7 +152,7 @@ def _wire_option(opt: str, line: str, lineno: int,
         "unknown wire option %r" % opt, lineno, _column(line, 3))
 
 
-def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
+def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
     """Parse and validate netlist text.
 
     A relative `table=` path is read from `base_dir` when given (the CLI
@@ -163,7 +162,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
     """
     net = Netlist()
     wires, blocks = net.wires, net.blocks
-    latency_links: Dict[str, Link] = {}  # one Link per latency= text
+    latency_links: dict[str, Link] = {}  # one Link per latency= text
     # Each record is built by the C call inside namedtuple's `_make`; a
     # literal tuple of its fields always has the right length, and a
     # clock's frequency is checked as it is read.
@@ -207,7 +206,7 @@ def parse_netlist(text: str, base_dir: Optional[str] = None) -> Netlist:
                 raise NetlistParseError(
                     "block id %s may not contain %r" % (quote(bid), char),
                     lineno, _column(line, 1))
-            params: Dict[str, str] = {}
+            params: dict[str, str] = {}
             for index, tok in enumerate(parts[3:], 3):
                 key, eq, val = tok.partition("=")
                 if not eq:
@@ -254,7 +253,7 @@ def _validate(net: Netlist) -> None:
     """Check every structural rule and resolve the netlist in one pass:
     on success, store the parsed params, the wiring and the topological
     order on `net`; otherwise raise with every violation."""
-    errors: List[str] = []
+    errors: list[str] = []
     blocks = net.blocks
     if not blocks:
         errors.append("no blocks")
@@ -269,9 +268,9 @@ def _validate(net: Netlist) -> None:
     # The wiring first: the block checks below read it, but its own
     # problems are reported after theirs. A wire whose two ports exist
     # must carry the sort its destination takes.
-    inputs: Dict[str, Dict[str, Wire]] = {bid: {} for bid in blocks}
-    outputs: Dict[str, List[Wire]] = {bid: [] for bid in blocks}
-    wire_errors: List[str] = []
+    inputs: dict[str, dict[str, Wire]] = {bid: {} for bid in blocks}
+    outputs: dict[str, list[Wire]] = {bid: [] for bid in blocks}
+    wire_errors: list[str] = []
     variadic_ports = set()  # in0, in1, ... names already accepted
     for wire in net.wires:
         src_id, src_port, dst_id, dst_port, _link = wire
@@ -329,8 +328,8 @@ def _validate(net: Netlist) -> None:
     clocks = net.clocks
     default_clock = "main" if "main" in clocks else (
         next(iter(clocks)) if len(clocks) == 1 else None)
-    params: Dict[str, Dict[str, object]] = {}
-    clock_of: Dict[str, Optional[ClockRef]] = {}
+    params: dict[str, dict[str, object]] = {}
+    clock_of: dict[str, ClockRef | None] = {}
     for bid, block in blocks.items():
         row = kinds[bid]
         if row is None:
@@ -374,7 +373,7 @@ def _validate(net: Netlist) -> None:
                 and port not in (row[1] if row else ("out",)):
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
-    order: List[str] = []
+    order: list[str] = []
     if not errors:
         # Kahn's algorithm; the loop visits the blocks it appends.
         indeg = {bid: len(ports) for bid, ports in inputs.items()}

@@ -12,9 +12,11 @@ from hypothesis import example, given, strategies as st
 
 import temporalsim
 from temporalsim import (
+    AccumulatorConfig,
     BinaryWord,
     ClockRef,
     IntervalValue,
+    accumulate,
     accumulate_analog,
     accumulate_digital,
     accumulate_photonic,
@@ -84,7 +86,7 @@ class TestToggleChain:
 
     def test_word_value(self):
         assert BinaryWord((1, 0, 1)).value == 5
-        assert BinaryWord((1, 0, 1)).width == 3
+        assert BinaryWord((1, 0, 1)).bits == (1, 0, 1)
 
 
 class TestAnalog:
@@ -209,3 +211,11 @@ class TestModelEquivalence:
             digital = accumulate_digital(iv, ref)
             assert accumulate_analog(iv, ref, 1)[1] == digital
             assert accumulate_photonic(iv, ref, 1) == digital
+
+    def test_an_unknown_model_is_refused(self):
+        # A netlist's model= is read into AccumulatorModel; a direct call
+        # with any other model reaches the dispatch's last line.
+        with pytest.raises(ValueError) as err:
+            accumulate(IntervalValue(0, 3, CLK), CLK,
+                       AccumulatorConfig(model="x"))
+        assert str(err.value) == "unknown accumulator model 'x'"

@@ -50,10 +50,11 @@ def test_import_loads_no_code_generator():
     # `-S` leaves site-packages off the path, so only the standard library
     # and the package itself can load. `dataclasses` and `typing.NamedTuple`
     # generate and compile source on every import, and bring in `inspect`;
-    # numpy is needed only by a seeded photon count, when it runs.
+    # annotations are never evaluated, so they need no `typing`; numpy is
+    # needed only by a seeded photon count, when it runs.
     code = ("import sys, temporalsim, temporalsim.cli\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'numpy')"
-            " if m in sys.modules))\n")
+            "print(' '.join(m for m in ('typing', 'dataclasses', 'inspect',"
+            " 'numpy') if m in sys.modules))\n")
     src = str(Path(temporalsim.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),

@@ -186,25 +186,30 @@ class TestMux:
 class TestMultiValent:
     # A tuple a*b is amplitude a at position b: the bucket (b, a).
     def test_place_figure_tuples(self):
-        assert MultiValentTrain(((5, 3),)).buckets == {5: 3}
-        assert MultiValentTrain(((3, 4),)).buckets == {3: 4}
+        assert dict(MultiValentTrain(((5, 3),)).items) == {5: 3}
+        assert dict(MultiValentTrain(((3, 4),)).items) == {3: 4}
 
     def test_place_unit_at_origin(self):
-        assert MultiValentTrain(((0, 1),)).buckets == {0: 1}
+        assert dict(MultiValentTrain(((0, 1),)).items) == {0: 1}
 
     def test_merge_disjoint(self):
         merged = mv_merge([MultiValentTrain(((2, 3),)),
                            MultiValentTrain(((3, 4),))])
-        assert merged.buckets == {2: 3, 3: 4}
+        assert dict(merged.items) == {2: 3, 3: 4}
 
     def test_merge_empty_identity(self):
         t = MultiValentTrain(((5, 3),))
-        assert mv_merge([t, MultiValentTrain()]).buckets == {5: 3}
+        assert dict(mv_merge([t, MultiValentTrain()]).items) == {5: 3}
+
+    def test_merge_of_no_trains_is_the_empty_train(self):
+        empty = mv_merge([])
+        assert empty == MultiValentTrain() and empty.clock is DEFAULT_CLOCK
+        assert madd(empty) == 0
 
     def test_merge_sums_duplicate_positions(self):
         merged = mv_merge([MultiValentTrain(((4, 2),)),
                            MultiValentTrain(((4, 5),))])
-        assert merged.buckets == {4: 7}
+        assert dict(merged.items) == {4: 7}
         assert madd(merged) == 4 * 2 + 4 * 5  # distributivity
 
     def test_merge_clock_mismatch(self):
@@ -228,7 +233,7 @@ def _random_train(rng):
 def madd_tick_by_tick(train):
     """Reference sweep: one step per simulated tick, from the highest
     occupied position down to 1, adding the running amplitude sum."""
-    buckets = train.buckets
+    buckets = dict(train.items)
     total = running = 0
     for tick in range(max(buckets, default=0), 0, -1):
         running += buckets.get(tick, 0)

@@ -27,12 +27,13 @@ from temporalsim import (
     Wire,
     add_concat,
     convert_reference,
+    madd,
     max_race,
     min_race,
     mul_dilate,
     mv_merge,
 )
-from temporalsim.blocks import KINDS, Firing, Kind, Param
+from temporalsim.blocks import C0, KINDS, Firing, Kind, Param
 from temporalsim.engine import TraceStats
 from temporalsim.errors import (
     ClockMismatch,
@@ -138,10 +139,17 @@ def _madd_fire(*messages):
                                      None))
 
 
-def test_madd_fire_rejects_a_repeated_position():
+def test_madd_fire_sums_a_repeated_position():
+    # No netlist emits one, but a direct call merges it as `mv_merge`
+    # does: 2*1 + 2*3 = 2*(1+3), so the dot product is 1*1 + 2*4.
     repeated = TimedMessage.multivalent([(2, 1), (2, 3)])
-    with pytest.raises(ValueError, match="^duplicate bucket positions$"):
-        _madd_fire(TimedMessage.multivalent([(1, 1)]), repeated)
+    msg, cost, found = _madd_fire(TimedMessage.multivalent([(1, 1)]),
+                                  repeated)
+    assert msg == TimedMessage.interval(9)
+    assert (cost, found) == (2 + C0, ())
+    merged = mv_merge([MultiValentTrain(((1, 1),)),
+                       MultiValentTrain(((2, 4),))])
+    assert msg.decode() == madd(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class TestConstantLinks:
         link = Link.from_table(table)
         table[0] = 9
         table[7] = 1
-        assert (link.delay(0), link.delay(7)) == (5, 0)
+        assert (dict(link.table), link.default) == ({0: 5}, 0)
         with pytest.raises(TypeError):
             link.table[0] = 1
         with pytest.raises(ValueError, match="delays must be non-negative"):

@@ -436,6 +436,20 @@ def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# One text for a mean no draw can take: past numpy's Poisson bound, whose
+# own text names its parameter `lam`, and past a float's range.
+@pytest.mark.parametrize("flux", [b"1e30", b"1e400"],
+                         ids=["past-poisson-bound", "past-float-range"])
+def test_a_photon_mean_too_large_to_draw_has_one_text(flux, tmp_path,
+                                                      capsys):
+    path = tmp_path / "photon.net"
+    path.write_bytes(PHOTON.replace(b"1e400", flux) % b" seed=1")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: block 'acc' (accumulator): photon mean is too large to "
+        "draw\n")
+
+
 LONG = "7" * 5000   # past CPython's 4300-digit int conversion limit
 
 

@@ -1,7 +1,8 @@
 """Byte lock on the five figure netlists: the `run --trace` CSV, the
 `run --waveform` text and the `run --stats` stdout must match the files
-committed beside them, and `export` of the committed CSV must give the
-committed waveform."""
+committed beside them, `export` of the committed CSV must give the
+committed waveform, and `check` must find every probe as the integer
+oracle does."""
 
 from pathlib import Path
 
@@ -37,3 +38,11 @@ def test_waveform_matches_golden_bytes(name, tmp_path, capsys):
                  "--out", str(exported)]) == 0
     capsys.readouterr()
     assert exported.read_bytes() == golden
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_check_passes_every_golden_figure(name, capsys):
+    assert main(["check", str(GOLDEN / (name + ".net"))]) == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
+    assert all(line.startswith("ok ") for line in out.splitlines())

@@ -366,7 +366,7 @@ def test_table_path_resolves_against_the_base_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=late.tbl")
     net = parse_netlist(text, base_dir=str(tmp_path / "nets"))
-    assert net.wires[0].link.delay(0) == 2
+    assert net.wires[0].link == (2, {})
     # Without a base directory the path is read from the working one.
     with pytest.raises(NetlistParseError, match="late.tbl: No such file"):
         parse_netlist(text)
@@ -378,7 +378,7 @@ def test_absolute_table_path_ignores_the_base_dir(tmp_path):
     net = parse_netlist(
         ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=%s" % table),
         base_dir=str(tmp_path / "elsewhere"))
-    assert net.wires[0].link.delay(0) == 2
+    assert net.wires[0].link == (2, {})
 
 
 def test_parses_of_one_text_compare_equal(tmp_path):
@@ -394,8 +394,8 @@ def test_wires_of_one_latency_share_a_link():
                         .replace("s.b", "s.b latency=3")
                         + "block p probe\nwire s.out p.in latency=4\n")
     first, second, third = (w.link for w in net.wires)
-    assert first is second and first.delay(0) == 3
-    assert third.delay(0) == 4
+    assert first is second and first.default == 3
+    assert third.default == 4
 
 
 def test_latency_texts_of_one_value_give_equal_links():
@@ -403,7 +403,7 @@ def test_latency_texts_of_one_value_give_equal_links():
                         .replace("s.b", "s.b latency=03"))
     first, second = (w.link for w in net.wires)
     assert first == second and hash(first) == hash(second)
-    assert first.delay(0) == second.delay(0) == 3
+    assert first.default == second.default == 3
 
 
 # Each distinct `latency=` text is resolved once per parse. A bad one is
@@ -595,7 +595,7 @@ def test_number_tokens_read_as_int_reads_them(token, value):
                         "block p probe\nwire a.out p.in latency=%s\n"
                         % (token, token))
     assert net.params["a"]["value"] == value
-    assert net.wires[0].link.delay(0) == value
+    assert net.wires[0].link.default == value
 
 
 def test_a_superscript_digit_is_not_an_integer():
