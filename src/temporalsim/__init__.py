@@ -11,12 +11,9 @@ topological order.
 """
 
 from .accumulators import (
-    AccumulatorConfig,
     AccumulatorModel,
     BinaryWord,
-    accumulate,
     accumulate_analog,
-    accumulate_digital,
     accumulate_photonic,
     convert_reference,
     toggle_chain,

@@ -28,26 +28,6 @@ class AccumulatorModel(enum.Enum):
     PHOTON_COUNTER = "photon"
 
 
-class AccumulatorConfig(namedtuple(
-        "AccumulatorConfig", "model chain_depth rate flux noise_seed")):
-    __slots__ = ()
-
-    def __new__(cls,
-                model: AccumulatorModel = AccumulatorModel.DIGITAL_COUNTER,
-                chain_depth: int = 8,           # toggle chain only
-                rate: Fraction = Fraction(1),   # analog charge per pulse
-                flux: Fraction = Fraction(1),   # expected photons per pulse
-                noise_seed: int | None = None):
-        if chain_depth < 1:
-            raise ValueError("chain depth must be >= 1")
-        if Fraction(rate) <= 0:
-            raise ValueError("rate must be > 0")
-        if Fraction(flux) <= 0:
-            raise ValueError("flux must be > 0")
-        return tuple.__new__(cls, (model, chain_depth, rate, flux,
-                                   noise_seed))
-
-
 class BinaryWord(namedtuple("BinaryWord", "bits")):
     """Least-significant-first bit vector produced by a toggle chain."""
 
@@ -63,15 +43,6 @@ class BinaryWord(namedtuple("BinaryWord", "bits")):
     @property
     def value(self) -> int:
         return sum(b << i for i, b in enumerate(self.bits))
-
-
-def accumulate_digital(iv: IntervalValue, ref: ClockRef) -> int:
-    """Count reference pulses trapped between the start and end signals.
-
-    Pulses are counted on the half-open span [start, end) so that
-    concatenated intervals never double count a boundary pulse.
-    """
-    return measure_interval(iv, ref)
 
 
 def toggle_chain(pulse_count: int, depth: int) -> BinaryWord:
@@ -145,17 +116,3 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     return measure_interval(tuple.__new__(IntervalValue, (0, value, src)),
                             dst)
 
-
-def accumulate(iv: IntervalValue, ref: ClockRef,
-               config: AccumulatorConfig) -> int:
-    """Dispatch an interval through the configured accumulator model."""
-    if config.model is AccumulatorModel.DIGITAL_COUNTER:
-        return accumulate_digital(iv, ref)
-    if config.model is AccumulatorModel.TOGGLE_CHAIN:
-        return toggle_chain(accumulate_digital(iv, ref),
-                            config.chain_depth).value
-    if config.model is AccumulatorModel.ANALOG_INTEGRATOR:
-        return accumulate_analog(iv, ref, config.rate)[1]
-    if config.model is AccumulatorModel.PHOTON_COUNTER:
-        return accumulate_photonic(iv, ref, config.flux, config.noise_seed)
-    raise ValueError("unknown accumulator model %r" % (config.model,))

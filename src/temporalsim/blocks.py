@@ -26,16 +26,17 @@ from fractions import Fraction
 from . import arith
 from .accumulators import (
     MAX_CHAIN_DEPTH,
-    AccumulatorConfig,
     AccumulatorModel,
-    accumulate,
-    accumulate_digital,
+    accumulate_analog,
+    accumulate_photonic,
     convert_reference,
+    toggle_chain,
     toggle_chain_overflowed,
 )
 from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
                       TimedMessage, _pulses)
-from .core import ClockRef, IntervalValue, MultiValentTrain, UnaryTrain
+from .core import (ClockRef, IntervalValue, MultiValentTrain, UnaryTrain,
+                   measure_interval)
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -299,19 +300,23 @@ def _accumulator(f: Firing):
     ref = f.clock or msg.clock
     p = f.params
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
-    noise_seed = p.get("seed")
-    if (noise_seed is None and f.seed is not None
-            and model is AccumulatorModel.PHOTON_COUNTER):
-        noise_seed = f.seed ^ zlib.crc32(f.block_id.encode())
-    config = tuple.__new__(AccumulatorConfig, (
-        model, p.get("depth", 8), p.get("rate", 1), p.get("flux", 1),
-        noise_seed))
     iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
     found = ()
-    if model is AccumulatorModel.TOGGLE_CHAIN and toggle_chain_overflowed(
-            accumulate_digital(iv, ref), config.chain_depth):
-        found = ("toggle chain overflowed",)
-    return _out(accumulate(iv, ref, config), f, ref), value + C0, found
+    if model is AccumulatorModel.ANALOG_INTEGRATOR:
+        out = accumulate_analog(iv, ref, p.get("rate", 1))[1]
+    elif model is AccumulatorModel.PHOTON_COUNTER:
+        seed = p.get("seed")
+        if seed is None and f.seed is not None:
+            seed = f.seed ^ zlib.crc32(f.block_id.encode())
+        out = accumulate_photonic(iv, ref, p.get("flux", 1), seed)
+    else:
+        out = measure_interval(iv, ref)
+        if model is AccumulatorModel.TOGGLE_CHAIN:
+            depth = p["depth"]  # validation requires it with toggle
+            if toggle_chain_overflowed(out, depth):
+                found = ("toggle chain overflowed",)
+            out = toggle_chain(out, depth).value
+    return _out(out, f, ref), value + C0, found
 
 
 def _convert(f: Firing):

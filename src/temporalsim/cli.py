@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert a trace CSV to a waveform")
     p.add_argument("trace")
-    p.add_argument("--format", choices=("waveform",), default="waveform")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_export)
     return parser

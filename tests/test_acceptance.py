@@ -15,7 +15,6 @@ from temporalsim import (
     StabilityViolation,
     TimedMessage,
     accumulate_analog,
-    accumulate_digital,
     accumulate_photonic,
     convert_reference,
     decode_hybrid,
@@ -26,6 +25,7 @@ from temporalsim import (
     encode_pim,
     encode_unary,
     madd,
+    measure_interval,
     mux,
     mv_merge,
     toggle_chain,
@@ -153,7 +153,7 @@ def test_criterion_6_metrology():
         start = rng.randint(0, 100)
         iv = IntervalValue(start, start + rng.randint(0, 10 ** 4), CLK)
         ref = ClockRef("r", Fraction(rng.randint(1, 8)))
-        digital = accumulate_digital(iv, ref)
+        digital = measure_interval(iv, ref)
         assert accumulate_analog(iv, ref, 1)[1] == digital
         assert accumulate_photonic(iv, ref, 1) == digital
     _report(6, "reference conversion, toggle chain, model equivalence")

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from temporalsim import (
-    AccumulatorConfig,
-    AccumulatorModel,
     BinaryWord,
     BlockSpec,
     ClockRef,
@@ -25,13 +23,19 @@ from temporalsim import (
     Trace,
     UnaryTrain,
     Wire,
+    accumulate_analog,
+    accumulate_photonic,
     add_concat,
     convert_reference,
+    encode_hybrid,
+    encode_pim,
     madd,
     max_race,
     min_race,
     mul_dilate,
+    mux,
     mv_merge,
+    toggle_chain,
 )
 from temporalsim.blocks import C0, KINDS, Firing, Kind, Param
 from temporalsim.engine import TraceStats
@@ -77,15 +81,23 @@ REJECTED = {
                         "clock 'c' frequency must be > 0"),
     "scaled factor": (lambda: MAIN.scaled(0), ValueError,
                       "scale factor must be >= 1"),
-    "config depth": (lambda: AccumulatorConfig(chain_depth=0), ValueError,
-                     "chain depth must be >= 1"),
-    "config rate": (lambda: AccumulatorConfig(rate=Fraction(0)), ValueError,
-                    "rate must be > 0"),
-    "config flux": (lambda: AccumulatorConfig(flux=Fraction(-1)), ValueError,
-                    "flux must be > 0"),
-    "config depth before rate": (
-        lambda: AccumulatorConfig(chain_depth=0, rate=0), ValueError,
-        "chain depth must be >= 1"),
+    "toggle_chain depth": (lambda: toggle_chain(3, 0), ValueError,
+                           "chain depth must be >= 1"),
+    "toggle_chain count": (lambda: toggle_chain(-1, 3), ValueError,
+                           "pulse count must be non-negative"),
+    "toggle_chain depth before count": (
+        lambda: toggle_chain(-1, 0), ValueError, "chain depth must be >= 1"),
+    "analog rate": (lambda: accumulate_analog(IntervalValue(0, 1), MAIN, 0),
+                    ValueError, "rate must be > 0"),
+    "photonic flux": (
+        lambda: accumulate_photonic(IntervalValue(0, 1), MAIN, Fraction(-1)),
+        ValueError, "flux must be > 0"),
+    "pim negative": (lambda: encode_pim(-1), ValueError,
+                     "cannot encode negative value as interval"),
+    "hybrid negative": (lambda: encode_hybrid(-1, 10), ValueError,
+                        "cannot encode negative value"),
+    "mux negative": (lambda: mux([3, -1]), ValueError,
+                     "mux values must be positive"),
     "add clocks": (lambda: add_concat(UnaryTrain(3, MAIN),
                                       UnaryTrain(4, FAST)),
                    ClockMismatch, "cannot concatenate main with fast"),
@@ -210,14 +222,6 @@ def test_merge_builds_the_public_train(trains, clock):
                  MultiValentTrain.from_buckets(merged, clock))
 
 
-@given(st.sampled_from(list(AccumulatorModel)), st.integers(1, 64), FREQS,
-       FREQS, st.none() | COUNTS)
-def test_trusted_config(model, depth, rate, flux, seed):
-    assert _same_unchecked(AccumulatorConfig,
-                           (model, depth, rate, flux, seed),
-                           AccumulatorConfig(model, depth, rate, flux, seed))
-
-
 @given(COUNTS, COUNTS, CLOCKS)
 def test_trusted_message(value, start, clock):
     events = (("start", start), ("end", start + value))
@@ -322,17 +326,6 @@ VALUE_TYPES = {
         "MuxChannel(value_pulses=frozenset({2, 5}), clock=%s)" % _M,
         [(lambda: MuxChannel({0, 2}), ValueError,
           "value pulses must be positive ticks")]),
-    AccumulatorConfig: (
-        AccumulatorConfig,
-        ("model", "chain_depth", "rate", "flux", "noise_seed"),
-        "AccumulatorConfig(model=<AccumulatorModel.DIGITAL_COUNTER: "
-        "'digital'>, chain_depth=8, rate=Fraction(1, 1), "
-        "flux=Fraction(1, 1), noise_seed=None)",
-        [(lambda: AccumulatorConfig(chain_depth=0), ValueError,
-          "chain depth must be >= 1"),
-         (lambda: AccumulatorConfig(rate=0), ValueError, "rate must be > 0"),
-         (lambda: AccumulatorConfig(flux=Fraction(-1)), ValueError,
-          "flux must be > 0")]),
     BinaryWord: (
         lambda: BinaryWord((1, 0, 1)), ("bits",),
         "BinaryWord(bits=(1, 0, 1))",
@@ -427,6 +420,13 @@ def test_records_that_differ_in_one_field_compare_unequal(cls, field):
         assert Trace(stats=one) != Trace(stats=two)
     with pytest.raises(TypeError, match="unhashable type"):
         hash(one)
+
+
+@pytest.mark.parametrize("cls", list(CONTAINERS),
+                         ids=lambda cls: cls.__name__)
+def test_records_are_unequal_to_a_non_record(cls):
+    record, other = cls(), object()
+    assert record != other and not record == other
 
 
 def test_records_without_an_instance_dict_reject_an_unknown_attribute():

@@ -369,7 +369,7 @@ class TestExport:
         trace = tmp_path / "t.csv"
         main(["run", add_net, "--trace", str(trace)])
         capsys.readouterr()
-        assert main(["export", str(trace), "--format", "waveform"]) == 0
+        assert main(["export", str(trace)]) == 0
         assert capsys.readouterr().out.startswith("$timescale 1 tick $end\n")
 
     def test_probe_line_is_not_a_result(self, tmp_path, capsys):
@@ -545,9 +545,11 @@ def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
      "(5000 characters, at most 4300)\n"),
     (["bench", "--op", "add", "--sizes", ","],
      "error: argument --sizes: ',' holds no integer\n"),
+    (["export", "{add34}", "--format", "waveform"],
+     "error: unrecognized arguments: '--format' 'waveform'\n"),
 ], ids=["budget-abc", "unknown-flag", "long-budget", "long-encode",
         "long-unknown-flag", "long-choice", "long-command", "sizes-abc",
-        "long-sizes", "no-sizes"])
+        "long-sizes", "no-sizes", "export-format"])
 def test_a_usage_error_is_one_error_line_and_exit_1(argv, message, capsys):
     # Exit code 2 means the budget ran out, so a usage error must not use it.
     with pytest.raises(SystemExit) as err:

@@ -224,7 +224,9 @@ class TestTransport:
 
     def test_table_latency_violation_is_flagged(self, tmp_path):
         table = tmp_path / "jitter.tbl"
-        table.write_text("0 5\n7 8\ndefault 5\n")
+        # A blank line and a comment-only line are skipped.
+        table.write_text("0 5\n\n# the end is 3 ticks later\n7 8\n"
+                         "default 5\n")
         text = ("clock main 1\n"
                 "block a source value=7 clock=main\n"
                 "block p probe\n"
@@ -725,8 +727,9 @@ class TestExportMatchesTheReference:
     def test_duplicated_csv_rows(self):
         trace = _run_text(ADD_NET)
         header, rows, footer = _csv_rows(trace_to_csv(trace))
-        doubled = trace_from_csv("\n".join([header] + rows[::-1] + rows
-                                           + footer))
+        # A blank line between rows is skipped.
+        doubled = trace_from_csv("\n".join([header] + rows[::-1] + [""]
+                                           + rows + footer))
         assert len(doubled.events) == 2 * len(trace.events)
         assert trace_to_waveform(doubled) == trace_to_waveform(trace) == \
             _reference_waveform(doubled.events)
