@@ -3,7 +3,8 @@
 Three idealized realizations of "count what happens during the interval":
 a digital pulse counter (optionally folded through a divide-by-2 toggle
 chain), an analog integrator charging at a rational rate, and a photon
-counter with optional Poisson shot noise. Plus the exchange-rate style
+counter with optional Poisson shot noise (numpy's seeded Poisson stream,
+reproduced without numpy in `_poisson`). Plus the exchange-rate style
 conversion of a count between time references.
 """
 
@@ -81,9 +82,10 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
                         noise_seed: int | None = None) -> int:
     """Photon counter: collected count is proportional to interval length.
 
-    Noiseless by default (floor of flux * count). With a seed, draws a
-    Poisson sample with that mean from a deterministic generator; numpy
-    is imported only then, so a run without one never loads it.
+    Noiseless by default (floor of flux * count). With a non-negative
+    seed, draws a Poisson sample with that mean: the draw of numpy's
+    `default_rng(noise_seed).poisson(float(mean))`, computed by the
+    package's own generator, which only a seeded draw imports.
     """
     flux = Fraction(flux)
     if flux <= 0:
@@ -91,18 +93,18 @@ def accumulate_photonic(iv: IntervalValue, ref: ClockRef, flux: Fraction,
     mean = flux * measure_interval(iv, ref)
     if noise_seed is None:
         return int(mean)
+    if noise_seed < 0:
+        raise ValueError("noise seed %d is negative" % noise_seed)
+    from ._poisson import MAX_MEAN, poisson
     try:
-        import numpy as np
-    except ImportError as exc:
-        raise ValueError("a seeded photon count needs numpy: %s"
-                         % exc) from None
-    rng = np.random.default_rng(noise_seed)
-    try:
-        return int(rng.poisson(float(mean)))
-    except (OverflowError, ValueError):
-        # Past a float's range, or past numpy's own Poisson bound (about
-        # 9.2e18), whose text names numpy's parameter.
-        raise ValueError("photon mean is too large to draw") from None
+        lam = float(mean)
+    except OverflowError:   # past a float's range
+        lam = float("inf")
+    if lam > MAX_MEAN:
+        # Past numpy's Poisson bound (about 9.2e18), beyond which a draw
+        # could leave the int64 range.
+        raise ValueError("photon mean is too large to draw")
+    return poisson(noise_seed, lam)
 
 
 def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:

@@ -1,5 +1,6 @@
 """Accumulate-unit models and cross-reference conversion."""
 
+import math
 import os
 import random
 import subprocess
@@ -131,31 +132,58 @@ class TestPhotonic:
         assert abs(total / 10 ** 3 - mean_target) < 0.01 * mean_target
 
     def test_seeded_draw_is_pinned(self):
-        # numpy's default_rng(42).poisson(1500.0): any other generator or
-        # mean would move every seeded trace.
+        # numpy's default_rng(seed).poisson(mean), as numpy drew them: any
+        # other generator or mean would move every seeded trace. Pinned
+        # here, the stream is checked where numpy is not installed.
         iv = IntervalValue(0, 1000, CLK)
         assert accumulate_photonic(iv, CLK, Fraction(3, 2),
                                    noise_seed=42) == 1533
         assert accumulate_photonic(IntervalValue(0, 7, CLK), CLK, 1,
                                    noise_seed=0) == 3
+        # Below a mean of 10 numpy multiplies uniforms; from 10 on it runs
+        # transformed rejection.
+        assert accumulate_photonic(IntervalValue(0, 5, CLK), CLK,
+                                   Fraction(1, 2), noise_seed=5) == 4
+        assert accumulate_photonic(IntervalValue(0, 0, CLK), CLK, 1,
+                                   noise_seed=5) == 0
+        # A seed past 64 bits is three 32-bit words of seed entropy.
+        assert accumulate_photonic(IntervalValue(0, 10, CLK), CLK, 1,
+                                   noise_seed=2 ** 64 + 1) == 12
+        # numpy's largest mean draws; the next float up is refused.
+        bound = 9.223372006484771e18
+        iv = IntervalValue(0, 1, CLK)
+        assert accumulate_photonic(iv, CLK, Fraction(bound),
+                                   noise_seed=1) == 9223372002808777728
+        with pytest.raises(ValueError,
+                           match="^photon mean is too large to draw$"):
+            accumulate_photonic(iv, CLK,
+                                Fraction(math.nextafter(bound, math.inf)),
+                                noise_seed=1)
 
-    def test_numpy_loads_only_for_a_seeded_draw(self):
+    def test_only_a_seeded_draw_loads_the_generator(self):
+        # numpy never loads; the generator module loads on the first
+        # seeded draw, not at import, so a run without one never compiles
+        # it.
         code = (
             "import sys\n"
             "import temporalsim as ts\n"
             "iv, clk = ts.IntervalValue(0, 9), ts.DEFAULT_CLOCK\n"
-            "print('numpy' in sys.modules)\n"
+            "def loaded():\n"
+            "    print(*(m in sys.modules\n"
+            "            for m in ('numpy', 'temporalsim._poisson')))\n"
+            "loaded()\n"
             "ts.accumulate_photonic(iv, clk, 2)\n"
-            "print('numpy' in sys.modules)\n"
+            "loaded()\n"
             "ts.accumulate_photonic(iv, clk, 2, noise_seed=1)\n"
-            "print('numpy' in sys.modules)\n")
+            "loaded()\n")
         src = str(Path(temporalsim.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "False", "True"]
+        assert out.stdout.split("\n") == [
+            "False False", "False False", "False True", ""]
 
 
 class TestConvertReference:

@@ -50,22 +50,24 @@ def test_import_loads_no_code_generator():
     # and the package itself can load. `dataclasses` and `typing.NamedTuple`
     # generate and compile source on every import, and bring in `inspect`;
     # annotations are never evaluated, so they need no `typing`; numpy is
-    # needed only by a seeded photon count, when it runs. A `check` and an
-    # `export` run too, so their code paths load none of them either.
+    # never needed, and the Poisson generator only by a seeded photon
+    # count, when it runs. A `run`, a `check` and an `export` run too, so
+    # their code paths load none of them either.
     code = ("import os, sys, temporalsim\n"
             "from temporalsim.cli import main\n"
+            "assert main(['run', 'tests/golden/add34.net']) == 0\n"
             "assert main(['check', 'tests/golden/madd.net']) == 0\n"
             "assert main(['export', 'tests/golden/add34.csv',"
             " '--out', os.devnull]) == 0\n"
             "print(' '.join(m for m in ('typing', 'dataclasses', 'inspect',"
-            " 'numpy') if m in sys.modules))\n")
+            " 'numpy', 'temporalsim._poisson') if m in sys.modules))\n")
     src = str(Path(temporalsim.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          env=dict(os.environ, PYTHONPATH=src),
                          cwd=README.parent, capture_output=True, text=True,
                          timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "ok d.out=18\n\n"
+    assert out.stdout == "probe sum.out=7\nok d.out=18\n\n"
 
 
 def _quick_tour() -> str:

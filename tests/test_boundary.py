@@ -92,6 +92,11 @@ REJECTED = {
     "photonic flux": (
         lambda: accumulate_photonic(IntervalValue(0, 1), MAIN, Fraction(-1)),
         ValueError, "flux must be > 0"),
+    # Its 32-bit words would never run out: -1 >> 32 == -1.
+    "photonic seed": (
+        lambda: accumulate_photonic(IntervalValue(0, 1), MAIN, 1,
+                                    noise_seed=-1),
+        ValueError, "noise seed -1 is negative"),
     "pim negative": (lambda: encode_pim(-1), ValueError,
                      "cannot encode negative value as interval"),
     "hybrid negative": (lambda: encode_hybrid(-1, 10), ValueError,

@@ -162,16 +162,14 @@ class TestRun:
 
     def test_seeded_photon_count_without_numpy(self, tmp_path, monkeypatch,
                                                capsys):
+        # The count numpy drew for this netlist and seed.
         path = tmp_path / "photon.net"
         path.write_text("clock main 1\nblock a source value=5\n"
                         "block acc accumulator model=photon\n"
                         "wire a.out acc.in\nprobe acc.out\n")
         monkeypatch.setitem(sys.modules, "numpy", None)
-        assert main(["--seed", "3", "run", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: block 'acc' (accumulator): a seeded "
-                              "photon count needs numpy: ")
-        assert err.count("\n") == 1
+        assert main(["--seed", "3", "run", str(path)]) == 0
+        assert capsys.readouterr().out == "probe acc.out=3\n"
 
     def test_accumulator_counts_on_its_input_clock(self, tmp_path, capsys):
         # No `main` and two clocks: no netlist default, and none needed.
@@ -436,8 +434,8 @@ def test_bad_input_is_one_error_line_not_a_traceback(argv, content,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# One text for a mean no draw can take: past numpy's Poisson bound, whose
-# own text names its parameter `lam`, and past a float's range.
+# One text for a mean no draw can take: past numpy's Poisson bound and
+# past a float's range.
 @pytest.mark.parametrize("flux", [b"1e30", b"1e400"],
                          ids=["past-poisson-bound", "past-float-range"])
 def test_a_photon_mean_too_large_to_draw_has_one_text(flux, tmp_path,
