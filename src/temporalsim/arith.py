@@ -66,30 +66,37 @@ def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
                          (measure_interval(span, fast), x.clock))
 
 
-def _check_race_lanes(lanes: Sequence[IntervalValue]) -> None:
-    if not lanes:
+def _race_ends(lanes: Iterable[IntervalValue]
+               ) -> tuple[int, tuple[int, ...]]:
+    """The lanes' shared start tick and their end ticks. Lanes must start
+    together on one clock; the first lane to break a rule names it."""
+    columns = tuple(zip(*lanes))
+    if not columns:
         raise EmptyInput("race needs at least one lane")
-    start, clock = lanes[0].start, lanes[0].clock
-    for lane in lanes[1:]:
-        if lane.start != start:
-            raise ModeMismatch(
-                "synchronous race requires a shared start tick")
-        if lane.clock is not clock and lane.clock != clock:
-            raise ModeMismatch("race lanes must share one clock")
+    starts, ends, clocks = columns
+    start, clock = starts[0], clocks[0]
+    # One C-level pass each; the per-lane loop only picks the error.
+    if starts.count(start) != len(starts) \
+            or clocks.count(clock) != len(clocks):
+        for lane_start, lane_clock in zip(starts, clocks):
+            if lane_start != start:
+                raise ModeMismatch(
+                    "synchronous race requires a shared start tick")
+            if lane_clock is not clock and lane_clock != clock:
+                raise ModeMismatch("race lanes must share one clock")
+    return start, ends
 
 
 def min_race(lanes: Sequence[IntervalValue]) -> int:
     """First arrival among synchronous lanes (OR-gate semantics)."""
-    lanes = list(lanes)
-    _check_race_lanes(lanes)
-    return min(lane.end for lane in lanes) - lanes[0].start
+    start, ends = _race_ends(lanes)
+    return min(ends) - start
 
 
 def max_race(lanes: Sequence[IntervalValue]) -> int:
     """Last arrival among synchronous lanes (AND-gate semantics)."""
-    lanes = list(lanes)
-    _check_race_lanes(lanes)
-    return max(lane.end for lane in lanes) - lanes[0].start
+    start, ends = _race_ends(lanes)
+    return max(ends) - start
 
 
 def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:

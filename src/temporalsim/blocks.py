@@ -136,25 +136,17 @@ def quote(token: str) -> str:
     return repr(token) if len(token) <= 40 else repr(token[:20]) + "..."
 
 
-def _number(convert: Callable[[str], object], text: str, problem: str,
-            limit: Callable[[str], str | None] = _too_long):
-    """`convert(text)`, or a ValueError: `problem`, or why `limit` finds
-    the token too big to convert."""
-    reason = limit(text)
-    if reason:
-        raise ValueError(reason)
-    try:
-        return convert(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(problem) from None
-
-
 def integer(minimum: int | None = None,
             maximum: int | None = None) -> Callable[[str], int]:
     """A reader of an integer token as `int()` reads it, within the
     bounds given."""
     def parse(text: str) -> int:
-        value = _number(int, text, "is not an integer")
+        if len(text) > MAX_NUMBER_CHARS:
+            raise ValueError(_too_long(text))
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError("is not an integer") from None
         if minimum is not None and value < minimum:
             raise ValueError("must be >= %d" % minimum)
         if maximum is not None and value > maximum:
@@ -165,7 +157,13 @@ def integer(minimum: int | None = None,
 
 def positive_fraction(text: str) -> Fraction:
     """A rational token as `Fraction` reads it, > 0."""
-    value = _number(Fraction, text, "is not rational", _too_big)
+    reason = _too_big(text)
+    if reason:
+        raise ValueError(reason)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("is not rational") from None
     if value <= 0:
         raise ValueError("must be > 0")
     return value
@@ -260,10 +258,13 @@ def _mul(f: Firing):
 
 def _race(race) -> Callable[[Firing], tuple]:
     # Lanes start together on the first port's clock and race raw counts.
+    new = tuple.__new__
+
     def fire(f: Firing):
         clock = f.inputs[0].clock
-        out = race([tuple.__new__(IntervalValue, (0, _scalar(m), clock))
-                    for m in f.inputs])
+        out = race([new(IntervalValue, (0, events[-1][1] - events[0][1],
+                                        clock))
+                    for events, _clock, _amplitudes in f.inputs])
         return _out(out, f, clock), out + C0, ()
     return fire
 
@@ -287,9 +288,13 @@ def _demux(f: Firing):
 def _madd(f: Firing):
     # An input may repeat a position; `mv_merge` sums the amplitudes at
     # an equal position, within one input as across inputs.
-    merged = arith.mv_merge([tuple.__new__(MultiValentTrain, (
-        tuple(zip(msg.value_offsets(), msg.amplitudes)), msg.clock))
-        for msg in f.inputs])
+    new, trains = tuple.__new__, []
+    for events, clock, amplitudes in f.inputs:
+        start = events[0][1]    # `value_offsets()`, inline
+        trains.append(new(MultiValentTrain, (tuple(zip(
+            [t - start for role, t in events if role == EVENT_VALUE],
+            amplitudes)), clock)))
+    merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), f, merged.clock), sweep + C0, ()
 

@@ -37,9 +37,11 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
         """A derived reference running k times faster."""
         if k < 1:
             raise ValueError("scale factor must be >= 1")
-        # A positive frequency times a factor >= 1 needs no re-check.
+        # A positive frequency times a factor >= 1 needs no re-check. An
+        # int multiplies a Fraction directly; a float must not.
+        factor = k if k.__class__ is int else Fraction(k)
         return tuple.__new__(ClockRef, ("%sx%d" % (self.id, k),
-                                        self.frequency * Fraction(k)))
+                                        self.frequency * factor))
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))

@@ -136,25 +136,33 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
             continue
         if bid in out_probes:
             results["%s.out" % bid] = msg.decoded()
+        # Out-wires come in (dst block, dst port) order; a run of them on
+        # one Link object shares one send. A distorted send is never
+        # shared: each wire reports its own violation.
+        sent = None     # the link whose clean send `out` holds
         for src, src_port, dst, port, link in outputs_of[bid]:
-            out = transmit(msg, link)
-            if isinstance(out, StabilityViolation):
-                name = "%s.%s->%s.%s" % (src, src_port, dst, port)
-                unstable.append((t, bid, "%s value error %+d"
-                                 % (name, out.value_error)))
-                try:
-                    out = TimedMessage(out.distorted_events, msg.clock,
-                                       msg.amplitudes)
-                except ValueError as exc:
-                    failures.append((t, bid, "wire %s: distorted message is "
-                                     "unreadable: %s" % (name, exc), exc))
-                    break
-            last = out.events[-1][1]
+            if link is not sent:
+                out, sent = transmit(msg, link), link
+                if isinstance(out, StabilityViolation):
+                    sent = None
+                    name = "%s.%s->%s.%s" % (src, src_port, dst, port)
+                    unstable.append((t, bid, "%s value error %+d"
+                                     % (name, out.value_error)))
+                    try:
+                        out = TimedMessage(out.distorted_events, msg.clock,
+                                           msg.amplitudes)
+                    except ValueError as exc:
+                        failures.append((t, bid, "wire %s: distorted message "
+                                         "is unreadable: %s" % (name, exc),
+                                         exc))
+                        break
+                events = out.events
+                last, count = events[-1][1], len(events)
             if last > budget:
                 stats.budget_exhausted = True
                 continue
             delivered[dst, port] = out
-            event_count += len(out.events)
+            event_count += count
             if last > total_ticks:
                 total_ticks = last
 

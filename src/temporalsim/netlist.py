@@ -122,9 +122,9 @@ def load_latency_table(path: str) -> tuple[dict[int, int], int]:
 
 def _wire_option(opt: str, line: str, lineno: int,
                  base_dir: str | None,
-                 latency_links: dict[str, Link]) -> Link:
+                 option_links: dict[str, Link]) -> Link:
     """The Link a wire's `latency=` or `table=` option names. A good
-    `latency=` text's link is stored in `latency_links` under that text."""
+    option's link is stored in `option_links` under its text."""
     if opt.startswith("latency="):
         value = opt[len("latency="):]
         try:
@@ -133,13 +133,13 @@ def _wire_option(opt: str, line: str, lineno: int,
             raise NetlistParseError(
                 "latency %s %s" % (quote(value), exc), lineno,
                 _column(line, 3) + len("latency=")) from None
-        link = latency_links[opt] = Link.constant(latency)
+        link = option_links[opt] = Link.constant(latency)
         return link
     if opt.startswith("table="):
         path = opt[len("table="):]
         try:
-            return Link.from_table(*load_latency_table(
-                os.path.join(base_dir or "", path)))
+            table, default = load_latency_table(
+                os.path.join(base_dir or "", path))
         except OSError as exc:
             raise NetlistParseError(
                 "latency table %s: %s" % (path, exc.strerror),
@@ -148,6 +148,8 @@ def _wire_option(opt: str, line: str, lineno: int,
             raise NetlistParseError(
                 "latency table %s: %s" % (path, exc), lineno,
                 _column(line, 3)) from None
+        link = option_links[opt] = Link.from_table(table, default)
+        return link
     raise NetlistParseError(
         "unknown wire option %r" % opt, lineno, _column(line, 3))
 
@@ -162,7 +164,7 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
     """
     net = Netlist()
     wires, blocks = net.wires, net.blocks
-    latency_links: dict[str, Link] = {}  # one Link per latency= text
+    option_links: dict[str, Link] = {}  # one Link per wire option text
     # Each record is built by the C call inside namedtuple's `_make`; a
     # literal tuple of its fields always has the right length, and a
     # clock's frequency is checked as it is read.
@@ -189,10 +191,10 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
                 _parse_port_ref(line, lineno, parts, 2)
             link = _NO_DELAY
             if count == 4:
-                link = latency_links.get(parts[3])
+                link = option_links.get(parts[3])
                 if link is None:
                     link = _wire_option(parts[3], line, lineno, base_dir,
-                                        latency_links)
+                                        option_links)
             wires.append(new(Wire, (src_b, src_p, dst_b, dst_p, link)))
         elif keyword == "block":
             if len(parts) < 3:

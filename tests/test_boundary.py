@@ -128,6 +128,15 @@ REJECTED = {
         lambda: min_race([IntervalValue(0, 3, MAIN),
                           IntervalValue(1, 5, FAST)]),
         ModeMismatch, "synchronous race requires a shared start tick"),
+    # Lane 1's clock fault comes before lane 2's start fault.
+    "min race first faulty lane": (
+        lambda: min_race([IntervalValue(0, 3, MAIN), IntervalValue(0, 4, FAST),
+                          IntervalValue(1, 5, MAIN)]),
+        ModeMismatch, "race lanes must share one clock"),
+    "max race first faulty lane": (
+        lambda: max_race([IntervalValue(0, 3, MAIN), IntervalValue(0, 4, FAST),
+                          IntervalValue(1, 5, MAIN)]),
+        ModeMismatch, "race lanes must share one clock"),
     "convert value": (lambda: convert_reference(-1, MAIN, FAST), ValueError,
                       "value must be non-negative"),
 }

@@ -19,7 +19,7 @@ from temporalsim import (
     parse_netlist,
     run,
 )
-from temporalsim import cli
+from temporalsim import cli, engine
 from temporalsim.blocks import C0
 from temporalsim.cli import main
 from temporalsim.engine import (
@@ -235,6 +235,72 @@ class TestTransport:
         assert len(trace.stats.stability_violations) == 1
         assert "+3" in trace.stats.stability_violations[0]
         assert trace.results == {"p.in": 10}  # distorted value delivered
+
+
+def _count_sends(monkeypatch):
+    """The links `run` sends over, one entry per `transmit_checked` call."""
+    links, send = [], engine.transmit_checked
+
+    def counted(msg, link):
+        links.append(link)
+        return send(msg, link)
+
+    monkeypatch.setattr(engine, "transmit_checked", counted)
+    return links
+
+
+FAN_OUT = ("clock main 1\n"
+           "block a source value=7 clock=main\n"
+           "block p probe\nblock q probe\nblock r probe\n"
+           "wire a.out r.in%s\nwire a.out q.in%s\nwire a.out p.in%s\n")
+
+
+class TestSendOnce:
+    """A block's out-wires on one Link object share one send."""
+
+    @pytest.mark.parametrize("options, sends, delays", [
+        (("", "", ""), 1, {"p": 0, "q": 0, "r": 0}),
+        ((" latency=3", " latency=2", " latency=2"), 2,
+         {"p": 2, "q": 2, "r": 3}),
+    ], ids=["no-option", "latency-2-2-3"])
+    def test_one_send_per_run_of_a_shared_link(self, monkeypatch, options,
+                                               sends, delays):
+        links = _count_sends(monkeypatch)
+        trace = _run_text(FAN_OUT % options)
+        assert len(links) == sends
+        assert trace.results == {"p.in": 7, "q.in": 7, "r.in": 7}
+        assert {block: msg.events
+                for (block, _port), msg in trace.delivered.items()} == {
+            block: (("start", delay), ("end", 7 + delay))
+            for block, delay in delays.items()}
+        assert trace.stats.event_count == 6
+        assert trace.stats.total_ticks == 7 + max(delays.values())
+
+    def test_a_distorted_send_is_reported_per_wire(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Both wires name one table, so they share its Link; its delay
+        # moves inside the message span, and each wire warns.
+        (tmp_path / "jitter.tbl").write_text("0 5\n7 8\ndefault 5\n")
+        path = tmp_path / "jitter.net"
+        path.write_text("clock main 1\n"
+                        "block a source value=7 clock=main\n"
+                        "block p probe\nblock q probe\n"
+                        "wire a.out q.in table=jitter.tbl\n"
+                        "wire a.out p.in table=jitter.tbl\n")
+        links = _count_sends(monkeypatch)
+        assert main(["run", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "probe p.in=10\nprobe q.in=10\n"
+        assert err == ("warning: unstable link a.out->p.in value error +3\n"
+                       "warning: unstable link a.out->q.in value error +3\n")
+        assert len(links) == 2 and links[0] is links[1]
+
+    def test_a_shared_send_past_the_budget_drops_every_wire(self):
+        trace = _run_text(FAN_OUT % ("", "", ""), budget=5)
+        assert trace.stats.budget_exhausted
+        assert list(trace.delivered) == []
+        assert trace.results == {}
+        assert (trace.stats.event_count, trace.stats.total_ticks) == (0, 0)
 
 
 class TestEngineContract:

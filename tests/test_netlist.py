@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from temporalsim import BlockSpec, Wire, parse_netlist
+from temporalsim import BlockSpec, Wire, netlist, parse_netlist
 from temporalsim.errors import (
     NetlistParseError,
     NetlistValidationError,
@@ -389,13 +389,37 @@ def test_parses_of_one_text_compare_equal(tmp_path):
         == parse_netlist(text, str(tmp_path))
 
 
-def test_wires_of_one_latency_share_a_link():
+def test_wires_of_one_latency_share_a_link(tmp_path, monkeypatch):
+    (tmp_path / "late.tbl").write_text("default 2\n0 5\n")
+    reads, load = [], netlist.load_latency_table
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(netlist, "load_latency_table", counted)
     net = parse_netlist(ADD_NET.replace("s.a", "s.a latency=3")
                         .replace("s.b", "s.b latency=3")
-                        + "block p probe\nwire s.out p.in latency=4\n")
-    first, second, third = (w.link for w in net.wires)
+                        + "block p probe\nwire s.out p.in latency=4\n"
+                        "block q probe\nblock r probe\n"
+                        "wire s.out q.in table=late.tbl\n"
+                        "wire s.out r.in table=late.tbl\n", str(tmp_path))
+    first, second, third, fourth, fifth = (w.link for w in net.wires)
     assert first is second and first.default == 3
     assert third.default == 4
+    # A table file is read once per parse; its wires share the Link.
+    assert fourth is fifth and fourth == (2, {0: 5})
+    assert reads == [str(tmp_path / "late.tbl")]
+
+
+def test_a_bad_table_fails_at_the_first_wire_that_names_it(tmp_path):
+    table = tmp_path / "missing.tbl"
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nwire a.out b.in latency=1\n"
+                      "wire a.out c.in table=%s\n"
+                      "wire a.out d.in table=%s\n" % (table, table))
+    assert str(err.value) == ("line 3:17: latency table %s: No such file "
+                              "or directory" % table)
 
 
 def test_latency_texts_of_one_value_give_equal_links():
