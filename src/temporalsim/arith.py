@@ -56,6 +56,8 @@ def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
 def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
     """Multiply by dilating the run: re-measure x under a k-times-faster
     reference, so every mark stretches into k."""
+    if not isinstance(k, int):
+        raise ValueError("dilation factor must be an int, not %r" % (k,))
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     if k == 1:

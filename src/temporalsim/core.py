@@ -34,14 +34,14 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
         return self.frequency / other.frequency
 
     def scaled(self, k: int) -> "ClockRef":
-        """A derived reference running k times faster."""
+        """A derived reference running k times faster, named by k."""
+        if not isinstance(k, int):
+            raise ValueError("scale factor must be an int, not %r" % (k,))
         if k < 1:
             raise ValueError("scale factor must be >= 1")
-        # A positive frequency times a factor >= 1 needs no re-check. An
-        # int multiplies a Fraction directly; a float must not.
-        factor = k if k.__class__ is int else Fraction(k)
+        # A positive frequency times an int >= 1 needs no re-check.
         return tuple.__new__(ClockRef, ("%sx%d" % (self.id, k),
-                                        self.frequency * factor))
+                                        self.frequency * k))
 
 
 DEFAULT_CLOCK = ClockRef("main", Fraction(1))

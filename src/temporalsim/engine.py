@@ -90,9 +90,10 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     """Execute a netlist that `parse_netlist` returned, in one pass over
     `net.order`. A block fires when every input port holds a delivered
     message, at the largest last tick among them (0 for a source); a
-    message that ends past the budget is dropped. Warnings are listed,
-    and of several failing blocks the one raised is chosen, by (fire
-    tick, block id)."""
+    message that ends past the budget is dropped. Every probe is resolved
+    after the pass, in `net.probes` order, by that rule. Warnings are
+    listed, and of several failing blocks the one raised is chosen, by
+    (fire tick, block id)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
@@ -103,7 +104,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     transmit = transmit_checked
     blocks, params, clock_of = net.blocks, net.params, net.clock_of
     inputs_of, outputs_of = net.inputs, net.outputs
-    out_probes = {bid for bid, port in net.probes if port == "out"}
+    emitted: dict[str, TimedMessage] = {}
     fires = {name: kind.fire for name, kind in KINDS.items()}
     unstable: list[tuple[int, str, str]] = []   # (tick, block, warning)
     warned: list[tuple[int, str, str]] = []     # (tick, block, fire's text)
@@ -134,8 +135,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                        for text in found]
         if msg is None:
             continue
-        if bid in out_probes:
-            results["%s.out" % bid] = msg.decoded()
+        emitted[bid] = msg
         # Out-wires come in (dst block, dst port) order; a run of them on
         # one Link object shares one send. A distorted send is never
         # shared: each wire reports its own violation.
@@ -174,11 +174,18 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     stats.stability_violations = [text for _t, _b, text in unstable]
     warned.sort(key=itemgetter(0, 1))   # stable: a block's texts keep order
     stats.block_warnings = [text for _t, _b, text in warned]
-    # A message dropped past the budget was never delivered: its events
-    # and its in-port probe are absent.
+    # One rule for every probe: `X.out` reads what X emitted, an in-port
+    # what it was delivered, and a message that ends past the budget was
+    # not computed within it, however it is observed.
     for bid, port in net.probes:
-        if port != "out" and (bid, port) in delivered:
-            results["%s.%s" % (bid, port)] = delivered[bid, port].decoded()
+        msg = (emitted.get(bid) if port == "out"
+               else delivered.get((bid, port)))
+        if msg is None:
+            continue
+        if msg.events[-1][1] > budget:
+            stats.budget_exhausted = True
+        else:
+            results["%s.%s" % (bid, port)] = msg.decoded()
     stats.event_count, stats.total_ticks = event_count, total_ticks
     return trace
 

@@ -394,6 +394,31 @@ class TestExport:
         assert main(["export", str(bad)]) == 1
 
 
+# Outputs of x that end past the budget: 1000 * 200 ends at tick
+# 200,000, and an analog accumulator's 10**300 at tick 10**300.
+LATE_OUTPUTS = {
+    "mul": ("clock main 1\nblock a source value=1000 clock=main\n"
+            "block x mul k=200\nwire a.out x.in\n", ["--budget", "5000"]),
+    "analog": ("clock main 1\nblock a source value=1\n"
+               "block x accumulator model=analog rate=1%s\n"
+               "wire a.out x.in\n" % ("0" * 300), []),
+}
+OBSERVERS = {"probe-out": "probe x.out\n",
+             "probe-block": "block p probe\nwire x.out p.in\n"}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("observer", sorted(OBSERVERS))
+@pytest.mark.parametrize("late", sorted(LATE_OUTPUTS))
+def test_an_output_past_the_budget_is_exit_2_however_observed(
+        late, observer, command, tmp_path, capsys):
+    text, budget = LATE_OUTPUTS[late]
+    net = tmp_path / "late.net"
+    net.write_text(text + OBSERVERS[observer])
+    assert main([command, str(net)] + budget) == 2
+    assert capsys.readouterr() == ("", "error: tick budget exhausted\n")
+
+
 NOT_UTF8 = b"clock main 1\n# caf\xe9\n"
 # A photon mean past a float's range, with and without the block's seed.
 PHOTON = b"""clock main 1

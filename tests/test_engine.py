@@ -50,6 +50,16 @@ def _run_text(text, **kwargs):
     return run(parse_netlist(text), **kwargs)
 
 
+def _observer_forms(text):
+    """A `dagutil` netlist, whose last line is `probe X.out`, with X.out
+    observed three ways: by that line, by a zero-latency probe block `p`
+    on it, or by both."""
+    head, probe = text.rstrip("\n").rsplit("\n", 1)
+    block = "block p probe\nwire %s p.in\nprobe p.in" % probe.split()[1]
+    return {"out": text, "block": "%s\n%s\n" % (head, block),
+            "both": "%s\n%s\n%s\n" % (head, block, probe)}
+
+
 def _with_latency(text, latency):
     """The netlist with `latency=<latency>` on every wire."""
     return re.sub(r"^wire .*", r"\g<0> latency=%d" % latency, text,
@@ -335,9 +345,13 @@ class TestEngineContract:
         assert "s.out" not in trace.results
 
     def test_quiescence_within_computable_budget(self):
-        trace = _run_text(ADD_NET, budget=7 + 1)
+        # s fires at tick 4, when b's 4 ends, and its 7 ends at tick 11.
+        trace = _run_text(ADD_NET, budget=11)
         assert not trace.stats.budget_exhausted
         assert trace.results == {"s.out": 7}
+        trace = _run_text(ADD_NET, budget=10)
+        assert trace.stats.budget_exhausted
+        assert "s.out" not in trace.results
 
     def test_event_order_is_total(self):
         trace = _run_text(ADD_NET)
@@ -400,10 +414,11 @@ class TestEngineContract:
 
 class TestBudget:
     @pytest.mark.parametrize("budget, exhausted, code", [
-        (4, False, 0), (3, True, 2)])
+        (11, False, 0), (10, True, 2), (3, True, 2)])
     def test_an_event_at_the_budget_is_delivered(self, budget, exhausted,
                                                  code, capsys):
-        # add34's last event, the end of b's 4 at sum.b, is at tick 4.
+        # add34's last delivered event, the end of b's 4 at sum.b, is at
+        # tick 4; the 7 that `probe sum.out` reads ends at tick 11.
         path = str(GOLDEN / "add34.net")
         with open(path) as fh:
             trace = _run_text(fh.read(), budget=budget)
@@ -419,9 +434,13 @@ class TestBudget:
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_a_budget_cut_run_is_a_prefix_of_the_full_run(self, seed,
                                                           data):
-        net = parse_netlist(random_dag_netlist(random.Random(seed)))
+        text = random_dag_netlist(random.Random(seed))
+        net = parse_netlist(text)
         full = run(net)
-        total = full.stats.total_ticks
+        # Observed through a probe block, the output's end is a delivered
+        # event too, so that run's last tick is the least budget that
+        # covers every event and the probe.
+        total = _run_text(_observer_forms(text)["block"]).stats.total_ticks
         budget = data.draw(st.integers(1, max(total, 1)), label="budget")
         cut = run(net, budget=budget)
         rest = iter(full.events)
@@ -432,6 +451,24 @@ class TestBudget:
         assert cut.stats.budget_exhausted is (budget < total)
         assert trace_to_csv(run(net, budget=max(total, 1))) == \
             trace_to_csv(full)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_an_observer_does_not_change_what_is_measured(self, seed, data):
+        text = random_dag_netlist(random.Random(seed))
+        forms = {how: parse_netlist(form)
+                 for how, form in _observer_forms(text).items()}
+        total = run(forms["block"]).stats.total_ticks
+        budget = data.draw(st.integers(1, 2 * max(total, 1)), label="budget")
+        seen = {}
+        for how, net in forms.items():
+            trace = run(net, budget=budget)
+            # Every probe observes the one port X.out: one value, or none.
+            values = {trace.results.get("%s.%s" % probe)
+                      for probe in net.probes}
+            costs = {b: c for b, c in trace.stats.block_costs.items()
+                     if b != "p"}
+            seen[how] = values, costs, trace.stats.budget_exhausted
+        assert seen["out"] == seen["block"] == seen["both"]
 
 
 class TestReportOrder:
