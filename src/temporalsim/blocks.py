@@ -12,7 +12,7 @@ Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
 lanes, the multiplexed channel, the multi-valent merge and sweep, the
 accumulator models and reference conversion. Oracle functions use plain
-integer arithmetic only, so the two stay independent.
+int and `Fraction` arithmetic only, so the two stay independent.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ class Firing:
 
     def __init__(self, block_id: str, params: dict[str, object],
                  inputs: list[TimedMessage], t: int,
-                 clock: ClockRef | None, seed: int | None) -> None:
+                 clock: ClockRef, seed: int | None) -> None:
         self.block_id = block_id
         self.params = params    # only the keys the netlist sets
         self.inputs = inputs    # in sorted input-port order
         self.t = t              # fire tick: the last input arrival
-        self.clock = clock      # clock=, else the default if clocked
+        self.clock = clock      # the clock it emits on: `net.clock_of`
         self.seed = seed        # the run's --seed
 
 
@@ -69,16 +69,17 @@ class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
                              "check takes emits")):
     """A block kind. `inputs` lists its ports, or is VARIADIC for in0,
     in1, ...; without clock=, a `clocked` kind runs on the netlist's
-    default clock; `check` is a rule across parameters that returns a
-    problem, or None when they agree. Every input takes the sort
-    `takes` (None: any sort); `emits` is the output's sort, or a function
-    from the block's params, as the netlist writes them, to that sort."""
+    default clock and any other kind on its first input's clock; `check`
+    is a rule across parameters that returns a problem, or None when
+    they agree. Every input takes the sort `takes` (None: any sort);
+    `emits` is the output's sort, or a function from the block's params,
+    as the netlist writes them, to that sort."""
 
     __slots__ = ()
 
     def __new__(cls, inputs: tuple[str, ...] | None,
                 fire: Callable[[Firing], tuple],
-                oracle: Callable[[dict, dict], object] | None = None,
+                oracle: Callable[..., object],
                 params: dict[str, Param] | None = None,
                 clocked: bool = False, outputs: tuple[str, ...] = ("out",),
                 check: Callable[[dict], str | None] | None = None,
@@ -223,10 +224,10 @@ def _scalar(msg: TimedMessage) -> int:
     return events[-1][1] - events[0][1]
 
 
-def _out(value: int, f: Firing, clock: ClockRef) -> TimedMessage:
+def _out(value: int, f: Firing) -> TimedMessage:
     # value >= 0: every fire function's result is a count.
     return tuple.__new__(TimedMessage, (
-        ((EVENT_START, f.t), (EVENT_END, f.t + value)), clock, ()))
+        ((EVENT_START, f.t), (EVENT_END, f.t + value)), f.clock, ()))
 
 
 def _source(f: Firing):
@@ -237,7 +238,7 @@ def _source(f: Firing):
             ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
             (value,)))
         return msg, pos + C0, ()
-    return _out(value, f, f.clock), value + C0, ()
+    return _out(value, f), value + C0, ()
 
 
 def _unary(msg: TimedMessage) -> UnaryTrain:
@@ -247,41 +248,39 @@ def _unary(msg: TimedMessage) -> UnaryTrain:
 def _add(f: Firing):
     a, b = map(_unary, f.inputs)
     total = arith.add_concat(a, b).length
-    return _out(total, f, a.clock), total + C0, ()
+    return _out(total, f), total + C0, ()
 
 
 def _mul(f: Firing):
     (msg,) = f.inputs
     out = arith.mul_dilate(_unary(msg), f.params["k"]).length
-    return _out(out, f, msg.clock), out + C0, ()
+    return _out(out, f), out + C0, ()
 
 
 def _race(race) -> Callable[[Firing], tuple]:
-    # Lanes start together on the first port's clock and race raw counts.
+    # Lanes start together on the output clock and race raw counts.
     new = tuple.__new__
 
     def fire(f: Firing):
-        clock = f.inputs[0].clock
+        clock = f.clock
         out = race([new(IntervalValue, (0, events[-1][1] - events[0][1],
                                         clock))
                     for events, _clock, _amplitudes in f.inputs])
-        return _out(out, f, clock), out + C0, ()
+        return _out(out, f), out + C0, ()
     return fire
 
 
 def _mux(f: Firing):
-    clock = f.inputs[0].clock
-    channel = arith.mux([_scalar(m) for m in f.inputs], clock)
+    channel = arith.mux([_scalar(m) for m in f.inputs], f.clock)
     pulses = sorted(channel.value_pulses)
-    return (tuple.__new__(TimedMessage, (_pulses(f.t, pulses), clock, ())),
+    return (tuple.__new__(TimedMessage, (_pulses(f.t, pulses), f.clock, ())),
             pulses[-1] + C0, ())
 
 
 def _demux(f: Firing):
     (msg,) = f.inputs
     values = sorted(set(msg.value_offsets()))
-    return (tuple.__new__(TimedMessage,
-                          (_pulses(f.t, values), msg.clock, ())),
+    return (tuple.__new__(TimedMessage, (_pulses(f.t, values), f.clock, ())),
             values[-1] + C0, ())
 
 
@@ -296,13 +295,13 @@ def _madd(f: Firing):
             amplitudes)), clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
-    return _out(arith.madd(merged), f, merged.clock), sweep + C0, ()
+    return _out(arith.madd(merged), f), sweep + C0, ()
 
 
 def _accumulator(f: Firing):
     (msg,) = f.inputs
     value = _scalar(msg)
-    ref = f.clock or msg.clock
+    ref = f.clock
     p = f.params
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
     iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
@@ -321,20 +320,19 @@ def _accumulator(f: Firing):
             if toggle_chain_overflowed(out, depth):
                 found = ("toggle chain overflowed",)
             out = toggle_chain(out, depth).value
-    return _out(out, f, ref), value + C0, found
+    return _out(out, f), value + C0, found
 
 
 def _convert(f: Firing):
     (msg,) = f.inputs
-    return _out(convert_reference(_scalar(msg), msg.clock, f.clock), f,
-                f.clock), C0, ()
+    return _out(convert_reference(_scalar(msg), msg.clock, f.clock), f), C0, ()
 
 
-def _source_oracle(p, _ins):
+def _source_oracle(p, *_):
     return {p["position"]: p["value"]} if "position" in p else p["value"]
 
 
-def _mux_oracle(_p, ins):
+def _mux_oracle(_p, ins, *_):
     # The engine's rules and texts, checked here with plain sets.
     values = list(ins.values())
     members = set(values)
@@ -343,6 +341,20 @@ def _mux_oracle(_p, ins):
     if 0 in members:
         raise ValueError("0 collides with the start marker")
     return members
+
+
+def _accumulator_oracle(p, ins, rate, seed):
+    count = ins["in"] * rate // 1     # whole reference pulses
+    model = p.get("model")
+    if model is AccumulatorModel.TOGGLE_CHAIN:
+        return count % (1 << p["depth"])
+    if model is AccumulatorModel.ANALOG_INTEGRATOR:
+        return count * p.get("rate", 1) // 1
+    if model is AccumulatorModel.PHOTON_COUNTER:
+        if "seed" in p or seed is not None:
+            return None     # a Poisson draw
+        return count * p.get("flux", 1) // 1
+    return count
 
 
 def _source_sort(raw: Mapping[str, str]) -> str:
@@ -369,29 +381,30 @@ KINDS: dict[str, Kind] = {
                    params={"value": Param(COUNT, True),
                            "position": Param(COUNT), "clock": _CLOCK},
                    check=_one_amplitude, emits=_source_sort),
-    "add": Kind(("a", "b"), _add, lambda _p, ins: sum(ins.values())),
-    "mul": Kind(("in",), _mul, lambda p, ins: ins["in"] * p["k"],
+    "add": Kind(("a", "b"), _add, lambda _p, ins, *_: sum(ins.values())),
+    "mul": Kind(("in",), _mul, lambda p, ins, *_: ins["in"] * p["k"],
                 params={"k": Param(integer(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
-                lambda _p, ins: min(ins.values())),
+                lambda _p, ins, *_: min(ins.values())),
     "max": Kind(VARIADIC, _race(arith.max_race),
-                lambda _p, ins: max(ins.values())),
+                lambda _p, ins, *_: max(ins.values())),
     "mux": Kind(VARIADIC, _mux, _mux_oracle, emits=MUX),
-    "demux": Kind(("in",), _demux, lambda _p, ins: ins["in"], takes=MUX,
+    "demux": Kind(("in",), _demux, lambda _p, ins, *_: ins["in"], takes=MUX,
                   emits=MUX),
     "madd": Kind(VARIADIC, _madd,
-                 lambda _p, ins: sum(pos * amp for mv in ins.values()
-                                     for pos, amp in mv.items()),
+                 lambda _p, ins, *_: sum(pos * amp for mv in ins.values()
+                                         for pos, amp in mv.items()),
                  takes=MV),
-    "accumulator": Kind(("in",), _accumulator,
+    "accumulator": Kind(("in",), _accumulator, _accumulator_oracle,
                         params={"model": Param(_model),
                                 "depth": Param(integer(1, MAX_CHAIN_DEPTH)),
                                 "rate": Param(positive_fraction),
                                 "flux": Param(positive_fraction),
                                 "seed": Param(COUNT), "clock": _CLOCK},
                         check=_toggle_depth),
-    "convert": Kind(("in",), _convert, clocked=True,
-                    params={"clock": Param(str, True)}),
-    "probe": Kind(("in",), lambda _f: (None, 0, ()), lambda _p, ins: ins["in"],
-                  outputs=(), takes=None),
+    "convert": Kind(("in",), _convert,
+                    lambda _p, ins, rate, _: ins["in"] * rate // 1,
+                    clocked=True, params={"clock": Param(str, True)}),
+    "probe": Kind(("in",), lambda _f: (None, 0, ()),
+                  lambda _p, ins, *_: ins["in"], outputs=(), takes=None),
 }

@@ -194,31 +194,42 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 # Integer-DAG oracle
 
 
-def oracle_results(net: Netlist) -> dict[str, object]:
+def oracle_results(net: Netlist,
+                   seed: int | None = None) -> dict[str, object]:
     """Evaluate the probes of a netlist that `parse_netlist` returned with
-    plain integer arithmetic.
+    plain int and `Fraction` arithmetic, for a run with this `seed`.
 
     Independent of the event engine: each block's oracle function in
-    `blocks.KINDS` folds ordinary +, *, min, max, an explicit sum for the
-    dot product and plain sets for mux and demux over the netlist's
-    topological order.
+    `blocks.KINDS`, called as `(params, ins, rate, seed)` with `rate` its
+    output clock's frequency over its first input's, folds ordinary +, *,
+    min, max, floor(v * rate), a sum for the dot product and plain sets
+    for mux and demux over the netlist's topological order. A value that
+    a seeded photon draw decides, or is computed from, is None.
     """
     blocks, inputs, params = net.blocks, net.inputs, net.params
+    clock_of = net.clock_of
     oracles = {name: kind.oracle for name, kind in KINDS.items()}
-    for block in blocks.values():
-        if oracles[block.kind] is None:
-            raise SimulationError(
-                "oracle does not support block kind %r" % block.kind)
-
     values: dict[str, object] = {}
+    drawn = False   # whether any value so far is None
     for bid in net.order:
-        ins = {port: values[w.src_block] for port, w in inputs[bid].items()}
-        kind = blocks[bid].kind
+        wires = inputs[bid]
+        ins = {port: values[w.src_block] for port, w in wires.items()}
+        if drawn and None in ins.values():
+            values[bid] = None
+            continue
+        kind, p, rate = blocks[bid].kind, params[bid], 1
+        # Only clock= can set another clock than the first input's.
+        if wires and "clock" in p:
+            clock = clock_of[bid]
+            src = clock_of[next(iter(wires.values())).src_block]
+            if clock is not src:
+                rate = clock.frequency / src.frequency
         try:
-            values[bid] = oracles[kind](params[bid], ins)
+            value = values[bid] = oracles[kind](p, ins, rate, seed)
         except ValueError as exc:  # a mux's repeated or zero input
             raise SimulationError("block %r (%s): %s"
                                   % (bid, kind, exc)) from exc
+        drawn = drawn or value is None
 
     results: dict[str, object] = {}
     for bid, port in net.probes:

@@ -57,7 +57,7 @@ class Netlist:
         self.probes: list[tuple[str, str]] = []
         # Resolved by validation:
         self.params: dict[str, dict[str, object]] = {}
-        self.clock_of: dict[str, ClockRef | None] = {}
+        self.clock_of: dict[str, ClockRef] = {}   # the clock each emits on
         self.inputs: dict[str, dict[str, Wire]] = {}
         self.outputs: dict[str, list[Wire]] = {}  # by dst
         self.order: list[str] = []                # topological
@@ -326,7 +326,8 @@ def _validate(net: Netlist) -> None:
         ports[dst_port] = wire
 
     # A clocked kind without clock= runs on `main` if declared, else the
-    # only clock; any other block without clock= has none.
+    # only clock. Any other block without clock= emits on the clock of
+    # its first input, resolved in topological order below.
     clocks = net.clocks
     default_clock = "main" if "main" in clocks else (
         next(iter(clocks)) if len(clocks) == 1 else None)
@@ -381,6 +382,9 @@ def _validate(net: Netlist) -> None:
         indeg = {bid: len(ports) for bid, ports in inputs.items()}
         order = [bid for bid, d in indeg.items() if d == 0]
         for bid in order:
+            if clock_of[bid] is None:
+                first = next(iter(inputs[bid].values()))
+                clock_of[bid] = clock_of[first.src_block]
             for _src, _port, dst, _dst_port, _link in outputs[bid]:
                 indeg[dst] -= 1
                 if indeg[dst] == 0:

@@ -1,42 +1,93 @@
-"""Random acyclic netlist generator plus its integer evaluation, shared
-by the engine tests and the acceptance suite."""
+"""Random acyclic netlist generator, shared by the engine tests and the
+acceptance suite."""
 
 import random
+
+CLOCKS = ("main", "alt")
 
 
 def random_dag_netlist(rng: random.Random, depth_max: int = 5,
                        value_max: int = 1000) -> str:
-    lines = ["clock main 1"]
-    scalars = []
+    """A well-sorted feed-forward netlist over every block kind, on the
+    clocks `main` and `alt`. Its last line, its only `probe` line,
+    probes the last scalar block; each demux output feeds a probe block.
+    The two operands of an `add` share a clock, and no photon
+    accumulator sets `seed=`."""
+    lines = ["clock main 1",
+             "clock alt %s" % rng.choice(["2", "3", "1/2", "3/2", "2/3"])]
+    clock_of = {}   # scalar block -> the clock it emits on
     for i in range(rng.randint(2, 4)):
-        lines.append("block s%d source value=%d clock=main"
-                     % (i, rng.randint(0, value_max)))
-        scalars.append("s%d" % i)
+        bid, clock = "s%d" % i, rng.choice(CLOCKS)
+        lines.append("block %s source value=%d clock=%s"
+                     % (bid, rng.randint(0, value_max), clock))
+        clock_of[bid] = clock
     for d in range(rng.randint(1, depth_max)):
         bid = "n%d" % d
-        kind = rng.choice(["add", "mul", "min", "max", "madd"])
+        scalars = list(clock_of)
+        kind = rng.choice(["add", "mul", "min", "max", "madd", "convert",
+                           "accumulator", "mux"])
         if kind == "add":
-            a, b = rng.choice(scalars), rng.choice(scalars)
+            a = rng.choice(scalars)
+            b = rng.choice([s for s in scalars if clock_of[s] == clock_of[a]])
             lines += ["block %s add" % bid,
                       "wire %s.out %s.a" % (a, bid),
                       "wire %s.out %s.b" % (b, bid)]
+            clock = clock_of[a]
         elif kind == "mul":
+            src = rng.choice(scalars)
             lines += ["block %s mul k=%d" % (bid, rng.randint(1, 5)),
-                      "wire %s.out %s.in" % (rng.choice(scalars), bid)]
+                      "wire %s.out %s.in" % (src, bid)]
+            clock = clock_of[src]
         elif kind in ("min", "max"):
-            fan = rng.randint(1, 3)
+            srcs = [rng.choice(scalars) for _ in range(rng.randint(1, 3))]
             lines.append("block %s %s" % (bid, kind))
-            lines += ["wire %s.out %s.in%d"
-                      % (rng.choice(scalars), bid, j) for j in range(fan)]
-        else:
-            fan = rng.randint(1, 3)
+            lines += ["wire %s.out %s.in%d" % (src, bid, j)
+                      for j, src in enumerate(srcs)]
+            clock = clock_of[srcs[0]]
+        elif kind == "madd":
+            clock = rng.choice(CLOCKS)  # mv_merge needs one shared clock
             lines.append("block %s madd" % bid)
-            for j in range(fan):
+            for j in range(rng.randint(1, 3)):
                 mv = "%sv%d" % (bid, j)
-                lines.append("block %s source value=%d position=%d clock=main"
+                lines.append("block %s source value=%d position=%d clock=%s"
                              % (mv, rng.randint(1, 255),
-                                rng.randint(0, value_max)))
+                                rng.randint(0, value_max), clock))
                 lines.append("wire %s.out %s.in%d" % (mv, bid, j))
-        scalars.append(bid)
-    lines.append("probe %s.out" % scalars[-1])
+        elif kind == "convert":
+            src, clock = rng.choice(scalars), rng.choice(CLOCKS)
+            lines += ["block %s convert clock=%s" % (bid, clock),
+                      "wire %s.out %s.in" % (src, bid)]
+        elif kind == "accumulator":
+            src = rng.choice(scalars)
+            model = rng.choice(["digital", "toggle", "analog", "photon"])
+            params = ["model=" + model]
+            if model == "toggle":
+                params.append("depth=%d" % rng.randint(1, 12))
+            elif model == "analog":
+                params.append("rate=" + rng.choice(["1/2", "2", "3/2"]))
+            elif model == "photon":
+                params.append("flux=" + rng.choice(["1/3", "2", "5/4"]))
+            clock = clock_of[src]
+            if rng.random() < 0.5:
+                clock = rng.choice(CLOCKS)
+                params.append("clock=" + clock)
+            lines += ["block %s accumulator %s" % (bid, " ".join(params)),
+                      "wire %s.out %s.in" % (src, bid)]
+        else:
+            # A mux needs distinct values above 0: it gets its own sources.
+            clock = rng.choice(CLOCKS)
+            values = rng.sample(range(1, value_max + 1), rng.randint(1, 3))
+            # A probe block, not a `probe` line: a line on an output that
+            # no wire delivers ends past `total_ticks` (ROADMAP item 1).
+            lines += ["block %s mux" % bid, "block %sd demux" % bid,
+                      "block %sp probe" % bid,
+                      "wire %s.out %sd.in" % (bid, bid),
+                      "wire %sd.out %sp.in" % (bid, bid)]
+            for j, value in enumerate(values):
+                lines += ["block %sm%d source value=%d clock=%s"
+                          % (bid, j, value, clock),
+                          "wire %sm%d.out %s.in%d" % (bid, j, bid, j)]
+            continue
+        clock_of[bid] = clock
+    lines.append("probe %s.out" % list(clock_of)[-1])
     return "\n".join(lines) + "\n"

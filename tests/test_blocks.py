@@ -1,5 +1,5 @@
 """The block table: every kind validates, fires, and agrees with its
-oracle function wherever it has one."""
+oracle function."""
 
 import pytest
 
@@ -9,8 +9,8 @@ from temporalsim.blocks import KINDS
 _AB = ("block a source value=5 clock=main\n"
        "block b source value=7 clock=main\n")
 
-# One minimal netlist per kind, with block `x` of that kind, and the
-# probe results it must produce.
+# Minimal netlists, at least one per kind, each with block `x` of the
+# kind its name starts with, and the probe results it must produce.
 MINIMAL = {
     "source": ("block x source value=3\nprobe x.out\n", {"x.out": 3}),
     "add": (_AB + "block x add\nwire a.out x.a\nwire b.out x.b\n"
@@ -30,22 +30,39 @@ MINIMAL = {
              "block t1 source value=4 position=3\n"
              "block x madd\nwire t0.out x.in0\nwire t1.out x.in1\n"
              "probe x.out\n", {"x.out": 18}),
-    "accumulator": (_AB + "block x accumulator model=toggle depth=2\n"
-                    "wire a.out x.in\nprobe x.out\n", {"x.out": 1}),
+    # 5 main pulses are 15 pulses of a clock at 3.
+    "accumulator": ("clock fast 3\n" + _AB + "block x accumulator "
+                    "clock=fast\nwire a.out x.in\nprobe x.out\n",
+                    {"x.out": 15}),
+    "accumulator-toggle": (_AB + "block x accumulator model=toggle depth=2\n"
+                           "wire a.out x.in\nprobe x.out\n", {"x.out": 1}),
+    "accumulator-analog": (_AB + "block x accumulator model=analog "
+                           "rate=3/2\nwire b.out x.in\nprobe x.out\n",
+                           {"x.out": 10}),
+    # floor(7 / 2) = 3 pulses of a clock at 1/2, then floor(3 * 2/3).
+    "accumulator-photon": ("clock slow 1/2\n" + _AB + "block x accumulator "
+                           "model=photon flux=2/3 clock=slow\n"
+                           "wire b.out x.in\nprobe x.out\n", {"x.out": 2}),
     "convert": ("clock fast 3\n" + _AB + "block x convert clock=fast\n"
                 "wire a.out x.in\nprobe x.out\n", {"x.out": 15}),
+    "convert-down": ("clock slow 1/3\n" + _AB + "block x convert "
+                     "clock=slow\nwire b.out x.in\nprobe x.out\n",
+                     {"x.out": 2}),
     "probe": (_AB + "block x probe\nwire a.out x.in\nprobe x.in\n",
               {"x.in": 5}),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
-def test_kind_validates_runs_and_matches_oracle(kind):
-    text, expected = MINIMAL[kind]
+def test_every_kind_has_a_row():
+    assert {case.partition("-")[0] for case in MINIMAL} == set(KINDS)
+
+
+@pytest.mark.parametrize("case", sorted(MINIMAL))
+def test_kind_validates_runs_and_matches_oracle(case):
+    text, expected = MINIMAL[case]
     net = parse_netlist("clock main 1\n" + text)
-    assert net.blocks["x"].kind == kind
+    assert net.blocks["x"].kind == case.partition("-")[0]
     trace = run(net)
     assert "x" in trace.stats.block_costs
     assert trace.results == expected
-    if KINDS[kind].oracle is not None:
-        assert oracle_results(net) == expected
+    assert oracle_results(net) == expected

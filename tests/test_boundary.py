@@ -165,8 +165,9 @@ def test_equal_clocks_need_not_be_one_object():
 
 
 def _madd_fire(*messages):
-    return KINDS["madd"].fire(Firing("x", {}, list(messages), 0, None,
-                                     None))
+    # The output clock is the first input's, as validation resolves it.
+    return KINDS["madd"].fire(Firing("x", {}, list(messages), 0,
+                                     messages[0].clock, None))
 
 
 def test_madd_fire_sums_a_repeated_position():
@@ -361,13 +362,13 @@ VALUE_TYPES = {
         "Param(parse=<class 'int'>, required=True)",
         [(lambda: Param(), TypeError, None)]),
     Kind: (
-        lambda: Kind(("a",), len),
+        lambda: Kind(("a",), len, max),
         ("inputs", "fire", "oracle", "params", "clocked", "outputs",
          "check", "takes", "emits"),
-        "Kind(inputs=('a',), fire=<built-in function len>, oracle=None, "
-        "params={}, clocked=False, outputs=('out',), check=None, "
-        "takes='scalar', emits='scalar')",
-        [(lambda: Kind(("a",)), TypeError, None)]),
+        "Kind(inputs=('a',), fire=<built-in function len>, "
+        "oracle=<built-in function max>, params={}, clocked=False, "
+        "outputs=('out',), check=None, takes='scalar', emits='scalar')",
+        [(lambda: Kind(("a",), len), TypeError, None)]),
 }
 
 

@@ -219,14 +219,6 @@ class TestCheck:
             assert main(["check", str(path)]) == 0
         capsys.readouterr()
 
-    def test_unsupported_kind_is_an_error(self, tmp_path, capsys):
-        net = tmp_path / "acc.net"
-        net.write_text("clock main 1\n"
-                       "block a source value=5 clock=main\n"
-                       "block acc accumulator\n"
-                       "wire a.out acc.in\nprobe acc.out\n")
-        assert main(["check", str(net)]) == 1
-
     def test_scalar_into_madd_is_an_error(self, tmp_path, capsys):
         net = tmp_path / "madd.net"
         net.write_text((GOLDEN / "add34.net").read_text()
@@ -249,8 +241,7 @@ class TestCheck:
 
     def test_budget_cut_is_reported_before_the_oracle(self, tmp_path,
                                                       capsys):
-        # the run stops before d fires, so the oracle, which has no
-        # function for accumulator, is never asked
+        # the run stops before d fires, so nothing is judged
         net = tmp_path / "acc.net"
         net.write_text((GOLDEN / "add34.net").read_text()
                        + "block d accumulator\nwire sum.out d.in\n"
@@ -259,9 +250,47 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.err == "error: tick budget exhausted\n"
         assert captured.out == ""
-        assert main(["check", str(net)]) == 1
-        assert capsys.readouterr().err == (
-            "error: oracle does not support block kind 'accumulator'\n")
+        assert main(["check", str(net)]) == 0
+        assert capsys.readouterr() == ("ok d.out=7\nok sum.out=7\n", "")
+
+    # A photon counter that draws has no oracle value: `check` prints a
+    # `skip` line for it and for each value computed from it.
+    PHOTON = ("clock main 1\nblock src source value=1000\n"
+              "block acc accumulator model=photon flux=3/2%s\n"
+              "wire src.out acc.in\nprobe acc.out\n")
+    SUM = "block s add\nwire acc.out s.a\nwire src.out s.b\nprobe s.out\n"
+
+    @pytest.mark.parametrize("seed, block_seed, tail, out", [
+        ([], " seed=5", "", "skip acc.out=1538 (seeded draw)\n"),
+        (["--seed", "42"], "", "", "skip acc.out=1534 (seeded draw)\n"),
+        (["--seed", "42"], "", SUM, "skip acc.out=1534 (seeded draw)\n"
+         "skip s.out=2534 (seeded draw)\n"),
+        ([], "", SUM, "ok acc.out=1500\nok s.out=2500\n"),
+    ], ids=["block-seed", "run-seed", "computed-from-a-draw", "no-seed"])
+    def test_a_seeded_draw_is_skipped(self, seed, block_seed, tail, out,
+                                      tmp_path, capsys):
+        path = tmp_path / "photon.net"
+        path.write_text(self.PHOTON % block_seed + tail)
+        assert main(seed + ["check", str(path)]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_a_mismatch_beside_a_skip_still_fails(self, tmp_path, capsys,
+                                                  monkeypatch):
+        mul = blocks.KINDS["mul"]
+
+        def biased(firing):
+            out, cost, found = mul.fire(firing)
+            return (TimedMessage.interval(out.decode() + 1, firing.t,
+                                          out.clock), cost, found)
+
+        monkeypatch.setitem(blocks.KINDS, "mul", mul._replace(fire=biased))
+        path = tmp_path / "photon.net"
+        path.write_text(self.PHOTON % " seed=5" + "block m mul k=2\n"
+                        "wire src.out m.in\nprobe m.out\n")
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().out == (
+            "skip acc.out=1538 (seeded draw)\n"
+            "MISMATCH m.out expected=2000 actual=2001\n")
 
     def test_probe_block_is_judged(self, tmp_path, capsys):
         net = tmp_path / "probe.net"

@@ -455,6 +455,7 @@ class TestBudget:
     @given(st.integers(0, 2 ** 32 - 1), st.data())
     def test_an_observer_does_not_change_what_is_measured(self, seed, data):
         text = random_dag_netlist(random.Random(seed))
+        x_out = text.split()[-1]    # the last line is `probe X.out`
         forms = {how: parse_netlist(form)
                  for how, form in _observer_forms(text).items()}
         total = run(forms["block"]).stats.total_ticks
@@ -462,12 +463,15 @@ class TestBudget:
         seen = {}
         for how, net in forms.items():
             trace = run(net, budget=budget)
-            # Every probe observes the one port X.out: one value, or none.
-            values = {trace.results.get("%s.%s" % probe)
-                      for probe in net.probes}
+            # The probes of the one port X.out give one value, or none;
+            # every other probe reads the same in each form.
+            others = dict(trace.results)
+            values = {others.pop(key, None)
+                      for key in {"%s.%s" % probe for probe in net.probes}
+                      & {x_out, "p.in"}}
             costs = {b: c for b, c in trace.stats.block_costs.items()
                      if b != "p"}
-            seen[how] = values, costs, trace.stats.budget_exhausted
+            seen[how] = values, others, costs, trace.stats.budget_exhausted
         assert seen["out"] == seen["block"] == seen["both"]
 
 
@@ -539,14 +543,6 @@ class TestOracle:
         for _ in range(200):
             net = parse_netlist(random_dag_netlist(rng))
             assert run(net).results == oracle_results(net)
-
-    def test_rejects_unsupported_kind(self):
-        text = ("clock main 1\n"
-                "block a source value=5 clock=main\n"
-                "block acc accumulator\n"
-                "wire a.out acc.in\nprobe acc.out\n")
-        with pytest.raises(SimulationError):
-            oracle_results(parse_netlist(text))
 
     def test_mux_and_demux_are_sets(self):
         net = parse_netlist((GOLDEN / "mux57.net").read_text()
@@ -655,6 +651,29 @@ NETLISTS = st.one_of(
     st.sampled_from([(GOLDEN / (f + ".net")).read_text() for f in FIGURES]),
     st.integers(0, 2 ** 32 - 1).map(
         lambda seed: random_dag_netlist(random.Random(seed))))
+
+
+class TestDifferential:
+    """`dagutil` draws every kind on two clocks: the oracle judges every
+    one, and each message is on the clock validation fixed for its
+    sender."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_the_oracle_agrees_with_the_run(self, seed):
+        net = parse_netlist(random_dag_netlist(random.Random(seed)))
+        assert oracle_results(net) == run(net).results
+
+    @given(NETLISTS)
+    def test_every_block_has_an_output_clock(self, text):
+        net = parse_netlist(text)
+        assert net.clock_of.keys() == net.blocks.keys()
+        assert None not in net.clock_of.values()
+
+    @given(NETLISTS)
+    def test_a_message_is_on_its_senders_clock(self, text):
+        net = parse_netlist(text)
+        for (dst, port), msg in run(net).delivered.items():
+            assert msg.clock is net.clock_of[net.inputs[dst][port].src_block]
 
 
 class TestTraceContract:

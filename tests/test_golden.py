@@ -1,4 +1,4 @@
-"""Byte lock on the six figure netlists: the `run --trace` CSV, the
+"""Byte lock on the seven figure netlists: the `run --trace` CSV, the
 `run --waveform` text and the `run --stats` stdout must match the files
 committed beside them, `export` of the committed CSV must give the
 committed waveform, and `check` must find every probe as the integer
@@ -11,7 +11,7 @@ import pytest
 from temporalsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-FIGURES = ("unary7", "add34", "mul5x3", "mux57", "madd", "race3")
+FIGURES = ("unary7", "add34", "mul5x3", "mux57", "madd", "race3", "metro")
 
 
 @pytest.mark.parametrize("name", FIGURES)
