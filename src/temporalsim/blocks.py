@@ -4,9 +4,14 @@
 whether it needs a clock, the sort of message it takes and emits, the
 fire function the engine runs and the integer oracle function `check`
 compares against. The validator, the engine and the oracle read this
-table and nothing else. A fire function returns all it found as one
-tuple `(message, cost, warnings)`: its output (None for a probe), its
-cost in ticks and its warning texts, `()` when there are none.
+table and nothing else. The engine calls a fire function as
+`fire(block_id, params, inputs, t, clock, seed)`: the block's id, its
+parsed params (only the keys the netlist sets), its input messages in
+sorted port order, its fire tick (the last input arrival), the clock
+it emits on (`net.clock_of`) and the run's `--seed`. It returns all it
+found as one tuple `(message, cost, warnings)`: its output (None for a
+probe), its cost in ticks and its warning texts, `()` when there are
+none. An oracle is called as `oracle(params, ins, rate, seed)`.
 
 Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
@@ -49,26 +54,11 @@ class Param(namedtuple("Param", "parse required", defaults=(False,))):
     __slots__ = ()
 
 
-class Firing:
-    """What a fire function sees: one block, its inputs and the seed."""
-
-    __slots__ = ("block_id", "params", "inputs", "t", "clock", "seed")
-
-    def __init__(self, block_id: str, params: dict[str, object],
-                 inputs: list[TimedMessage], t: int,
-                 clock: ClockRef, seed: int | None) -> None:
-        self.block_id = block_id
-        self.params = params    # only the keys the netlist sets
-        self.inputs = inputs    # in sorted input-port order
-        self.t = t              # fire tick: the last input arrival
-        self.clock = clock      # the clock it emits on: `net.clock_of`
-        self.seed = seed        # the run's --seed
-
-
 class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
                              "check takes emits")):
     """A block kind. `inputs` lists its ports, or is VARIADIC for in0,
-    in1, ...; without clock=, a `clocked` kind runs on the netlist's
+    in1, ...; `fire` and `oracle` are called as the module docstring
+    says; without clock=, a `clocked` kind runs on the netlist's
     default clock and any other kind on its first input's clock; `check`
     is a rule across parameters that returns a problem, or None when
     they agree. Every input takes the sort `takes` (None: any sort);
@@ -78,7 +68,7 @@ class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
     __slots__ = ()
 
     def __new__(cls, inputs: tuple[str, ...] | None,
-                fire: Callable[[Firing], tuple],
+                fire: Callable[..., tuple],
                 oracle: Callable[..., object],
                 params: dict[str, Param] | None = None,
                 clocked: bool = False, outputs: tuple[str, ...] = ("out",),
@@ -224,85 +214,81 @@ def _scalar(msg: TimedMessage) -> int:
     return events[-1][1] - events[0][1]
 
 
-def _out(value: int, f: Firing) -> TimedMessage:
+def _out(value: int, t: int, clock: ClockRef) -> TimedMessage:
     # value >= 0: every fire function's result is a count.
     return tuple.__new__(TimedMessage, (
-        ((EVENT_START, f.t), (EVENT_END, f.t + value)), f.clock, ()))
+        ((EVENT_START, t), (EVENT_END, t + value)), clock, ()))
 
 
-def _source(f: Firing):
-    value = f.params["value"]
-    if "position" in f.params:
-        pos = f.params["position"]
+def _source(_bid, params, _inputs, t, clock, _seed):
+    value = params["value"]
+    if "position" in params:
+        pos = params["position"]
         msg = tuple.__new__(TimedMessage, (
-            ((EVENT_START, f.t), (EVENT_VALUE, f.t + pos)), f.clock,
-            (value,)))
+            ((EVENT_START, t), (EVENT_VALUE, t + pos)), clock, (value,)))
         return msg, pos + C0, ()
-    return _out(value, f), value + C0, ()
+    return _out(value, t, clock), value + C0, ()
 
 
 def _unary(msg: TimedMessage) -> UnaryTrain:
     return tuple.__new__(UnaryTrain, (_scalar(msg), msg.clock))
 
 
-def _add(f: Firing):
-    a, b = map(_unary, f.inputs)
+def _add(_bid, _params, inputs, t, clock, _seed):
+    a, b = map(_unary, inputs)
     total = arith.add_concat(a, b).length
-    return _out(total, f), total + C0, ()
+    return _out(total, t, clock), total + C0, ()
 
 
-def _mul(f: Firing):
-    (msg,) = f.inputs
-    out = arith.mul_dilate(_unary(msg), f.params["k"]).length
-    return _out(out, f), out + C0, ()
+def _mul(_bid, params, inputs, t, clock, _seed):
+    (msg,) = inputs
+    out = arith.mul_dilate(_unary(msg), params["k"]).length
+    return _out(out, t, clock), out + C0, ()
 
 
-def _race(race) -> Callable[[Firing], tuple]:
+def _race(race) -> Callable[..., tuple]:
     # Lanes start together on the output clock and race raw counts.
     new = tuple.__new__
 
-    def fire(f: Firing):
-        clock = f.clock
+    def fire(_bid, _params, inputs, t, clock, _seed):
         out = race([new(IntervalValue, (0, events[-1][1] - events[0][1],
                                         clock))
-                    for events, _clock, _amplitudes in f.inputs])
-        return _out(out, f), out + C0, ()
+                    for events, _clock, _amplitudes in inputs])
+        return _out(out, t, clock), out + C0, ()
     return fire
 
 
-def _mux(f: Firing):
-    channel = arith.mux([_scalar(m) for m in f.inputs], f.clock)
+def _mux(_bid, _params, inputs, t, clock, _seed):
+    channel = arith.mux([_scalar(m) for m in inputs], clock)
     pulses = sorted(channel.value_pulses)
-    return (tuple.__new__(TimedMessage, (_pulses(f.t, pulses), f.clock, ())),
+    return (tuple.__new__(TimedMessage, (_pulses(t, pulses), clock, ())),
             pulses[-1] + C0, ())
 
 
-def _demux(f: Firing):
-    (msg,) = f.inputs
+def _demux(_bid, _params, inputs, t, clock, _seed):
+    (msg,) = inputs
     values = sorted(set(msg.value_offsets()))
-    return (tuple.__new__(TimedMessage, (_pulses(f.t, values), f.clock, ())),
+    return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
             values[-1] + C0, ())
 
 
-def _madd(f: Firing):
+def _madd(_bid, _params, inputs, t, clock, _seed):
     # An input may repeat a position; `mv_merge` sums the amplitudes at
     # an equal position, within one input as across inputs.
     new, trains = tuple.__new__, []
-    for events, clock, amplitudes in f.inputs:
+    for events, in_clock, amplitudes in inputs:
         start = events[0][1]    # `value_offsets()`, inline
         trains.append(new(MultiValentTrain, (tuple(zip(
-            [t - start for role, t in events if role == EVENT_VALUE],
-            amplitudes)), clock)))
+            [tick - start for role, tick in events if role == EVENT_VALUE],
+            amplitudes)), in_clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
-    return _out(arith.madd(merged), f), sweep + C0, ()
+    return _out(arith.madd(merged), t, clock), sweep + C0, ()
 
 
-def _accumulator(f: Firing):
-    (msg,) = f.inputs
+def _accumulator(bid, p, inputs, t, ref, run_seed):
+    (msg,) = inputs
     value = _scalar(msg)
-    ref = f.clock
-    p = f.params
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
     iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
     found = ()
@@ -310,8 +296,8 @@ def _accumulator(f: Firing):
         out = accumulate_analog(iv, ref, p.get("rate", 1))[1]
     elif model is AccumulatorModel.PHOTON_COUNTER:
         seed = p.get("seed")
-        if seed is None and f.seed is not None:
-            seed = f.seed ^ zlib.crc32(f.block_id.encode())
+        if seed is None and run_seed is not None:
+            seed = run_seed ^ zlib.crc32(bid.encode())
         out = accumulate_photonic(iv, ref, p.get("flux", 1), seed)
     else:
         out = measure_interval(iv, ref)
@@ -320,12 +306,13 @@ def _accumulator(f: Firing):
             if toggle_chain_overflowed(out, depth):
                 found = ("toggle chain overflowed",)
             out = toggle_chain(out, depth).value
-    return _out(out, f), value + C0, found
+    return _out(out, t, ref), value + C0, found
 
 
-def _convert(f: Firing):
-    (msg,) = f.inputs
-    return _out(convert_reference(_scalar(msg), msg.clock, f.clock), f), C0, ()
+def _convert(_bid, _params, inputs, t, clock, _seed):
+    (msg,) = inputs
+    return (_out(convert_reference(_scalar(msg), msg.clock, clock), t, clock),
+            C0, ())
 
 
 def _source_oracle(p, *_):
@@ -405,6 +392,6 @@ KINDS: dict[str, Kind] = {
     "convert": Kind(("in",), _convert,
                     lambda _p, ins, rate, _: ins["in"] * rate // 1,
                     clocked=True, params={"clock": Param(str, True)}),
-    "probe": Kind(("in",), lambda _f: (None, 0, ()),
+    "probe": Kind(("in",), lambda *_: (None, 0, ()),
                   lambda _p, ins, *_: ins["in"], outputs=(), takes=None),
 }

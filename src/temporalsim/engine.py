@@ -16,7 +16,7 @@ from collections import defaultdict
 from functools import cached_property
 from operator import itemgetter
 
-from .blocks import COUNT, KINDS, Firing, quote
+from .blocks import COUNT, KINDS, quote
 from .channel import StabilityViolation, TimedMessage, transmit_checked
 from .errors import SimulationError, TemporalError
 from .netlist import Netlist
@@ -123,8 +123,8 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
             continue
         kind = blocks[bid].kind
         try:
-            msg, cost, found = fires[kind](Firing(
-                bid, params[bid], inputs, t, clock_of[bid], seed))
+            msg, cost, found = fires[kind](bid, params[bid], inputs, t,
+                                           clock_of[bid], seed)
         except (TemporalError, ValueError) as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
                              exc))

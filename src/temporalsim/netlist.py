@@ -93,11 +93,13 @@ def _parse_port_ref(line: str, lineno: int, parts: list[str],
 
 
 def load_latency_table(path: str) -> tuple[dict[int, int], int]:
-    """Latency table file: lines `default <d>` or `<tick> <d>`.
+    """Latency table file: lines `default <d>` or `<tick> <d>`, each tick
+    and `default` at most once.
 
     Raises ValueError naming the table's own line."""
     table: dict[int, int] = {}
     default, read_tick = 0, integer()
+    line_of: dict[int | None, int] = {}     # tick (None: default) -> line
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             parts = raw.split("#", 1)[0].split()
@@ -113,6 +115,11 @@ def load_latency_table(path: str) -> tuple[dict[int, int], int]:
             except ValueError as exc:
                 raise ValueError("line %d: %s %s"
                                  % (lineno, quote(token), exc)) from None
+            if tick in line_of:
+                raise ValueError("line %d: %s repeats line %d" % (
+                    lineno, "default" if tick is None else "tick %d" % tick,
+                    line_of[tick]))
+            line_of[tick] = lineno
             if tick is None:
                 default = delay
             else:

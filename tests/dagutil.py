@@ -12,7 +12,14 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
     clocks `main` and `alt`. Its last line, its only `probe` line,
     probes the last scalar block; each demux output feeds a probe block.
     The two operands of an `add` share a clock, and no photon
-    accumulator sets `seed=`."""
+    accumulator sets `seed=`. Each wire has `latency=<0-9>` with
+    probability 1/2."""
+    def wire(src, dst):
+        line = "wire %s.out %s" % (src, dst)
+        if rng.random() < 0.5:
+            line += " latency=%d" % rng.randint(0, 9)
+        return line
+
     lines = ["clock main 1",
              "clock alt %s" % rng.choice(["2", "3", "1/2", "3/2", "2/3"])]
     clock_of = {}   # scalar block -> the clock it emits on
@@ -29,19 +36,18 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
         if kind == "add":
             a = rng.choice(scalars)
             b = rng.choice([s for s in scalars if clock_of[s] == clock_of[a]])
-            lines += ["block %s add" % bid,
-                      "wire %s.out %s.a" % (a, bid),
-                      "wire %s.out %s.b" % (b, bid)]
+            lines += ["block %s add" % bid, wire(a, bid + ".a"),
+                      wire(b, bid + ".b")]
             clock = clock_of[a]
         elif kind == "mul":
             src = rng.choice(scalars)
             lines += ["block %s mul k=%d" % (bid, rng.randint(1, 5)),
-                      "wire %s.out %s.in" % (src, bid)]
+                      wire(src, bid + ".in")]
             clock = clock_of[src]
         elif kind in ("min", "max"):
             srcs = [rng.choice(scalars) for _ in range(rng.randint(1, 3))]
             lines.append("block %s %s" % (bid, kind))
-            lines += ["wire %s.out %s.in%d" % (src, bid, j)
+            lines += [wire(src, "%s.in%d" % (bid, j))
                       for j, src in enumerate(srcs)]
             clock = clock_of[srcs[0]]
         elif kind == "madd":
@@ -52,11 +58,11 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
                 lines.append("block %s source value=%d position=%d clock=%s"
                              % (mv, rng.randint(1, 255),
                                 rng.randint(0, value_max), clock))
-                lines.append("wire %s.out %s.in%d" % (mv, bid, j))
+                lines.append(wire(mv, "%s.in%d" % (bid, j)))
         elif kind == "convert":
             src, clock = rng.choice(scalars), rng.choice(CLOCKS)
             lines += ["block %s convert clock=%s" % (bid, clock),
-                      "wire %s.out %s.in" % (src, bid)]
+                      wire(src, bid + ".in")]
         elif kind == "accumulator":
             src = rng.choice(scalars)
             model = rng.choice(["digital", "toggle", "analog", "photon"])
@@ -72,7 +78,7 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
                 clock = rng.choice(CLOCKS)
                 params.append("clock=" + clock)
             lines += ["block %s accumulator %s" % (bid, " ".join(params)),
-                      "wire %s.out %s.in" % (src, bid)]
+                      wire(src, bid + ".in")]
         else:
             # A mux needs distinct values above 0: it gets its own sources.
             clock = rng.choice(CLOCKS)
@@ -80,13 +86,12 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
             # A probe block, not a `probe` line: a line on an output that
             # no wire delivers ends past `total_ticks` (ROADMAP item 1).
             lines += ["block %s mux" % bid, "block %sd demux" % bid,
-                      "block %sp probe" % bid,
-                      "wire %s.out %sd.in" % (bid, bid),
-                      "wire %sd.out %sp.in" % (bid, bid)]
+                      "block %sp probe" % bid, wire(bid, bid + "d.in"),
+                      wire(bid + "d", bid + "p.in")]
             for j, value in enumerate(values):
                 lines += ["block %sm%d source value=%d clock=%s"
                           % (bid, j, value, clock),
-                          "wire %sm%d.out %s.in%d" % (bid, j, bid, j)]
+                          wire("%sm%d" % (bid, j), "%s.in%d" % (bid, j))]
             continue
         clock_of[bid] = clock
     lines.append("probe %s.out" % list(clock_of)[-1])

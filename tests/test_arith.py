@@ -13,6 +13,7 @@ from temporalsim import (
     IntervalValue,
     MultiValentTrain,
     PulseTrain,
+    UnaryTrain,
     add_concat,
     decode_unary,
     demux,
@@ -20,6 +21,7 @@ from temporalsim import (
     encode_unary,
     madd,
     max_race,
+    measure_interval,
     min_race,
     mul_dilate,
     mux,
@@ -75,6 +77,24 @@ class TestMulDilate:
     def test_rejects_zero_factor(self):
         with pytest.raises(ValueError):
             mul_dilate(encode_unary(3), 0)
+
+    # The reference: re-measuring the run under `scaled(k)`, the clock k
+    # times faster, on any clock frequency p/q. `mul_dilate` computes the
+    # count as n*k without building that clock.
+    @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
+           st.integers(0, 10 ** 18), st.integers(1, 10 ** 6))
+    @example(999983, 999979, 10 ** 18, 10 ** 6)
+    @example(999983, 999979, 10 ** 18 - 1, 999983)
+    @example(999979, 999983, 10 ** 18, 1)
+    @example(1, 10 ** 6, 10 ** 18, 10 ** 6)
+    @example(10 ** 6, 1, 10 ** 18 - 7, 3)
+    def test_matches_measuring_under_the_scaled_clock(self, p, q, n, k):
+        clock = ClockRef("c", Fraction(p, q))
+        fast = clock.scaled(k)
+        assert fast.frequency == clock.frequency * k
+        expected = measure_interval(IntervalValue(0, n, clock), fast)
+        assert mul_dilate(UnaryTrain(n, clock), k) == \
+            UnaryTrain(expected, clock)
 
     @given(st.integers(0, 10 ** 3), st.integers(0, 10 ** 3),
            st.integers(1, 50))

@@ -37,7 +37,7 @@ from temporalsim import (
     mv_merge,
     toggle_chain,
 )
-from temporalsim.blocks import C0, KINDS, Firing, Kind, Param
+from temporalsim.blocks import C0, KINDS, Kind, Param
 from temporalsim.engine import TraceStats
 from temporalsim.errors import (
     ClockMismatch,
@@ -166,8 +166,8 @@ def test_equal_clocks_need_not_be_one_object():
 
 def _madd_fire(*messages):
     # The output clock is the first input's, as validation resolves it.
-    return KINDS["madd"].fire(Firing("x", {}, list(messages), 0,
-                                     messages[0].clock, None))
+    return KINDS["madd"].fire("x", {}, list(messages), 0, messages[0].clock,
+                              None)
 
 
 def test_madd_fire_sums_a_repeated_position():
@@ -400,8 +400,8 @@ def test_value_type_contract(cls):
 # ---------------------------------------------------------------------------
 # The mutable records are plain classes. Each instance builds its own
 # dicts and lists; `Netlist` and `TraceStats` compare by their fields and,
-# like any record that defines equality, do not hash. `Firing`, like the
-# netlist's `Wire` and `BlockSpec` rows, has no instance dict.
+# like any record that defines equality, do not hash. The netlist's
+# `Wire` and `BlockSpec` rows have no instance dict.
 
 def _containers(record):
     """Every dict and list a record holds, its stats' included."""
@@ -456,9 +456,7 @@ def test_records_are_unequal_to_a_non_record(cls):
 
 
 def test_records_without_an_instance_dict_reject_an_unknown_attribute():
-    firing = Firing("x", {}, [], 0, None, None)
-    firing.t = 3    # a field can still be set
-    for record in (firing, Wire("a", "out", "b", "in", Link.constant(0)),
+    for record in (Wire("a", "out", "b", "in", Link.constant(0)),
                    BlockSpec("b", "add")):
         with pytest.raises(AttributeError):
             record.other = 1

@@ -200,10 +200,10 @@ class TestCheck:
     def test_injected_fault_detected(self, add_net, capsys, monkeypatch):
         add = blocks.KINDS["add"]
 
-        def biased(firing):
-            out, cost, found = add.fire(firing)
-            return (TimedMessage.interval(out.decode() + 1, firing.t,
-                                          out.clock), cost, found)
+        def biased(bid, params, inputs, t, clock, seed):
+            out, cost, found = add.fire(bid, params, inputs, t, clock, seed)
+            return (TimedMessage.interval(out.decode() + 1, t, out.clock),
+                    cost, found)
 
         monkeypatch.setitem(blocks.KINDS, "add",
                             add._replace(fire=biased))
@@ -278,10 +278,10 @@ class TestCheck:
                                                   monkeypatch):
         mul = blocks.KINDS["mul"]
 
-        def biased(firing):
-            out, cost, found = mul.fire(firing)
-            return (TimedMessage.interval(out.decode() + 1, firing.t,
-                                          out.clock), cost, found)
+        def biased(bid, params, inputs, t, clock, seed):
+            out, cost, found = mul.fire(bid, params, inputs, t, clock, seed)
+            return (TimedMessage.interval(out.decode() + 1, t, out.clock),
+                    cost, found)
 
         monkeypatch.setitem(blocks.KINDS, "mul", mul._replace(fire=biased))
         path = tmp_path / "photon.net"

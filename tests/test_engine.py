@@ -61,8 +61,9 @@ def _observer_forms(text):
 
 
 def _with_latency(text, latency):
-    """The netlist with `latency=<latency>` on every wire."""
-    return re.sub(r"^wire .*", r"\g<0> latency=%d" % latency, text,
+    """The netlist with `latency=<latency>` on every wire that has no
+    option; a `dagutil` wire keeps the latency it drew."""
+    return re.sub(r"^wire \S+ \S+$", r"\g<0> latency=%d" % latency, text,
                   flags=re.M)
 
 
@@ -390,9 +391,9 @@ class TestEngineContract:
         race = blocks.KINDS["min"]
         seen = []
 
-        def spy(firing):
-            seen.append(([m.decode() for m in firing.inputs], firing.t))
-            return race.fire(firing)
+        def spy(bid, params, inputs, t, clock, seed):
+            seen.append(([m.decode() for m in inputs], t))
+            return race.fire(bid, params, inputs, t, clock, seed)
 
         monkeypatch.setitem(blocks.KINDS, "min",
                             race._replace(fire=spy))

@@ -352,6 +352,21 @@ def test_malformed_table_line_names_the_table(tmp_path):
                               "two fields" % table)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("0 3\n0 5\ndefault 1\n", "line 2: tick 0 repeats line 1"),
+    ("0 3\n# note\n00 5\n", "line 3: tick 0 repeats line 1"),
+    ("default 1\n0 3\ndefault 2\n", "line 3: default repeats line 1"),
+])
+def test_repeated_table_tick_names_both_lines(tmp_path, text, problem):
+    table = tmp_path / "twice.tbl"
+    table.write_text(text)
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist("clock main 1\nwire a.out b.in table=%s\n" % table)
+    assert (err.value.line, err.value.column) == (2, 17)
+    assert str(err.value) == ("line 2:17: latency table %s: %s"
+                              % (table, problem))
+
+
 def test_missing_table_is_a_parse_error_at_the_wire(tmp_path):
     table = tmp_path / "missing.tbl"
     with pytest.raises(NetlistParseError) as err:
@@ -664,14 +679,15 @@ def test_tabs_separate_tokens_and_a_hash_starts_a_comment():
 
 def _respell(text, rng):
     """The same netlist with other runs of spaces and tabs between and
-    around its tokens, comments, blank lines and `latency=0` wires."""
+    around its tokens, comments, blank lines and `latency=0` on wires
+    without an option."""
     def gap():
         return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
 
     lines = []
     for line in text.splitlines():
         parts = line.split()
-        if parts[0] == "wire" and rng.random() < 0.5:
+        if parts[0] == "wire" and len(parts) == 3 and rng.random() < 0.5:
             parts.append("latency=0")
         spelled = rng.choice(["", gap()]) + parts[0] + "".join(
             gap() + part for part in parts[1:])
