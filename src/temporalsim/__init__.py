@@ -40,7 +40,6 @@ from .channel import (
 from .core import (
     DEFAULT_CLOCK,
     ClockRef,
-    IntervalValue,
     MultiValentTrain,
     PulseTrain,
     UnaryTrain,

@@ -3,6 +3,8 @@
 Addition is concatenation of mark runs, multiplication is dilation under
 a faster reference, min/max fall out of racing parallel lanes, and the
 multi-valent train turns a dot product into a single counting sweep.
+A race's lanes are `UnaryTrain` runs, which all start at tick 0, so
+they start together by construction; only their clock is checked.
 """
 
 from __future__ import annotations
@@ -10,20 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .core import (
-    DEFAULT_CLOCK,
-    ClockRef,
-    IntervalValue,
-    MultiValentTrain,
-    UnaryTrain,
-)
-from .errors import (
-    ClockMismatch,
-    DuplicateValue,
-    EmptyInput,
-    ModeMismatch,
-    ZeroValue,
-)
+from .core import DEFAULT_CLOCK, ClockRef, MultiValentTrain, UnaryTrain
+from .errors import ClockMismatch, DuplicateValue, EmptyInput, ZeroValue
 
 
 class MuxChannel(namedtuple("MuxChannel", "value_pulses clock")):
@@ -68,37 +58,26 @@ def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
     return tuple.__new__(UnaryTrain, (x.length * k, x.clock))
 
 
-def _race_ends(lanes: Iterable[IntervalValue]
-               ) -> tuple[int, tuple[int, ...]]:
-    """The lanes' shared start tick and their end ticks. Lanes must start
-    together on one clock; the first lane to break a rule names it."""
+def _race_lengths(lanes: Iterable[UnaryTrain]) -> tuple[int, ...]:
+    """The lanes' lengths. Every run starts at tick 0, so the lanes start
+    together; they must share one clock."""
     columns = tuple(zip(*lanes))
     if not columns:
         raise EmptyInput("race needs at least one lane")
-    starts, ends, clocks = columns
-    start, clock = starts[0], clocks[0]
-    # One C-level pass each; the per-lane loop only picks the error.
-    if starts.count(start) != len(starts) \
-            or clocks.count(clock) != len(clocks):
-        for lane_start, lane_clock in zip(starts, clocks):
-            if lane_start != start:
-                raise ModeMismatch(
-                    "synchronous race requires a shared start tick")
-            if lane_clock is not clock and lane_clock != clock:
-                raise ModeMismatch("race lanes must share one clock")
-    return start, ends
+    lengths, clocks = columns
+    if clocks.count(clocks[0]) != len(clocks):
+        raise ClockMismatch("race lanes must share one clock")
+    return lengths
 
 
-def min_race(lanes: Sequence[IntervalValue]) -> int:
+def min_race(lanes: Sequence[UnaryTrain]) -> int:
     """First arrival among synchronous lanes (OR-gate semantics)."""
-    start, ends = _race_ends(lanes)
-    return min(ends) - start
+    return min(_race_lengths(lanes))
 
 
-def max_race(lanes: Sequence[IntervalValue]) -> int:
+def max_race(lanes: Sequence[UnaryTrain]) -> int:
     """Last arrival among synchronous lanes (AND-gate semantics)."""
-    start, ends = _race_ends(lanes)
-    return max(ends) - start
+    return max(_race_lengths(lanes))
 
 
 def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:

@@ -40,8 +40,7 @@ from .accumulators import (
 )
 from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
                       TimedMessage, _pulses)
-from .core import (ClockRef, IntervalValue, MultiValentTrain, UnaryTrain,
-                   measure_interval)
+from .core import ClockRef, MultiValentTrain, UnaryTrain, measure_interval
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -247,12 +246,12 @@ def _mul(_bid, params, inputs, t, clock, _seed):
 
 
 def _race(race) -> Callable[..., tuple]:
-    # Lanes start together on the output clock and race raw counts.
+    """A race's fire function. Each input is one `UnaryTrain` lane of its
+    span on the fire's output clock, so the lanes race raw counts."""
     new = tuple.__new__
 
     def fire(_bid, _params, inputs, t, clock, _seed):
-        out = race([new(IntervalValue, (0, events[-1][1] - events[0][1],
-                                        clock))
+        out = race([new(UnaryTrain, (events[-1][1] - events[0][1], clock))
                     for events, _clock, _amplitudes in inputs])
         return _out(out, t, clock), out + C0, ()
     return fire
@@ -288,25 +287,24 @@ def _madd(_bid, _params, inputs, t, clock, _seed):
 
 def _accumulator(bid, p, inputs, t, ref, run_seed):
     (msg,) = inputs
-    value = _scalar(msg)
+    x = _unary(msg)
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
-    iv = tuple.__new__(IntervalValue, (0, value, msg.clock))
     found = ()
     if model is AccumulatorModel.ANALOG_INTEGRATOR:
-        out = accumulate_analog(iv, ref, p.get("rate", 1))[1]
+        out = accumulate_analog(x, ref, p.get("rate", 1))[1]
     elif model is AccumulatorModel.PHOTON_COUNTER:
         seed = p.get("seed")
         if seed is None and run_seed is not None:
             seed = run_seed ^ zlib.crc32(bid.encode())
-        out = accumulate_photonic(iv, ref, p.get("flux", 1), seed)
+        out = accumulate_photonic(x, ref, p.get("flux", 1), seed)
     else:
-        out = measure_interval(iv, ref)
+        out = measure_interval(x, ref)
         if model is AccumulatorModel.TOGGLE_CHAIN:
             depth = p["depth"]  # validation requires it with toggle
             if toggle_chain_overflowed(out, depth):
                 found = ("toggle chain overflowed",)
             out = toggle_chain(out, depth).value
-    return _out(out, t, ref), value + C0, found
+    return _out(out, t, ref), x.length + C0, found
 
 
 def _convert(_bid, _params, inputs, t, clock, _seed):

@@ -1,7 +1,9 @@
 """Time references, signal carriers, and integer <-> temporal codecs.
 
 A value is carried as the length of a time interval, counted in pulses of
-a reference clock. Everything here is an immutable value type plus pure
+a reference clock. Every interval starts at tick 0, so one `UnaryTrain`
+(length, clock) holds the datum: its start and end events are ticks 0
+and `length`. Everything here is an immutable value type plus pure
 functions; nothing touches global state.
 """
 
@@ -72,19 +74,6 @@ class UnaryTrain(namedtuple("UnaryTrain", "length clock")):
         return tuple.__new__(cls, (length, clock))
 
 
-class IntervalValue(namedtuple("IntervalValue", "start end clock")):
-    """One datum as a (start, end) event pair; value = end - start."""
-
-    __slots__ = ()
-
-    def __new__(cls, start: int, end: int, clock: ClockRef = DEFAULT_CLOCK):
-        if start < 0:
-            raise ValueError("interval start must be non-negative")
-        if end < start:
-            raise ValueError("interval end precedes start")
-        return tuple.__new__(cls, (start, end, clock))
-
-
 class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
     """Marks with integer amplitudes: position -> amplitude buckets.
 
@@ -151,15 +140,15 @@ def decode_pim(t: PulseTrain) -> int:
     return t.pulses[-1] - t.pulses[0]
 
 
-def measure_interval(iv: IntervalValue, ref: ClockRef) -> int:
-    """Count whole reference pulses falling inside the interval.
+def measure_interval(x: UnaryTrain, ref: ClockRef) -> int:
+    """Count whole reference pulses falling inside the run's interval.
 
-    Exact when ref is the interval's own clock; otherwise floor of the
+    Exact when ref is the run's own clock; otherwise floor of the
     rational rescaling (a counter only completes whole pulses).
     """
-    ref_f, iv_f = ref.frequency, iv.clock.frequency
-    return ((iv.end - iv.start) * ref_f.numerator * iv_f.denominator
-            // (ref_f.denominator * iv_f.numerator))
+    ref_f, x_f = ref.frequency, x.clock.frequency
+    return (x.length * ref_f.numerator * x_f.denominator
+            // (ref_f.denominator * x_f.numerator))
 
 
 def encode_hybrid(n: int, base: int,

@@ -89,11 +89,12 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         seed: int | None = None) -> Trace:
     """Execute a netlist that `parse_netlist` returned, in one pass over
     `net.order`. A block fires when every input port holds a delivered
-    message, at the largest last tick among them (0 for a source); a
-    message that ends past the budget is dropped. Every probe is resolved
-    after the pass, in `net.probes` order, by that rule. Warnings are
-    listed, and of several failing blocks the one raised is chosen, by
-    (fire tick, block id)."""
+    message, at the largest last tick among them (0 for a source). A
+    message, emitted or delivered, that ends past the budget is dropped
+    and sets `budget_exhausted`; `total_ticks` is the last tick of any
+    message kept. Every probe is resolved after the pass, in
+    `net.probes` order. Warnings are listed, and of several failing
+    blocks the one raised is chosen, by (fire tick, block id)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
@@ -135,7 +136,14 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                        for text in found]
         if msg is None:
             continue
+        # Every delivery ends at or after the emission's last tick.
+        last = msg.events[-1][1]
+        if last > budget:
+            stats.budget_exhausted = True
+            continue
         emitted[bid] = msg
+        if last > total_ticks:
+            total_ticks = last
         # Out-wires come in (dst block, dst port) order; a run of them on
         # one Link object shares one send. A distorted send is never
         # shared: each wire reports its own violation.
@@ -175,16 +183,11 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
     warned.sort(key=itemgetter(0, 1))   # stable: a block's texts keep order
     stats.block_warnings = [text for _t, _b, text in warned]
     # One rule for every probe: `X.out` reads what X emitted, an in-port
-    # what it was delivered, and a message that ends past the budget was
-    # not computed within it, however it is observed.
+    # what it was delivered; neither holds a message past the budget.
     for bid, port in net.probes:
         msg = (emitted.get(bid) if port == "out"
                else delivered.get((bid, port)))
-        if msg is None:
-            continue
-        if msg.events[-1][1] > budget:
-            stats.budget_exhausted = True
-        else:
+        if msg is not None:
             results["%s.%s" % (bid, port)] = msg.decoded()
     stats.event_count, stats.total_ticks = event_count, total_ticks
     return trace

@@ -25,10 +25,6 @@ class EmptyInput(TemporalError):
     """An operation that needs at least one lane got none."""
 
 
-class ModeMismatch(TemporalError):
-    """Race lanes do not share a start tick and a clock."""
-
-
 class DuplicateValue(TemporalError):
     """Multiplexing requires duplicate-free value sets."""
 

@@ -9,11 +9,11 @@ from pathlib import Path
 
 from temporalsim import (
     ClockRef,
-    IntervalValue,
     Link,
     MultiValentTrain,
     StabilityViolation,
     TimedMessage,
+    UnaryTrain,
     accumulate_analog,
     accumulate_photonic,
     convert_reference,
@@ -150,12 +150,11 @@ def test_criterion_6_metrology():
         assert toggle_chain(n, depth).bits == tuple(bits)
         assert toggle_chain(n, depth).value == n % (1 << depth)
     for _ in range(10 ** 3):
-        start = rng.randint(0, 100)
-        iv = IntervalValue(start, start + rng.randint(0, 10 ** 4), CLK)
+        x = UnaryTrain(rng.randint(0, 10 ** 4), CLK)
         ref = ClockRef("r", Fraction(rng.randint(1, 8)))
-        digital = measure_interval(iv, ref)
-        assert accumulate_analog(iv, ref, 1)[1] == digital
-        assert accumulate_photonic(iv, ref, 1) == digital
+        digital = measure_interval(x, ref)
+        assert accumulate_analog(x, ref, 1)[1] == digital
+        assert accumulate_photonic(x, ref, 1) == digital
     _report(6, "reference conversion, toggle chain, model equivalence")
 
 

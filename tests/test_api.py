@@ -3,12 +3,15 @@ exposes, the README's quick tour and its CLI examples."""
 
 import ast
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import temporalsim
+from temporalsim.blocks import KINDS, VARIADIC
+from temporalsim.channel import MUX, MV, SCALAR
 from temporalsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,7 +19,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Growing or shrinking the public API is a deliberate edit of this list.
 PUBLIC_NAMES = [
     "AccumulatorModel", "BinaryWord", "BlockSpec", "ClockRef",
-    "DEFAULT_CLOCK", "IntervalValue", "Link", "MultiValentTrain",
+    "DEFAULT_CLOCK", "Link", "MultiValentTrain",
     "MuxChannel", "Netlist", "PulseTrain", "StabilityViolation",
     "TemporalError", "TimedMessage", "Trace", "UnaryTrain", "Wire",
     "accumulate_analog", "accumulate_photonic", "accumulators",
@@ -114,3 +117,53 @@ def test_readme_cli_outputs(monkeypatch, capsys):
         assert capsys.readouterr().out == comment.strip() + "\n", line
         checked += 1
     assert checked >= 2
+
+
+def _kind_table() -> dict[str, list[str]]:
+    """The README's kind table: each kind's name -> its other cells."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\n| kind |", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:   # past the header rule
+        name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = cells
+    return rows
+
+
+def _quoted(cell: str) -> list[str]:
+    return re.findall(r"`([^`]*)`", cell)
+
+
+def test_readme_kind_table_matches_kinds():
+    # Each row states what `KINDS` declares: ports, param names and
+    # which are required, whether the kind needs a clock, the sorts it
+    # takes and emits, and whether it has an output.
+    rows = _kind_table()
+    assert list(rows) == list(KINDS)
+    for name, (ports, params, clock, sorts, _cost) in rows.items():
+        kind = KINDS[name]
+        if kind.inputs is VARIADIC:
+            assert ports == "`in0`, `in1`, …", name
+        else:
+            assert ports == (", ".join("`%s`" % port for port in kind.inputs)
+                             or "none"), name
+        declared = {} if params == "none" else {
+            _quoted(part)[0]: "required" in part
+            for part in params.split("; ")}
+        assert declared == {key: param.required
+                            for key, param in kind.params.items()}, name
+        assert kind.clocked is ("first input's" not in clock), name
+        takes, emits = sorts.split(" → ")
+        if kind.inputs == ():
+            assert takes == "none", name
+        else:
+            assert takes == ("any" if kind.takes is None
+                             else "`%s`" % kind.takes), name
+        assert kind.outputs == (() if emits == "none" else ("out",)), name
+        if isinstance(kind.emits, str):
+            can_emit = {kind.emits}
+        else:   # the sort with no optional param, and with every one set
+            can_emit = {kind.emits({}),
+                        kind.emits(dict.fromkeys(kind.params, "1"))}
+        assert {s for s in _quoted(emits) if s in (SCALAR, MUX, MV)} == \
+            (can_emit if kind.outputs else set()), name

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 from temporalsim import (
     DEFAULT_CLOCK,
     ClockRef,
-    IntervalValue,
     MultiValentTrain,
     PulseTrain,
     UnaryTrain,
@@ -31,7 +30,6 @@ from temporalsim.errors import (
     ClockMismatch,
     DuplicateValue,
     EmptyInput,
-    ModeMismatch,
     ZeroValue,
 )
 
@@ -92,7 +90,7 @@ class TestMulDilate:
         clock = ClockRef("c", Fraction(p, q))
         fast = clock.scaled(k)
         assert fast.frequency == clock.frequency * k
-        expected = measure_interval(IntervalValue(0, n, clock), fast)
+        expected = measure_interval(UnaryTrain(n, clock), fast)
         assert mul_dilate(UnaryTrain(n, clock), k) == \
             UnaryTrain(expected, clock)
 
@@ -105,8 +103,8 @@ class TestMulDilate:
         assert decode_unary(lhs) == rhs
 
 
-def _lanes(values, start=0):
-    return [IntervalValue(start, start + v) for v in values]
+def _lanes(values):
+    return [UnaryTrain(v) for v in values]
 
 
 class TestRaces:
@@ -123,10 +121,6 @@ class TestRaces:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             min_race([])
-
-    def test_unshared_start_rejected(self):
-        with pytest.raises(ModeMismatch):
-            min_race([IntervalValue(0, 5), IntervalValue(2, 7)])
 
     def test_against_integer_min_max(self):
         rng = random.Random(103)

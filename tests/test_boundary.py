@@ -12,7 +12,6 @@ from temporalsim import (
     BinaryWord,
     BlockSpec,
     ClockRef,
-    IntervalValue,
     Link,
     MultiValentTrain,
     MuxChannel,
@@ -39,11 +38,7 @@ from temporalsim import (
 )
 from temporalsim.blocks import C0, KINDS, Kind, Param
 from temporalsim.engine import TraceStats
-from temporalsim.errors import (
-    ClockMismatch,
-    EmptyInput,
-    ModeMismatch,
-)
+from temporalsim.errors import ClockMismatch, EmptyInput
 
 MAIN = ClockRef("main", Fraction(1))
 FAST = ClockRef("fast", Fraction(3))
@@ -51,12 +46,6 @@ FAST = ClockRef("fast", Fraction(3))
 # (call, exception type, exact text). Where an input breaks two rules,
 # the case pins which one is reported.
 REJECTED = {
-    "interval start": (lambda: IntervalValue(-1, 3), ValueError,
-                       "interval start must be non-negative"),
-    "interval end": (lambda: IntervalValue(5, 3), ValueError,
-                     "interval end precedes start"),
-    "interval start before end": (lambda: IntervalValue(-1, -2), ValueError,
-                                  "interval start must be non-negative"),
     "unary length": (lambda: UnaryTrain(-1), ValueError,
                      "unary length must be non-negative"),
     "mv position": (lambda: MultiValentTrain(((-1, 2),)), ValueError,
@@ -89,15 +78,14 @@ REJECTED = {
                            "pulse count must be non-negative"),
     "toggle_chain depth before count": (
         lambda: toggle_chain(-1, 0), ValueError, "chain depth must be >= 1"),
-    "analog rate": (lambda: accumulate_analog(IntervalValue(0, 1), MAIN, 0),
+    "analog rate": (lambda: accumulate_analog(UnaryTrain(1), MAIN, 0),
                     ValueError, "rate must be > 0"),
     "photonic flux": (
-        lambda: accumulate_photonic(IntervalValue(0, 1), MAIN, Fraction(-1)),
+        lambda: accumulate_photonic(UnaryTrain(1), MAIN, Fraction(-1)),
         ValueError, "flux must be > 0"),
     # Its 32-bit words would never run out: -1 >> 32 == -1.
     "photonic seed": (
-        lambda: accumulate_photonic(IntervalValue(0, 1), MAIN, 1,
-                                    noise_seed=-1),
+        lambda: accumulate_photonic(UnaryTrain(1), MAIN, 1, noise_seed=-1),
         ValueError, "noise seed -1 is negative"),
     "pim negative": (lambda: encode_pim(-1), ValueError,
                      "cannot encode negative value as interval"),
@@ -117,30 +105,13 @@ REJECTED = {
                      ClockMismatch, "merge requires one shared clock"),
     "race empty": (lambda: min_race([]), EmptyInput,
                    "race needs at least one lane"),
-    "min race starts": (lambda: min_race([IntervalValue(0, 3),
-                                          IntervalValue(1, 5)]),
-                        ModeMismatch,
-                        "synchronous race requires a shared start tick"),
-    "max race starts": (lambda: max_race([IntervalValue(0, 3),
-                                          IntervalValue(1, 5)]),
-                        ModeMismatch,
-                        "synchronous race requires a shared start tick"),
-    "race clocks": (lambda: max_race([IntervalValue(0, 3, MAIN),
-                                      IntervalValue(0, 5, FAST)]),
-                    ModeMismatch, "race lanes must share one clock"),
-    "race start before clock": (
-        lambda: min_race([IntervalValue(0, 3, MAIN),
-                          IntervalValue(1, 5, FAST)]),
-        ModeMismatch, "synchronous race requires a shared start tick"),
-    # Lane 1's clock fault comes before lane 2's start fault.
-    "min race first faulty lane": (
-        lambda: min_race([IntervalValue(0, 3, MAIN), IntervalValue(0, 4, FAST),
-                          IntervalValue(1, 5, MAIN)]),
-        ModeMismatch, "race lanes must share one clock"),
-    "max race first faulty lane": (
-        lambda: max_race([IntervalValue(0, 3, MAIN), IntervalValue(0, 4, FAST),
-                          IntervalValue(1, 5, MAIN)]),
-        ModeMismatch, "race lanes must share one clock"),
+    "race clocks": (lambda: max_race([UnaryTrain(3, MAIN),
+                                      UnaryTrain(5, FAST)]),
+                    ClockMismatch, "race lanes must share one clock"),
+    "min race clocks": (lambda: min_race([UnaryTrain(3, MAIN),
+                                          UnaryTrain(4, MAIN),
+                                          UnaryTrain(5, FAST)]),
+                        ClockMismatch, "race lanes must share one clock"),
     "convert value": (lambda: convert_reference(-1, MAIN, FAST), ValueError,
                       "value must be non-negative"),
 }
@@ -161,7 +132,7 @@ def test_equal_clocks_need_not_be_one_object():
     assert add_concat(UnaryTrain(3, a), UnaryTrain(4, b)).length == 7
     assert mv_merge([MultiValentTrain(((1, 2),), a),
                      MultiValentTrain(((1, 3),), b)]).items == ((1, 5),)
-    assert min_race([IntervalValue(0, 3, a), IntervalValue(0, 5, b)]) == 3
+    assert min_race([UnaryTrain(3, a), UnaryTrain(5, b)]) == 3
 
 
 def _madd_fire(*messages):
@@ -214,12 +185,6 @@ def test_trusted_clock(name, freq):
 def test_trusted_unary(length, clock):
     assert _same_unchecked(UnaryTrain, (length, clock),
                            UnaryTrain(length, clock))
-
-
-@given(COUNTS, COUNTS, CLOCKS)
-def test_trusted_interval(start, length, clock):
-    assert _same_unchecked(IntervalValue, (start, start + length, clock),
-                           IntervalValue(start, start + length, clock))
 
 
 @given(BUCKETS, CLOCKS)
@@ -299,13 +264,6 @@ VALUE_TYPES = {
         "UnaryTrain(length=3, clock=%s)" % _M,
         [(lambda: UnaryTrain(-1), ValueError,
           "unary length must be non-negative")]),
-    IntervalValue: (
-        lambda: IntervalValue(2, 5), ("start", "end", "clock"),
-        "IntervalValue(start=2, end=5, clock=%s)" % _M,
-        [(lambda: IntervalValue(-1, 3), ValueError,
-          "interval start must be non-negative"),
-         (lambda: IntervalValue(5, 3), ValueError,
-          "interval end precedes start")]),
     MultiValentTrain: (
         lambda: MultiValentTrain(((3, 1), (1, 2))), ("items", "clock"),
         "MultiValentTrain(items=((1, 2), (3, 1)), clock=%s)" % _M,

@@ -432,8 +432,11 @@ LATE_OUTPUTS = {
                "block x accumulator model=analog rate=1%s\n"
                "wire a.out x.in\n" % ("0" * 300), []),
 }
+# An output that nothing observes was not computed within the budget
+# either.
 OBSERVERS = {"probe-out": "probe x.out\n",
-             "probe-block": "block p probe\nwire x.out p.in\n"}
+             "probe-block": "block p probe\nwire x.out p.in\n",
+             "unobserved": ""}
 
 
 @pytest.mark.parametrize("command", ["run", "check"])

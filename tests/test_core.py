@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from temporalsim import (
     ClockRef,
-    IntervalValue,
     PulseTrain,
     UnaryTrain,
     decode_hybrid,
@@ -84,25 +83,23 @@ class TestPulseTrain:
 class TestMeasureInterval:
     def test_own_clock_is_exact(self):
         clk = ClockRef("f")
-        iv = IntervalValue(2, 9, clk)
-        assert measure_interval(iv, clk) == 7
+        assert measure_interval(UnaryTrain(7, clk), clk) == 7
 
     def test_triple_frequency_dilates(self):
         f = ClockRef("f", Fraction(2))
         f3 = ClockRef("f3", Fraction(6))
-        assert measure_interval(IntervalValue(0, 5, f), f3) == 15
+        assert measure_interval(UnaryTrain(5, f), f3) == 15
 
     def test_half_frequency_floors(self):
         # rational oracle: 5 * (1/2) = 5/2, counter completes 2 pulses
         f = ClockRef("f", Fraction(2))
         half = ClockRef("half", Fraction(1))
-        assert measure_interval(IntervalValue(0, 5, f), half) == 2
+        assert measure_interval(UnaryTrain(5, f), half) == 2
 
-    @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-    def test_unit_ratio_exact(self, start, length):
+    @given(st.integers(0, 10 ** 6))
+    def test_unit_ratio_exact(self, length):
         clk = ClockRef("c")
-        iv = IntervalValue(start, start + length, clk)
-        assert measure_interval(iv, clk) == length
+        assert measure_interval(UnaryTrain(length, clk), clk) == length
 
     @given(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
            st.fractions(min_value=Fraction(1, 97), max_value=100))
@@ -110,8 +107,8 @@ class TestMeasureInterval:
         clk = ClockRef("c", Fraction(1))
         ref = ClockRef("r", ratio)
         lo, hi = sorted((a, b))
-        assert (measure_interval(IntervalValue(0, lo, clk), ref)
-                <= measure_interval(IntervalValue(0, hi, clk), ref))
+        assert (measure_interval(UnaryTrain(lo, clk), ref)
+                <= measure_interval(UnaryTrain(hi, clk), ref))
 
     @given(st.integers(0, 10 ** 5), st.fractions(
         min_value=Fraction(1, 50), max_value=50))
@@ -119,7 +116,7 @@ class TestMeasureInterval:
         clk = ClockRef("c", Fraction(1))
         ref = ClockRef("r", ratio)
         expected = (length * ratio).numerator // (length * ratio).denominator
-        assert measure_interval(IntervalValue(0, length, clk), ref) == expected
+        assert measure_interval(UnaryTrain(length, clk), ref) == expected
 
 
 class TestHybrid:

@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from temporalsim import (
     ClockRef,
-    IntervalValue,
     TimedMessage,
+    UnaryTrain,
     accumulate_photonic,
     blocks,
     oracle_results,
@@ -58,6 +58,17 @@ def _observer_forms(text):
     block = "block p probe\nwire %s p.in\nprobe p.in" % probe.split()[1]
     return {"out": text, "block": "%s\n%s\n" % (head, block),
             "both": "%s\n%s\n%s\n" % (head, block, probe)}
+
+
+def _observe_every_output(text):
+    """The netlist with a zero-latency probe block on every block's
+    output, so that every message a block emits is delivered too."""
+    lines = [text.rstrip("\n")]
+    for bid, spec in parse_netlist(text).blocks.items():
+        if blocks.KINDS[spec.kind].outputs:
+            lines += ["block seen_%s probe" % bid,
+                      "wire %s.out seen_%s.in" % (bid, bid)]
+    return "\n".join(lines) + "\n"
 
 
 def _with_latency(text, latency):
@@ -201,7 +212,7 @@ class TestBlockSemantics:
         trace = _run_text(text, seed=seed)
         for bid in ("p", "q"):
             assert trace.results[bid + ".out"] == accumulate_photonic(
-                IntervalValue(0, 40, main_clock), main_clock, 3,
+                UnaryTrain(40, main_clock), main_clock, 3,
                 noise_seed=seed ^ zlib.crc32(bid.encode()))
 
     def test_add_rejects_mixed_clocks(self):
@@ -418,13 +429,15 @@ class TestBudget:
         (11, False, 0), (10, True, 2), (3, True, 2)])
     def test_an_event_at_the_budget_is_delivered(self, budget, exhausted,
                                                  code, capsys):
-        # add34's last delivered event, the end of b's 4 at sum.b, is at
-        # tick 4; the 7 that `probe sum.out` reads ends at tick 11.
+        # add34's sources end at ticks 3 and 4, and the 7 that `sum`
+        # emits ends at tick 11: each message kept within the budget
+        # counts in total_ticks, delivered or not.
         path = str(GOLDEN / "add34.net")
         with open(path) as fh:
             trace = _run_text(fh.read(), budget=budget)
         assert trace.stats.budget_exhausted is exhausted
-        assert trace.stats.total_ticks == min(budget, 4)
+        assert trace.stats.total_ticks == (11 if budget >= 11
+                                           else min(budget, 4))
         assert main(["run", path, "--budget", str(budget)]) == code
 
     def test_a_budget_below_one_is_refused(self):
@@ -472,7 +485,8 @@ class TestBudget:
                       & {x_out, "p.in"}}
             costs = {b: c for b, c in trace.stats.block_costs.items()
                      if b != "p"}
-            seen[how] = values, others, costs, trace.stats.budget_exhausted
+            seen[how] = (values, others, costs, trace.stats.total_ticks,
+                         trace.stats.budget_exhausted)
         assert seen["out"] == seen["block"] == seen["both"]
 
 
@@ -623,8 +637,9 @@ class TestStatsAndExport:
         assert all(costs[a] - 2 * a == C0 for a in costs)
 
     def test_empty_trace_summary_is_zeroed(self):
+        # Nothing is delivered; the source's emission still ends at 5.
         trace = _run_text("clock main 1\nblock a source value=5 clock=main\n")
-        assert trace.stats.total_ticks == 0
+        assert trace.stats.total_ticks == 5
         assert trace.stats.event_count == 0
         assert trace.stats.block_costs == {"a": 5 + C0}
 
@@ -687,7 +702,9 @@ class TestTraceContract:
         trace, unread = run(net), run(net)
         events, stats = trace.events, trace.stats
         assert stats.event_count == len(events)
-        assert stats.total_ticks == (events[-1][0] if events else 0)
+        # Observed by a probe block, each emission is an event too.
+        seen = run(parse_netlist(_observe_every_output(text))).events
+        assert stats.total_ticks == (seen[-1][0] if seen else 0)
         assert events == sorted(events, key=_full_key)
         csv = trace_to_csv(trace)
         assert "events" not in vars(unread)
@@ -716,7 +733,7 @@ class TestTraceContract:
         assert "events" not in vars(trace)
         assert list(trace.delivered) == [("s", "a"), ("s", "b")]
         assert trace.stats.event_count == 4
-        assert trace.stats.total_ticks == 4
+        assert trace.stats.total_ticks == 11
         assert "events" not in vars(trace)
 
     def test_check_builds_no_event_list(self, monkeypatch, capsys):
