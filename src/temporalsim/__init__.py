@@ -59,6 +59,6 @@ from .engine import (
     trace_to_waveform,
 )
 from .errors import TemporalError
-from .netlist import BlockSpec, Netlist, Wire, parse_netlist
+from .netlist import Netlist, parse_netlist
 
 __version__ = "0.1.0"

@@ -122,7 +122,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                     t = last
         except KeyError:  # dropped past the budget, or its source failed
             continue
-        kind = blocks[bid].kind
+        kind = blocks[bid][1]
         try:
             msg, cost, found = fires[kind](bid, params[bid], inputs, t,
                                            clock_of[bid], seed)
@@ -216,15 +216,15 @@ def oracle_results(net: Netlist,
     drawn = False   # whether any value so far is None
     for bid in net.order:
         wires = inputs[bid]
-        ins = {port: values[w.src_block] for port, w in wires.items()}
+        ins = {port: values[wire[0]] for port, wire in wires.items()}
         if drawn and None in ins.values():
             values[bid] = None
             continue
-        kind, p, rate = blocks[bid].kind, params[bid], 1
+        kind, p, rate = blocks[bid][1], params[bid], 1
         # Only clock= can set another clock than the first input's.
         if wires and "clock" in p:
             clock = clock_of[bid]
-            src = clock_of[next(iter(wires.values())).src_block]
+            src = clock_of[next(iter(wires.values()))[0]]
             if clock is not src:
                 rate = clock.frequency / src.frequency
         try:
@@ -236,7 +236,7 @@ def oracle_results(net: Netlist,
 
     results: dict[str, object] = {}
     for bid, port in net.probes:
-        src = bid if port == "out" else inputs[bid][port].src_block
+        src = bid if port == "out" else inputs[bid][port][0]
         results["%s.%s" % (bid, port)] = values[src]
     return results
 
@@ -266,7 +266,9 @@ def trace_to_csv(trace: Trace) -> str:
 
 def trace_from_csv(text: str) -> Trace:
     """Rebuild a Trace (events and results only, no delivered messages)
-    from its CSV export."""
+    from its CSV export. Of its stats only `event_count` is set: the CSV
+    lists deliveries alone, so it cannot give the run's `total_ticks`,
+    which stays 0."""
     lines = text.splitlines()
     if not lines or lines[0] != "tick,block,port,role":
         raise SimulationError("not a trace CSV (missing header)")
@@ -289,7 +291,6 @@ def trace_from_csv(text: str) -> Trace:
         events.append(tuple(row))
     trace.events = events  # in file order; the CSV carries no messages
     trace.stats.event_count = len(events)
-    trace.stats.total_ticks = max((e[0] for e in events), default=0)
     return trace
 
 

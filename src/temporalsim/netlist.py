@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import namedtuple
-from operator import attrgetter
-from types import MappingProxyType
+from operator import itemgetter
 
 from .blocks import (COUNT, KINDS, VARIADIC, integer, parse_params,
                      positive_fraction, quote)
@@ -30,36 +28,24 @@ from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
 
 
-class BlockSpec(namedtuple("BlockSpec", "id kind params",
-                           defaults=(MappingProxyType({}),))):
-    """A `block` line: its id, kind and params as the netlist writes them.
-    Without params it shares one read-only empty mapping."""
-
-    __slots__ = ()
-
-
-class Wire(namedtuple("Wire",
-                      "src_block src_port dst_block dst_port link")):
-    """A `wire` line: source and destination port, and its `Link`."""
-
-    __slots__ = ()
-
-
 class Netlist:
     """A parsed netlist. `clocks`, `blocks`, `wires` and `probes` are what
-    the text declares; validation resolves the rest. Two netlists compare
+    the text declares; validation resolves the rest. A block is the plain
+    tuple `(id, kind, params)`, with params as the line writes them; a
+    wire is `(src_block, src_port, dst_block, dst_port, link)`, and
+    `inputs` and `outputs` hold the same wire tuples. Two netlists compare
     equal when every field does."""
 
     def __init__(self) -> None:
         self.clocks: dict[str, ClockRef] = {}
-        self.blocks: dict[str, BlockSpec] = {}
-        self.wires: list[Wire] = []
+        self.blocks: dict[str, tuple[str, str, dict[str, str]]] = {}
+        self.wires: list[tuple[str, str, str, str, Link]] = []
         self.probes: list[tuple[str, str]] = []
         # Resolved by validation:
         self.params: dict[str, dict[str, object]] = {}
         self.clock_of: dict[str, ClockRef] = {}   # the clock each emits on
-        self.inputs: dict[str, dict[str, Wire]] = {}
-        self.outputs: dict[str, list[Wire]] = {}  # by dst
+        self.inputs: dict[str, dict[str, tuple]] = {}  # port -> wire
+        self.outputs: dict[str, list[tuple]] = {}      # by dst
         self.order: list[str] = []                # topological
 
     def __eq__(self, other):
@@ -172,10 +158,6 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
     net = Netlist()
     wires, blocks = net.wires, net.blocks
     option_links: dict[str, Link] = {}  # one Link per wire option text
-    # Each record is built by the C call inside namedtuple's `_make`; a
-    # literal tuple of its fields always has the right length, and a
-    # clock's frequency is checked as it is read.
-    new = tuple.__new__
     for lineno, line in enumerate(text.splitlines(), 1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -202,7 +184,7 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
                 if link is None:
                     link = _wire_option(parts[3], line, lineno, base_dir,
                                         option_links)
-            wires.append(new(Wire, (src_b, src_p, dst_b, dst_p, link)))
+            wires.append((src_b, src_p, dst_b, dst_p, link))
         elif keyword == "block":
             if len(parts) < 3:
                 raise NetlistParseError(
@@ -230,7 +212,7 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
             if bid in blocks:
                 raise NetlistParseError(
                     "duplicate block id %r" % bid, lineno, _column(line, 1))
-            blocks[bid] = new(BlockSpec, (bid, kind, params))
+            blocks[bid] = (bid, kind, params)
         elif keyword == "clock":
             if len(parts) != 3:
                 raise NetlistParseError(
@@ -245,7 +227,8 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
             if cid in net.clocks:
                 raise NetlistParseError(
                     "duplicate clock id %r" % cid, lineno, _column(line, 1))
-            net.clocks[cid] = new(ClockRef, (cid, freq))
+            # Unchecked: the frequency was checked as it was read.
+            net.clocks[cid] = tuple.__new__(ClockRef, (cid, freq))
         elif keyword == "probe":
             if len(parts) != 2:
                 raise NetlistParseError(
@@ -272,13 +255,13 @@ def _validate(net: Netlist) -> None:
     # kind.
     rows = {name: (kind.inputs, kind.outputs, kind.takes, kind.emits,
                    kind.clocked) for name, kind in KINDS.items()}
-    kinds = {bid: rows.get(block.kind) for bid, block in blocks.items()}
+    kinds = {bid: rows.get(kind) for bid, kind, _params in blocks.values()}
 
     # The wiring first: the block checks below read it, but its own
     # problems are reported after theirs. A wire whose two ports exist
     # must carry the sort its destination takes.
-    inputs: dict[str, dict[str, Wire]] = {bid: {} for bid in blocks}
-    outputs: dict[str, list[Wire]] = {bid: [] for bid in blocks}
+    inputs: dict[str, dict[str, tuple]] = {bid: {} for bid in blocks}
+    outputs: dict[str, list[tuple]] = {bid: [] for bid in blocks}
     wire_errors: list[str] = []
     variadic_ports = set()  # in0, in1, ... names already accepted
     for wire in net.wires:
@@ -297,9 +280,9 @@ def _validate(net: Netlist) -> None:
                     sort = None
                     wire_errors.append(
                         "block %r (%s) has no output port %r"
-                        % (src_id, blocks[src_id].kind, src_port))
+                        % (src_id, blocks[src_id][1], src_port))
                 elif callable(sort):
-                    sort = sort(blocks[src_id].params)
+                    sort = sort(blocks[src_id][2])
         row = kinds.get(dst_id)
         if row is not None:
             ins, _outs, takes, _emits, _clocked = row
@@ -313,16 +296,16 @@ def _validate(net: Netlist) -> None:
                         sort = None
                         wire_errors.append(
                             "block %r (%s) input ports are in0, in1, ... "
-                            "(got %r)" % (dst_id, blocks[dst_id].kind,
+                            "(got %r)" % (dst_id, blocks[dst_id][1],
                                           dst_port))
             elif dst_port not in ins:
                 sort = None
                 wire_errors.append("block %r (%s) has no input port %r"
-                                   % (dst_id, blocks[dst_id].kind, dst_port))
+                                   % (dst_id, blocks[dst_id][1], dst_port))
             if sort != takes and sort is not None and takes is not None:
                 wire_errors.append(
                     "block %r (%s) input %r takes %s, got %s from %r"
-                    % (dst_id, blocks[dst_id].kind, dst_port, takes, sort,
+                    % (dst_id, blocks[dst_id][1], dst_port, takes, sort,
                        "%s.%s" % (src_id, src_port)))
         ports = inputs.get(dst_id)
         if ports is None:
@@ -341,9 +324,9 @@ def _validate(net: Netlist) -> None:
     params: dict[str, dict[str, object]] = {}
     clock_of: dict[str, ClockRef | None] = {}
     for bid, block in blocks.items():
-        row = kinds[bid]
+        row, kind = kinds[bid], block[1]
         if row is None:
-            errors.append("block %r has unknown kind %r" % (bid, block.kind))
+            errors.append("block %r has unknown kind %r" % (bid, kind))
             continue
         ins, _outs, _takes, _emits, clocked = row
         values, problems = parse_params(block)
@@ -366,12 +349,12 @@ def _validate(net: Netlist) -> None:
         if ins is VARIADIC:
             if not wired:
                 errors.append("block %r (%s) has no wired inputs"
-                              % (bid, block.kind))
+                              % (bid, kind))
         else:
             for port in ins:
                 if port not in wired:
                     errors.append("block %r (%s) input %r is not wired"
-                                  % (bid, block.kind, port))
+                                  % (bid, kind, port))
     errors.extend(wire_errors)
 
     for bid, port in net.probes:
@@ -391,7 +374,7 @@ def _validate(net: Netlist) -> None:
         for bid in order:
             if clock_of[bid] is None:
                 first = next(iter(inputs[bid].values()))
-                clock_of[bid] = clock_of[first.src_block]
+                clock_of[bid] = clock_of[first[0]]
             for _src, _port, dst, _dst_port, _link in outputs[bid]:
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
@@ -401,12 +384,12 @@ def _validate(net: Netlist) -> None:
 
     if errors:
         raise NetlistValidationError(errors)
-    by_dst = attrgetter("dst_block", "dst_port")
+    by_dst = itemgetter(2, 3)
     for wires in outputs.values():
         if len(wires) > 1:
             wires.sort(key=by_dst)
     declared = set(net.probes)
-    net.probes += [(bid, "in") for bid, block in net.blocks.items()
-                   if block.kind == "probe" and (bid, "in") not in declared]
+    net.probes += [(bid, "in") for bid, kind, _params in blocks.values()
+                   if kind == "probe" and (bid, "in") not in declared]
     net.params, net.clock_of, net.inputs, net.outputs, net.order = \
         params, clock_of, inputs, outputs, order

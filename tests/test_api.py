@@ -18,10 +18,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Growing or shrinking the public API is a deliberate edit of this list.
 PUBLIC_NAMES = [
-    "AccumulatorModel", "BinaryWord", "BlockSpec", "ClockRef",
+    "AccumulatorModel", "BinaryWord", "ClockRef",
     "DEFAULT_CLOCK", "Link", "MultiValentTrain",
     "MuxChannel", "Netlist", "PulseTrain", "StabilityViolation",
-    "TemporalError", "TimedMessage", "Trace", "UnaryTrain", "Wire",
+    "TemporalError", "TimedMessage", "Trace", "UnaryTrain",
     "accumulate_analog", "accumulate_photonic", "accumulators",
     "add_concat", "arith", "blocks", "channel", "convert_reference", "core",
     "decode_hybrid", "decode_pim", "decode_unary", "demux", "encode_hybrid",

@@ -64,7 +64,7 @@ def test_every_kind_has_a_row():
 def test_kind_validates_runs_and_matches_oracle(case):
     text, expected, cost = MINIMAL[case]
     net = parse_netlist("clock main 1\n" + text)
-    assert net.blocks["x"].kind == case.partition("-")[0]
+    assert net.blocks["x"][1] == case.partition("-")[0]
     trace = run(net)
     assert trace.stats.block_costs["x"] == cost
     assert trace.results == expected

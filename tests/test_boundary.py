@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from temporalsim import (
     BinaryWord,
-    BlockSpec,
     ClockRef,
     Link,
     MultiValentTrain,
@@ -21,7 +20,6 @@ from temporalsim import (
     TimedMessage,
     Trace,
     UnaryTrain,
-    Wire,
     accumulate_analog,
     accumulate_photonic,
     add_concat,
@@ -358,8 +356,7 @@ def test_value_type_contract(cls):
 # ---------------------------------------------------------------------------
 # The mutable records are plain classes. Each instance builds its own
 # dicts and lists; `Netlist` and `TraceStats` compare by their fields and,
-# like any record that defines equality, do not hash. The netlist's
-# `Wire` and `BlockSpec` rows have no instance dict.
+# like any record that defines equality, do not hash.
 
 def _containers(record):
     """Every dict and list a record holds, its stats' included."""
@@ -411,14 +408,6 @@ def test_records_that_differ_in_one_field_compare_unequal(cls, field):
 def test_records_are_unequal_to_a_non_record(cls):
     record, other = cls(), object()
     assert record != other and not record == other
-
-
-def test_records_without_an_instance_dict_reject_an_unknown_attribute():
-    for record in (Wire("a", "out", "b", "in", Link.constant(0)),
-                   BlockSpec("b", "add")):
-        with pytest.raises(AttributeError):
-            record.other = 1
-        assert not hasattr(record, "__dict__")
 
 
 def test_records_print_their_fields():

@@ -64,18 +64,20 @@ def _observe_every_output(text):
     """The netlist with a zero-latency probe block on every block's
     output, so that every message a block emits is delivered too."""
     lines = [text.rstrip("\n")]
-    for bid, spec in parse_netlist(text).blocks.items():
-        if blocks.KINDS[spec.kind].outputs:
+    for bid, kind, _params in parse_netlist(text).blocks.values():
+        if blocks.KINDS[kind].outputs:
             lines += ["block seen_%s probe" % bid,
                       "wire %s.out seen_%s.in" % (bid, bid)]
     return "\n".join(lines) + "\n"
 
 
-def _with_latency(text, latency):
-    """The netlist with `latency=<latency>` on every wire that has no
-    option; a `dagutil` wire keeps the latency it drew."""
-    return re.sub(r"^wire \S+ \S+$", r"\g<0> latency=%d" % latency, text,
-                  flags=re.M)
+def _with_latency(text, delta):
+    """The netlist with `delta` more ticks on every wire: `latency=<d>`
+    becomes `latency=<d + delta>`, and a wire without an option gets
+    `latency=<delta>`."""
+    return re.sub(r"^(wire \S+ \S+)(?: latency=(\d+))?$",
+                  lambda m: "%s latency=%d" % (m[1], int(m[2] or 0) + delta),
+                  text, flags=re.M)
 
 
 _ROLE_RANK = {"start": 0, "value-pulse": 1, "end": 2}
@@ -689,7 +691,40 @@ class TestDifferential:
     def test_a_message_is_on_its_senders_clock(self, text):
         net = parse_netlist(text)
         for (dst, port), msg in run(net).delivered.items():
-            assert msg.clock is net.clock_of[net.inputs[dst][port].src_block]
+            assert msg.clock is net.clock_of[net.inputs[dst][port][0]]
+
+
+class TestLatencyInvariance:
+    """Acceptance criterion 5 end to end: a uniform extra latency on every
+    wire moves when blocks fire, never what they compute or charge."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 50))
+    def test_extra_latency_changes_no_value_cost_or_warning(self, seed,
+                                                             delta):
+        text = random_dag_netlist(random.Random(seed))
+        near = run(parse_netlist(text))
+        far = run(parse_netlist(_with_latency(text, delta)))
+        assert far.results == near.results
+        assert far.stats.block_costs == near.stats.block_costs
+        # Warnings are listed by fire tick, which latency moves.
+        assert sorted(far.stats.block_warnings) == \
+            sorted(near.stats.block_warnings)
+
+    def test_extra_latency_may_reorder_warnings_by_fire_tick(self):
+        # n2 sits one block deeper than n3, so each extra tick of latency
+        # delays it twice: it warns first without the delay, last with it.
+        text = ("clock main 1\n"
+                "block s0 source value=10\nblock s1 source value=30\n"
+                "block n1 mul k=1\nwire s0.out n1.in\n"
+                "block n2 accumulator model=toggle depth=2\n"
+                "wire n1.out n2.in\n"
+                "block n3 accumulator model=toggle depth=2\n"
+                "wire s1.out n3.in\nprobe n3.out\n")
+        warned = ["block 'n2': toggle chain overflowed",
+                  "block 'n3': toggle chain overflowed"]
+        assert run(parse_netlist(text)).stats.block_warnings == warned
+        far = run(parse_netlist(_with_latency(text, 50)))
+        assert far.stats.block_warnings == warned[::-1]
 
 
 class TestTraceContract:
@@ -710,6 +745,9 @@ class TestTraceContract:
         assert "events" not in vars(unread)
         assert trace_to_csv(unread) == csv
         again = trace_from_csv(csv)
+        # The CSV lists deliveries only: it cannot carry total_ticks.
+        assert again.stats.total_ticks == 0
+        assert again.stats.event_count == stats.event_count
         assert again.delivered == {}
         assert again.events == events
         assert again.results == {k: format_result(v)

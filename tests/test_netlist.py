@@ -1,12 +1,13 @@
 """Netlist parsing and validation."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from temporalsim import BlockSpec, Wire, netlist, parse_netlist
+from temporalsim import netlist, parse_netlist
 from temporalsim.errors import (
     NetlistParseError,
     NetlistValidationError,
@@ -29,7 +30,7 @@ probe s.out
 def test_parses_the_add_example():
     net = parse_netlist(ADD_NET)
     assert set(net.blocks) == {"a", "b", "s"}
-    assert net.blocks["a"].params["value"] == "3"
+    assert net.blocks["a"][2]["value"] == "3"
     assert len(net.wires) == 2
     assert net.probes == [("s", "out")]
     assert net.clocks["main"].frequency == 1
@@ -122,8 +123,8 @@ def test_a_wire_of_the_sort_taken_is_valid(sort):
     net = parse_netlist("clock main 1\n" + EMITS[sort]
                         + "block t %s\nwire e.out t.%s\n" % (kind, port)
                         + "block p probe\nwire e.out p.in\n")
-    assert net.inputs["t"][port].src_block == "e"
-    assert net.inputs["p"]["in"].src_block == "e"
+    assert net.inputs["t"][port][0] == "e"
+    assert net.inputs["p"]["in"][0] == "e"
 
 
 def test_every_sort_error_is_listed_at_once():
@@ -145,15 +146,35 @@ def test_every_sort_error_is_listed_at_once():
 def test_records_keep_their_fields_and_stay_immutable():
     net = parse_netlist(ADD_NET)
     wire, block = net.wires[0], net.blocks["a"]
-    assert wire == Wire(src_block="a", src_port="out", dst_block="s",
-                        dst_port="a", link=wire.link)
-    assert block == BlockSpec(id="a", kind="source",
-                              params={"value": "3", "clock": "main"})
-    for record, name in ((wire, "dst_port"), (block, "kind")):
-        with pytest.raises(AttributeError):
-            setattr(record, name, "x")
-    with pytest.raises(TypeError):
-        BlockSpec("b", "add").params["k"] = "2"  # the shared default
+    assert wire == ("a", "out", "s", "a", wire[4])
+    assert block == ("a", "source", {"value": "3", "clock": "main"})
+    for record in (wire, block):
+        with pytest.raises(TypeError):
+            record[1] = "x"
+
+
+def test_rows_are_plain_tuples():
+    # 100 sources into one max: 101 block rows and 100 wire rows. Of the
+    # objects parsing leaves tracked, only the clock is a tuple subclass.
+    text = "clock main 1\nblock m max\nprobe m.out\n" + "".join(
+        "block s%d source value=%d\nwire s%d.out m.in%d\n" % (i, i, i, i)
+        for i in range(100))
+    gc.collect()
+    before = {id(obj) for obj in gc.get_objects()}
+    net = parse_netlist(text)
+    built = [obj for obj in gc.get_objects()
+             if isinstance(obj, tuple) and type(obj) is not tuple
+             and id(obj) not in before]
+    assert len(built) <= 1, {type(obj).__name__ for obj in built}
+    rows = [*net.blocks.values(), *net.wires, *net.outputs["s7"],
+            *net.inputs["m"].values()]
+    assert {type(row) for row in rows} == {tuple}
+    assert net.blocks["s7"] == ("s7", "source", {"value": "7"})
+    assert net.blocks["m"] == ("m", "max", {})
+    # Every wire without an option shares one Link.
+    wire = ("s7", "out", "m", "in7", net.wires[0][4])
+    assert net.wires[7] == net.outputs["s7"][0] == net.inputs["m"]["in7"] \
+        == wire
 
 
 def test_inputs_resolve_in_sorted_port_order():
@@ -197,7 +218,7 @@ def test_a_variadic_port_may_have_leading_zeros():
 ], ids=["two", "four"])
 def test_outputs_resolve_in_destination_order(tail, expected):
     net = parse_netlist("clock main 1\nblock a source value=1\n" + tail)
-    assert [(w.dst_block, w.dst_port) for w in net.outputs["a"]] == expected
+    assert [wire[2:4] for wire in net.outputs["a"]] == expected
 
 
 def test_parse_error_carries_position():
@@ -381,7 +402,7 @@ def test_table_path_resolves_against_the_base_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     text = ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=late.tbl")
     net = parse_netlist(text, base_dir=str(tmp_path / "nets"))
-    assert net.wires[0].link == (2, {})
+    assert net.wires[0][4] == (2, {})
     # Without a base directory the path is read from the working one.
     with pytest.raises(NetlistParseError, match="late.tbl: No such file"):
         parse_netlist(text)
@@ -393,7 +414,7 @@ def test_absolute_table_path_ignores_the_base_dir(tmp_path):
     net = parse_netlist(
         ADD_NET.replace("wire a.out s.a", "wire a.out s.a table=%s" % table),
         base_dir=str(tmp_path / "elsewhere"))
-    assert net.wires[0].link == (2, {})
+    assert net.wires[0][4] == (2, {})
 
 
 def test_parses_of_one_text_compare_equal(tmp_path):
@@ -419,7 +440,7 @@ def test_wires_of_one_latency_share_a_link(tmp_path, monkeypatch):
                         "block q probe\nblock r probe\n"
                         "wire s.out q.in table=late.tbl\n"
                         "wire s.out r.in table=late.tbl\n", str(tmp_path))
-    first, second, third, fourth, fifth = (w.link for w in net.wires)
+    first, second, third, fourth, fifth = (w[4] for w in net.wires)
     assert first is second and first.default == 3
     assert third.default == 4
     # A table file is read once per parse; its wires share the Link.
@@ -440,7 +461,7 @@ def test_a_bad_table_fails_at_the_first_wire_that_names_it(tmp_path):
 def test_latency_texts_of_one_value_give_equal_links():
     net = parse_netlist(ADD_NET.replace("s.a", "s.a latency=3")
                         .replace("s.b", "s.b latency=03"))
-    first, second = (w.link for w in net.wires)
+    first, second = (w[4] for w in net.wires)
     assert first == second and hash(first) == hash(second)
     assert first.default == second.default == 3
 
@@ -634,7 +655,7 @@ def test_number_tokens_read_as_int_reads_them(token, value):
                         "block p probe\nwire a.out p.in latency=%s\n"
                         % (token, token))
     assert net.params["a"]["value"] == value
-    assert net.wires[0].link.default == value
+    assert net.wires[0][4].default == value
 
 
 def test_a_superscript_digit_is_not_an_integer():
