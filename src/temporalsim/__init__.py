@@ -34,7 +34,6 @@ from .channel import (
     Link,
     StabilityViolation,
     TimedMessage,
-    transmit,
     transmit_checked,
 )
 from .core import (
@@ -45,7 +44,6 @@ from .core import (
     UnaryTrain,
     decode_hybrid,
     decode_pim,
-    decode_unary,
     encode_hybrid,
     encode_pim,
     encode_unary,

@@ -264,9 +264,17 @@ def _mux(_bid, _params, inputs, t, clock, _seed):
             pulses[-1] + C0, ())
 
 
+def _offsets(events) -> list[int]:
+    """`TimedMessage.value_offsets()`, read from the message's events."""
+    start = events[0][1]
+    return [tick - start for role, tick in events if role == EVENT_VALUE]
+
+
 def _demux(_bid, _params, inputs, t, clock, _seed):
-    (msg,) = inputs
-    values = sorted(set(msg.value_offsets()))
+    ((events, in_clock, _amplitudes),) = inputs
+    channel = tuple.__new__(arith.MuxChannel,
+                            (frozenset(_offsets(events)), in_clock))
+    values = sorted(arith.demux(channel))
     return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
             values[-1] + C0, ())
 
@@ -276,10 +284,8 @@ def _madd(_bid, _params, inputs, t, clock, _seed):
     # an equal position, within one input as across inputs.
     new, trains = tuple.__new__, []
     for events, in_clock, amplitudes in inputs:
-        start = events[0][1]    # `value_offsets()`, inline
-        trains.append(new(MultiValentTrain, (tuple(zip(
-            [tick - start for role, tick in events if role == EVENT_VALUE],
-            amplitudes)), in_clock)))
+        trains.append(new(MultiValentTrain, (
+            tuple(zip(_offsets(events), amplitudes)), in_clock)))
     merged = arith.mv_merge(trains)
     sweep = merged.items[-1][0] if merged.items else 0
     return _out(arith.madd(merged), t, clock), sweep + C0, ()

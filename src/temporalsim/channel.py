@@ -12,7 +12,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from types import MappingProxyType
 
 from .core import DEFAULT_CLOCK, ClockRef
-from .errors import StabilityError
 
 EVENT_START = "start"
 EVENT_END = "end"
@@ -143,19 +142,17 @@ class StabilityViolation(namedtuple("StabilityViolation",
     Not an exception: the distorted events and the induced value error
     are reported so callers can decide what to do with the corruption.
     The distorted events keep their emission (role) order, which may no
-    longer match arrival order; the distorted value may even be negative
+    longer match arrival order; the distorted span may even be negative
     when the final event overtakes the start marker.
     """
 
     __slots__ = ()
 
     @property
-    def distorted_value(self) -> int:
-        return self.distorted_events[-1][1] - self.distorted_events[0][1]
-
-    @property
     def value_error(self) -> int:
-        return self.distorted_value - self.original.decode()
+        """The distorted span, first to final event, minus the original's."""
+        events = self.distorted_events
+        return events[-1][1] - events[0][1] - self.original.decode()
 
 
 def transmit_checked(msg: TimedMessage,
@@ -164,6 +161,8 @@ def transmit_checked(msg: TimedMessage,
 
     The delay only has to hold still between this message's first and
     last event; drift outside that span (or between messages) is legal.
+    A stable send shifts every event by one delay, so the spacing, and
+    hence the data, survives any route.
     """
     table, delay = link.table, link.default
     if table:
@@ -178,18 +177,3 @@ def transmit_checked(msg: TimedMessage,
     return tuple.__new__(TimedMessage, (
         tuple([(r, t + delay) for r, t in msg.events]), msg.clock,
         msg.amplitudes))
-
-
-def transmit(msg: TimedMessage, link: Link) -> TimedMessage:
-    """Send a message over a link that is stable across the message span.
-
-    The decoded value is latency-invariant: every event shifts by the
-    same delay, so the spacing (and hence the data) survives any route.
-    """
-    out = transmit_checked(msg, link)
-    if isinstance(out, StabilityViolation):
-        raise StabilityError(
-            "link delay varies inside the message span "
-            "(value error %+d)" % out.value_error)
-    return out
-

@@ -31,10 +31,6 @@ class ClockRef(namedtuple("ClockRef", "id frequency")):
             raise ValueError("clock %r frequency must be > 0" % id)
         return tuple.__new__(cls, (id, freq))
 
-    def ratio_to(self, other: "ClockRef") -> Fraction:
-        """Exact frequency ratio self/other."""
-        return self.frequency / other.frequency
-
     def scaled(self, k: int) -> "ClockRef":
         """A derived reference running k times faster, named by k."""
         if not isinstance(k, int):
@@ -111,11 +107,6 @@ def encode_unary(n: int, clock: ClockRef = DEFAULT_CLOCK) -> UnaryTrain:
     if n < 0:
         raise ValueError("cannot encode negative value in unary")
     return UnaryTrain(n, clock)
-
-
-def decode_unary(t: UnaryTrain) -> int:
-    """The mark-run length is the value."""
-    return t.length
 
 
 def encode_pim(n: int, clock: ClockRef = DEFAULT_CLOCK) -> PulseTrain:

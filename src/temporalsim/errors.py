@@ -52,7 +52,3 @@ class NetlistValidationError(TemporalError):
 
 class SimulationError(TemporalError):
     """A block raised during execution (bad operand set, etc.)."""
-
-
-class StabilityError(TemporalError):
-    """transmit() was given a link whose delay varies inside the message."""

@@ -24,12 +24,12 @@ PUBLIC_NAMES = [
     "TemporalError", "TimedMessage", "Trace", "UnaryTrain",
     "accumulate_analog", "accumulate_photonic", "accumulators",
     "add_concat", "arith", "blocks", "channel", "convert_reference", "core",
-    "decode_hybrid", "decode_pim", "decode_unary", "demux", "encode_hybrid",
-    "encode_pim", "encode_unary", "engine", "errors", "madd", "max_race",
+    "decode_hybrid", "decode_pim", "demux", "encode_hybrid", "encode_pim",
+    "encode_unary", "engine", "errors", "madd", "max_race",
     "measure_interval", "min_race", "mul_dilate", "mux", "mv_merge",
     "netlist", "oracle_results", "parse_netlist", "run", "toggle_chain",
     "toggle_chain_overflowed", "trace_to_csv", "trace_to_waveform",
-    "transmit", "transmit_checked",
+    "transmit_checked",
 ]
 
 
@@ -46,6 +46,17 @@ def test_public_names_are_pinned():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == sorted(PUBLIC_NAMES)
+
+
+def test_readme_names_every_public_name():
+    # The README's API paragraph names each public name in backticks, as
+    # the kind table states each entry of `KINDS`, and names no other
+    # identifier there.
+    section = README.read_text(encoding="utf-8").split(
+        "## Library API", 1)[1].split("\n## ", 1)[0]
+    named = {span for span in _quoted(section) if span.isidentifier()}
+    assert sorted(set(PUBLIC_NAMES) - named) == []
+    assert sorted(named - set(PUBLIC_NAMES)) == []
 
 
 def test_import_loads_no_code_generator():

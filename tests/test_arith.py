@@ -14,7 +14,6 @@ from temporalsim import (
     PulseTrain,
     UnaryTrain,
     add_concat,
-    decode_unary,
     demux,
     encode_pim,
     encode_unary,
@@ -100,7 +99,7 @@ class TestMulDilate:
         lhs = mul_dilate(add_concat(encode_unary(a), encode_unary(b)), k)
         rhs = (mul_dilate(encode_unary(a), k).length
                + mul_dilate(encode_unary(b), k).length)
-        assert decode_unary(lhs) == rhs
+        assert lhs.length == rhs
 
 
 def _lanes(values):

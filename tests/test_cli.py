@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, byte-stable output."""
 
 import errno
+import io
 import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from temporalsim import TimedMessage, blocks
 from temporalsim.cli import main
@@ -700,3 +704,24 @@ def test_help_still_exits_0(capsys):
         main(["run", "--help"])
     assert err.value.code == 0
     assert capsys.readouterr().out.startswith("usage: temporalsim run")
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_random_dag_exits_0_to_3_with_byte_stable_exports(seed):
+    # A function-scoped fixture would outlive Hypothesis' examples, so each
+    # example makes its own directory and captures its own output.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dag.net")
+        with open(path, "w") as fh:
+            fh.write(random_dag_netlist(random.Random(seed)))
+        exports = []
+        for attempt in ("1", "2"):
+            csv, vcd = (os.path.join(tmp, attempt + ext)
+                        for ext in (".csv", ".vcd"))
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                assert main(["run", path, "--trace", csv,
+                             "--waveform", vcd]) in range(4)
+                assert main(["check", path]) in range(4)
+            exports.append([Path(out).read_bytes() for out in (csv, vcd)])
+        assert exports[0] == exports[1]

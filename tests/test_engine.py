@@ -727,6 +727,66 @@ class TestLatencyInvariance:
         assert far.stats.block_warnings == warned[::-1]
 
 
+def _permute_inputs(text, bid, ports):
+    """The netlist with each input wire of block `bid` moved from its
+    port in sorted order to the port at the same index of `ports`."""
+    to = dict(zip(sorted(ports), ports))
+    lines = []
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["wire"]:
+            block, _dot, port = words[2].partition(".")
+            if block == bid:
+                words[2] = "%s.%s" % (bid, to[port])
+        lines.append(" ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+class TestMetamorphicLaws:
+    """Laws between two netlists, which need no restatement of what a
+    block computes (ROADMAP item 25)."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.data())
+    def test_permuting_inputs_keeps_values_costs_and_ticks(self, seed, data):
+        # A race over two clocks takes its first port's clock (ROADMAP
+        # item 2), so only blocks whose inputs share one clock are drawn.
+        text = random_dag_netlist(random.Random(seed))
+        net = parse_netlist(text)
+        drawn = sorted(
+            bid for bid, kind, _params in net.blocks.values()
+            if kind in ("add", "min", "max", "mux", "madd")
+            and len({net.clock_of[wire[0]]
+                     for wire in net.inputs[bid].values()}) == 1)
+        if not drawn:
+            return
+        bid = data.draw(st.sampled_from(drawn), label="block")
+        ports = data.draw(st.permutations(sorted(net.inputs[bid])),
+                          label="ports")
+        before = run(net)
+        after = run(parse_netlist(_permute_inputs(text, bid, ports)))
+        assert after.results == before.results
+        assert after.stats.block_costs == before.stats.block_costs
+        assert after.stats.total_ticks == before.stats.total_ticks
+
+    def test_roadmap_item_1_a_nested_race_ends_later_than_one_race(self):
+        # Today's number, not race logic's: `min` fires when its last lane
+        # ends and emits the winner from that tick, so the 3-lane race
+        # ends at 5 + 3 and the nested one at 5 + 3 + 3. Race logic ends
+        # both at tick 3, the first arrival; ROADMAP item 1 restates this.
+        sources = ("clock main 1\nblock a source value=5\n"
+                   "block b source value=3\nblock c source value=4\n")
+        one = sources + ("block m min\nwire a.out m.in0\nwire b.out m.in1\n"
+                         "wire c.out m.in2\nprobe m.out\n")
+        nested = sources + ("block n min\nwire a.out n.in0\n"
+                            "wire b.out n.in1\nblock m min\n"
+                            "wire n.out m.in0\nwire c.out m.in1\n"
+                            "probe m.out\n")
+        one, nested = _run_text(one), _run_text(nested)
+        assert one.results == nested.results == {"m.out": 3}
+        assert one.stats.total_ticks == 8
+        assert nested.stats.total_ticks == 11
+
+
 class TestTraceContract:
     """A trace keeps the messages its run delivered; its event list is
     derived from them on first read and never built by `run` itself."""
