@@ -41,6 +41,7 @@ from .accumulators import (
 from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
                       TimedMessage, _pulses)
 from .core import ClockRef, MultiValentTrain, UnaryTrain, measure_interval
+from .errors import ZeroValue
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -147,6 +148,15 @@ def integer(minimum: int | None = None,
 
 def positive_fraction(text: str) -> Fraction:
     """A rational token as `Fraction` reads it, > 0."""
+    # The common spelling, ASCII digits or ASCII digits/ASCII digits, is
+    # read by `int`; every other spelling, and every error, by `Fraction`
+    # after `_too_big`.
+    num, slash, den = text.partition("/")
+    if (len(text) <= MAX_NUMBER_CHARS and num.isascii() and num.isdigit()
+            and (not slash or den.isascii() and den.isdigit())):
+        p, q = int(num), int(den) if slash else 1
+        if p and q:
+            return Fraction(p, q)
     reason = _too_big(text)
     if reason:
         raise ValueError(reason)
@@ -159,12 +169,14 @@ def positive_fraction(text: str) -> Fraction:
     return value
 
 
+_MODELS = {model.value: model for model in AccumulatorModel}
+
+
 def _model(text: str) -> AccumulatorModel:
-    try:
-        return AccumulatorModel(text)
-    except ValueError:
-        raise ValueError("must be one of %s" % ", ".join(
-            model.value for model in AccumulatorModel)) from None
+    model = _MODELS.get(text)
+    if model is None:
+        raise ValueError("must be one of %s" % ", ".join(_MODELS))
+    return model
 
 
 def parse_params(block) -> tuple[dict[str, object], list[str]]:
@@ -272,8 +284,12 @@ def _offsets(events) -> list[int]:
 
 def _demux(_bid, _params, inputs, t, clock, _seed):
     ((events, in_clock, _amplitudes),) = inputs
-    channel = tuple.__new__(arith.MuxChannel,
-                            (frozenset(_offsets(events)), in_clock))
+    pulses = frozenset(_offsets(events))
+    # A distorted delivery may put a value pulse on the start marker,
+    # which `mux` refuses to send.
+    if 0 in pulses:
+        raise ZeroValue("0 collides with the start marker")
+    channel = tuple.__new__(arith.MuxChannel, (pulses, in_clock))
     values = sorted(arith.demux(channel))
     return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
             values[-1] + C0, ())

@@ -109,6 +109,10 @@ def _pulses(start: int, offsets) -> tuple[tuple[str, int], ...]:
                                            for v in offsets)
 
 
+# Read-only, so every constant link shares it.
+_EMPTY = MappingProxyType({})
+
+
 class Link(namedtuple("Link", "default table")):
     """A one-way path: an event emitted at tick t arrives `table[t]` ticks
     later, or `default` ticks where the table does not list t. The table
@@ -128,7 +132,8 @@ class Link(namedtuple("Link", "default table")):
     def constant(cls, delay: int) -> "Link":
         if delay < 0:
             raise ValueError("link delay must be non-negative")
-        return cls(delay, {})
+        # Unchecked: the delay was checked above, and the table is empty.
+        return tuple.__new__(cls, (delay, _EMPTY))
 
     @classmethod
     def from_table(cls, table: Mapping[int, int], default: int = 0) -> "Link":

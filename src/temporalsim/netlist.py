@@ -368,6 +368,13 @@ def _validate(net: Netlist) -> None:
 
     order: list[str] = []
     if not errors:
+        # Out-wires in (dst block, dst port) order, so that neither the
+        # engine's sends nor the order below depend on where a wire line
+        # is written.
+        by_dst = itemgetter(2, 3)
+        for wires in outputs.values():
+            if len(wires) > 1:
+                wires.sort(key=by_dst)
         # Kahn's algorithm; the loop visits the blocks it appends.
         indeg = {bid: len(ports) for bid, ports in inputs.items()}
         order = [bid for bid, d in indeg.items() if d == 0]
@@ -384,10 +391,6 @@ def _validate(net: Netlist) -> None:
 
     if errors:
         raise NetlistValidationError(errors)
-    by_dst = itemgetter(2, 3)
-    for wires in outputs.values():
-        if len(wires) > 1:
-            wires.sort(key=by_dst)
     declared = set(net.probes)
     net.probes += [(bid, "in") for bid, kind, _params in blocks.values()
                    if kind == "probe" and (bid, "in") not in declared]

@@ -211,6 +211,14 @@ def test_trusted_message(value, start, clock):
                            TimedMessage(events, clock))
 
 
+@given(COUNTS)
+def test_constant_builds_the_public_link(delay):
+    link = Link.constant(delay)
+    assert type(link) is Link and _same(link, Link(delay, {}))
+    with pytest.raises(TypeError):
+        link.table[0] = 1
+
+
 @given(CLOCKS, st.integers(1, 50))
 def test_scaled_builds_the_public_clock(clock, k):
     assert _same(clock.scaled(k), ClockRef("%sx%d" % (clock.id, k),

@@ -578,6 +578,33 @@ def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
     assert len(err.encode()) < 200
 
 
+# The mux sends 2 and 6 as pulses at ticks 8 and 12 after its start at 6.
+# The table delays ticks 6 and 8 to 11 and leaves 12 at 12, so the demux
+# meets a value pulse on its start marker, which `mux` never sends.
+DEMUX_ON_START = """\
+clock main 1
+block a source value=2
+block b source value=6
+block x mux
+block d demux
+wire a.out x.in0
+wire b.out x.in1
+wire x.out d.in table=d.tbl
+probe d.out
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_demux_refuses_a_value_pulse_on_its_start_marker(command, tmp_path,
+                                                         capsys):
+    (tmp_path / "d.tbl").write_text("6 5\n8 3\n")
+    net = tmp_path / "d.net"
+    net.write_text(DEMUX_ON_START)
+    assert main([command, str(net)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: block 'd' (demux): 0 collides with the start marker\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "{add34}", "--budget", "abc"],
      "error: argument --budget: 'abc' is not an integer\n"),

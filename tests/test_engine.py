@@ -32,6 +32,7 @@ from temporalsim.engine import (
 from temporalsim.errors import NetlistValidationError, SimulationError
 
 from dagutil import random_dag_netlist
+from timeline import check_timeline
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,11 +61,11 @@ def _observer_forms(text):
             "both": "%s\n%s\n%s\n" % (head, block, probe)}
 
 
-def _observe_every_output(text):
+def _observe_every_output(text, base_dir=None):
     """The netlist with a zero-latency probe block on every block's
     output, so that every message a block emits is delivered too."""
     lines = [text.rstrip("\n")]
-    for bid, kind, _params in parse_netlist(text).blocks.values():
+    for bid, kind, _params in parse_netlist(text, base_dir).blocks.values():
         if blocks.KINDS[kind].outputs:
             lines += ["block seen_%s probe" % bid,
                       "wire %s.out seen_%s.in" % (bid, bid)]
@@ -785,6 +786,44 @@ class TestMetamorphicLaws:
         assert one.results == nested.results == {"m.out": 3}
         assert one.stats.total_ticks == 8
         assert nested.stats.total_ticks == 11
+
+
+class TestTimeline:
+    """`tests/timeline.py` judges each run's ticks (ROADMAP item 17): a
+    wire delivers its source's emission shifted by its link, and the
+    stats count what was delivered."""
+
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in GOLDEN.glob("*.net")))
+    def test_every_golden_figure_keeps_the_laws(self, name):
+        text = (GOLDEN / (name + ".net")).read_text()
+        net = parse_netlist(_observe_every_output(text, GOLDEN), GOLDEN)
+        check_timeline(net, run(net))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_a_random_dag_keeps_the_laws(self, seed):
+        text = random_dag_netlist(random.Random(seed))
+        net = parse_netlist(_observe_every_output(text))
+        check_timeline(net, run(net))
+
+    def test_the_checker_refuses_a_broken_law(self):
+        # links: a=4 reaches s.a over latency=2 as (2, 6), and b.out->q.in
+        # is unstable.
+        text = (GOLDEN / "links.net").read_text()
+        net = parse_netlist(_observe_every_output(text, GOLDEN), GOLDEN)
+        for change in (
+                lambda trace: trace.delivered.update(
+                    {("s", "a"): TimedMessage.interval(4, 3)}),
+                lambda trace: trace.stats.stability_violations.clear(),
+                lambda trace: setattr(trace.stats, "event_count",
+                                      trace.stats.event_count + 1),
+                lambda trace: setattr(trace.stats, "total_ticks",
+                                      trace.stats.total_ticks + 1)):
+            trace = run(net)
+            check_timeline(net, trace)
+            change(trace)
+            with pytest.raises(AssertionError):
+                check_timeline(net, trace)
 
 
 class TestTraceContract:

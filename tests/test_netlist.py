@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from temporalsim import netlist, parse_netlist
+from temporalsim import blocks, netlist, parse_netlist
 from temporalsim.errors import (
     NetlistParseError,
     NetlistValidationError,
@@ -544,6 +544,43 @@ def test_a_non_rational_with_a_large_exponent_keeps_its_error(where, tok):
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
+@pytest.mark.parametrize("tok, problem", [
+    ("0/3", "must be > 0"), ("3/0", None), ("3/-2", None),
+])
+def test_a_zero_or_signed_ratio_keeps_its_error(where, tok, problem):
+    with pytest.raises(TemporalError) as err:
+        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    assert str(err.value) == _rational_error(where, tok, problem)
+
+
+def _exponent(token):
+    """A token's decimal exponent as `int` reads it, or 0."""
+    _head, e, exponent = token.replace("E", "e").rpartition("e")
+    try:
+        return int(exponent) if e else 0
+    except ValueError:
+        return 0
+
+
+@given(st.text("0123456789/+-.eE_\u0663", max_size=10))
+def test_the_rational_reader_reads_what_fraction_reads(token):
+    # A short token is within the length limit; past the exponent limit,
+    # `Fraction` would build a huge power of ten, or refuse the token.
+    if abs(_exponent(token)) > blocks.MAX_NUMBER_CHARS:
+        expected = None
+    else:
+        try:
+            expected = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+    if expected is not None and expected > 0:
+        assert blocks.positive_fraction(token) == expected
+    else:
+        with pytest.raises(ValueError):
+            blocks.positive_fraction(token)
+
+
+@pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
 def test_an_underscored_exponent_is_read_as_fraction_reads_it(where):
     # From Python 3.11 on, `Fraction` reads an underscore between digits;
     # on 3.10 it refuses the token.
@@ -700,12 +737,13 @@ def test_tabs_separate_tokens_and_a_hash_starts_a_comment():
 
 def _respell(text, rng):
     """The same netlist with other runs of spaces and tabs between and
-    around its tokens, comments, blank lines and `latency=0` on wires
-    without an option."""
+    around its tokens, comments, blank lines, `latency=0` on wires
+    without an option, and each wire line moved to a random position
+    among the other lines, before its blocks too."""
     def gap():
         return "".join(rng.choice(" \t") for _ in range(rng.randint(1, 3)))
 
-    lines = []
+    lines, wires = [], []
     for line in text.splitlines():
         parts = line.split()
         if parts[0] == "wire" and len(parts) == 3 and rng.random() < 0.5:
@@ -714,9 +752,11 @@ def _respell(text, rng):
             gap() + part for part in parts[1:])
         if rng.random() < 0.3:
             spelled += rng.choice(["", gap()]) + "# wire x.out y.in " + gap()
-        lines.append(spelled)
+        (wires if parts[0] == "wire" else lines).append(spelled)
         if rng.random() < 0.2:
             lines.append(rng.choice(["", gap(), "# block z add", "#"]))
+    for wire in wires:
+        lines.insert(rng.randint(0, len(lines)), wire)
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
