@@ -39,9 +39,8 @@ from .accumulators import (
     toggle_chain_overflowed,
 )
 from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
-                      TimedMessage, _pulses)
+                      TimedMessage, _offsets, _pulses, _span)
 from .core import ClockRef, MultiValentTrain, UnaryTrain, measure_interval
-from .errors import ZeroValue
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -220,11 +219,6 @@ def parse_params(block) -> tuple[dict[str, object], list[str]]:
 # from them is valid.
 
 
-def _scalar(msg: TimedMessage) -> int:
-    events = msg.events
-    return events[-1][1] - events[0][1]
-
-
 def _out(value: int, t: int, clock: ClockRef) -> TimedMessage:
     # value >= 0: every fire function's result is a count.
     return tuple.__new__(TimedMessage, (
@@ -242,7 +236,7 @@ def _source(_bid, params, _inputs, t, clock, _seed):
 
 
 def _unary(msg: TimedMessage) -> UnaryTrain:
-    return tuple.__new__(UnaryTrain, (_scalar(msg), msg.clock))
+    return tuple.__new__(UnaryTrain, (_span(msg.events), msg.clock))
 
 
 def _add(_bid, _params, inputs, t, clock, _seed):
@@ -270,26 +264,18 @@ def _race(race) -> Callable[..., tuple]:
 
 
 def _mux(_bid, _params, inputs, t, clock, _seed):
-    channel = arith.mux([_scalar(m) for m in inputs], clock)
+    channel = arith.mux([_span(m.events) for m in inputs], clock)
     pulses = sorted(channel.value_pulses)
     return (tuple.__new__(TimedMessage, (_pulses(t, pulses), clock, ())),
             pulses[-1] + C0, ())
 
 
-def _offsets(events) -> list[int]:
-    """`TimedMessage.value_offsets()`, read from the message's events."""
-    start = events[0][1]
-    return [tick - start for role, tick in events if role == EVENT_VALUE]
-
-
 def _demux(_bid, _params, inputs, t, clock, _seed):
     ((events, in_clock, _amplitudes),) = inputs
-    pulses = frozenset(_offsets(events))
-    # A distorted delivery may put a value pulse on the start marker,
-    # which `mux` refuses to send.
-    if 0 in pulses:
-        raise ZeroValue("0 collides with the start marker")
-    channel = tuple.__new__(arith.MuxChannel, (pulses, in_clock))
+    # A distorted delivery was rebuilt by the checked constructor, so
+    # every value set holds distinct positive offsets.
+    channel = tuple.__new__(arith.MuxChannel,
+                            (frozenset(_offsets(events)), in_clock))
     values = sorted(arith.demux(channel))
     return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
             values[-1] + C0, ())
@@ -330,9 +316,9 @@ def _accumulator(bid, p, inputs, t, ref, run_seed):
 
 
 def _convert(_bid, _params, inputs, t, clock, _seed):
-    (msg,) = inputs
-    return (_out(convert_reference(_scalar(msg), msg.clock, clock), t, clock),
-            C0, ())
+    ((events, in_clock, _amplitudes),) = inputs
+    out = convert_reference(_span(events), in_clock, clock)
+    return _out(out, t, clock), C0, ()
 
 
 def _source_oracle(p, *_):

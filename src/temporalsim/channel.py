@@ -17,7 +17,7 @@ EVENT_START = "start"
 EVENT_END = "end"
 EVENT_VALUE = "value-pulse"
 
-# The sorts of message `TimedMessage.kind` tells apart: a start/end
+# The sorts of message `TimedMessage.decoded` tells apart: a start/end
 # interval, a value set, a multi-valent train.
 SCALAR, MUX, MV = "scalar", "mux", "mv"
 
@@ -29,7 +29,8 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     between the start and the final event, and any value pulses decode
     by their offset from the start. A multi-valent message also carries
     one amplitude per value pulse; every other message leaves
-    `amplitudes` empty.
+    `amplitudes` empty. A value set, a message without amplitudes whose
+    last event is a value pulse, has distinct pulses after its start.
     """
 
     __slots__ = ()
@@ -44,10 +45,16 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         if any(b < a for a, b in zip(ticks, ticks[1:])):
             raise ValueError("events must be in non-decreasing order")
         amplitudes = tuple(int(a) for a in amplitudes)
+        pulses = [t for r, t in events if r == EVENT_VALUE]
         if amplitudes:
-            pulses = sum(1 for r, _t in events if r == EVENT_VALUE)
-            if len(amplitudes) != pulses or min(amplitudes) < 1:
+            if len(amplitudes) != len(pulses) or min(amplitudes) < 1:
                 raise ValueError("need one amplitude >= 1 per value pulse")
+        elif events[-1][0] == EVENT_VALUE:
+            # A value set holds only what `mux` sends; refused in its texts.
+            if len(set(pulses)) != len(pulses):
+                raise ValueError("mux requires duplicate-free values")
+            if pulses[0] == ticks[0]:
+                raise ValueError("0 collides with the start marker")
         return tuple.__new__(cls, (events, clock, amplitudes))
 
     @classmethod
@@ -69,38 +76,27 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         return cls(_pulses(start, [p for p, _a in items]), clock,
                    [a for _p, a in items])
 
-    @property
-    def kind(self) -> str:
-        """scalar (start/end interval), mux (value set) or mv."""
-        if self.amplitudes:
-            return MV
-        return MUX if self.events[-1][0] == EVENT_VALUE else SCALAR
-
-    @property
-    def start_tick(self) -> int:
-        return self.events[0][1]
-
-    @property
-    def last_tick(self) -> int:
-        return self.events[-1][1]
-
-    def decode(self) -> int:
-        """Interval length from start to the final event."""
-        return self.last_tick - self.start_tick
-
-    def value_offsets(self) -> tuple[int, ...]:
-        """Value-pulse positions relative to the start marker."""
-        start = self.start_tick
-        return tuple(t - start for r, t in self.events if r == EVENT_VALUE)
-
     def decoded(self):
-        """The payload: an int, a value set, or a position->amplitude map."""
-        kind = self.kind
-        if kind == SCALAR:
-            return self.decode()
-        if kind == MUX:
-            return set(self.value_offsets())
-        return dict(zip(self.value_offsets(), self.amplitudes))
+        """The payload: a position->amplitude map when the message carries
+        amplitudes, a value set when its last event is a value pulse, and
+        otherwise the span from its start to its final event."""
+        events = self.events
+        if self.amplitudes:
+            return dict(zip(_offsets(events), self.amplitudes))
+        if events[-1][0] == EVENT_VALUE:
+            return set(_offsets(events))
+        return _span(events)
+
+
+def _span(events) -> int:
+    """The final event's tick minus the start event's."""
+    return events[-1][1] - events[0][1]
+
+
+def _offsets(events) -> list[int]:
+    """Each value pulse's tick minus the start event's."""
+    start = events[0][1]
+    return [tick - start for role, tick in events if role == EVENT_VALUE]
 
 
 def _pulses(start: int, offsets) -> tuple[tuple[str, int], ...]:
@@ -156,8 +152,7 @@ class StabilityViolation(namedtuple("StabilityViolation",
     @property
     def value_error(self) -> int:
         """The distorted span, first to final event, minus the original's."""
-        events = self.distorted_events
-        return events[-1][1] - events[0][1] - self.original.decode()
+        return _span(self.distorted_events) - _span(self.original.events)
 
 
 def transmit_checked(msg: TimedMessage,

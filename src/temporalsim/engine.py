@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
+from itertools import chain, count, islice, product
 from operator import itemgetter
 
 from .blocks import COUNT, KINDS, quote
@@ -294,18 +295,8 @@ def trace_from_csv(text: str) -> Trace:
     return trace
 
 
-# The first 94 identifier codes, one character each.
+# The printable identifier characters, '!' to '~'.
 _VCD_CHARS = "".join(map(chr, range(33, 127)))
-
-
-def _vcd_code(index: int) -> str:
-    # printable identifier codes, base 94 starting at '!'
-    chars = []
-    index += 1
-    while index:
-        index, rem = divmod(index - 1, 94)
-        chars.append(chr(33 + rem))
-    return "".join(reversed(chars))
 
 
 def trace_to_waveform(trace: Trace) -> str:
@@ -317,8 +308,9 @@ def trace_to_waveform(trace: Trace) -> str:
     for tick, block, port, _role in trace.events:
         ticks_of[block, port].add(tick)
     signals = sorted(ticks_of)
-    codes = list(_VCD_CHARS[:len(signals)])
-    codes += map(_vcd_code, range(len(_VCD_CHARS), len(signals)))
+    # Every code of one character, then of two, ..., each in order.
+    codes = list(islice(map("".join, chain.from_iterable(
+        product(_VCD_CHARS, repeat=n) for n in count(1))), len(signals)))
 
     lines = ["$timescale 1 tick $end", "$scope module netlist $end"]
     lines += ["$var wire 1 %s %s.%s $end" % (code, block, port)

@@ -110,7 +110,7 @@ def test_criterion_5_transport_invariance():
         out = transmit_checked(msg, Link.constant(latency))
         # constant links never flag
         assert isinstance(out, TimedMessage)
-        assert out.decode() == msg.decode()
+        assert out.decoded() == msg.decoded()
     flagged = 0
     for _ in range(10 ** 3):
         value = rng.randint(1, 10 ** 3)
@@ -119,7 +119,8 @@ def test_criterion_5_transport_invariance():
         end_delay = rng.randint(0, 100)
         while end_delay == base:
             end_delay = rng.randint(0, 100)
-        link = Link.from_table({msg.last_tick: end_delay}, default=base)
+        link = Link.from_table({msg.events[-1][1]: end_delay},
+                               default=base)
         if isinstance(transmit_checked(msg, link), StabilityViolation):
             flagged += 1
     assert flagged == 10 ** 3

@@ -48,6 +48,47 @@ def test_public_names_are_pinned():
     assert out.stdout.split() == sorted(PUBLIC_NAMES)
 
 
+# Each public class's own public attributes: those that no base from
+# outside the package (object, tuple, Enum, Exception) has, and on a
+# plain class the fields its `__init__` sets. Growing or shrinking one
+# is a deliberate edit of this table.
+PUBLIC_ATTRIBUTES = {
+    "AccumulatorModel": "ANALOG_INTEGRATOR DIGITAL_COUNTER PHOTON_COUNTER "
+                        "TOGGLE_CHAIN",
+    "BinaryWord": "bits value",
+    "ClockRef": "frequency id scaled",
+    "Link": "constant default from_table table",
+    "MultiValentTrain": "clock from_buckets items",
+    "MuxChannel": "clock value_pulses",
+    "Netlist": "blocks clock_of clocks inputs order outputs params probes "
+               "wires",
+    "PulseTrain": "clock pulses",
+    "StabilityViolation": "distorted_events original value_error",
+    "TemporalError": "",
+    "TimedMessage": "amplitudes clock decoded events interval multiplexed "
+                    "multivalent",
+    "Trace": "delivered events results stats",
+    "UnaryTrain": "clock length",
+}
+
+
+def test_public_attributes_are_pinned():
+    classes = sorted(name for name in PUBLIC_NAMES
+                     if isinstance(getattr(temporalsim, name), type))
+    assert classes == sorted(PUBLIC_ATTRIBUTES)
+    for name in classes:
+        cls = getattr(temporalsim, name)
+        names = set(dir(cls))
+        if "__init__" in vars(cls):
+            names.update(vars(cls()))
+        foreign = {attr for base in cls.__mro__
+                   if base.__module__.split(".")[0] != "temporalsim"
+                   for attr in dir(base)}
+        assert sorted(attr for attr in names - foreign
+                      if not attr.startswith("_")) == \
+            PUBLIC_ATTRIBUTES[name].split(), name
+
+
 def test_readme_names_every_public_name():
     # The README's API paragraph names each public name in backticks, as
     # the kind table states each entry of `KINDS`, and names no other

@@ -149,7 +149,7 @@ def test_madd_fire_sums_a_repeated_position():
     assert (cost, found) == (2 + C0, ())
     merged = mv_merge([MultiValentTrain(((1, 1),)),
                        MultiValentTrain(((2, 4),))])
-    assert msg.decode() == madd(merged)
+    assert msg.decoded() == madd(merged)
 
 
 # ---------------------------------------------------------------------------

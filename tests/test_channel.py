@@ -22,7 +22,7 @@ class TestTransmit:
         msg = TimedMessage.interval(7)
         out = transmit_checked(msg, Link.constant(13))
         assert out.events == (("start", 13), ("end", 20))
-        assert out.decode() == 7
+        assert out.decoded() == 7
 
     def test_zero_latency_identity(self):
         msg = TimedMessage.interval(7)
@@ -35,14 +35,14 @@ class TestTransmit:
                                         start=rng.randint(0, 100))
             out = transmit_checked(msg,
                                    Link.constant(rng.randint(0, 10 ** 3)))
-            assert out.decode() == msg.decode()
+            assert out.decoded() == msg.decoded()
 
     def test_route_independence(self):
         msg = TimedMessage.interval(42)
         a = transmit_checked(msg, Link.constant(5))
         b = transmit_checked(msg, Link.constant(900))
-        assert a.decode() == b.decode()
-        assert a.start_tick != b.start_tick
+        assert a.decoded() == b.decoded()
+        assert a.events[0][1] != b.events[0][1]
 
 
 class TestTransmitChecked:
@@ -73,7 +73,30 @@ class TestTransmitChecked:
         link = Link.from_table({0: 4, 7: 4, 3: 99}, default=4)
         out = transmit_checked(TimedMessage.interval(7), link)
         assert isinstance(out, TimedMessage)
-        assert out.decode() == 7
+        assert out.decoded() == 7
+
+
+class TestValueSets:
+    """A message without amplitudes whose last event is a value pulse is
+    a value set: it holds what `mux` sends, and the constructor refuses
+    the rest in `mux`'s texts. A multi-valent message may repeat a
+    position, or use the start tick: `mv_merge` sums coinciding pulses."""
+
+    @pytest.mark.parametrize("ticks, text", [
+        ((4, 9), "0 collides with the start marker"),
+        ((6, 6), "mux requires duplicate-free values"),
+        ((5, 9, 9), "mux requires duplicate-free values"),
+        ((4, 4), "mux requires duplicate-free values"),
+    ], ids=["on-start", "repeated", "repeated-last", "repeated-on-start"])
+    def test_refused_as_a_value_set_but_not_as_multivalent(self, ticks,
+                                                             text):
+        events = (("start", 4),) + tuple(("value-pulse", t) for t in ticks)
+        with pytest.raises(ValueError) as err:
+            TimedMessage(events)
+        assert str(err.value) == text
+        amplitudes = tuple(range(1, len(ticks) + 1))
+        msg = TimedMessage(events, amplitudes=amplitudes)
+        assert (msg.events, msg.amplitudes) == (events, amplitudes)
 
 
 CLOCKS = st.sampled_from((ClockRef("main", Fraction(1)),
@@ -82,8 +105,9 @@ CLOCKS = st.sampled_from((ClockRef("main", Fraction(1)),
 TICKS = st.integers(0, 10 ** 6)
 MESSAGES = st.one_of(
     st.builds(TimedMessage.interval, TICKS, TICKS, CLOCKS),
-    st.builds(TimedMessage.multiplexed, st.sets(TICKS, max_size=6), TICKS,
-              CLOCKS),
+    # A value set's members are positive, as `mux` sends them.
+    st.builds(TimedMessage.multiplexed,
+              st.sets(st.integers(1, 10 ** 6), max_size=6), TICKS, CLOCKS),
     st.builds(TimedMessage.multivalent,
               st.dictionaries(TICKS, st.integers(1, 10 ** 6), min_size=1,
                               max_size=6).map(dict.items), TICKS, CLOCKS))
@@ -104,7 +128,8 @@ class TestConstantLinks:
         assert fast.events == slow.events
         assert fast.events == tuple((r, t + d) for r, t in msg.events)
         assert (fast.clock, fast.amplitudes) == (slow.clock, slow.amplitudes)
-        assert fast.kind == slow.kind == msg.kind
+        assert type(fast.decoded()) is type(slow.decoded()) is \
+            type(msg.decoded())
         assert fast.decoded() == slow.decoded() == msg.decoded()
 
     def test_zero_delay_delivers_the_message_itself(self):

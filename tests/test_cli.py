@@ -206,7 +206,7 @@ class TestCheck:
 
         def biased(bid, params, inputs, t, clock, seed):
             out, cost, found = add.fire(bid, params, inputs, t, clock, seed)
-            return (TimedMessage.interval(out.decode() + 1, t, out.clock),
+            return (TimedMessage.interval(out.decoded() + 1, t, out.clock),
                     cost, found)
 
         monkeypatch.setitem(blocks.KINDS, "add",
@@ -284,7 +284,7 @@ class TestCheck:
 
         def biased(bid, params, inputs, t, clock, seed):
             out, cost, found = mul.fire(bid, params, inputs, t, clock, seed)
-            return (TimedMessage.interval(out.decode() + 1, t, out.clock),
+            return (TimedMessage.interval(out.decoded() + 1, t, out.clock),
                     cost, found)
 
         monkeypatch.setitem(blocks.KINDS, "mul", mul._replace(fire=biased))
@@ -579,21 +579,23 @@ def test_a_bad_model_is_one_short_error_line(tmp_path, capsys):
 
 
 # The mux sends 2 and 6 as pulses at ticks 8 and 12 after its start at 6.
-# The table delays ticks 6 and 8 to 11 and leaves 12 at 12, so the demux
-# meets a value pulse on its start marker, which `mux` never sends.
-DEMUX_ON_START = """\
+# A `table=` wire can distort that value set into one that `mux` never
+# sends; the checked constructor refuses it in `mux`'s own texts.
+DISTORTED_MUX = """\
 clock main 1
 block a source value=2
 block b source value=6
 block x mux
-block d demux
+block d {reader}
 wire a.out x.in0
 wire b.out x.in1
 wire x.out d.in table=d.tbl
-probe d.out
 """
+DEMUX_ON_START = DISTORTED_MUX.format(reader="demux") + "probe d.out\n"
 
 
+# The table delays ticks 6 and 8 to 11 and leaves 12 at 12, so a value
+# pulse lands on the start marker.
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_demux_refuses_a_value_pulse_on_its_start_marker(command, tmp_path,
                                                          capsys):
@@ -602,7 +604,25 @@ def test_demux_refuses_a_value_pulse_on_its_start_marker(command, tmp_path,
     net.write_text(DEMUX_ON_START)
     assert main([command, str(net)]) == 1
     assert capsys.readouterr() == (
-        "", "error: block 'd' (demux): 0 collides with the start marker\n")
+        "", "error: wire x.out->d.in: distorted message is unreadable: "
+        "0 collides with the start marker\n")
+
+
+# The table delays tick 8 to 12, so both value pulses land on tick 12:
+# into a `demux` or a probe, the value set is refused, not collapsed.
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("net", [DEMUX_ON_START,
+                                 DISTORTED_MUX.format(reader="probe")],
+                         ids=["demux", "probe"])
+def test_a_value_set_distorted_onto_one_tick_is_refused(command, net,
+                                                        tmp_path, capsys):
+    (tmp_path / "d.tbl").write_text("8 4\n")
+    path = tmp_path / "d.net"
+    path.write_text(net)
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: wire x.out->d.in: distorted message is unreadable: "
+        "mux requires duplicate-free values\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -406,7 +406,7 @@ class TestEngineContract:
         seen = []
 
         def spy(bid, params, inputs, t, clock, seed):
-            seen.append(([m.decode() for m in inputs], t))
+            seen.append(([m.decoded() for m in inputs], t))
             return race.fire(bid, params, inputs, t, clock, seed)
 
         monkeypatch.setitem(blocks.KINDS, "min",
@@ -743,6 +743,11 @@ def _permute_inputs(text, bid, ports):
     return "\n".join(lines) + "\n"
 
 
+# Clock frequencies for the value laws: whole, fractional above and
+# below 1.
+CLOCK_RATES = st.sampled_from(("1", "3/2", "7", "2/5"))
+
+
 class TestMetamorphicLaws:
     """Laws between two netlists, which need no restatement of what a
     block computes (ROADMAP item 25)."""
@@ -768,6 +773,31 @@ class TestMetamorphicLaws:
         assert after.results == before.results
         assert after.stats.block_costs == before.stats.block_costs
         assert after.stats.total_ticks == before.stats.total_ticks
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 1000),
+           st.integers(1, 1000), CLOCK_RATES)
+    def test_two_muls_give_the_value_of_one_mul_by_the_product(
+            self, value, a, b, rate):
+        # A budget past every product's end, so both runs keep n.out.
+        head = ("clock main 1\nclock c %s\nblock s source value=%d clock=c\n"
+                % (rate, value))
+        two = _run_text(head + "block m mul k=%d\nblock n mul k=%d\n"
+                        "wire s.out m.in\nwire m.out n.in\nprobe n.out\n"
+                        % (a, b), budget=10 ** 18)
+        one = _run_text(head + "block n mul k=%d\nwire s.out n.in\n"
+                        "probe n.out\n" % (a * b), budget=10 ** 18)
+        assert two.results == one.results == {"n.out": value * a * b}
+
+    @given(st.integers(0, 10 ** 6), CLOCK_RATES)
+    def test_a_convert_or_count_on_the_inputs_own_clock_is_identity(
+            self, value, rate):
+        same = _run_text("clock main 1\nclock c %s\n"
+                         "block s source value=%d clock=c\n"
+                         "block v convert clock=c\nwire s.out v.in\n"
+                         "block d accumulator model=digital clock=c\n"
+                         "wire s.out d.in\nprobe v.out\nprobe d.out\n"
+                         % (rate, value))
+        assert same.results == {"v.out": value, "d.out": value}
 
     def test_roadmap_item_1_a_nested_race_ends_later_than_one_race(self):
         # Today's number, not race logic's: `min` fires when its last lane
@@ -1034,6 +1064,20 @@ class TestExportMatchesTheReference:
         # strings, so the two-character codes come between ! and ".
         assert "$var wire 1 !! m.in94 $end" in wave
         assert '#0\n1!\n1!!\n1!"\n1!#\n1!$\n1!%\n1!&\n1"\n' in wave
+
+    def test_three_character_codes(self):
+        # 94 + 94 ** 2 = 8930 codes have at most two characters; no run
+        # this size is needed, so the events are set directly.
+        trace = Trace()
+        trace.events = [(i % 7, "b%05d" % i, "in", "start")
+                        for i in range(9000)]
+        wave = trace_to_waveform(trace)
+        # Compared by line: pytest's diff of two long strings is slow.
+        assert wave.splitlines() == \
+            _reference_waveform(trace.events).splitlines()
+        assert "$var wire 1 ~~ b08929.in $end" in wave
+        assert "$var wire 1 !!! b08930.in $end" in wave
+        assert "$var wire 1 !!f b08999.in $end" in wave
 
     def test_empty_trace(self):
         trace = _run_text("clock main 1\nblock a source value=5\n")
