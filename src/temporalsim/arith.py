@@ -13,7 +13,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .core import DEFAULT_CLOCK, ClockRef, MultiValentTrain, UnaryTrain
-from .errors import ClockMismatch, DuplicateValue, EmptyInput, ZeroValue
 
 
 class MuxChannel(namedtuple("MuxChannel", "value_pulses clock")):
@@ -37,7 +36,7 @@ class MuxChannel(namedtuple("MuxChannel", "value_pulses clock")):
 def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
     """Add by concatenating mark runs; cost is linear in the operands."""
     if x.clock is not y.clock and x.clock != y.clock:
-        raise ClockMismatch(
+        raise ValueError(
             "cannot concatenate %s with %s" % (x.clock.id, y.clock.id))
     return tuple.__new__(UnaryTrain, (x.length + y.length, x.clock))
 
@@ -63,10 +62,10 @@ def _race_lengths(lanes: Iterable[UnaryTrain]) -> tuple[int, ...]:
     together; they must share one clock."""
     columns = tuple(zip(*lanes))
     if not columns:
-        raise EmptyInput("race needs at least one lane")
+        raise ValueError("race needs at least one lane")
     lengths, clocks = columns
     if clocks.count(clocks[0]) != len(clocks):
-        raise ClockMismatch("race lanes must share one clock")
+        raise ValueError("race lanes must share one clock")
     return lengths
 
 
@@ -88,13 +87,13 @@ def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
     """
     values = list(values)
     if not values:
-        raise EmptyInput("mux needs at least one value")
+        raise ValueError("mux needs at least one value")
     if not all(isinstance(v, int) for v in values):
         raise ValueError("mux values must be integers")
     if len(set(values)) != len(values):
-        raise DuplicateValue("mux requires duplicate-free values")
+        raise ValueError("mux requires duplicate-free values")
     if any(v == 0 for v in values):
-        raise ZeroValue("0 collides with the start marker")
+        raise ValueError("0 collides with the start marker")
     if any(v < 0 for v in values):
         raise ValueError("mux values must be positive")
     return tuple.__new__(MuxChannel, (frozenset(values), clock))
@@ -117,7 +116,7 @@ def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:
     merged: dict[int, int] = {}
     for train in trains:
         if train.clock is not clock and train.clock != clock:
-            raise ClockMismatch("merge requires one shared clock")
+            raise ValueError("merge requires one shared clock")
         for pos, amp in train.items:
             merged[pos] = merged.get(pos, 0) + amp
     # Valid trains give unique positions >= 0 and amplitude sums >= 1.

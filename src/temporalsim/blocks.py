@@ -22,7 +22,6 @@ int and `Fraction` arithmetic only, so the two stay independent.
 
 from __future__ import annotations
 
-import re
 import zlib
 from collections import namedtuple
 from collections.abc import Callable, Mapping
@@ -84,41 +83,17 @@ VARIADIC = None
 
 
 # `integer` and `positive_fraction` read every number token the package
-# reads; a bad one raises ValueError with the reason, and the caller names
-# the token. CPython converts at most 4300 decimal digits to an int by
-# default: a longer token is refused before conversion, on any interpreter.
+# reads: ASCII digits, after an optional `-` for an integer, and `p` or
+# `p/q` for a rational. A bad one raises ValueError with the reason, and
+# the caller names the token. CPython converts at most 4300 decimal digits
+# to an int by default: a longer token is refused before conversion, on
+# any interpreter.
 MAX_NUMBER_CHARS = 4300
 
 
-def _too_long(token: str) -> str | None:
-    """Why a number token is too long to convert, or None."""
-    if len(token) <= MAX_NUMBER_CHARS:
-        return None
-    return "is too long (%d characters, at most %d)" % (len(token),
-                                                        MAX_NUMBER_CHARS)
-
-
-def _too_big(token: str) -> str | None:
-    """Why a rational token is too long, or its decimal exponent too large
-    in magnitude, to convert; or None. `Fraction("1e99999999")` would
-    build 10**99999999, so the exponent is read before `Fraction` runs."""
-    problem = _too_long(token)
-    if problem:
-        return problem
-    head, e, exponent = token.replace("E", "e").rpartition("e")
-    if not e:
-        return None
-    try:
-        # Zeroing the exponent's digits keeps the token's shape, so this
-        # accepts exactly what `Fraction` accepts on this interpreter.
-        Fraction(head + e + re.sub(r"\d", "0", exponent))
-    except ValueError:
-        return None
-    power = int(exponent)
-    if abs(power) <= MAX_NUMBER_CHARS:
-        return None
-    return "is too large (exponent %d, at most %d)" % (power,
-                                                       MAX_NUMBER_CHARS)
+def _too_long(token: str) -> ValueError:
+    return ValueError("is too long (%d characters, at most %d)"
+                      % (len(token), MAX_NUMBER_CHARS))
 
 
 def quote(token: str) -> str:
@@ -128,15 +103,16 @@ def quote(token: str) -> str:
 
 def integer(minimum: int | None = None,
             maximum: int | None = None) -> Callable[[str], int]:
-    """A reader of an integer token as `int()` reads it, within the
-    bounds given."""
+    """A reader of an integer token, ASCII digits after an optional `-`,
+    within the bounds given."""
     def parse(text: str) -> int:
+        if not (text.isdigit() and text.isascii()):
+            digits = text[1:] if text[:1] == "-" else ""
+            if not (digits.isdigit() and digits.isascii()):
+                raise ValueError("is not an integer")
         if len(text) > MAX_NUMBER_CHARS:
-            raise ValueError(_too_long(text))
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError("is not an integer") from None
+            raise _too_long(text)
+        value = int(text)
         if minimum is not None and value < minimum:
             raise ValueError("must be >= %d" % minimum)
         if maximum is not None and value > maximum:
@@ -146,26 +122,21 @@ def integer(minimum: int | None = None,
 
 
 def positive_fraction(text: str) -> Fraction:
-    """A rational token as `Fraction` reads it, > 0."""
-    # The common spelling, ASCII digits or ASCII digits/ASCII digits, is
-    # read by `int`; every other spelling, and every error, by `Fraction`
-    # after `_too_big`.
-    num, slash, den = text.partition("/")
-    if (len(text) <= MAX_NUMBER_CHARS and num.isascii() and num.isdigit()
-            and (not slash or den.isascii() and den.isdigit())):
-        p, q = int(num), int(den) if slash else 1
-        if p and q:
-            return Fraction(p, q)
-    reason = _too_big(text)
-    if reason:
-        raise ValueError(reason)
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("is not rational") from None
-    if value <= 0:
+    """A rational token `p` or `p/q` in ASCII digits, > 0."""
+    num, den = text, ""
+    if not (text.isdigit() and text.isascii()):
+        num, _slash, den = text.partition("/")
+        if not (num.isdigit() and num.isascii() and den.isdigit()
+                and den.isascii()):
+            raise ValueError("is not rational")
+    if len(text) > MAX_NUMBER_CHARS:
+        raise _too_long(text)
+    p, q = int(num), int(den) if den else 1
+    if not q:
+        raise ValueError("is not rational")
+    if not p:
         raise ValueError("must be > 0")
-    return value
+    return Fraction(p, q)
 
 
 _MODELS = {model.value: model for model in AccumulatorModel}

@@ -79,10 +79,14 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     def decoded(self):
         """The payload: a position->amplitude map when the message carries
         amplitudes, a value set when its last event is a value pulse, and
-        otherwise the span from its start to its final event."""
+        otherwise the span from its start to its final event. Amplitudes
+        at a repeated position sum, as `mv_merge` sums them."""
         events = self.events
         if self.amplitudes:
-            return dict(zip(_offsets(events), self.amplitudes))
+            buckets: dict[int, int] = {}
+            for pos, amp in zip(_offsets(events), self.amplitudes):
+                buckets[pos] = buckets.get(pos, 0) + amp
+            return buckets
         if events[-1][0] == EVENT_VALUE:
             return set(_offsets(events))
         return _span(events)

@@ -13,8 +13,6 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .errors import DigitOverflow, InvalidBase, MalformedCode
-
 
 class ClockRef(namedtuple("ClockRef", "id frequency")):
     """A named time reference with an exact rational frequency.
@@ -124,10 +122,10 @@ def encode_pim(n: int, clock: ClockRef = DEFAULT_CLOCK) -> PulseTrain:
 def decode_pim(t: PulseTrain) -> int:
     """Gap between the two delimiter pulses; single pulse decodes to 0."""
     if len(t.pulses) not in (1, 2):
-        raise MalformedCode(
+        raise ValueError(
             "interval code needs 1 or 2 pulses, got %d" % len(t.pulses))
     if t.pulses[0] != 0:
-        raise MalformedCode("interval code must start at tick 0")
+        raise ValueError("interval code must start at tick 0")
     return t.pulses[-1] - t.pulses[0]
 
 
@@ -150,7 +148,7 @@ def encode_hybrid(n: int, base: int,
     simplicity of unary digits (cf. binary-coded decimal).
     """
     if base < 2:
-        raise InvalidBase("base must be >= 2, got %d" % base)
+        raise ValueError("base must be >= 2, got %d" % base)
     if n < 0:
         raise ValueError("cannot encode negative value")
     digits = [UnaryTrain(n % base, clock)]
@@ -164,11 +162,11 @@ def encode_hybrid(n: int, base: int,
 def decode_hybrid(digits: Sequence[UnaryTrain], base: int) -> int:
     """Inverse of encode_hybrid: sum of digit * base**index."""
     if base < 2:
-        raise InvalidBase("base must be >= 2, got %d" % base)
+        raise ValueError("base must be >= 2, got %d" % base)
     total = 0
     for i, digit in enumerate(digits):
         if digit.length >= base:
-            raise DigitOverflow(
+            raise ValueError(
                 "digit %d has length %d >= base %d" % (i, digit.length, base))
         total += digit.length * base ** i
     return total

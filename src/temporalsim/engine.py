@@ -19,7 +19,7 @@ from operator import itemgetter
 
 from .blocks import COUNT, KINDS, quote
 from .channel import StabilityViolation, TimedMessage, transmit_checked
-from .errors import SimulationError, TemporalError
+from .errors import SimulationError
 from .netlist import Netlist
 
 DEFAULT_BUDGET = 10 ** 8
@@ -127,7 +127,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         try:
             msg, cost, found = fires[kind](bid, params[bid], inputs, t,
                                            clock_of[bid], seed)
-        except (TemporalError, ValueError) as exc:
+        except ValueError as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
                              exc))
             continue

@@ -1,36 +1,11 @@
-"""Exception types shared across the library."""
+"""The errors a netlist, a run or a trace CSV raises.
+
+A bad argument to a library function raises ValueError instead.
+"""
 
 
 class TemporalError(Exception):
-    """Base class for all library errors."""
-
-
-class MalformedCode(TemporalError):
-    """A pulse train does not form a valid single interval code."""
-
-
-class InvalidBase(TemporalError):
-    """Positional base must be >= 2."""
-
-
-class DigitOverflow(TemporalError):
-    """A hybrid digit is >= the positional base."""
-
-
-class ClockMismatch(TemporalError):
-    """Operands live on different time references; convert first."""
-
-
-class EmptyInput(TemporalError):
-    """An operation that needs at least one lane got none."""
-
-
-class DuplicateValue(TemporalError):
-    """Multiplexing requires duplicate-free value sets."""
-
-
-class ZeroValue(TemporalError):
-    """Zero cannot share a channel with the start marker."""
+    """Base class of the netlist, run and trace CSV errors."""
 
 
 class NetlistParseError(TemporalError):

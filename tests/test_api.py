@@ -89,6 +89,20 @@ def test_public_attributes_are_pinned():
             PUBLIC_ATTRIBUTES[name].split(), name
 
 
+def test_error_classes_are_pinned():
+    # A bad argument raises ValueError; a bad netlist, run or trace CSV
+    # raises one of these. Growing or shrinking the set is a deliberate
+    # edit of this test.
+    errors = temporalsim.errors
+    classes = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert sorted(classes) == ["NetlistParseError", "NetlistValidationError",
+                               "SimulationError", "TemporalError"]
+    assert all(cls.__bases__ == (errors.TemporalError,)
+               for name, cls in classes.items() if name != "TemporalError")
+    assert errors.TemporalError.__bases__ == (Exception,)
+
+
 def test_readme_names_every_public_name():
     # The README's API paragraph names each public name in backticks, as
     # the kind table states each entry of `KINDS`, and names no other

@@ -25,12 +25,6 @@ from temporalsim import (
     mux,
     mv_merge,
 )
-from temporalsim.errors import (
-    ClockMismatch,
-    DuplicateValue,
-    EmptyInput,
-    ZeroValue,
-)
 
 
 class TestAddConcat:
@@ -41,7 +35,8 @@ class TestAddConcat:
         assert add_concat(encode_unary(0), encode_unary(9)).length == 9
 
     def test_clock_mismatch(self):
-        with pytest.raises(ClockMismatch):
+        with pytest.raises(ValueError,
+                           match="^cannot concatenate a with b$"):
             add_concat(encode_unary(1, ClockRef("a")),
                        encode_unary(1, ClockRef("b")))
 
@@ -118,7 +113,8 @@ class TestRaces:
         assert max_race(_lanes([9])) == 9
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError,
+                           match="^race needs at least one lane$"):
             min_race([])
 
     def test_against_integer_min_max(self):
@@ -157,15 +153,18 @@ class TestMux:
         assert channel_train(mux({3, 5, 7, 11})) == mux_or({3, 5, 7, 11})
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroValue):
+        with pytest.raises(ValueError,
+                           match="^0 collides with the start marker$"):
             mux({0, 3})
 
     def test_duplicates_rejected(self):
-        with pytest.raises(DuplicateValue):
+        with pytest.raises(ValueError,
+                           match="^mux requires duplicate-free values$"):
             mux([4, 4])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError,
+                           match="^mux needs at least one value$"):
             mux([])
 
     @pytest.mark.parametrize("values", [[1.5, 2], [2.0], [Fraction(3)],
@@ -226,7 +225,8 @@ class TestMultiValent:
         assert madd(merged) == 4 * 2 + 4 * 5  # distributivity
 
     def test_merge_clock_mismatch(self):
-        with pytest.raises(ClockMismatch):
+        with pytest.raises(ValueError,
+                           match="^merge requires one shared clock$"):
             mv_merge([MultiValentTrain(((1, 1),), ClockRef("a")),
                       MultiValentTrain(((1, 1),), ClockRef("b"))])
 

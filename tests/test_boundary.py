@@ -36,91 +36,87 @@ from temporalsim import (
 )
 from temporalsim.blocks import C0, KINDS, Kind, Param
 from temporalsim.engine import TraceStats
-from temporalsim.errors import ClockMismatch, EmptyInput
 
 MAIN = ClockRef("main", Fraction(1))
 FAST = ClockRef("fast", Fraction(3))
 
-# (call, exception type, exact text). Where an input breaks two rules,
-# the case pins which one is reported.
+# (call, exact text of the ValueError it raises). Where an input breaks
+# two rules, the case pins which one is reported.
 REJECTED = {
-    "unary length": (lambda: UnaryTrain(-1), ValueError,
+    "unary length": (lambda: UnaryTrain(-1),
                      "unary length must be non-negative"),
-    "mv position": (lambda: MultiValentTrain(((-1, 2),)), ValueError,
+    "mv position": (lambda: MultiValentTrain(((-1, 2),)),
                     "bucket position must be non-negative"),
-    "mv amplitude": (lambda: MultiValentTrain(((2, 0),)), ValueError,
+    "mv amplitude": (lambda: MultiValentTrain(((2, 0),)),
                      "bucket amplitude must be >= 1"),
-    "mv duplicate": (lambda: MultiValentTrain(((2, 1), (2, 3))), ValueError,
+    "mv duplicate": (lambda: MultiValentTrain(((2, 1), (2, 3))),
                      "duplicate bucket positions"),
     "mv sorts before checking": (
-        lambda: MultiValentTrain(((3, 0), (-1, 2))), ValueError,
+        lambda: MultiValentTrain(((3, 0), (-1, 2))),
         "bucket position must be non-negative"),
     "mv amplitude before duplicate": (
-        lambda: MultiValentTrain(((2, 1), (2, 0))), ValueError,
+        lambda: MultiValentTrain(((2, 1), (2, 0))),
         "bucket amplitude must be >= 1"),
     "from_buckets position": (
-        lambda: MultiValentTrain.from_buckets({-1: 2}), ValueError,
+        lambda: MultiValentTrain.from_buckets({-1: 2}),
         "bucket position must be non-negative"),
     "from_buckets amplitude": (
-        lambda: MultiValentTrain.from_buckets({4: 1, 2: 0}), ValueError,
+        lambda: MultiValentTrain.from_buckets({4: 1, 2: 0}),
         "bucket amplitude must be >= 1"),
-    "clock frequency": (lambda: ClockRef("c", Fraction(0)), ValueError,
+    "clock frequency": (lambda: ClockRef("c", Fraction(0)),
                         "clock 'c' frequency must be > 0"),
-    "scaled factor": (lambda: MAIN.scaled(0), ValueError,
-                      "scale factor must be >= 1"),
-    "scaled non-int factor": (lambda: MAIN.scaled(2.5), ValueError,
+    "scaled factor": (lambda: MAIN.scaled(0), "scale factor must be >= 1"),
+    "scaled non-int factor": (lambda: MAIN.scaled(2.5),
                               "scale factor must be an int, not 2.5"),
-    "toggle_chain depth": (lambda: toggle_chain(3, 0), ValueError,
+    "toggle_chain depth": (lambda: toggle_chain(3, 0),
                            "chain depth must be >= 1"),
-    "toggle_chain count": (lambda: toggle_chain(-1, 3), ValueError,
+    "toggle_chain count": (lambda: toggle_chain(-1, 3),
                            "pulse count must be non-negative"),
-    "toggle_chain depth before count": (
-        lambda: toggle_chain(-1, 0), ValueError, "chain depth must be >= 1"),
+    "toggle_chain depth before count": (lambda: toggle_chain(-1, 0),
+                                        "chain depth must be >= 1"),
     "analog rate": (lambda: accumulate_analog(UnaryTrain(1), MAIN, 0),
-                    ValueError, "rate must be > 0"),
+                    "rate must be > 0"),
     "photonic flux": (
         lambda: accumulate_photonic(UnaryTrain(1), MAIN, Fraction(-1)),
-        ValueError, "flux must be > 0"),
+        "flux must be > 0"),
     # Its 32-bit words would never run out: -1 >> 32 == -1.
     "photonic seed": (
         lambda: accumulate_photonic(UnaryTrain(1), MAIN, 1, noise_seed=-1),
-        ValueError, "noise seed -1 is negative"),
-    "pim negative": (lambda: encode_pim(-1), ValueError,
+        "noise seed -1 is negative"),
+    "pim negative": (lambda: encode_pim(-1),
                      "cannot encode negative value as interval"),
-    "hybrid negative": (lambda: encode_hybrid(-1, 10), ValueError,
+    "hybrid negative": (lambda: encode_hybrid(-1, 10),
                         "cannot encode negative value"),
-    "mux negative": (lambda: mux([3, -1]), ValueError,
-                     "mux values must be positive"),
+    "mux negative": (lambda: mux([3, -1]), "mux values must be positive"),
     "add clocks": (lambda: add_concat(UnaryTrain(3, MAIN),
                                       UnaryTrain(4, FAST)),
-                   ClockMismatch, "cannot concatenate main with fast"),
-    "mul factor": (lambda: mul_dilate(UnaryTrain(3), 0), ValueError,
+                   "cannot concatenate main with fast"),
+    "mul factor": (lambda: mul_dilate(UnaryTrain(3), 0),
                    "dilation factor must be >= 1"),
-    "mul non-int factor": (lambda: mul_dilate(UnaryTrain(3), 2.5), ValueError,
+    "mul non-int factor": (lambda: mul_dilate(UnaryTrain(3), 2.5),
                            "dilation factor must be an int, not 2.5"),
     "merge clocks": (lambda: mv_merge([MultiValentTrain(((1, 1),), MAIN),
                                        MultiValentTrain(((2, 1),), FAST)]),
-                     ClockMismatch, "merge requires one shared clock"),
-    "race empty": (lambda: min_race([]), EmptyInput,
-                   "race needs at least one lane"),
+                     "merge requires one shared clock"),
+    "race empty": (lambda: min_race([]), "race needs at least one lane"),
     "race clocks": (lambda: max_race([UnaryTrain(3, MAIN),
                                       UnaryTrain(5, FAST)]),
-                    ClockMismatch, "race lanes must share one clock"),
+                    "race lanes must share one clock"),
     "min race clocks": (lambda: min_race([UnaryTrain(3, MAIN),
                                           UnaryTrain(4, MAIN),
                                           UnaryTrain(5, FAST)]),
-                        ClockMismatch, "race lanes must share one clock"),
-    "convert value": (lambda: convert_reference(-1, MAIN, FAST), ValueError,
+                        "race lanes must share one clock"),
+    "convert value": (lambda: convert_reference(-1, MAIN, FAST),
                       "value must be non-negative"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_public_entry_points_reject(case):
-    call, exc_type, text = REJECTED[case]
-    with pytest.raises(exc_type) as err:
+    call, text = REJECTED[case]
+    with pytest.raises(ValueError) as err:
         call()
-    assert type(err.value) is exc_type
+    assert type(err.value) is ValueError
     assert str(err.value) == text
 
 
@@ -141,8 +137,10 @@ def _madd_fire(*messages):
 
 def test_madd_fire_sums_a_repeated_position():
     # No netlist emits one, but a direct call merges it as `mv_merge`
-    # does: 2*1 + 2*3 = 2*(1+3), so the dot product is 1*1 + 2*4.
+    # does: 2*1 + 2*3 = 2*(1+3), so the dot product is 1*1 + 2*4. The
+    # message decodes to the same sum.
     repeated = TimedMessage.multivalent([(2, 1), (2, 3)])
+    assert repeated.decoded() == {2: 4}
     msg, cost, found = _madd_fire(TimedMessage.multivalent([(1, 1)]),
                                   repeated)
     assert msg == TimedMessage.interval(9)

@@ -4,6 +4,7 @@ the integer-DAG oracle."""
 import random
 import re
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -799,6 +800,28 @@ class TestMetamorphicLaws:
                          % (rate, value))
         assert same.results == {"v.out": value, "d.out": value}
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 50),
+           st.integers(1, 50))
+    def test_scaling_every_clock_keeps_values_stats_and_trace(self, seed, p,
+                                                             q):
+        # Only ratios between clocks matter (`ClockRef`'s docstring): every
+        # frequency times p/q, written unreduced as `num/den`.
+        def scaled(match):
+            num, _slash, den = match[2].partition("/")
+            return "clock %s %d/%d" % (match[1], int(num) * p,
+                                       int(den or 1) * q)
+        text = random_dag_netlist(random.Random(seed))
+        net = parse_netlist(text)
+        other = parse_netlist(re.sub(r"^clock (\S+) (\S+)$", scaled, text,
+                                     flags=re.M))
+        assert [c.frequency for c in other.clocks.values()] == [
+            c.frequency * Fraction(p, q) for c in net.clocks.values()]
+        before, after = run(net), run(other)
+        assert after.results == before.results
+        assert after.stats == before.stats
+        assert trace_to_csv(after) == trace_to_csv(before)
+        assert oracle_results(other) == oracle_results(net)
+
     def test_roadmap_item_1_a_nested_race_ends_later_than_one_race(self):
         # Today's number, not race logic's: `min` fires when its last lane
         # ends and emits the winner from that tick, so the 3-lane race
@@ -820,8 +843,9 @@ class TestMetamorphicLaws:
 
 class TestTimeline:
     """`tests/timeline.py` judges each run's ticks (ROADMAP item 17): a
-    wire delivers its source's emission shifted by its link, and the
-    stats count what was delivered."""
+    wire delivers its source's emission shifted by its link, a block
+    emits from its fire tick on, and the stats count what was
+    delivered."""
 
     @pytest.mark.parametrize("name", sorted(
         path.stem for path in GOLDEN.glob("*.net")))
@@ -837,14 +861,16 @@ class TestTimeline:
         check_timeline(net, run(net))
 
     def test_the_checker_refuses_a_broken_law(self):
-        # links: a=4 reaches s.a over latency=2 as (2, 6), and b.out->q.in
-        # is unstable.
+        # links: a=4 reaches s.a over latency=2 as (2, 6), b.out->q.in is
+        # unstable, and s fires at 6 and emits 7 as (6, 13).
         text = (GOLDEN / "links.net").read_text()
         net = parse_netlist(_observe_every_output(text, GOLDEN), GOLDEN)
         for change in (
                 lambda trace: trace.delivered.update(
                     {("s", "a"): TimedMessage.interval(4, 3)}),
                 lambda trace: trace.stats.stability_violations.clear(),
+                lambda trace: trace.delivered.update(
+                    {("seen_s", "in"): TimedMessage.interval(8, 5)}),
                 lambda trace: setattr(trace.stats, "event_count",
                                       trace.stats.event_count + 1),
                 lambda trace: setattr(trace.stats, "total_ticks",

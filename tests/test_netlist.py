@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -488,8 +489,10 @@ def test_a_bad_latency_text_keeps_its_error_and_column(earlier, option,
         6, int(error.split(":")[1]))
 
 
-# `Fraction("1e99999999")` builds 10**99999999, so a rational token's
-# decimal exponent has the bound a written-out integer has: 4300.
+# A rational token is `p` or `p/q` in ASCII digits. An exponent, a
+# decimal point, a sign, an underscore or a non-ASCII digit is not
+# rational, whatever number the token would spell, so no token can build
+# a number of more than 4300 digits.
 RATIONAL_NETS = {
     "clock": "clock main {tok}\nblock a source value=3\n",
     "rate": "clock main 1\nblock a source value=3\n"
@@ -509,18 +512,18 @@ def _rational_error(where, tok, problem=None):
                                           problem or "is not rational")
 
 
-def _too_large(power):
-    return "is too large (exponent %d, at most 4300)" % power
+def _refused(where, tok, problem=None):
+    with pytest.raises(TemporalError) as err:
+        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
+    assert str(err.value) == _rational_error(where, tok, problem)
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
 @pytest.mark.parametrize("tok", ["1e4300", "1e-4300", "1E+4300", "0.5e4300",
                                  "1e٤٣٠٠"])
 def test_a_rational_exponent_up_to_4300_is_accepted(where, tok):
-    net = parse_netlist(RATIONAL_NETS[where].format(tok=tok))
-    value = (net.clocks["main"].frequency if where == "clock"
-             else net.params["c"][where])
-    assert value == Fraction(tok)
+    # A small exponent is not read either: the token is not rational.
+    _refused(where, tok)
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
@@ -529,18 +532,17 @@ def test_a_rational_exponent_up_to_4300_is_accepted(where, tok):
     ("0.5e-99999999", -99999999), ("1e٤٣٠١", 4301),
 ])
 def test_a_rational_exponent_past_4300_is_refused(where, tok, power):
-    with pytest.raises(TemporalError) as err:
-        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
-    assert str(err.value) == _rational_error(where, tok, _too_large(power))
+    # The token spells a number of more than 4300 digits; it is refused
+    # before any number is built.
+    assert abs(power) > blocks.MAX_NUMBER_CHARS
+    _refused(where, tok)
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
 @pytest.mark.parametrize("tok", ["1e5e99999999", "3/2e99999999",
                                  "xe99999999", "1e+-99999999"])
 def test_a_non_rational_with_a_large_exponent_keeps_its_error(where, tok):
-    with pytest.raises(TemporalError) as err:
-        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
-    assert str(err.value) == _rational_error(where, tok)
+    _refused(where, tok)
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
@@ -548,51 +550,42 @@ def test_a_non_rational_with_a_large_exponent_keeps_its_error(where, tok):
     ("0/3", "must be > 0"), ("3/0", None), ("3/-2", None),
 ])
 def test_a_zero_or_signed_ratio_keeps_its_error(where, tok, problem):
-    with pytest.raises(TemporalError) as err:
-        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
-    assert str(err.value) == _rational_error(where, tok, problem)
-
-
-def _exponent(token):
-    """A token's decimal exponent as `int` reads it, or 0."""
-    _head, e, exponent = token.replace("E", "e").rpartition("e")
-    try:
-        return int(exponent) if e else 0
-    except ValueError:
-        return 0
+    _refused(where, tok, problem)
 
 
 @given(st.text("0123456789/+-.eE_\u0663", max_size=10))
 def test_the_rational_reader_reads_what_fraction_reads(token):
-    # A short token is within the length limit; past the exponent limit,
-    # `Fraction` would build a huge power of ten, or refuse the token.
-    if abs(_exponent(token)) > blocks.MAX_NUMBER_CHARS:
-        expected = None
+    # On `p` and `p/q` in ASCII digits the reader agrees with `Fraction`;
+    # it refuses every other spelling as not rational.
+    if re.fullmatch("[0-9]+(/[0-9]+)?", token):
+        num, _slash, den = token.partition("/")
+        if den and not int(den):
+            problem = "is not rational"
+        elif not int(num):
+            problem = "must be > 0"
+        else:
+            assert blocks.positive_fraction(token) == Fraction(token)
+            return
     else:
-        try:
-            expected = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            expected = None
-    if expected is not None and expected > 0:
-        assert blocks.positive_fraction(token) == expected
+        problem = "is not rational"
+    with pytest.raises(ValueError, match="^%s$" % problem):
+        blocks.positive_fraction(token)
+
+
+@given(st.text("0123456789/+-.eE_\u0663", max_size=10))
+def test_the_integer_reader_reads_ascii_digits_after_a_minus(token):
+    if re.fullmatch("-?[0-9]+", token):
+        assert blocks.integer()(token) == int(token)
     else:
-        with pytest.raises(ValueError):
-            blocks.positive_fraction(token)
+        with pytest.raises(ValueError, match="^is not an integer$"):
+            blocks.integer()(token)
 
 
 @pytest.mark.parametrize("where", sorted(RATIONAL_NETS))
 def test_an_underscored_exponent_is_read_as_fraction_reads_it(where):
-    # From Python 3.11 on, `Fraction` reads an underscore between digits;
-    # on 3.10 it refuses the token.
-    try:
-        Fraction("1e1_0")
-        problem = _too_large(99999999)
-    except ValueError:
-        problem = None
-    tok = "1e99_999_999"
-    with pytest.raises(TemporalError) as err:
-        parse_netlist(RATIONAL_NETS[where].format(tok=tok))
-    assert str(err.value) == _rational_error(where, tok, problem)
+    # `Fraction` reads an underscore between digits from Python 3.11 on;
+    # the rational reader reads none, on every interpreter.
+    _refused(where, "1e99_999_999")
 
 
 def test_probe_out_needs_an_out_port():
@@ -681,18 +674,26 @@ def test_unknown_param_rejected(source, mul, error):
     assert err.value.violations == [error]
 
 
-# A number token reads as int() reads it: a sign, underscores between
-# digits and any Unicode decimal digit are accepted; a digit that is not
-# decimal (a superscript) is not.
+# A number token is ASCII digits, after a `-` for an integer: a `+`, an
+# underscore and a non-ASCII decimal digit are not read.
 @pytest.mark.parametrize("token, value", [
-    ("+3", 3), ("1_000", 1000), ("\u0663", 3), ("007", 7),
+    ("+3", None), ("1_000", None), ("\u0663", None), ("007", 7),
 ], ids=["plus-sign", "underscore", "arabic-indic-3", "leading-zeros"])
 def test_number_tokens_read_as_int_reads_them(token, value):
-    net = parse_netlist("clock main 1\nblock a source value=%s\n"
-                        "block p probe\nwire a.out p.in latency=%s\n"
-                        % (token, token))
-    assert net.params["a"]["value"] == value
-    assert net.wires[0][4].default == value
+    text = ("clock main 1\nblock a source value=%s\n"
+            "block p probe\nwire a.out p.in latency=%s\n" % (token, token))
+    if value is not None:
+        net = parse_netlist(text)
+        assert net.params["a"]["value"] == value
+        assert net.wires[0][4].default == value
+        return
+    with pytest.raises(NetlistParseError) as err:
+        parse_netlist(text)
+    assert str(err.value) == "line 4:25: latency %r is not an integer" % token
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(text.replace(" latency=" + token, ""))
+    assert err.value.violations == [
+        "block 'a' param value=%r: is not an integer" % token]
 
 
 def test_a_superscript_digit_is_not_an_integer():

@@ -10,8 +10,8 @@ each block emits is delivered, unshifted, at `seen_<id>.in`.
 
 
 def check_timeline(net, trace, budget=10 ** 8):
-    """Assert the run's transport and accounting laws; `budget` is the
-    tick budget the run was given.
+    """Assert the run's transport, firing, causality and accounting laws;
+    `budget` is the tick budget the run was given.
 
     - transport: a wire delivers its source's emitted events, each shifted
       by the wire's link delay at that event's tick, or nothing when the
@@ -19,6 +19,10 @@ def check_timeline(net, trace, budget=10 ** 8):
       `stability_violations`, with the change in span as its value error,
       exactly when those delays differ. A source that emitted nothing
       delivers nothing.
+    - firing: a block's emission starts at its fire tick, the largest
+      last tick among its delivered inputs, or 0 for a source. A block
+      that emitted has every input delivered.
+    - causality: no event of an emission comes before its fire tick.
     - accounting: `event_count` is the number of delivered events, and
       `total_ticks` is the last delivered tick (0 when none is).
     """
@@ -49,6 +53,22 @@ def check_timeline(net, trace, budget=10 ** 8):
                     name, got, emitted, delays)
     assert sorted(stats.stability_violations) == sorted(unstable), (
         stats.stability_violations, unstable)
+
+    ports_of = {}
+    for _src, _src_port, dst, dst_port, _link in net.wires:
+        ports_of.setdefault(dst, []).append(dst_port)
+    for bid in net.blocks:
+        emitted = delivered.get(("seen_" + bid, "in"))
+        if emitted is None:
+            continue
+        ins = [delivered.get((bid, port)) for port in ports_of.get(bid, ())]
+        assert None not in ins, "%s emitted without all its inputs" % bid
+        fire = max((msg.events[-1][1] for msg in ins), default=0)
+        ticks = [tick for _role, tick in emitted.events]
+        assert ticks[0] == fire, "%s's emission starts at %d, not at %d" % (
+            bid, ticks[0], fire)
+        assert min(ticks) >= fire, "%s emits at %d, before it fires at %d" % (
+            bid, min(ticks), fire)
 
     ticks = [tick for msg in delivered.values()
              for _role, tick in msg.events]
