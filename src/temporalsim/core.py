@@ -73,22 +73,22 @@ class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
 
     An amplitude a at position b encodes the product contribution a*b.
     Stored as a sorted tuple of (position, amplitude) pairs so the value
-    is hashable; absent positions mean amplitude 0.
+    is hashable; absent positions mean amplitude 0. The amplitudes of
+    pairs at an equal position sum, as `mv_merge` sums them.
     """
 
     __slots__ = ()
 
     def __new__(cls, items: Sequence[tuple[int, int]] = (),
                 clock: ClockRef = DEFAULT_CLOCK):
-        items = tuple(sorted((int(p), int(a)) for p, a in items))
-        for pos, amp in items:
+        buckets: dict[int, int] = {}
+        for pos, amp in sorted((int(p), int(a)) for p, a in items):
             if pos < 0:
                 raise ValueError("bucket position must be non-negative")
             if amp < 1:
                 raise ValueError("bucket amplitude must be >= 1")
-        if len({p for p, _ in items}) != len(items):
-            raise ValueError("duplicate bucket positions")
-        return tuple.__new__(cls, (items, clock))
+            buckets[pos] = buckets.get(pos, 0) + amp
+        return tuple.__new__(cls, (tuple(buckets.items()), clock))
 
     @classmethod
     def from_buckets(cls, buckets: Mapping[int, int],

@@ -302,8 +302,9 @@ _VCD_CHARS = "".join(map(chr, range(33, 127)))
 def trace_to_waveform(trace: Trace) -> str:
     """Value-change-dump-style text waveform of the trace's pulse events:
     one signal per (block, port), coded in sorted order, 1 at each of its
-    event ticks and 0 the tick after unless it has an event then. Changes
-    are listed by (tick, code string)."""
+    event ticks and 0 the tick after unless it has an event then. Built by
+    tick: the signals, visited in code-string order, append their changes
+    to each tick's list, so changes are listed by (tick, code string)."""
     ticks_of: dict[tuple[str, str], set[int]] = defaultdict(set)
     for tick, block, port, _role in trace.events:
         ticks_of[block, port].add(tick)
@@ -316,19 +317,15 @@ def trace_to_waveform(trace: Trace) -> str:
     lines += ["$var wire 1 %s %s.%s $end" % (code, block, port)
               for (block, port), code in zip(signals, codes)]
     lines += ["$upscope $end", "$enddefinitions $end"]
-    changes: list[tuple[int, str, str]] = []
-    for signal, code in zip(signals, codes):
+    changes: dict[int, list[str]] = defaultdict(list)
+    for code, signal in sorted(zip(codes, signals)):
         ticks = ticks_of[signal]
         one, zero = "1" + code, "0" + code
         for tick in ticks:
-            changes.append((tick, code, one))
+            changes[tick].append(one)
             if tick + 1 not in ticks:
-                changes.append((tick + 1, code, zero))
-    changes.sort()
-    last = None
-    for tick, _code, line in changes:
-        if tick != last:
-            lines.append("#%d" % tick)
-            last = tick
-        lines.append(line)
+                changes[tick + 1].append(zero)
+    for tick in sorted(changes):
+        lines.append("#%d" % tick)
+        lines += changes[tick]
     return "\n".join(lines) + "\n"

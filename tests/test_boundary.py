@@ -49,8 +49,6 @@ REJECTED = {
                     "bucket position must be non-negative"),
     "mv amplitude": (lambda: MultiValentTrain(((2, 0),)),
                      "bucket amplitude must be >= 1"),
-    "mv duplicate": (lambda: MultiValentTrain(((2, 1), (2, 3))),
-                     "duplicate bucket positions"),
     "mv sorts before checking": (
         lambda: MultiValentTrain(((3, 0), (-1, 2))),
         "bucket position must be non-negative"),
@@ -127,6 +125,16 @@ def test_equal_clocks_need_not_be_one_object():
     assert mv_merge([MultiValentTrain(((1, 2),), a),
                      MultiValentTrain(((1, 3),), b)]).items == ((1, 5),)
     assert min_race([UnaryTrain(3, a), UnaryTrain(5, b)]) == 3
+
+
+def test_a_repeated_bucket_position_sums_its_amplitudes():
+    # As `mv_merge` overlays two trains and a repeated position decodes:
+    # 2*1 + 2*3 = 2*(1+3).
+    repeated = MultiValentTrain(((2, 1), (2, 3)))
+    assert repeated == MultiValentTrain(((2, 4),)) == mv_merge(
+        [MultiValentTrain(((2, 1),)), MultiValentTrain(((2, 3),))])
+    assert dict(repeated.items) == \
+        TimedMessage.multivalent([(2, 1), (2, 3)]).decoded()
 
 
 def _madd_fire(*messages):
@@ -274,9 +282,7 @@ VALUE_TYPES = {
         [(lambda: MultiValentTrain(((-1, 2),)), ValueError,
           "bucket position must be non-negative"),
          (lambda: MultiValentTrain(((2, 0),)), ValueError,
-          "bucket amplitude must be >= 1"),
-         (lambda: MultiValentTrain(((2, 1), (2, 3))), ValueError,
-          "duplicate bucket positions")]),
+          "bucket amplitude must be >= 1")]),
     TimedMessage: (
         lambda: TimedMessage([("start", 0), ("end", 3)]),
         ("events", "clock", "amplitudes"), _MSG,

@@ -822,6 +822,53 @@ class TestMetamorphicLaws:
         assert trace_to_csv(after) == trace_to_csv(before)
         assert oracle_results(other) == oracle_results(net)
 
+    @given(st.sampled_from(("min", "max")),
+           st.lists(st.integers(0, 1000), min_size=3, max_size=6), st.data())
+    def test_one_race_and_nested_two_lane_races_give_one_value(
+            self, kind, values, data):
+        # Values only: a nested race ends later today (ROADMAP item 1, the
+        # test below). The nesting is drawn: any two open lanes race next.
+        head = "clock main 1\n" + "".join(
+            "block s%d source value=%d\n" % lane for lane in enumerate(values))
+        lanes = ["s%d" % i for i in range(len(values))]
+        one = _run_text(head + "block r %s\n" % kind + "".join(
+            "wire %s.out r.in%d\n" % (src, i) for i, src in enumerate(lanes))
+            + "probe r.out\n")
+        nested = head
+        while len(lanes) > 1:
+            a = lanes.pop(data.draw(st.integers(0, len(lanes) - 1)))
+            b = lanes.pop(data.draw(st.integers(0, len(lanes) - 1)))
+            race = "n%d" % len(lanes)
+            nested += ("block %s %s\nwire %s.out %s.in0\nwire %s.out %s.in1\n"
+                       % (race, kind, a, race, b, race))
+            lanes.append(race)
+        nested = _run_text(nested + "probe %s.out\n" % lanes[0])
+        value = (min if kind == "min" else max)(values)
+        assert one.results == {"r.out": value}
+        assert nested.results == {"%s.out" % lanes[0]: value}
+
+    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(1, 100)),
+                    min_size=2, max_size=8), st.data())
+    def test_one_madd_is_the_sum_of_madds_over_a_split(self, buckets, data):
+        # The sweep is linear: madd(X ∪ Y) = add(madd(X), madd(Y)). A
+        # position may repeat, within X and Y or across them.
+        cut = data.draw(st.integers(1, len(buckets) - 1), label="cut")
+        head = "clock main 1\n" + "".join(
+            "block s%d source value=%d position=%d\n" % (i, amp, pos)
+            for i, (pos, amp) in enumerate(buckets))
+
+        def madd(bid, lanes):
+            return "block %s madd\n%s" % (bid, "".join(
+                "wire s%d.out %s.in%d\n" % (i, bid, port)
+                for port, i in enumerate(lanes)))
+        lanes = range(len(buckets))
+        one = _run_text(head + madd("m", lanes) + "probe m.out\n")
+        two = _run_text(head + madd("x", lanes[:cut]) + madd("y", lanes[cut:])
+                        + "block m add\nwire x.out m.a\nwire y.out m.b\n"
+                        "probe m.out\n")
+        assert one.results == two.results == {
+            "m.out": sum(pos * amp for pos, amp in buckets)}
+
     def test_roadmap_item_1_a_nested_race_ends_later_than_one_race(self):
         # Today's number, not race logic's: `min` fires when its last lane
         # ends and emits the winner from that tick, so the 3-lane race
@@ -1104,6 +1151,24 @@ class TestExportMatchesTheReference:
         assert "$var wire 1 ~~ b08929.in $end" in wave
         assert "$var wire 1 !!! b08930.in $end" in wave
         assert "$var wire 1 !!f b08999.in $end" in wave
+
+    @given(st.integers(1, 200), st.data())
+    def test_random_events(self, signals, data):
+        # Ticks 0-30, drawn one by one and as runs of consecutive ticks,
+        # repeats included; past 94 signals the codes run from ~ to !!.
+        first = data.draw(st.lists(st.integers(0, 30), min_size=signals,
+                                   max_size=signals), label="first ticks")
+        runs = data.draw(st.lists(st.tuples(
+            st.integers(0, signals - 1), st.integers(0, 30),
+            st.integers(1, 5)), max_size=40), label="runs")
+        trace = Trace()
+        trace.events = [(tick, "b%d" % i, "in", "start")
+                        for i, tick in enumerate(first)] + [
+            (tick, "b%d" % i, "in", "end")
+            for i, start, length in runs
+            for tick in range(start, start + length)]
+        assert trace_to_waveform(trace).splitlines() == \
+            _reference_waveform(trace.events).splitlines()
 
     def test_empty_trace(self):
         trace = _run_text("clock main 1\nblock a source value=5\n")

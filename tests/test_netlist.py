@@ -554,7 +554,7 @@ def test_a_zero_or_signed_ratio_keeps_its_error(where, tok, problem):
 
 
 @given(st.text("0123456789/+-.eE_\u0663", max_size=10))
-def test_the_rational_reader_reads_what_fraction_reads(token):
+def test_the_rational_reader_reads_ascii_p_or_p_over_q_only(token):
     # On `p` and `p/q` in ASCII digits the reader agrees with `Fraction`;
     # it refuses every other spelling as not rational.
     if re.fullmatch("[0-9]+(/[0-9]+)?", token):
