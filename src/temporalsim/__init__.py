@@ -1,7 +1,7 @@
 """temporalsim: a simulator and library for temporal (time-delay) computing.
 
 Values are time intervals between start/end events, counted in pulses of
-a reference clock. Arithmetic runs on unary/interval codes (add by
+a reference clock. Arithmetic runs on those intervals (add by
 concatenation, multiply by clock dilation, min/max by racing lanes,
 dot products by the multi-valent counting sweep), blocks exchange data
 asynchronously over latency-tolerant links, and a deterministic engine
@@ -20,7 +20,6 @@ from .accumulators import (
     toggle_chain_overflowed,
 )
 from .arith import (
-    MuxChannel,
     add_concat,
     demux,
     madd,
@@ -30,18 +29,13 @@ from .arith import (
     mux,
     mv_merge,
 )
-from .channel import (
-    Link,
-    StabilityViolation,
-    TimedMessage,
-    transmit_checked,
-)
+from .channel import Link, StabilityViolation, transmit_checked
 from .core import (
     DEFAULT_CLOCK,
     ClockRef,
     MultiValentTrain,
     PulseTrain,
-    UnaryTrain,
+    TimedMessage,
     decode_hybrid,
     decode_pim,
     encode_hybrid,

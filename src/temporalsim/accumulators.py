@@ -1,7 +1,7 @@
 """Behavioral models of the accumulate unit.
 
 Three idealized realizations of "count what happens during the interval",
-each reading the interval as a `UnaryTrain` run under a reference clock:
+each reading a message's span under a reference clock:
 a digital pulse counter (optionally folded through a divide-by-2 toggle
 chain), an analog integrator charging at a rational rate, and a photon
 counter with optional Poisson shot noise (numpy's seeded Poisson stream,
@@ -15,7 +15,7 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import ClockRef, UnaryTrain, measure_interval
+from .core import ClockRef, TimedMessage, _rescale, measure_interval
 
 # The deepest toggle chain a netlist may ask for. It counts mod 2**256;
 # firing a chain builds one bit per stage, so an unbounded depth= could
@@ -65,7 +65,7 @@ def toggle_chain_overflowed(pulse_count: int, depth: int) -> bool:
     return pulse_count >= (1 << depth)
 
 
-def accumulate_analog(x: UnaryTrain, ref: ClockRef,
+def accumulate_analog(x: TimedMessage, ref: ClockRef,
                       rate: Fraction) -> tuple[Fraction, int]:
     """Ideal integrator: charge grows at `rate` per reference pulse.
 
@@ -79,9 +79,9 @@ def accumulate_analog(x: UnaryTrain, ref: ClockRef,
     return charge, int(charge)
 
 
-def accumulate_photonic(x: UnaryTrain, ref: ClockRef, flux: Fraction,
+def accumulate_photonic(x: TimedMessage, ref: ClockRef, flux: Fraction,
                         noise_seed: int | None = None) -> int:
-    """Photon counter: collected count is proportional to the run's length.
+    """Photon counter: collected count is proportional to the span.
 
     Noiseless by default (floor of flux * count). With a non-negative
     seed, draws a Poisson sample with that mean: the draw of numpy's
@@ -116,5 +116,5 @@ def convert_reference(value: int, src: ClockRef, dst: ClockRef) -> int:
     """
     if value < 0:
         raise ValueError("value must be non-negative")
-    return measure_interval(tuple.__new__(UnaryTrain, (value, src)), dst)
+    return _rescale(value, src, dst)
 

@@ -1,125 +1,113 @@
 """Arithmetic on temporal codes.
 
-Addition is concatenation of mark runs, multiplication is dilation under
+Addition is concatenation of intervals, multiplication is dilation under
 a faster reference, min/max fall out of racing parallel lanes, and the
 multi-valent train turns a dot product into a single counting sweep.
-A race's lanes are `UnaryTrain` runs, which all start at tick 0, so
-they start together by construction; only their clock is checked.
+Each operation reads `TimedMessage` operands by their spans and offsets.
+A result starts at the tick its last operand ends, which is when the
+engine fires the block, and is on the first operand's clock.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
-from .core import DEFAULT_CLOCK, ClockRef, MultiValentTrain, UnaryTrain
-
-
-class MuxChannel(namedtuple("MuxChannel", "value_pulses clock")):
-    """Several duplicate-free values sharing one channel.
-
-    The channel is the pulse-wise OR of the members' interval codes from
-    a common start marker at tick 0; a shorter value literally reuses the
-    leading span of a longer one.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value_pulses: Iterable[int],
-                clock: ClockRef = DEFAULT_CLOCK):
-        pulses = frozenset(int(p) for p in value_pulses)
-        if any(p <= 0 for p in pulses):
-            raise ValueError("value pulses must be positive ticks")
-        return tuple.__new__(cls, (pulses, clock))
+from .core import (EVENT_VALUE, MultiValentTrain, TimedMessage, _interval,
+                   _offsets, _span)
 
 
-def add_concat(x: UnaryTrain, y: UnaryTrain) -> UnaryTrain:
-    """Add by concatenating mark runs; cost is linear in the operands."""
+def add_concat(x: TimedMessage, y: TimedMessage) -> TimedMessage:
+    """Add by concatenating intervals; cost is linear in the operands."""
     if x.clock is not y.clock and x.clock != y.clock:
         raise ValueError(
             "cannot concatenate %s with %s" % (x.clock.id, y.clock.id))
-    return tuple.__new__(UnaryTrain, (x.length + y.length, x.clock))
+    xs, ys = x.events, y.events
+    return _interval(_span(xs) + _span(ys), max(xs[-1][1], ys[-1][1]),
+                     x.clock)
 
 
-def mul_dilate(x: UnaryTrain, k: int) -> UnaryTrain:
-    """Multiply by dilating the run: re-measure x under a k-times-faster
-    reference, so every mark stretches into k.
+def mul_dilate(x: TimedMessage, k: int) -> TimedMessage:
+    """Multiply by dilating the interval: re-measure x under a
+    k-times-faster reference, so every tick stretches into k.
 
     Under `x.clock.scaled(k)`, of frequency k*p/q where x's clock has
     p/q, `measure_interval` counts L*(k*p)*q // (q*p) = L*k pulses for a
-    run of L marks, whatever p/q is: the count is exact integer
+    span of L ticks, whatever p/q is: the count is exact integer
     arithmetic, so it is computed as L*k without building that clock.
     """
     if not isinstance(k, int):
         raise ValueError("dilation factor must be an int, not %r" % (k,))
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
-    return tuple.__new__(UnaryTrain, (x.length * k, x.clock))
+    events = x.events
+    return _interval(_span(events) * k, events[-1][1], x.clock)
 
 
-def _race_lengths(lanes: Iterable[UnaryTrain]) -> tuple[int, ...]:
-    """The lanes' lengths. Every run starts at tick 0, so the lanes start
-    together; they must share one clock."""
+def _race(lanes: Sequence[TimedMessage],
+          pick: Callable[[list[int]], int]) -> TimedMessage:
+    """The span `pick` chooses among the lanes' spans. The lanes must
+    share one clock."""
     columns = tuple(zip(*lanes))
     if not columns:
         raise ValueError("race needs at least one lane")
-    lengths, clocks = columns
+    events, clocks, _amplitudes = columns
     if clocks.count(clocks[0]) != len(clocks):
         raise ValueError("race lanes must share one clock")
-    return lengths
+    return _interval(pick([e[-1][1] - e[0][1] for e in events]),
+                     max(e[-1][1] for e in events), clocks[0])
 
 
-def min_race(lanes: Sequence[UnaryTrain]) -> int:
+def min_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """First arrival among synchronous lanes (OR-gate semantics)."""
-    return min(_race_lengths(lanes))
+    return _race(lanes, min)
 
 
-def max_race(lanes: Sequence[UnaryTrain]) -> int:
+def max_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """Last arrival among synchronous lanes (AND-gate semantics)."""
-    return max(_race_lengths(lanes))
+    return _race(lanes, max)
 
 
-def mux(values: Iterable[int], clock: ClockRef = DEFAULT_CLOCK) -> MuxChannel:
-    """Overlay a duplicate-free set of positive values on one channel.
+def mux(lanes: Sequence[TimedMessage]) -> TimedMessage:
+    """Overlay the lanes' values, their spans, on one channel as a value
+    set, through the checked `TimedMessage.multiplexed`: it refuses a
+    repeated value and a 0.
 
     Equivalent to OR-ing the individual interval codes: shared leading
     spans are reused, which is what makes the packing efficient.
     """
-    values = list(values)
-    if not values:
+    if not lanes:
         raise ValueError("mux needs at least one value")
-    if not all(isinstance(v, int) for v in values):
-        raise ValueError("mux values must be integers")
-    if len(set(values)) != len(values):
-        raise ValueError("mux requires duplicate-free values")
-    if any(v == 0 for v in values):
-        raise ValueError("0 collides with the start marker")
-    if any(v < 0 for v in values):
-        raise ValueError("mux values must be positive")
-    return tuple.__new__(MuxChannel, (frozenset(values), clock))
+    return TimedMessage.multiplexed([_span(m.events) for m in lanes],
+                                    max(m.events[-1][1] for m in lanes),
+                                    lanes[0].clock)
 
 
-def demux(ch: MuxChannel) -> set[int]:
-    """Recover the value set: every value pulse position is one member."""
-    return set(ch.value_pulses)
+def demux(msg: TimedMessage) -> set[int]:
+    """Recover the value set: every value pulse's offset is one member."""
+    if msg.amplitudes or msg.events[-1][0] != EVENT_VALUE:
+        raise ValueError("demux requires a value set")
+    return set(_offsets(msg.events))
 
 
-def mv_merge(trains: Sequence[MultiValentTrain]) -> MultiValentTrain:
-    """Overlay multi-valent trains; equal positions sum their amplitudes.
+def mv_merge(msgs: Sequence[TimedMessage]) -> MultiValentTrain:
+    """Overlay multi-valent messages into one train; equal positions sum
+    their amplitudes.
 
     Multiplexing extended to duplicates: p*v1 + p*v2 = p*(v1+v2), so the
     merge preserves the dot product.
     """
-    if not trains:
+    if not msgs:
         return MultiValentTrain()
-    clock = trains[0].clock
+    clock = msgs[0].clock
     merged: dict[int, int] = {}
-    for train in trains:
-        if train.clock is not clock and train.clock != clock:
+    for events, msg_clock, amplitudes in msgs:
+        if msg_clock is not clock and msg_clock != clock:
             raise ValueError("merge requires one shared clock")
-        for pos, amp in train.items:
+        if not amplitudes:
+            raise ValueError("merge requires multi-valent messages")
+        for pos, amp in zip(_offsets(events), amplitudes):
             merged[pos] = merged.get(pos, 0) + amp
-    # Valid trains give unique positions >= 0 and amplitude sums >= 1.
+    # Valid messages give positions >= 0 and amplitude sums >= 1.
     return tuple.__new__(MultiValentTrain,
                          (tuple(sorted(merged.items())), clock))
 

@@ -37,9 +37,8 @@ from .accumulators import (
     toggle_chain,
     toggle_chain_overflowed,
 )
-from .channel import (EVENT_END, EVENT_START, EVENT_VALUE, MUX, MV, SCALAR,
-                      TimedMessage, _offsets, _pulses, _span)
-from .core import ClockRef, MultiValentTrain, UnaryTrain, measure_interval
+from .core import (EVENT_START, EVENT_VALUE, MUX, MV, SCALAR, TimedMessage,
+                   _interval, _pulses, _span, measure_interval)
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -187,13 +186,8 @@ def parse_params(block) -> tuple[dict[str, object], list[str]]:
 # `tuple.__new__(X, (...))` that namedtuple's `_make` makes: every input
 # message was checked where it was built, its sort where the netlist was
 # validated, and parameters where they were parsed, so a value derived
-# from them is valid.
-
-
-def _out(value: int, t: int, clock: ClockRef) -> TimedMessage:
-    # value >= 0: every fire function's result is a count.
-    return tuple.__new__(TimedMessage, (
-        ((EVENT_START, t), (EVENT_END, t + value)), clock, ()))
+# from them is valid. Each paper operation returns its result message
+# starting at the fire tick t, the tick its last operand ends.
 
 
 def _source(_bid, params, _inputs, t, clock, _seed):
@@ -203,51 +197,42 @@ def _source(_bid, params, _inputs, t, clock, _seed):
         msg = tuple.__new__(TimedMessage, (
             ((EVENT_START, t), (EVENT_VALUE, t + pos)), clock, (value,)))
         return msg, pos + C0, ()
-    return _out(value, t, clock), value + C0, ()
+    return _interval(value, t, clock), value + C0, ()
 
 
-def _unary(msg: TimedMessage) -> UnaryTrain:
-    return tuple.__new__(UnaryTrain, (_span(msg.events), msg.clock))
+def _add(_bid, _params, inputs, _t, _clock, _seed):
+    out = arith.add_concat(*inputs)
+    return out, _span(out.events) + C0, ()
 
 
-def _add(_bid, _params, inputs, t, clock, _seed):
-    a, b = map(_unary, inputs)
-    total = arith.add_concat(a, b).length
-    return _out(total, t, clock), total + C0, ()
-
-
-def _mul(_bid, params, inputs, t, clock, _seed):
-    (msg,) = inputs
-    out = arith.mul_dilate(_unary(msg), params["k"]).length
-    return _out(out, t, clock), out + C0, ()
+def _mul(_bid, params, inputs, _t, _clock, _seed):
+    out = arith.mul_dilate(inputs[0], params["k"])
+    return out, _span(out.events) + C0, ()
 
 
 def _race(race) -> Callable[..., tuple]:
-    """A race's fire function. Each input is one `UnaryTrain` lane of its
-    span on the fire's output clock, so the lanes race raw counts."""
+    """A race's fire function, over its inputs as lanes on its output
+    clock."""
     new = tuple.__new__
 
-    def fire(_bid, _params, inputs, t, clock, _seed):
-        out = race([new(UnaryTrain, (events[-1][1] - events[0][1], clock))
-                    for events, _clock, _amplitudes in inputs])
-        return _out(out, t, clock), out + C0, ()
+    def fire(_bid, _params, inputs, _t, clock, _seed):
+        # A lane on another clock is relabelled onto the output clock, so
+        # lanes on two clocks race raw counts (ROADMAP item 2).
+        out = race([m if m.clock is clock else new(TimedMessage, (
+            m.events, clock, m.amplitudes)) for m in inputs])
+        return out, _span(out.events) + C0, ()
     return fire
 
 
-def _mux(_bid, _params, inputs, t, clock, _seed):
-    channel = arith.mux([_span(m.events) for m in inputs], clock)
-    pulses = sorted(channel.value_pulses)
-    return (tuple.__new__(TimedMessage, (_pulses(t, pulses), clock, ())),
-            pulses[-1] + C0, ())
+def _mux(_bid, _params, inputs, _t, _clock, _seed):
+    out = arith.mux(inputs)
+    return out, _span(out.events) + C0, ()
 
 
 def _demux(_bid, _params, inputs, t, clock, _seed):
-    ((events, in_clock, _amplitudes),) = inputs
     # A distorted delivery was rebuilt by the checked constructor, so
     # every value set holds distinct positive offsets.
-    channel = tuple.__new__(arith.MuxChannel,
-                            (frozenset(_offsets(events)), in_clock))
-    values = sorted(arith.demux(channel))
+    values = sorted(arith.demux(inputs[0]))
     return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
             values[-1] + C0, ())
 
@@ -255,18 +240,13 @@ def _demux(_bid, _params, inputs, t, clock, _seed):
 def _madd(_bid, _params, inputs, t, clock, _seed):
     # An input may repeat a position; `mv_merge` sums the amplitudes at
     # an equal position, within one input as across inputs.
-    new, trains = tuple.__new__, []
-    for events, in_clock, amplitudes in inputs:
-        trains.append(new(MultiValentTrain, (
-            tuple(zip(_offsets(events), amplitudes)), in_clock)))
-    merged = arith.mv_merge(trains)
+    merged = arith.mv_merge(inputs)
     sweep = merged.items[-1][0] if merged.items else 0
-    return _out(arith.madd(merged), t, clock), sweep + C0, ()
+    return _interval(arith.madd(merged), t, clock), sweep + C0, ()
 
 
 def _accumulator(bid, p, inputs, t, ref, run_seed):
-    (msg,) = inputs
-    x = _unary(msg)
+    (x,) = inputs
     model = p.get("model", AccumulatorModel.DIGITAL_COUNTER)
     found = ()
     if model is AccumulatorModel.ANALOG_INTEGRATOR:
@@ -283,13 +263,13 @@ def _accumulator(bid, p, inputs, t, ref, run_seed):
             if toggle_chain_overflowed(out, depth):
                 found = ("toggle chain overflowed",)
             out = toggle_chain(out, depth).value
-    return _out(out, t, ref), x.length + C0, found
+    return _interval(out, t, ref), _span(x.events) + C0, found
 
 
 def _convert(_bid, _params, inputs, t, clock, _seed):
     ((events, in_clock, _amplitudes),) = inputs
     out = convert_reference(_span(events), in_clock, clock)
-    return _out(out, t, clock), C0, ()
+    return _interval(out, t, clock), C0, ()
 
 
 def _source_oracle(p, *_):

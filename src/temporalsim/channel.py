@@ -1,4 +1,4 @@
-"""Asynchronous inter-block transport.
+"""Asynchronous inter-block transport of `TimedMessage`s.
 
 Data rides as the spacing between events, so a link may delay a message
 arbitrarily as long as the delay holds still between the message's first
@@ -8,106 +8,10 @@ and last event.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping
 from types import MappingProxyType
 
-from .core import DEFAULT_CLOCK, ClockRef
-
-EVENT_START = "start"
-EVENT_END = "end"
-EVENT_VALUE = "value-pulse"
-
-# The sorts of message `TimedMessage.decoded` tells apart: a start/end
-# interval, a value set, a multi-valent train.
-SCALAR, MUX, MV = "scalar", "mux", "mv"
-
-
-class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
-    """A sequence of (role, emission tick) events; one start event first.
-
-    The payload is implicit in the spacing: the decoded value is the gap
-    between the start and the final event, and any value pulses decode
-    by their offset from the start. A multi-valent message also carries
-    one amplitude per value pulse; every other message leaves
-    `amplitudes` empty. A value set, a message without amplitudes whose
-    last event is a value pulse, has distinct pulses after its start.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, events: Sequence[tuple[str, int]],
-                clock: ClockRef = DEFAULT_CLOCK,
-                amplitudes: Sequence[int] = ()):
-        events = tuple((str(r), int(t)) for r, t in events)
-        if not events or events[0][0] != EVENT_START:
-            raise ValueError("message must open with a start event")
-        ticks = [t for _, t in events]
-        if any(b < a for a, b in zip(ticks, ticks[1:])):
-            raise ValueError("events must be in non-decreasing order")
-        amplitudes = tuple(int(a) for a in amplitudes)
-        pulses = [t for r, t in events if r == EVENT_VALUE]
-        if amplitudes:
-            if len(amplitudes) != len(pulses) or min(amplitudes) < 1:
-                raise ValueError("need one amplitude >= 1 per value pulse")
-        elif events[-1][0] == EVENT_VALUE:
-            # A value set holds only what `mux` sends; refused in its texts.
-            if len(set(pulses)) != len(pulses):
-                raise ValueError("mux requires duplicate-free values")
-            if pulses[0] == ticks[0]:
-                raise ValueError("0 collides with the start marker")
-        return tuple.__new__(cls, (events, clock, amplitudes))
-
-    @classmethod
-    def interval(cls, value: int, start: int = 0,
-                 clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        return cls(((EVENT_START, start), (EVENT_END, start + value)), clock)
-
-    @classmethod
-    def multiplexed(cls, values: Iterable[int], start: int = 0,
-                    clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        """A value set as one value pulse per member after the start."""
-        return cls(_pulses(start, sorted(values)), clock)
-
-    @classmethod
-    def multivalent(cls, items: Iterable[tuple[int, int]], start: int = 0,
-                    clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
-        """(position, amplitude) buckets as amplitude-carrying pulses."""
-        items = sorted(items)
-        return cls(_pulses(start, [p for p, _a in items]), clock,
-                   [a for _p, a in items])
-
-    def decoded(self):
-        """The payload: a position->amplitude map when the message carries
-        amplitudes, a value set when its last event is a value pulse, and
-        otherwise the span from its start to its final event. Amplitudes
-        at a repeated position sum, as `mv_merge` sums them."""
-        events = self.events
-        if self.amplitudes:
-            buckets: dict[int, int] = {}
-            for pos, amp in zip(_offsets(events), self.amplitudes):
-                buckets[pos] = buckets.get(pos, 0) + amp
-            return buckets
-        if events[-1][0] == EVENT_VALUE:
-            return set(_offsets(events))
-        return _span(events)
-
-
-def _span(events) -> int:
-    """The final event's tick minus the start event's."""
-    return events[-1][1] - events[0][1]
-
-
-def _offsets(events) -> list[int]:
-    """Each value pulse's tick minus the start event's."""
-    start = events[0][1]
-    return [tick - start for role, tick in events if role == EVENT_VALUE]
-
-
-def _pulses(start: int, offsets) -> tuple[tuple[str, int], ...]:
-    """A start event, then one value pulse per sorted offset."""
-    return ((EVENT_START, start),) + tuple((EVENT_VALUE, start + v)
-                                           for v in offsets)
-
+from .core import TimedMessage, _span
 
 # Read-only, so every constant link shares it.
 _EMPTY = MappingProxyType({})

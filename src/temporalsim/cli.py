@@ -126,7 +126,7 @@ def cmd_encode(args) -> int:
         if args.scheme == "unary":
             train = encode_unary(value)
             lines.append("value=%d scheme=unary length=%d"
-                         % (value, train.length))
+                         % (value, train.decoded()))
         elif args.scheme == "pim":
             train = encode_pim(value)
             lines.append("value=%d scheme=pim pulses=%s"
@@ -135,7 +135,7 @@ def cmd_encode(args) -> int:
             digits = encode_hybrid(value, args.base)
             lines.append("value=%d scheme=hybrid base=%d digits=%s"
                          % (value, args.base,
-                            ",".join(str(d.length) for d in digits)))
+                            ",".join(str(d.decoded()) for d in digits)))
     # Nothing is printed until every value has encoded.
     for line in lines:
         print(line)

@@ -18,7 +18,8 @@ from itertools import chain, count, islice, product
 from operator import itemgetter
 
 from .blocks import COUNT, KINDS, quote
-from .channel import StabilityViolation, TimedMessage, transmit_checked
+from .channel import StabilityViolation, transmit_checked
+from .core import TimedMessage
 from .errors import SimulationError
 from .netlist import Netlist
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import temporalsim
 from temporalsim.blocks import KINDS, VARIADIC
-from temporalsim.channel import MUX, MV, SCALAR
+from temporalsim.core import MUX, MV, SCALAR
 from temporalsim.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,8 +20,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "AccumulatorModel", "BinaryWord", "ClockRef",
     "DEFAULT_CLOCK", "Link", "MultiValentTrain",
-    "MuxChannel", "Netlist", "PulseTrain", "StabilityViolation",
-    "TemporalError", "TimedMessage", "Trace", "UnaryTrain",
+    "Netlist", "PulseTrain", "StabilityViolation",
+    "TemporalError", "TimedMessage", "Trace",
     "accumulate_analog", "accumulate_photonic", "accumulators",
     "add_concat", "arith", "blocks", "channel", "convert_reference", "core",
     "decode_hybrid", "decode_pim", "demux", "encode_hybrid", "encode_pim",
@@ -58,8 +58,7 @@ PUBLIC_ATTRIBUTES = {
     "BinaryWord": "bits value",
     "ClockRef": "frequency id scaled",
     "Link": "constant default from_table table",
-    "MultiValentTrain": "clock from_buckets items",
-    "MuxChannel": "clock value_pulses",
+    "MultiValentTrain": "clock items",
     "Netlist": "blocks clock_of clocks inputs order outputs params probes "
                "wires",
     "PulseTrain": "clock pulses",
@@ -68,7 +67,6 @@ PUBLIC_ATTRIBUTES = {
     "TimedMessage": "amplitudes clock decoded events interval multiplexed "
                     "multivalent",
     "Trace": "delivered events results stats",
-    "UnaryTrain": "clock length",
 }
 
 

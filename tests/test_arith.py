@@ -12,7 +12,7 @@ from temporalsim import (
     ClockRef,
     MultiValentTrain,
     PulseTrain,
-    UnaryTrain,
+    TimedMessage,
     add_concat,
     demux,
     encode_pim,
@@ -29,10 +29,10 @@ from temporalsim import (
 
 class TestAddConcat:
     def test_three_plus_four(self):
-        assert add_concat(encode_unary(3), encode_unary(4)).length == 7
+        assert add_concat(encode_unary(3), encode_unary(4)).decoded() == 7
 
     def test_zero_identity(self):
-        assert add_concat(encode_unary(0), encode_unary(9)).length == 9
+        assert add_concat(encode_unary(0), encode_unary(9)).decoded() == 9
 
     def test_clock_mismatch(self):
         with pytest.raises(ValueError,
@@ -44,33 +44,39 @@ class TestAddConcat:
         rng = random.Random(101)
         for _ in range(10 ** 3):
             a, b = rng.randint(0, 1000), rng.randint(0, 1000)
-            assert add_concat(encode_unary(a), encode_unary(b)).length == a + b
+            assert add_concat(encode_unary(a),
+                              encode_unary(b)).decoded() == a + b
 
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     def test_commutative(self, a, b):
         x, y = encode_unary(a), encode_unary(b)
         assert add_concat(x, y) == add_concat(y, x)
 
+    def test_starts_when_the_later_operand_ends(self):
+        x = TimedMessage.interval(3, 2)
+        y = TimedMessage.interval(4, 1)
+        assert add_concat(x, y) == TimedMessage.interval(7, 5)
+
 
 class TestMulDilate:
     def test_five_times_three(self):
-        assert mul_dilate(encode_unary(5), 3).length == 15
+        assert mul_dilate(encode_unary(5), 3).decoded() == 15
 
     def test_identity_dilation(self):
         t = encode_unary(42)
-        assert mul_dilate(t, 1).length == 42
+        assert mul_dilate(t, 1) == TimedMessage.interval(42, 42)
 
     def test_against_integer_multiplication(self):
         rng = random.Random(102)
         for _ in range(10 ** 3):
             a, k = rng.randint(0, 500), rng.randint(1, 20)
-            assert mul_dilate(encode_unary(a), k).length == a * k
+            assert mul_dilate(encode_unary(a), k).decoded() == a * k
 
     def test_rejects_zero_factor(self):
         with pytest.raises(ValueError):
             mul_dilate(encode_unary(3), 0)
 
-    # The reference: re-measuring the run under `scaled(k)`, the clock k
+    # The reference: re-measuring the span under `scaled(k)`, the clock k
     # times faster, on any clock frequency p/q. `mul_dilate` computes the
     # count as n*k without building that clock.
     @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
@@ -84,33 +90,33 @@ class TestMulDilate:
         clock = ClockRef("c", Fraction(p, q))
         fast = clock.scaled(k)
         assert fast.frequency == clock.frequency * k
-        expected = measure_interval(UnaryTrain(n, clock), fast)
-        assert mul_dilate(UnaryTrain(n, clock), k) == \
-            UnaryTrain(expected, clock)
+        x = TimedMessage.interval(n, 0, clock)
+        expected = measure_interval(x, fast)
+        assert mul_dilate(x, k) == TimedMessage.interval(expected, n, clock)
 
     @given(st.integers(0, 10 ** 3), st.integers(0, 10 ** 3),
            st.integers(1, 50))
     def test_distributes_over_add(self, a, b, k):
         lhs = mul_dilate(add_concat(encode_unary(a), encode_unary(b)), k)
-        rhs = (mul_dilate(encode_unary(a), k).length
-               + mul_dilate(encode_unary(b), k).length)
-        assert lhs.length == rhs
+        rhs = (mul_dilate(encode_unary(a), k).decoded()
+               + mul_dilate(encode_unary(b), k).decoded())
+        assert lhs.decoded() == rhs
 
 
 def _lanes(values):
-    return [UnaryTrain(v) for v in values]
+    return [encode_unary(v) for v in values]
 
 
 class TestRaces:
     def test_first_arrival(self):
-        assert min_race(_lanes([5, 7])) == 5
+        assert min_race(_lanes([5, 7])) == TimedMessage.interval(5, 7)
 
     def test_last_arrival(self):
-        assert max_race(_lanes([5, 7])) == 7
+        assert max_race(_lanes([5, 7])) == TimedMessage.interval(7, 7)
 
     def test_singleton(self):
-        assert min_race(_lanes([9])) == 9
-        assert max_race(_lanes([9])) == 9
+        assert min_race(_lanes([9])).decoded() == 9
+        assert max_race(_lanes([9])).decoded() == 9
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError,
@@ -122,8 +128,8 @@ class TestRaces:
         for _ in range(10 ** 3):
             vals = [rng.randint(0, 10 ** 4)
                     for _ in range(rng.randint(1, 8))]
-            assert min_race(_lanes(vals)) == min(vals)
-            assert max_race(_lanes(vals)) == max(vals)
+            assert min_race(_lanes(vals)).decoded() == min(vals)
+            assert max_race(_lanes(vals)).decoded() == max(vals)
 
 
 def mux_or(values, clock=DEFAULT_CLOCK):
@@ -135,32 +141,35 @@ def mux_or(values, clock=DEFAULT_CLOCK):
     return PulseTrain(tuple(sorted(pulses)), clock)
 
 
-def channel_train(ch):
-    """The channel's pulses: the start marker at tick 0, then one pulse
-    per value."""
-    return PulseTrain((0,) + tuple(sorted(ch.value_pulses)), ch.clock)
+def channel_train(msg):
+    """The channel's pulses from its start: the start marker at tick 0,
+    then one pulse per value."""
+    start = msg.events[0][1]
+    return PulseTrain(tuple(t - start for _r, t in msg.events), msg.clock)
 
 
 class TestMux:
     def test_figure_values(self):
-        assert channel_train(mux({5, 7})).pulses == (0, 5, 7)
+        assert channel_train(mux(_lanes([5, 7]))).pulses == (0, 5, 7)
+        assert mux(_lanes([5, 7])) == TimedMessage.multiplexed({5, 7}, 7)
 
     def test_singleton_degenerates_to_interval_code(self):
-        assert channel_train(mux({9})).pulses == (0, 9)
+        assert channel_train(mux(_lanes([9]))).pulses == (0, 9)
 
     def test_matches_pulsewise_or(self):
         # independent construction: OR the individual interval codes
-        assert channel_train(mux({3, 5, 7, 11})) == mux_or({3, 5, 7, 11})
+        assert channel_train(mux(_lanes([3, 5, 7, 11]))) == \
+            mux_or({3, 5, 7, 11})
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError,
                            match="^0 collides with the start marker$"):
-            mux({0, 3})
+            mux(_lanes([0, 3]))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError,
                            match="^mux requires duplicate-free values$"):
-            mux([4, 4])
+            mux(_lanes([4, 4]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError,
@@ -168,31 +177,31 @@ class TestMux:
             mux([])
 
     @pytest.mark.parametrize("values", [[1.5, 2], [2.0], [Fraction(3)],
-                                        [1.5, 1.5], ["3"]])
+                                        [1.5, 1.5], [4, 3.0]])
     def test_non_integer_rejected(self, values):
-        # A pulse is a tick: a value that is not an int is refused, not
-        # floored, before any other rule reads it.
+        # A pulse is a tick: a value set's builder refuses a value that is
+        # not an int, not floored, before any other rule reads it.
         with pytest.raises(ValueError) as err:
-            mux(values)
+            TimedMessage.multiplexed(values)
         assert type(err.value) is ValueError
-        assert str(err.value) == "mux values must be integers"
+        assert str(err.value) == "event ticks must be integers"
 
     def test_demux_inverts(self):
-        assert demux(mux({5, 7})) == {5, 7}
-        assert demux(mux({4})) == {4}
+        assert demux(mux(_lanes([5, 7]))) == {5, 7}
+        assert demux(mux(_lanes([4]))) == {4}
 
     def test_round_trip_random_sets(self):
         rng = random.Random(104)
         for _ in range(10 ** 3):
             size = rng.randint(1, 64)
             values = set(rng.sample(range(1, 10 ** 4 + 1), size))
-            assert demux(mux(values)) == values
+            assert demux(mux(_lanes(values))) == values
 
     @given(st.sets(st.integers(1, 10 ** 4), min_size=1, max_size=64))
     def test_order_independent(self, values):
         shuffled = sorted(values, reverse=True)
-        assert mux(values) == mux(shuffled)
-        assert channel_train(mux(values)) == mux_or(values)
+        assert mux(_lanes(values)) == mux(_lanes(shuffled))
+        assert channel_train(mux(_lanes(values))) == mux_or(values)
 
 
 class TestMultiValent:
@@ -205,13 +214,14 @@ class TestMultiValent:
         assert dict(MultiValentTrain(((0, 1),)).items) == {0: 1}
 
     def test_merge_disjoint(self):
-        merged = mv_merge([MultiValentTrain(((2, 3),)),
-                           MultiValentTrain(((3, 4),))])
+        merged = mv_merge([TimedMessage.multivalent([(2, 3)]),
+                           TimedMessage.multivalent([(3, 4)])])
         assert dict(merged.items) == {2: 3, 3: 4}
 
     def test_merge_empty_identity(self):
-        t = MultiValentTrain(((5, 3),))
-        assert dict(mv_merge([t, MultiValentTrain()]).items) == {5: 3}
+        # Positions are offsets from each message's own start.
+        t = TimedMessage.multivalent([(5, 3)], 4)
+        assert mv_merge([t]) == MultiValentTrain(((5, 3),))
 
     def test_merge_of_no_trains_is_the_empty_train(self):
         empty = mv_merge([])
@@ -219,16 +229,16 @@ class TestMultiValent:
         assert madd(empty) == 0
 
     def test_merge_sums_duplicate_positions(self):
-        merged = mv_merge([MultiValentTrain(((4, 2),)),
-                           MultiValentTrain(((4, 5),))])
+        merged = mv_merge([TimedMessage.multivalent([(4, 2)]),
+                           TimedMessage.multivalent([(4, 5)])])
         assert dict(merged.items) == {4: 7}
         assert madd(merged) == 4 * 2 + 4 * 5  # distributivity
 
     def test_merge_clock_mismatch(self):
         with pytest.raises(ValueError,
                            match="^merge requires one shared clock$"):
-            mv_merge([MultiValentTrain(((1, 1),), ClockRef("a")),
-                      MultiValentTrain(((1, 1),), ClockRef("b"))])
+            mv_merge([TimedMessage.multivalent([(1, 1)], 0, ClockRef("a")),
+                      TimedMessage.multivalent([(1, 1)], 0, ClockRef("b"))])
 
     def test_amplitude_invariants(self):
         with pytest.raises(ValueError):
@@ -237,10 +247,9 @@ class TestMultiValent:
             MultiValentTrain(((-1, 2),))
 
 
-def _random_train(rng):
+def _random_items(rng):
     positions = rng.sample(range(0, 10 ** 3 + 1), rng.randint(1, 32))
-    return MultiValentTrain(
-        tuple((p, rng.randint(1, 255)) for p in positions))
+    return [(p, rng.randint(1, 255)) for p in positions]
 
 
 def madd_tick_by_tick(train):
@@ -257,7 +266,9 @@ def madd_tick_by_tick(train):
 def _trains(max_position, max_amplitude):
     return st.dictionaries(st.integers(0, max_position),
                            st.integers(1, max_amplitude),
-                           max_size=32).map(MultiValentTrain.from_buckets)
+                           max_size=32).map(
+                               lambda buckets: MultiValentTrain(
+                                   buckets.items()))
 
 
 class TestMadd:
@@ -286,11 +297,13 @@ class TestMadd:
     def test_against_dot_product_oracle(self):
         rng = random.Random(105)
         for _ in range(10 ** 3):
-            train = _random_train(rng)
+            train = MultiValentTrain(_random_items(rng))
             assert madd(train) == sum(p * a for p, a in train.items)
 
     def test_merge_preserves_dot_product(self):
         rng = random.Random(106)
         for _ in range(10 ** 3):
-            a, b = _random_train(rng), _random_train(rng)
-            assert madd(mv_merge([a, b])) == madd(a) + madd(b)
+            a, b = (TimedMessage.multivalent(_random_items(rng))
+                    for _ in range(2))
+            assert madd(mv_merge([a, b])) == \
+                madd(mv_merge([a])) + madd(mv_merge([b]))

@@ -13,24 +13,24 @@ from temporalsim import (
     ClockRef,
     Link,
     MultiValentTrain,
-    MuxChannel,
     Netlist,
     PulseTrain,
     StabilityViolation,
     TimedMessage,
     Trace,
-    UnaryTrain,
     accumulate_analog,
     accumulate_photonic,
     add_concat,
     convert_reference,
+    decode_hybrid,
+    demux,
     encode_hybrid,
     encode_pim,
+    encode_unary,
     madd,
     max_race,
     min_race,
     mul_dilate,
-    mux,
     mv_merge,
     toggle_chain,
 )
@@ -43,8 +43,6 @@ FAST = ClockRef("fast", Fraction(3))
 # (call, exact text of the ValueError it raises). Where an input breaks
 # two rules, the case pins which one is reported.
 REJECTED = {
-    "unary length": (lambda: UnaryTrain(-1),
-                     "unary length must be non-negative"),
     "mv position": (lambda: MultiValentTrain(((-1, 2),)),
                     "bucket position must be non-negative"),
     "mv amplitude": (lambda: MultiValentTrain(((2, 0),)),
@@ -54,12 +52,6 @@ REJECTED = {
         "bucket position must be non-negative"),
     "mv amplitude before duplicate": (
         lambda: MultiValentTrain(((2, 1), (2, 0))),
-        "bucket amplitude must be >= 1"),
-    "from_buckets position": (
-        lambda: MultiValentTrain.from_buckets({-1: 2}),
-        "bucket position must be non-negative"),
-    "from_buckets amplitude": (
-        lambda: MultiValentTrain.from_buckets({4: 1, 2: 0}),
         "bucket amplitude must be >= 1"),
     "clock frequency": (lambda: ClockRef("c", Fraction(0)),
                         "clock 'c' frequency must be > 0"),
@@ -72,37 +64,53 @@ REJECTED = {
                            "pulse count must be non-negative"),
     "toggle_chain depth before count": (lambda: toggle_chain(-1, 0),
                                         "chain depth must be >= 1"),
-    "analog rate": (lambda: accumulate_analog(UnaryTrain(1), MAIN, 0),
+    "analog rate": (lambda: accumulate_analog(encode_unary(1), MAIN, 0),
                     "rate must be > 0"),
     "photonic flux": (
-        lambda: accumulate_photonic(UnaryTrain(1), MAIN, Fraction(-1)),
+        lambda: accumulate_photonic(encode_unary(1), MAIN, Fraction(-1)),
         "flux must be > 0"),
     # Its 32-bit words would never run out: -1 >> 32 == -1.
     "photonic seed": (
-        lambda: accumulate_photonic(UnaryTrain(1), MAIN, 1, noise_seed=-1),
+        lambda: accumulate_photonic(encode_unary(1), MAIN, 1,
+                                    noise_seed=-1),
         "noise seed -1 is negative"),
     "pim negative": (lambda: encode_pim(-1),
                      "cannot encode negative value as interval"),
     "hybrid negative": (lambda: encode_hybrid(-1, 10),
                         "cannot encode negative value"),
-    "mux negative": (lambda: mux([3, -1]), "mux values must be positive"),
-    "add clocks": (lambda: add_concat(UnaryTrain(3, MAIN),
-                                      UnaryTrain(4, FAST)),
+    "hybrid digit of another sort": (
+        lambda: decode_hybrid((encode_unary(1), TimedMessage.multiplexed([3])),
+                              10),
+        "digit 1 is not an interval"),
+    # A value set's members are `mux`'s values; the constructor checks them.
+    "mux negative": (lambda: TimedMessage.multiplexed([3, -1]),
+                     "events must be in non-decreasing order"),
+    "add clocks": (lambda: add_concat(encode_unary(3, MAIN),
+                                      encode_unary(4, FAST)),
                    "cannot concatenate main with fast"),
-    "mul factor": (lambda: mul_dilate(UnaryTrain(3), 0),
+    "mul factor": (lambda: mul_dilate(encode_unary(3), 0),
                    "dilation factor must be >= 1"),
-    "mul non-int factor": (lambda: mul_dilate(UnaryTrain(3), 2.5),
+    "mul non-int factor": (lambda: mul_dilate(encode_unary(3), 2.5),
                            "dilation factor must be an int, not 2.5"),
-    "merge clocks": (lambda: mv_merge([MultiValentTrain(((1, 1),), MAIN),
-                                       MultiValentTrain(((2, 1),), FAST)]),
+    "merge clocks": (lambda: mv_merge([
+        TimedMessage.multivalent([(1, 1)], 0, MAIN),
+        TimedMessage.multivalent([(2, 1)], 0, FAST)]),
                      "merge requires one shared clock"),
+    "merge a scalar": (lambda: mv_merge([
+        TimedMessage.multivalent([(1, 1)]), encode_unary(3)]),
+        "merge requires multi-valent messages"),
+    "demux a scalar": (lambda: demux(encode_unary(3)),
+                       "demux requires a value set"),
+    "demux a multi-valent message": (
+        lambda: demux(TimedMessage.multivalent([(1, 1)])),
+        "demux requires a value set"),
     "race empty": (lambda: min_race([]), "race needs at least one lane"),
-    "race clocks": (lambda: max_race([UnaryTrain(3, MAIN),
-                                      UnaryTrain(5, FAST)]),
+    "race clocks": (lambda: max_race([encode_unary(3, MAIN),
+                                      encode_unary(5, FAST)]),
                     "race lanes must share one clock"),
-    "min race clocks": (lambda: min_race([UnaryTrain(3, MAIN),
-                                          UnaryTrain(4, MAIN),
-                                          UnaryTrain(5, FAST)]),
+    "min race clocks": (lambda: min_race([encode_unary(3, MAIN),
+                                          encode_unary(4, MAIN),
+                                          encode_unary(5, FAST)]),
                         "race lanes must share one clock"),
     "convert value": (lambda: convert_reference(-1, MAIN, FAST),
                       "value must be non-negative"),
@@ -121,10 +129,11 @@ def test_public_entry_points_reject(case):
 def test_equal_clocks_need_not_be_one_object():
     a, b = ClockRef("f", Fraction(2)), ClockRef("f", Fraction(4, 2))
     assert a is not b
-    assert add_concat(UnaryTrain(3, a), UnaryTrain(4, b)).length == 7
-    assert mv_merge([MultiValentTrain(((1, 2),), a),
-                     MultiValentTrain(((1, 3),), b)]).items == ((1, 5),)
-    assert min_race([UnaryTrain(3, a), UnaryTrain(5, b)]) == 3
+    assert add_concat(encode_unary(3, a), encode_unary(4, b)).decoded() == 7
+    assert mv_merge([TimedMessage.multivalent([(1, 2)], 0, a),
+                     TimedMessage.multivalent([(1, 3)], 0, b)]).items == \
+        ((1, 5),)
+    assert min_race([encode_unary(3, a), encode_unary(5, b)]).decoded() == 3
 
 
 def test_a_repeated_bucket_position_sums_its_amplitudes():
@@ -132,7 +141,8 @@ def test_a_repeated_bucket_position_sums_its_amplitudes():
     # 2*1 + 2*3 = 2*(1+3).
     repeated = MultiValentTrain(((2, 1), (2, 3)))
     assert repeated == MultiValentTrain(((2, 4),)) == mv_merge(
-        [MultiValentTrain(((2, 1),)), MultiValentTrain(((2, 3),))])
+        [TimedMessage.multivalent([(2, 1)]),
+         TimedMessage.multivalent([(2, 3)])])
     assert dict(repeated.items) == \
         TimedMessage.multivalent([(2, 1), (2, 3)]).decoded()
 
@@ -153,9 +163,8 @@ def test_madd_fire_sums_a_repeated_position():
                                   repeated)
     assert msg == TimedMessage.interval(9)
     assert (cost, found) == (2 + C0, ())
-    merged = mv_merge([MultiValentTrain(((1, 1),)),
-                       MultiValentTrain(((2, 4),))])
-    assert msg.decoded() == madd(merged)
+    assert msg.decoded() == madd(mv_merge(
+        [TimedMessage.multivalent([(1, 1)]), repeated]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +194,24 @@ def test_trusted_clock(name, freq):
     assert _same_unchecked(ClockRef, (name, freq), ClockRef(name, freq))
 
 
-@given(COUNTS, CLOCKS)
-def test_trusted_unary(length, clock):
-    assert _same_unchecked(UnaryTrain, (length, clock),
-                           UnaryTrain(length, clock))
-
-
 @given(BUCKETS, CLOCKS)
 def test_trusted_multivalent(buckets, clock):
     items = tuple(sorted(buckets.items()))
     public = MultiValentTrain(tuple(reversed(items)), clock)
     assert _same_unchecked(MultiValentTrain, (items, clock), public)
-    assert _same(public, MultiValentTrain.from_buckets(dict(items), clock))
+    assert _same(public, MultiValentTrain(buckets.items(), clock))
 
 
-@given(st.lists(BUCKETS, min_size=1, max_size=4), CLOCKS)
+# A multi-valent message holds at least one pulse.
+@given(st.lists(BUCKETS.filter(bool), min_size=1, max_size=4), CLOCKS)
 def test_merge_builds_the_public_train(trains, clock):
     merged = {}
     for buckets in trains:
         for pos, amp in buckets.items():
             merged[pos] = merged.get(pos, 0) + amp
-    assert _same(mv_merge([MultiValentTrain.from_buckets(buckets, clock)
+    assert _same(mv_merge([TimedMessage.multivalent(buckets.items(), 0, clock)
                            for buckets in trains]),
-                 MultiValentTrain.from_buckets(merged, clock))
+                 MultiValentTrain(merged.items(), clock))
 
 
 @given(COUNTS, COUNTS, CLOCKS)
@@ -240,7 +244,7 @@ def test_scaled_rejects_a_non_integer_factor():
             MAIN.scaled(k)
         with pytest.raises(ValueError,
                            match=r"^dilation factor must be an int"):
-            mul_dilate(UnaryTrain(3), k)
+            mul_dilate(encode_unary(3), k)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +275,6 @@ VALUE_TYPES = {
           "pulse positions must be non-negative"),
          (lambda: PulseTrain((3, 3)), ValueError,
           "pulse positions must be strictly increasing")]),
-    UnaryTrain: (
-        lambda: UnaryTrain(3), ("length", "clock"),
-        "UnaryTrain(length=3, clock=%s)" % _M,
-        [(lambda: UnaryTrain(-1), ValueError,
-          "unary length must be non-negative")]),
     MultiValentTrain: (
         lambda: MultiValentTrain(((3, 1), (1, 2))), ("items", "clock"),
         "MultiValentTrain(items=((1, 2), (3, 1)), clock=%s)" % _M,
@@ -292,6 +291,8 @@ VALUE_TYPES = {
           "message must open with a start event"),
          (lambda: TimedMessage((("start", 3), ("end", 2))), ValueError,
           "events must be in non-decreasing order"),
+         (lambda: TimedMessage((("start", 0),)), ValueError,
+          "a start must be followed by one end or by value pulses"),
          (lambda: TimedMessage((("start", 0), ("value-pulse", 2)), MAIN,
                                (1, 2)), ValueError,
           "need one amplitude >= 1 per value pulse"),
@@ -315,11 +316,6 @@ VALUE_TYPES = {
         "('end', 3)))" % _MSG,
         [(lambda: StabilityViolation(TimedMessage.interval(3)), TypeError,
           None)]),
-    MuxChannel: (
-        lambda: MuxChannel({5, 2}), ("value_pulses", "clock"),
-        "MuxChannel(value_pulses=frozenset({2, 5}), clock=%s)" % _M,
-        [(lambda: MuxChannel({0, 2}), ValueError,
-          "value pulses must be positive ticks")]),
     BinaryWord: (
         lambda: BinaryWord((1, 0, 1)), ("bits",),
         "BinaryWord(bits=(1, 0, 1))",

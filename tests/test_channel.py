@@ -107,7 +107,8 @@ MESSAGES = st.one_of(
     st.builds(TimedMessage.interval, TICKS, TICKS, CLOCKS),
     # A value set's members are positive, as `mux` sends them.
     st.builds(TimedMessage.multiplexed,
-              st.sets(st.integers(1, 10 ** 6), max_size=6), TICKS, CLOCKS),
+              st.sets(st.integers(1, 10 ** 6), min_size=1, max_size=6), TICKS,
+              CLOCKS),
     st.builds(TimedMessage.multivalent,
               st.dictionaries(TICKS, st.integers(1, 10 ** 6), min_size=1,
                               max_size=6).map(dict.items), TICKS, CLOCKS))
@@ -173,7 +174,7 @@ def _outcome(build):
         return str(exc)
 
 
-# Rationals too: both paths floor them to int ticks the same way.
+# Rationals too: both paths refuse a tick that is not an int the same way.
 SIGNED = st.one_of(st.integers(-50, 50),
                    st.fractions(-50, 50, max_denominator=4))
 
@@ -216,7 +217,8 @@ class TestConstructors:
         assert msg.amplitudes == ()
         assert msg == TimedMessage.interval(3)
         assert hash(msg) == hash(TimedMessage.interval(3))
-        assert TimedMessage.multivalent([]).amplitudes == ()
+        with pytest.raises(ValueError, match="one end or by value pulses"):
+            TimedMessage.multivalent([])
 
     def test_bad_arguments_raise(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -227,6 +229,55 @@ class TestConstructors:
             TimedMessage.multivalent([(-1, 3)])
         with pytest.raises(ValueError, match="amplitude"):
             TimedMessage.multivalent([(2, 3), (4, 0)])
+
+
+class TestSorts:
+    """A message is a start, then one end (a scalar) or one or more value
+    pulses (a value set, or a multi-valent message when each pulse has
+    one amplitude). Every other shape belongs to no sort."""
+
+    @pytest.mark.parametrize("events, amplitudes", [
+        ((("start", 0), ("foo", 3)), ()),
+        ((("start", 0),), ()),
+        ((("start", 0), ("start", 2), ("end", 5)), ()),
+        ((("start", 0), ("end", 3), ("end", 5)), ()),
+        ((("start", 0), ("end", 3), ("value-pulse", 4)), ()),
+        ((("start", 0), ("end", 3), ("value-pulse", 4)), (1,)),
+        ((("start", 0), ("value-pulse", 2), ("end", 4)), ()),
+    ], ids=["unknown-role", "start-only", "second-start", "two-ends",
+            "end-then-pulse", "end-then-amplitude-pulse", "pulse-then-end"])
+    def test_a_message_of_no_sort_is_refused(self, events, amplitudes):
+        with pytest.raises(ValueError) as err:
+            TimedMessage(events, amplitudes=amplitudes)
+        assert str(err.value) == \
+            "a start must be followed by one end or by value pulses"
+
+    @pytest.mark.parametrize("build", [
+        lambda: TimedMessage.multiplexed([]),
+        lambda: TimedMessage.multivalent([]),
+    ], ids=["multiplexed", "multivalent"])
+    def test_an_empty_value_set_is_refused(self, build):
+        with pytest.raises(ValueError,
+                           match="^a start must be followed by one end or "
+                                 "by value pulses$"):
+            build()
+
+    def test_a_scalar_carries_no_amplitude(self):
+        with pytest.raises(ValueError,
+                           match="^need one amplitude >= 1 per value pulse$"):
+            TimedMessage((("start", 0), ("end", 3)), amplitudes=(1,))
+
+    @pytest.mark.parametrize("tick", [1.5, 2.0, Fraction(3), "3", None])
+    def test_a_tick_that_is_not_an_int_is_refused_not_floored(self, tick):
+        with pytest.raises(ValueError,
+                           match="^event ticks must be integers$"):
+            TimedMessage((("start", 0), ("end", tick)))
+
+    def test_each_sort_decodes(self):
+        assert TimedMessage.interval(3, 2).decoded() == 3
+        assert TimedMessage.multiplexed([4, 1], 2).decoded() == {1, 4}
+        assert TimedMessage.multivalent([(4, 2), (0, 1)], 2).decoded() == \
+            {0: 1, 4: 2}
 
 
 class TestNegotiateReference:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from temporalsim import (
     ClockRef,
     PulseTrain,
-    UnaryTrain,
+    TimedMessage,
     decode_hybrid,
     decode_pim,
     encode_hybrid,
@@ -20,14 +20,14 @@ from temporalsim import (
 
 class TestUnary:
     def test_value_seven(self):
-        assert encode_unary(7).length == 7
+        assert encode_unary(7).decoded() == 7
 
     def test_zero_is_empty_train(self):
-        assert encode_unary(0).length == 0
-        assert UnaryTrain(0).length == 0
+        assert encode_unary(0).decoded() == 0
+        assert encode_unary(0) == TimedMessage.interval(0)
 
     def test_large_value(self):
-        assert encode_unary(10 ** 6).length == 10 ** 6
+        assert encode_unary(10 ** 6).decoded() == 10 ** 6
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ class TestUnary:
 
     def test_round_trip_exhaustive(self):
         for n in range(10 ** 4 + 1):
-            assert encode_unary(n).length == n
+            assert encode_unary(n).decoded() == n
 
 
 class TestPim:
@@ -83,23 +83,23 @@ class TestPulseTrain:
 class TestMeasureInterval:
     def test_own_clock_is_exact(self):
         clk = ClockRef("f")
-        assert measure_interval(UnaryTrain(7, clk), clk) == 7
+        assert measure_interval(encode_unary(7, clk), clk) == 7
 
     def test_triple_frequency_dilates(self):
         f = ClockRef("f", Fraction(2))
         f3 = ClockRef("f3", Fraction(6))
-        assert measure_interval(UnaryTrain(5, f), f3) == 15
+        assert measure_interval(encode_unary(5, f), f3) == 15
 
     def test_half_frequency_floors(self):
         # rational oracle: 5 * (1/2) = 5/2, counter completes 2 pulses
         f = ClockRef("f", Fraction(2))
         half = ClockRef("half", Fraction(1))
-        assert measure_interval(UnaryTrain(5, f), half) == 2
+        assert measure_interval(encode_unary(5, f), half) == 2
 
     @given(st.integers(0, 10 ** 6))
     def test_unit_ratio_exact(self, length):
         clk = ClockRef("c")
-        assert measure_interval(UnaryTrain(length, clk), clk) == length
+        assert measure_interval(encode_unary(length, clk), clk) == length
 
     @given(st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
            st.fractions(min_value=Fraction(1, 97), max_value=100))
@@ -107,8 +107,8 @@ class TestMeasureInterval:
         clk = ClockRef("c", Fraction(1))
         ref = ClockRef("r", ratio)
         lo, hi = sorted((a, b))
-        assert (measure_interval(UnaryTrain(lo, clk), ref)
-                <= measure_interval(UnaryTrain(hi, clk), ref))
+        assert (measure_interval(encode_unary(lo, clk), ref)
+                <= measure_interval(encode_unary(hi, clk), ref))
 
     @given(st.integers(0, 10 ** 5), st.fractions(
         min_value=Fraction(1, 50), max_value=50))
@@ -116,40 +116,40 @@ class TestMeasureInterval:
         clk = ClockRef("c", Fraction(1))
         ref = ClockRef("r", ratio)
         expected = (length * ratio).numerator // (length * ratio).denominator
-        assert measure_interval(UnaryTrain(length, clk), ref) == expected
+        assert measure_interval(encode_unary(length, clk), ref) == expected
 
 
 class TestHybrid:
     def test_single_digit(self):
         digits = encode_hybrid(7, 10)
-        assert [d.length for d in digits] == [7]
+        assert [d.decoded() for d in digits] == [7]
 
     def test_two_digits_little_endian(self):
         # base-10 digit oracle: 23 = 3 + 2*10
-        assert [d.length for d in encode_hybrid(23, 10)] == [3, 2]
+        assert [d.decoded() for d in encode_hybrid(23, 10)] == [3, 2]
 
     def test_zero_single_digit(self):
-        assert [d.length for d in encode_hybrid(0, 2)] == [0]
+        assert [d.decoded() for d in encode_hybrid(0, 2)] == [0]
 
     def test_decode_positional(self):
-        assert decode_hybrid((UnaryTrain(3), UnaryTrain(2)), 10) == 23
-        assert decode_hybrid((UnaryTrain(0),), 2) == 0
+        assert decode_hybrid((encode_unary(3), encode_unary(2)), 10) == 23
+        assert decode_hybrid((encode_unary(0),), 2) == 0
 
     def test_digit_overflow(self):
         with pytest.raises(ValueError,
                            match="^digit 0 has length 5 >= base 4$"):
-            decode_hybrid((UnaryTrain(5),), 4)
+            decode_hybrid((encode_unary(5),), 4)
 
     def test_invalid_base(self):
         with pytest.raises(ValueError, match="^base must be >= 2, got 1$"):
             encode_hybrid(7, 1)
         with pytest.raises(ValueError, match="^base must be >= 2, got 0$"):
-            decode_hybrid((UnaryTrain(0),), 0)
+            decode_hybrid((encode_unary(0),), 0)
 
     def test_no_leading_zero_digits(self):
         for n in (1, 9, 10, 100, 12345):
             digits = encode_hybrid(n, 10)
-            assert digits[-1].length != 0 or n == 0
+            assert digits[-1].decoded() != 0 or n == 0
 
     @given(st.integers(0, 10 ** 9 - 1), st.integers(2, 16))
     def test_round_trip(self, n, base):

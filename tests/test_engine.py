@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from temporalsim import (
     ClockRef,
     TimedMessage,
-    UnaryTrain,
     accumulate_photonic,
     blocks,
     oracle_results,
@@ -216,7 +215,7 @@ class TestBlockSemantics:
         trace = _run_text(text, seed=seed)
         for bid in ("p", "q"):
             assert trace.results[bid + ".out"] == accumulate_photonic(
-                UnaryTrain(40, main_clock), main_clock, 3,
+                TimedMessage.interval(40, 0, main_clock), main_clock, 3,
                 noise_seed=seed ^ zlib.crc32(bid.encode()))
 
     def test_add_rejects_mixed_clocks(self):
@@ -909,7 +908,8 @@ class TestTimeline:
 
     def test_the_checker_refuses_a_broken_law(self):
         # links: a=4 reaches s.a over latency=2 as (2, 6), b.out->q.in is
-        # unstable, and s fires at 6 and emits 7 as (6, 13).
+        # unstable, and s fires at 6 and emits 7 as (6, 13): an 8 from
+        # tick 6 breaks only the value law.
         text = (GOLDEN / "links.net").read_text()
         net = parse_netlist(_observe_every_output(text, GOLDEN), GOLDEN)
         for change in (
@@ -918,6 +918,8 @@ class TestTimeline:
                 lambda trace: trace.stats.stability_violations.clear(),
                 lambda trace: trace.delivered.update(
                     {("seen_s", "in"): TimedMessage.interval(8, 5)}),
+                lambda trace: trace.delivered.update(
+                    {("seen_s", "in"): TimedMessage.interval(8, 6)}),
                 lambda trace: setattr(trace.stats, "event_count",
                                       trace.stats.event_count + 1),
                 lambda trace: setattr(trace.stats, "total_ticks",

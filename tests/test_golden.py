@@ -2,34 +2,20 @@
 `run --waveform` text and the `run --stats` stdout must match the files
 committed beside them, `export` of the committed CSV must give the
 committed waveform, and `check` must judge every probe as the integer
-oracle does. Each figure's exit codes and stderr are pinned too."""
-
-from pathlib import Path
+oracle does. Each figure's exit codes and stderr are pinned too, in the
+outcome table of `tests/golden_cli.py`, whose every command also runs
+here in-process."""
 
 import pytest
 
+from golden_cli import CLI, FIGURES, GOLDEN, OUTCOMES, arguments, rows, \
+    write_files
 from temporalsim.cli import main
-
-GOLDEN = Path(__file__).parent / "golden"
-FIGURES = ("unary7", "add34", "mul5x3", "mux57", "madd", "race3", "metro",
-           "race2clk", "links", "budget")
-
-UNSTABLE = "warning: unstable link b.out->q.in value error +2\n"
-EXHAUSTED = "error: tick budget exhausted\n"
-# Figure -> ((exit code, stderr) of `run`, the same of `check`, `check`'s
-# stdout). A figure not listed exits 0 with an empty stderr, and `check`
-# prints only `ok` lines.
-OUTCOMES = {
-    "links": ((0, UNSTABLE), (3, UNSTABLE),
-              "MISMATCH q.in expected=3 actual=5\nok s.out=7\n"),
-    "budget": ((2, EXHAUSTED), (2, EXHAUSTED), ""),
-}
-CLEAN = ((0, ""), (0, ""), None)
 
 
 @pytest.mark.parametrize("name", FIGURES)
 def test_trace_and_stats_match_golden_bytes(name, tmp_path, capsys):
-    (code, err), _check, _out = OUTCOMES.get(name, CLEAN)
+    (code, err), _check, _out = OUTCOMES[name]
     net = str(GOLDEN / (name + ".net"))
     trace = tmp_path / "trace.csv"
     assert main(["run", net, "--trace", str(trace)]) == code
@@ -43,7 +29,7 @@ def test_trace_and_stats_match_golden_bytes(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", FIGURES)
 def test_waveform_matches_golden_bytes(name, tmp_path, capsys):
-    (code, err), _check, _out = OUTCOMES.get(name, CLEAN)
+    (code, err), _check, _out = OUTCOMES[name]
     golden = (GOLDEN / (name + ".vcd")).read_bytes()
     wave = tmp_path / "wave.vcd"
     assert main(["run", str(GOLDEN / (name + ".net")),
@@ -59,12 +45,21 @@ def test_waveform_matches_golden_bytes(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", FIGURES)
 def test_check_passes_every_golden_figure(name, capsys):
-    _run, (code, err), expected = OUTCOMES.get(name, CLEAN)
+    _run, (code, err), expected = OUTCOMES[name]
     assert main(["check", str(GOLDEN / (name + ".net"))]) == code
     out, check_err = capsys.readouterr()
     assert check_err == err
-    if expected is None:
-        assert out
-        assert all(line.startswith("ok ") for line in out.splitlines())
-    else:
-        assert out == expected
+    assert out == expected
+
+
+# The rows that `tests/golden_cli.py` runs under `python -S`, run here
+# in-process; the import check is `tests/test_api.py`'s.
+CLI_ROWS = [row for row in rows() if row[2][:2] == CLI]
+
+
+@pytest.mark.parametrize("row", CLI_ROWS, ids=[row[0] for row in CLI_ROWS])
+def test_every_pinned_command(row, tmp_path, capsys):
+    _name, files, args, code, out, err = row
+    write_files(files, str(tmp_path))
+    assert main(arguments(args, str(tmp_path))[2:]) == code
+    assert capsys.readouterr() == (out, err)

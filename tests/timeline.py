@@ -1,7 +1,7 @@
-"""An independent judge of a run's ticks, as the integer oracle is of its
-values. Standard library only: it reads a netlist's wire rows and a
-trace's delivered messages and stats, and nothing of the engine, the
-channel or the arithmetic.
+"""An independent judge of a run's ticks and of each block's emitted
+value. Standard library only: it reads a netlist's block and wire rows
+and a trace's delivered messages and stats, and nothing of the engine,
+the blocks, the channel or the arithmetic.
 
 Run it on a netlist in which every block's output also feeds a probe
 block `seen_<id>` over a wire without an option, so that the message
@@ -9,9 +9,13 @@ each block emits is delivered, unshifted, at `seen_<id>.in`.
 """
 
 
-def check_timeline(net, trace, budget=10 ** 8):
-    """Assert the run's transport, firing, causality and accounting laws;
-    `budget` is the tick budget the run was given.
+from fractions import Fraction
+
+
+def check_timeline(net, trace, budget=10 ** 8, seed=None):
+    """Assert the run's transport, firing, causality, accounting and value
+    laws; `budget` and `seed` are the tick budget and seed the run was
+    given.
 
     - transport: a wire delivers its source's emitted events, each shifted
       by the wire's link delay at that event's tick, or nothing when the
@@ -25,6 +29,10 @@ def check_timeline(net, trace, budget=10 ** 8):
     - causality: no event of an emission comes before its fire tick.
     - accounting: `event_count` is the number of delivered events, and
       `total_ticks` is the last delivered tick (0 when none is).
+    - values: each emission is on its block's clock and has its kind's
+      sort, and its value is its kind's law over the spans, offsets and
+      amplitudes of the block's delivered inputs (see `_value_law`). A
+      value a seeded photon draw decides is not judged.
     """
     delivered, stats = trace.delivered, trace.stats
     unstable = []
@@ -69,9 +77,77 @@ def check_timeline(net, trace, budget=10 ** 8):
             bid, ticks[0], fire)
         assert min(ticks) >= fire, "%s emits at %d, before it fires at %d" % (
             bid, min(ticks), fire)
+        _check_value(bid, net, emitted, ins, seed)
 
     ticks = [tick for msg in delivered.values()
              for _role, tick in msg.events]
     assert stats.event_count == len(ticks), (stats.event_count, len(ticks))
     assert stats.total_ticks == max(ticks, default=0), (
         stats.total_ticks, max(ticks, default=0))
+
+
+def _span(msg):
+    return msg.events[-1][1] - msg.events[0][1]
+
+
+def _offsets(msg):
+    start = msg.events[0][1]
+    return [tick - start for role, tick in msg.events if role == "value-pulse"]
+
+
+def _value_law(kind, raw, ins, clock, seed):
+    """What a block of `kind` emits on `clock`, from its params as the
+    netlist writes them and its delivered input messages: a span (int), a
+    value set (set), position -> amplitude buckets (dict), or None when a
+    seeded photon draw decides it. Spans, not clocks, are compared across
+    lanes: a race on two clocks races raw counts (ROADMAP item 2)."""
+    spans = [_span(msg) for msg in ins]
+    if kind == "source":
+        value = int(raw["value"])
+        return {int(raw["position"]): value} if "position" in raw else value
+    if kind == "add":
+        return sum(spans)
+    if kind == "mul":
+        return spans[0] * int(raw["k"])
+    if kind in ("min", "max"):
+        return min(spans) if kind == "min" else max(spans)
+    if kind == "mux":
+        return set(spans)
+    if kind == "demux":
+        return set(_offsets(ins[0]))
+    if kind == "madd":
+        return sum(pos * amp for msg in ins
+                   for pos, amp in zip(_offsets(msg), msg.amplitudes))
+    # convert and accumulator: whole pulses of `clock` in the input's span
+    count = spans[0] * clock.frequency // ins[0].clock.frequency
+    model = raw.get("model", "digital")
+    if kind == "convert" or model == "digital":
+        return count
+    if model == "toggle":
+        return count % (1 << int(raw["depth"]))
+    if model == "analog":
+        return count * Fraction(raw.get("rate", "1")) // 1
+    if "seed" in raw or seed is not None:   # a photon count's Poisson draw
+        return None
+    return count * Fraction(raw.get("flux", "1")) // 1
+
+
+def _check_value(bid, net, emitted, ins, seed):
+    _id, kind, raw = net.blocks[bid]
+    clock = net.clock_of[bid]
+    assert emitted.clock == clock, "%s emits on %r, not on %r" % (
+        bid, emitted.clock, clock)
+    expected = _value_law(kind, raw, ins, clock, seed)
+    roles = [role for role, _tick in emitted.events[1:]]
+    if isinstance(expected, dict):
+        got = (roles, list(zip(_offsets(emitted), emitted.amplitudes)))
+        want = (["value-pulse"] * len(expected), sorted(expected.items()))
+    elif isinstance(expected, set):
+        got = (roles, emitted.amplitudes, _offsets(emitted))
+        want = (["value-pulse"] * len(expected), (), sorted(expected))
+    else:
+        got = (roles, emitted.amplitudes,
+               _span(emitted) if expected is not None else None)
+        want = (["end"], (), expected)
+    assert got == want, "%s (%s) emitted %r, not %r" % (
+        bid, kind, emitted, expected)
