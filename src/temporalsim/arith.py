@@ -3,7 +3,9 @@
 Addition is concatenation of intervals, multiplication is dilation under
 a faster reference, min/max fall out of racing parallel lanes, and the
 multi-valent train turns a dot product into a single counting sweep.
-Each operation reads `TimedMessage` operands by their spans and offsets.
+Each operation reads `TimedMessage` operands by their spans and offsets;
+`add_concat`, `mul_dilate`, the races and `mux` take scalars, messages
+whose last event is an end, and raise ValueError on any other sort.
 A result starts at the tick its last operand ends, which is when the
 engine fires the block, and is on the first operand's clock.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from .core import (EVENT_VALUE, MultiValentTrain, TimedMessage, _interval,
-                   _offsets, _span)
+from .core import (EVENT_END, EVENT_VALUE, MultiValentTrain, TimedMessage,
+                   _interval, _offsets, _span)
 
 
 def add_concat(x: TimedMessage, y: TimedMessage) -> TimedMessage:
@@ -22,6 +24,8 @@ def add_concat(x: TimedMessage, y: TimedMessage) -> TimedMessage:
         raise ValueError(
             "cannot concatenate %s with %s" % (x.clock.id, y.clock.id))
     xs, ys = x.events, y.events
+    if xs[-1][0] != EVENT_END or ys[-1][0] != EVENT_END:
+        raise ValueError("add requires scalar operands")
     return _interval(_span(xs) + _span(ys), max(xs[-1][1], ys[-1][1]),
                      x.clock)
 
@@ -40,21 +44,31 @@ def mul_dilate(x: TimedMessage, k: int) -> TimedMessage:
     if k < 1:
         raise ValueError("dilation factor must be >= 1")
     events = x.events
+    if events[-1][0] != EVENT_END:
+        raise ValueError("mul requires a scalar operand")
     return _interval(_span(events) * k, events[-1][1], x.clock)
 
 
 def _race(lanes: Sequence[TimedMessage],
           pick: Callable[[list[int]], int]) -> TimedMessage:
-    """The span `pick` chooses among the lanes' spans. The lanes must
-    share one clock."""
-    columns = tuple(zip(*lanes))
-    if not columns:
+    """The span `pick` chooses among the lanes' spans, starting when the
+    last lane ends. The lanes must be scalars on one clock. One pass
+    reads each lane's clock, span and last tick."""
+    if not lanes:
         raise ValueError("race needs at least one lane")
-    events, clocks, _amplitudes = columns
-    if clocks.count(clocks[0]) != len(clocks):
-        raise ValueError("race lanes must share one clock")
-    return _interval(pick([e[-1][1] - e[0][1] for e in events]),
-                     max(e[-1][1] for e in events), clocks[0])
+    first_events, clock, _amplitudes = lanes[0]
+    end = first_events[-1][1]   # ticks may be negative: not 0
+    spans = []
+    for events, lane_clock, _amplitudes in lanes:
+        if lane_clock is not clock and lane_clock != clock:
+            raise ValueError("race lanes must share one clock")
+        role, last = events[-1]
+        if role != EVENT_END:
+            raise ValueError("race requires scalar lanes")
+        spans.append(last - events[0][1])
+        if last > end:
+            end = last
+    return _interval(pick(spans), end, clock)
 
 
 def min_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
@@ -77,6 +91,9 @@ def mux(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """
     if not lanes:
         raise ValueError("mux needs at least one value")
+    for m in lanes:
+        if m.events[-1][0] != EVENT_END:
+            raise ValueError("mux requires scalar lanes")
     return TimedMessage.multiplexed([_span(m.events) for m in lanes],
                                     max(m.events[-1][1] for m in lanes),
                                     lanes[0].clock)

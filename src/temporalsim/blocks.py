@@ -11,13 +11,18 @@ sorted port order, its fire tick (the last input arrival), the clock
 it emits on (`net.clock_of`) and the run's `--seed`. It returns all it
 found as one tuple `(message, cost, warnings)`: its output (None for a
 probe), its cost in ticks and its warning texts, `()` when there are
-none. An oracle is called as `oracle(params, ins, rate, seed)`.
+none. An oracle is called as `oracle(params, ins, rate, seed)`, with
+`ins` the list of its input values in the fire's sorted port order.
 
 Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
 lanes, the multiplexed channel, the multi-valent merge and sweep, the
 accumulator models and reference conversion. Oracle functions use plain
 int and `Fraction` arithmetic only, so the two stay independent.
+Validation checks every wire's sort, so no fire meets a wrong one; the
+scalar operations refuse one anyway (`add requires scalar operands`,
+`mul requires a scalar operand`, `race requires scalar lanes`, `mux
+requires scalar lanes`).
 """
 
 from __future__ import annotations
@@ -216,10 +221,15 @@ def _race(race) -> Callable[..., tuple]:
     new = tuple.__new__
 
     def fire(_bid, _params, inputs, _t, clock, _seed):
-        # A lane on another clock is relabelled onto the output clock, so
-        # lanes on two clocks race raw counts (ROADMAP item 2).
-        out = race([m if m.clock is clock else new(TimedMessage, (
-            m.events, clock, m.amplitudes)) for m in inputs])
+        for lane in inputs:
+            if lane.clock is not clock:
+                # A lane on another clock is relabelled onto the output
+                # clock, so lanes on two clocks race raw counts (ROADMAP
+                # item 2).
+                inputs = [m if m.clock is clock else new(TimedMessage, (
+                    m.events, clock, m.amplitudes)) for m in inputs]
+                break
+        out = race(inputs)
         return out, _span(out.events) + C0, ()
     return fire
 
@@ -278,9 +288,8 @@ def _source_oracle(p, *_):
 
 def _mux_oracle(_p, ins, *_):
     # The engine's rules and texts, checked here with plain sets.
-    values = list(ins.values())
-    members = set(values)
-    if len(members) != len(values):
+    members = set(ins)
+    if len(members) != len(ins):
         raise ValueError("mux requires duplicate-free values")
     if 0 in members:
         raise ValueError("0 collides with the start marker")
@@ -288,7 +297,7 @@ def _mux_oracle(_p, ins, *_):
 
 
 def _accumulator_oracle(p, ins, rate, seed):
-    count = ins["in"] * rate // 1     # whole reference pulses
+    count = ins[0] * rate // 1     # whole reference pulses
     model = p.get("model")
     if model is AccumulatorModel.TOGGLE_CHAIN:
         return count % (1 << p["depth"])
@@ -325,18 +334,18 @@ KINDS: dict[str, Kind] = {
                    params={"value": Param(COUNT, True),
                            "position": Param(COUNT), "clock": _CLOCK},
                    check=_one_amplitude, emits=_source_sort),
-    "add": Kind(("a", "b"), _add, lambda _p, ins, *_: sum(ins.values())),
-    "mul": Kind(("in",), _mul, lambda p, ins, *_: ins["in"] * p["k"],
+    "add": Kind(("a", "b"), _add, lambda _p, ins, *_: sum(ins)),
+    "mul": Kind(("in",), _mul, lambda p, ins, *_: ins[0] * p["k"],
                 params={"k": Param(integer(1), True)}),
     "min": Kind(VARIADIC, _race(arith.min_race),
-                lambda _p, ins, *_: min(ins.values())),
+                lambda _p, ins, *_: min(ins)),
     "max": Kind(VARIADIC, _race(arith.max_race),
-                lambda _p, ins, *_: max(ins.values())),
+                lambda _p, ins, *_: max(ins)),
     "mux": Kind(VARIADIC, _mux, _mux_oracle, emits=MUX),
-    "demux": Kind(("in",), _demux, lambda _p, ins, *_: ins["in"], takes=MUX,
+    "demux": Kind(("in",), _demux, lambda _p, ins, *_: ins[0], takes=MUX,
                   emits=MUX),
     "madd": Kind(VARIADIC, _madd,
-                 lambda _p, ins, *_: sum(pos * amp for mv in ins.values()
+                 lambda _p, ins, *_: sum(pos * amp for mv in ins
                                          for pos, amp in mv.items()),
                  takes=MV),
     "accumulator": Kind(("in",), _accumulator, _accumulator_oracle,
@@ -347,8 +356,8 @@ KINDS: dict[str, Kind] = {
                                 "seed": Param(COUNT), "clock": _CLOCK},
                         check=_toggle_depth),
     "convert": Kind(("in",), _convert,
-                    lambda _p, ins, rate, _: ins["in"] * rate // 1,
+                    lambda _p, ins, rate, _: ins[0] * rate // 1,
                     clocked=True, params={"clock": Param(str, True)}),
     "probe": Kind(("in",), lambda *_: (None, 0, ()),
-                  lambda _p, ins, *_: ins["in"], outputs=(), takes=None),
+                  lambda _p, ins, *_: ins[0], outputs=(), takes=None),
 }

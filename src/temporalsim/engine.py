@@ -205,11 +205,13 @@ def oracle_results(net: Netlist,
     plain int and `Fraction` arithmetic, for a run with this `seed`.
 
     Independent of the event engine: each block's oracle function in
-    `blocks.KINDS`, called as `(params, ins, rate, seed)` with `rate` its
-    output clock's frequency over its first input's, folds ordinary +, *,
-    min, max, floor(v * rate), a sum for the dot product and plain sets
-    for mux and demux over the netlist's topological order. A value that
-    a seeded photon draw decides, or is computed from, is None.
+    `blocks.KINDS`, called as `(params, ins, rate, seed)` with `ins` the
+    list of its input values in sorted port order, the order a fire gets
+    its messages, and `rate` its output clock's frequency over its first
+    input's, folds ordinary +, *, min, max, floor(v * rate), a sum for
+    the dot product and plain sets for mux and demux over the netlist's
+    topological order. A value that a seeded photon draw decides, or is
+    computed from, is None.
     """
     blocks, inputs, params = net.blocks, net.inputs, net.params
     clock_of = net.clock_of
@@ -218,8 +220,10 @@ def oracle_results(net: Netlist,
     drawn = False   # whether any value so far is None
     for bid in net.order:
         wires = inputs[bid]
-        ins = {port: values[wire[0]] for port, wire in wires.items()}
-        if drawn and None in ins.values():
+        ins = []
+        for wire in wires.values():
+            ins.append(values[wire[0]])
+        if drawn and None in ins:
             values[bid] = None
             continue
         kind, p, rate = blocks[bid][1], params[bid], 1

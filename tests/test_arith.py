@@ -123,6 +123,20 @@ class TestRaces:
                            match="^race needs at least one lane$"):
             min_race([])
 
+    def test_lanes_with_negative_ticks(self):
+        # The result starts when the last lane ends, at a negative tick.
+        lanes = [TimedMessage.interval(3, -10), TimedMessage.interval(5, -9)]
+        assert max_race(lanes).events == (("start", -4), ("end", 1))
+        assert min_race(lanes).events == (("start", -4), ("end", -1))
+
+    def test_equal_clocks_race_on_the_first_lanes_clock(self):
+        a, b = ClockRef("f", Fraction(2)), ClockRef("f", Fraction(4, 2))
+        assert a is not b
+        for race, value in ((min_race, 3), (max_race, 5)):
+            out = race([encode_unary(3, a), encode_unary(5, b)])
+            assert out.decoded() == value
+            assert out.clock is a
+
     def test_against_integer_min_max(self):
         rng = random.Random(103)
         for _ in range(10 ** 3):

@@ -1,5 +1,7 @@
 """The block table: every kind validates, fires, and agrees with its
-oracle function."""
+oracle function, called through `oracle_results` and directly."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -56,8 +58,31 @@ MINIMAL = {
 }
 
 
+# Each case's oracle input, for a direct call of x's oracle: x's input
+# values as a list in sorted port order, and its output clock's
+# frequency over its first input's.
+ORACLE_INS = {
+    "source": ([], 1),
+    "add": ([5, 7], 1),
+    "mul": ([5], 1),
+    "min": ([5, 7], 1),
+    "max": ([5, 7], 1),
+    "mux": ([5, 7], 1),
+    "demux": ([{5, 7}], 1),
+    "madd": ([{2: 3}, {3: 4}], 1),
+    "accumulator": ([5], Fraction(3)),
+    "accumulator-toggle": ([5], 1),
+    "accumulator-analog": ([7], 1),
+    "accumulator-photon": ([7], Fraction(1, 2)),
+    "convert": ([5], Fraction(3)),
+    "convert-down": ([7], Fraction(1, 3)),
+    "probe": ([5], 1),
+}
+
+
 def test_every_kind_has_a_row():
     assert {case.partition("-")[0] for case in MINIMAL} == set(KINDS)
+    assert set(ORACLE_INS) == set(MINIMAL)
 
 
 @pytest.mark.parametrize("case", sorted(MINIMAL))
@@ -69,3 +94,8 @@ def test_kind_validates_runs_and_matches_oracle(case):
     assert trace.stats.block_costs["x"] == cost
     assert trace.results == expected
     assert oracle_results(net) == expected
+    ins, rate = ORACLE_INS[case]
+    (value,) = expected.values()
+    oracle = KINDS[net.blocks["x"][1]].oracle
+    assert oracle(net.params["x"], ins, rate, None) == value
+

@@ -31,6 +31,7 @@ from temporalsim import (
     max_race,
     min_race,
     mul_dilate,
+    mux,
     mv_merge,
     toggle_chain,
 )
@@ -112,6 +113,20 @@ REJECTED = {
                                           encode_unary(4, MAIN),
                                           encode_unary(5, FAST)]),
                         "race lanes must share one clock"),
+    # Each scalar operation refuses an operand of another sort, which it
+    # would otherwise read by its span.
+    "add a value set": (
+        lambda: add_concat(TimedMessage.multiplexed([2, 5]), encode_unary(3)),
+        "add requires scalar operands"),
+    "mul a multi-valent message": (
+        lambda: mul_dilate(TimedMessage.multivalent([(2, 1)]), 3),
+        "mul requires a scalar operand"),
+    "race a value set": (
+        lambda: max_race([encode_unary(3), TimedMessage.multiplexed([2, 5])]),
+        "race requires scalar lanes"),
+    "mux a value set": (
+        lambda: mux([TimedMessage.multiplexed([2, 5]), encode_unary(3)]),
+        "mux requires scalar lanes"),
     "convert value": (lambda: convert_reference(-1, MAIN, FAST),
                       "value must be non-negative"),
 }
