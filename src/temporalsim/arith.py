@@ -5,7 +5,8 @@ a faster reference, min/max fall out of racing parallel lanes, and the
 multi-valent train turns a dot product into a single counting sweep.
 Each operation reads `TimedMessage` operands by their spans and offsets;
 `add_concat`, `mul_dilate`, the races and `mux` take scalars, messages
-whose last event is an end, and raise ValueError on any other sort.
+whose last event is an end, and raise ValueError on any other sort; the
+operands of each must share one clock.
 A result starts at the tick its last operand ends, which is when the
 engine fires the block, and is on the first operand's clock.
 """
@@ -84,19 +85,22 @@ def max_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
 def mux(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """Overlay the lanes' values, their spans, on one channel as a value
     set, through the checked `TimedMessage.multiplexed`: it refuses a
-    repeated value and a 0.
+    repeated value and a 0. The lanes must be scalars on one clock.
 
     Equivalent to OR-ing the individual interval codes: shared leading
     spans are reused, which is what makes the packing efficient.
     """
     if not lanes:
         raise ValueError("mux needs at least one value")
+    clock = lanes[0].clock
     for m in lanes:
+        if m.clock is not clock and m.clock != clock:
+            raise ValueError("mux lanes must share one clock")
         if m.events[-1][0] != EVENT_END:
             raise ValueError("mux requires scalar lanes")
     return TimedMessage.multiplexed([_span(m.events) for m in lanes],
                                     max(m.events[-1][1] for m in lanes),
-                                    lanes[0].clock)
+                                    clock)
 
 
 def demux(msg: TimedMessage) -> set[int]:

@@ -215,28 +215,23 @@ def _mul(_bid, params, inputs, _t, _clock, _seed):
     return out, _span(out.events) + C0, ()
 
 
-def _race(race) -> Callable[..., tuple]:
-    """A race's fire function, over its inputs as lanes on its output
-    clock."""
+def _lanes(operation: str) -> Callable[..., tuple]:
+    """The fire of a race or a mux: `arith.<operation>`, looked up when
+    it fires, over the inputs as lanes on the output clock."""
     new = tuple.__new__
 
     def fire(_bid, _params, inputs, _t, clock, _seed):
         for lane in inputs:
             if lane.clock is not clock:
                 # A lane on another clock is relabelled onto the output
-                # clock, so lanes on two clocks race raw counts (ROADMAP
-                # item 2).
+                # clock, so lanes on two clocks race or multiplex raw
+                # counts (ROADMAP item 2).
                 inputs = [m if m.clock is clock else new(TimedMessage, (
                     m.events, clock, m.amplitudes)) for m in inputs]
                 break
-        out = race(inputs)
+        out = getattr(arith, operation)(inputs)
         return out, _span(out.events) + C0, ()
     return fire
-
-
-def _mux(_bid, _params, inputs, _t, _clock, _seed):
-    out = arith.mux(inputs)
-    return out, _span(out.events) + C0, ()
 
 
 def _demux(_bid, _params, inputs, t, clock, _seed):
@@ -337,11 +332,9 @@ KINDS: dict[str, Kind] = {
     "add": Kind(("a", "b"), _add, lambda _p, ins, *_: sum(ins)),
     "mul": Kind(("in",), _mul, lambda p, ins, *_: ins[0] * p["k"],
                 params={"k": Param(integer(1), True)}),
-    "min": Kind(VARIADIC, _race(arith.min_race),
-                lambda _p, ins, *_: min(ins)),
-    "max": Kind(VARIADIC, _race(arith.max_race),
-                lambda _p, ins, *_: max(ins)),
-    "mux": Kind(VARIADIC, _mux, _mux_oracle, emits=MUX),
+    "min": Kind(VARIADIC, _lanes("min_race"), lambda _p, ins, *_: min(ins)),
+    "max": Kind(VARIADIC, _lanes("max_race"), lambda _p, ins, *_: max(ins)),
+    "mux": Kind(VARIADIC, _lanes("mux"), _mux_oracle, emits=MUX),
     "demux": Kind(("in",), _demux, lambda _p, ins, *_: ins[0], takes=MUX,
                   emits=MUX),
     "madd": Kind(VARIADIC, _madd,

@@ -33,8 +33,11 @@ class Netlist:
     the text declares; validation resolves the rest. A block is the plain
     tuple `(id, kind, params)`, with params as the line writes them; a
     wire is `(src_block, src_port, dst_block, dst_port, link)`, and
-    `inputs` and `outputs` hold the same wire tuples. Two netlists compare
-    equal when every field does."""
+    `inputs` and `outputs` hold the same wire tuples. `wires` keeps line
+    order; validation reads it once in (dst block, dst port) order, so
+    each block's `inputs` are in sorted port order and its `outputs` in
+    destination order. Two netlists compare equal when every field
+    does."""
 
     def __init__(self) -> None:
         self.clocks: dict[str, ClockRef] = {}
@@ -244,48 +247,46 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
 def _validate(net: Netlist) -> None:
     """Check every structural rule and resolve the netlist in one pass:
     on success, store the parsed params, the wiring and the topological
-    order on `net`; otherwise raise with every violation."""
+    order on `net`; otherwise raise with every violation. The wires are
+    read once, in (dst block, dst port) order, so each block's inputs
+    fill in sorted port order and its out-wires in destination order."""
     errors: list[str] = []
     blocks = net.blocks
     if not blocks:
         errors.append("no blocks")
-    # What this pass reads of each kind, read from `KINDS` once per call:
-    # (input ports, output ports, the sort it takes, the sort it emits,
-    # clocked). Each block's row is looked up once; None for an unknown
-    # kind.
-    rows = {name: (kind.inputs, kind.outputs, kind.takes, kind.emits,
-                   kind.clocked) for name, kind in KINDS.items()}
-    kinds = {bid: rows.get(kind) for bid, kind, _params in blocks.values()}
+    # Each block's `Kind`, or None for an unknown kind.
+    kinds = {bid: KINDS.get(kind) for bid, kind, _params in blocks.values()}
 
     # The wiring first: the block checks below read it, but its own
     # problems are reported after theirs. A wire whose two ports exist
     # must carry the sort its destination takes.
     inputs: dict[str, dict[str, tuple]] = {bid: {} for bid in blocks}
     outputs: dict[str, list[tuple]] = {bid: [] for bid in blocks}
-    wire_errors: list[str] = []
+    wire_errors: list[tuple[tuple, str]] = []   # (wire, violation)
     variadic_ports = set()  # in0, in1, ... names already accepted
-    for wire in net.wires:
+    for wire in sorted(net.wires, key=itemgetter(2, 3)):
         src_id, src_port, dst_id, dst_port, _link = wire
         src_wires = outputs.get(src_id)
         if src_wires is None or dst_id not in kinds:
-            wire_errors += ["wire endpoint references unknown block %r" % bid
-                            for bid in (src_id, dst_id) if bid not in kinds]
+            wire_errors += [
+                (wire, "wire endpoint references unknown block %r" % bid)
+                for bid in (src_id, dst_id) if bid not in kinds]
         sort = None
         if src_wires is not None:
             src_wires.append(wire)
-            row = kinds[src_id]
-            if row is not None:
-                _ins, outs, _takes, sort, _clocked = row
-                if src_port not in outs:
+            src_kind = kinds[src_id]
+            if src_kind is not None:
+                sort = src_kind.emits
+                if src_port not in src_kind.outputs:
                     sort = None
-                    wire_errors.append(
-                        "block %r (%s) has no output port %r"
-                        % (src_id, blocks[src_id][1], src_port))
+                    wire_errors.append((
+                        wire, "block %r (%s) has no output port %r"
+                        % (src_id, blocks[src_id][1], src_port)))
                 elif callable(sort):
                     sort = sort(blocks[src_id][2])
-        row = kinds.get(dst_id)
-        if row is not None:
-            ins, _outs, takes, _emits, _clocked = row
+        dst_kind = kinds.get(dst_id)
+        if dst_kind is not None:
+            ins, takes = dst_kind.inputs, dst_kind.takes
             if ins is VARIADIC:
                 if dst_port not in variadic_ports:
                     number = dst_port[2:]
@@ -294,25 +295,26 @@ def _validate(net: Netlist) -> None:
                         variadic_ports.add(dst_port)
                     else:
                         sort = None
-                        wire_errors.append(
-                            "block %r (%s) input ports are in0, in1, ... "
-                            "(got %r)" % (dst_id, blocks[dst_id][1],
-                                          dst_port))
+                        wire_errors.append((
+                            wire, "block %r (%s) input ports are in0, in1, "
+                            "... (got %r)" % (dst_id, blocks[dst_id][1],
+                                              dst_port)))
             elif dst_port not in ins:
                 sort = None
-                wire_errors.append("block %r (%s) has no input port %r"
-                                   % (dst_id, blocks[dst_id][1], dst_port))
+                wire_errors.append((
+                    wire, "block %r (%s) has no input port %r"
+                    % (dst_id, blocks[dst_id][1], dst_port)))
             if sort != takes and sort is not None and takes is not None:
-                wire_errors.append(
-                    "block %r (%s) input %r takes %s, got %s from %r"
+                wire_errors.append((
+                    wire, "block %r (%s) input %r takes %s, got %s from %r"
                     % (dst_id, blocks[dst_id][1], dst_port, takes, sort,
-                       "%s.%s" % (src_id, src_port)))
+                       "%s.%s" % (src_id, src_port))))
         ports = inputs.get(dst_id)
         if ports is None:
             ports = inputs[dst_id] = {}
         if dst_port in ports:
-            wire_errors.append("input port %s.%s driven by two wires"
-                               % (dst_id, dst_port))
+            wire_errors.append((wire, "input port %s.%s driven by two wires"
+                                % (dst_id, dst_port)))
         ports[dst_port] = wire
 
     # A clocked kind without clock= runs on `main` if declared, else the
@@ -324,15 +326,15 @@ def _validate(net: Netlist) -> None:
     params: dict[str, dict[str, object]] = {}
     clock_of: dict[str, ClockRef | None] = {}
     for bid, block in blocks.items():
-        row, kind = kinds[bid], block[1]
-        if row is None:
+        spec, kind = kinds[bid], block[1]
+        if spec is None:
             errors.append("block %r has unknown kind %r" % (bid, kind))
             continue
-        ins, _outs, _takes, _emits, clocked = row
         values, problems = parse_params(block)
         params[bid] = values
         if problems:
             errors += problems
+        clocked = spec.clocked
         clock_id = values.get("clock", default_clock if clocked else None)
         clock_of[bid] = clocks.get(clock_id)
         if clock_id is None and clocked:
@@ -341,40 +343,32 @@ def _validate(net: Netlist) -> None:
             errors.append("block %r references unknown clock %r"
                           % (bid, clock_id))
         wired = inputs[bid]
-        if len(wired) > 1:  # fire order: sorted ports, in10 before in2
-            ports = list(wired)
-            ordered = sorted(ports)
-            if ordered != ports:
-                wired = inputs[bid] = {port: wired[port] for port in ordered}
-        if ins is VARIADIC:
+        if spec.inputs is VARIADIC:
             if not wired:
                 errors.append("block %r (%s) has no wired inputs"
                               % (bid, kind))
         else:
-            for port in ins:
+            for port in spec.inputs:
                 if port not in wired:
                     errors.append("block %r (%s) input %r is not wired"
                                   % (bid, kind, port))
-    errors.extend(wire_errors)
+    if wire_errors:
+        # In the order the wire lines are written.
+        line_of = {id(wire): index for index, wire in enumerate(net.wires)}
+        wire_errors.sort(key=lambda found: line_of[id(found[0])])
+        errors += [text for _wire, text in wire_errors]
 
     for bid, port in net.probes:
         if bid not in blocks:
             errors.append("probe references unknown block %r" % bid)
             continue
-        row = kinds[bid]
+        spec = kinds[bid]
         if port not in inputs[bid] \
-                and port not in (row[1] if row else ("out",)):
+                and port not in (spec.outputs if spec else ("out",)):
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
     order: list[str] = []
     if not errors:
-        # Out-wires in (dst block, dst port) order, so that neither the
-        # engine's sends nor the order below depend on where a wire line
-        # is written.
-        by_dst = itemgetter(2, 3)
-        for wires in outputs.values():
-            if len(wires) > 1:
-                wires.sort(key=by_dst)
         # Kahn's algorithm; the loop visits the blocks it appends.
         indeg = {bid: len(ports) for bid, ports in inputs.items()}
         order = [bid for bid, d in indeg.items() if d == 0]

@@ -113,6 +113,9 @@ REJECTED = {
                                           encode_unary(4, MAIN),
                                           encode_unary(5, FAST)]),
                         "race lanes must share one clock"),
+    "mux clocks": (lambda: mux([encode_unary(3, MAIN),
+                                encode_unary(5, FAST)]),
+                   "mux lanes must share one clock"),
     # Each scalar operation refuses an operand of another sort, which it
     # would otherwise read by its span.
     "add a value set": (
@@ -149,6 +152,7 @@ def test_equal_clocks_need_not_be_one_object():
                      TimedMessage.multivalent([(1, 3)], 0, b)]).items == \
         ((1, 5),)
     assert min_race([encode_unary(3, a), encode_unary(5, b)]).decoded() == 3
+    assert mux([encode_unary(3, a), encode_unary(5, b)]).decoded() == {3, 5}
 
 
 def test_a_repeated_bucket_position_sums_its_amplitudes():

@@ -128,6 +128,18 @@ class TestBlockSemantics:
         assert trace.stats.block_costs["lo"] == 5
         assert trace.stats.block_costs["hi"] == 6
 
+    def test_mux_raw_counts_across_clocks(self):
+        # As the races: the fire relabels the `fast` lane onto `main`.
+        text = ("clock main 1\nclock fast 3/2\n"
+                "block a source value=5 clock=main\n"
+                "block b source value=4 clock=fast\n"
+                "block x mux\nblock d demux\n"
+                "wire a.out x.in0\nwire b.out x.in1\nwire x.out d.in\n"
+                "probe d.out\n")
+        trace = _run_text(text)
+        assert trace.results == {"d.out": {4, 5}}
+        assert trace.stats.block_costs["x"] == 6
+
     def test_mux_demux(self):
         text = ("clock main 1\n"
                 "block a source value=5 clock=main\n"

@@ -769,3 +769,22 @@ def test_a_respelled_netlist_resolves_the_same(dag_seed, spell_seed):
     for name in ("order", "inputs", "outputs", "params", "clock_of",
                  "probes"):
         assert getattr(respelled, name) == getattr(canonical, name), name
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5))
+def test_wire_violations_come_in_line_order(seed, count):
+    # Bad wire lines at random positions in a valid netlist, named so
+    # that their names sort the other way from their lines: validation
+    # reads the wires by destination, but reports them by line.
+    rng = random.Random(seed)
+    lines = random_dag_netlist(rng).splitlines()
+    numbers = sorted(map(str, rng.sample(range(100), count)), reverse=True)
+    slots = sorted(rng.sample(range(len(lines) + count), count))
+    for slot, number in zip(slots, numbers):
+        lines.insert(slot, "wire ghost%s.out phantom%s.in" % (number, number))
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist("\n".join(lines) + "\n")
+    assert err.value.violations == [
+        "wire endpoint references unknown block %r" % name
+        for number in numbers for name in ("ghost" + number,
+                                           "phantom" + number)]
