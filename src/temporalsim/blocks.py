@@ -1,18 +1,18 @@
 """Every block kind, defined once.
 
-`KINDS` maps a kind name to its input ports, its parameter schema,
-whether it needs a clock, the sort of message it takes and emits, the
-fire function the engine runs and the integer oracle function `check`
-compares against. The validator, the engine and the oracle read this
-table and nothing else. The engine calls a fire function as
-`fire(block_id, params, inputs, t, clock, seed)`: the block's id, its
-parsed params (only the keys the netlist sets), its input messages in
-sorted port order, its fire tick (the last input arrival), the clock
-it emits on (`net.clock_of`) and the run's `--seed`. It returns all it
-found as one tuple `(message, cost, warnings)`: its output (None for a
-probe), its cost in ticks and its warning texts, `()` when there are
-none. An oracle is called as `oracle(params, ins, rate, seed)`, with
-`ins` the list of its input values in the fire's sorted port order.
+`KINDS` maps a kind name to its input ports, its parameter schema, the
+sort of message it takes and emits, the fire function the engine runs
+and the integer oracle function `check` compares against. The validator,
+the engine and the oracle read this table and nothing else. The engine
+calls a fire function as `fire(block_id, params, inputs, t, clock,
+seed)`: the block's id, its parsed params (only the keys the netlist
+sets), its input messages in sorted port order, its fire tick (the last
+input arrival), the clock it emits on (`net.clock_of`) and the run's
+`--seed`. It returns all it found as one tuple `(message, cost,
+warnings)`: its output (None for a probe), its cost in ticks and its
+warning texts, `()` when there are none. An oracle is called as
+`oracle(params, ins, rate, seed)`, with `ins` the list of its input
+values in the fire's sorted port order.
 
 Fire functions compute with the library's paper operations: add by
 concatenation, multiply by dilation, min/max by racing synchronous
@@ -31,6 +31,7 @@ import zlib
 from collections import namedtuple
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import arith
 from .accumulators import (
@@ -56,31 +57,23 @@ class Param(namedtuple("Param", "parse required", defaults=(False,))):
     __slots__ = ()
 
 
-class Kind(namedtuple("Kind", "inputs fire oracle params clocked outputs "
-                             "check takes emits")):
+# Read-only, so no kind can change another kind's schema.
+_NO_PARAMS = MappingProxyType({})
+
+
+class Kind(namedtuple("Kind", "inputs fire oracle params check takes emits",
+                      defaults=(_NO_PARAMS, None, SCALAR, SCALAR))):
     """A block kind. `inputs` lists its ports, or is VARIADIC for in0,
     in1, ...; `fire` and `oracle` are called as the module docstring
-    says; without clock=, a `clocked` kind runs on the netlist's
-    default clock and any other kind on its first input's clock; `check`
-    is a rule across parameters that returns a problem, or None when
-    they agree. Every input takes the sort `takes` (None: any sort);
-    `emits` is the output's sort, or a function from the block's params,
-    as the netlist writes them, to that sort."""
+    says; `check` is a rule across parameters that returns a problem, or
+    None when they agree. Every input takes the sort `takes` (None: any
+    sort). `emits` is the sort of the kind's one output port, `out`: a
+    sort, a function from the block's params, as the netlist writes
+    them, to that sort, or None for a kind with no output. Without
+    clock=, a kind with no inputs runs on the netlist's default clock
+    and any other kind on its first input's clock."""
 
     __slots__ = ()
-
-    def __new__(cls, inputs: tuple[str, ...] | None,
-                fire: Callable[..., tuple],
-                oracle: Callable[..., object],
-                params: dict[str, Param] | None = None,
-                clocked: bool = False, outputs: tuple[str, ...] = ("out",),
-                check: Callable[[dict], str | None] | None = None,
-                takes: str | None = SCALAR,
-                emits: str | Callable[[Mapping[str, str]], str] = SCALAR):
-        # Each kind gets its own params dict, never a shared default.
-        return tuple.__new__(cls, (inputs, fire, oracle,
-                                   {} if params is None else params,
-                                   clocked, outputs, check, takes, emits))
 
 
 VARIADIC = None
@@ -325,7 +318,7 @@ COUNT = integer(0)
 _CLOCK = Param(str)
 
 KINDS: dict[str, Kind] = {
-    "source": Kind((), _source, _source_oracle, clocked=True,
+    "source": Kind((), _source, _source_oracle,
                    params={"value": Param(COUNT, True),
                            "position": Param(COUNT), "clock": _CLOCK},
                    check=_one_amplitude, emits=_source_sort),
@@ -350,7 +343,7 @@ KINDS: dict[str, Kind] = {
                         check=_toggle_depth),
     "convert": Kind(("in",), _convert,
                     lambda _p, ins, rate, _: ins[0] * rate // 1,
-                    clocked=True, params={"clock": Param(str, True)}),
+                    params={"clock": Param(str, True)}),
     "probe": Kind(("in",), lambda *_: (None, 0, ()),
-                  lambda _p, ins, *_: ins[0], outputs=(), takes=None),
+                  lambda _p, ins, *_: ins[0], takes=None, emits=None),
 }

@@ -21,14 +21,13 @@ from .blocks import COUNT, KINDS, quote
 from .channel import StabilityViolation, transmit_checked
 from .core import TimedMessage
 from .errors import SimulationError
-from .netlist import Netlist
+from .netlist import Netlist, _Record
 
 DEFAULT_BUDGET = 10 ** 8
 
 
-class TraceStats:
-    """A run's costs and warnings. Two stats compare equal when every field
-    does."""
+class TraceStats(_Record):
+    """A run's costs and warnings."""
 
     def __init__(self) -> None:
         self.total_ticks = 0
@@ -37,15 +36,6 @@ class TraceStats:
         self.block_warnings: list[str] = []
         self.stability_violations: list[str] = []
         self.budget_exhausted = False
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return "TraceStats(%s)" % ", ".join("%s=%r" % field
-                                            for field in vars(self).items())
 
 
 class Trace:
@@ -156,16 +146,22 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
                 if isinstance(out, StabilityViolation):
                     sent = None
                     name = "%s.%s->%s.%s" % (src, src_port, dst, port)
-                    unstable.append((t, bid, "%s value error %+d"
-                                     % (name, out.value_error)))
                     try:
-                        out = TimedMessage(out.distorted_events, msg.clock,
-                                           msg.amplitudes)
+                        read = TimedMessage(out.distorted_events, msg.clock,
+                                            msg.amplitudes)
                     except ValueError as exc:
                         failures.append((t, bid, "wire %s: distorted message "
                                          "is unreadable: %s" % (name, exc),
                                          exc))
                         break
+                    value = msg.decoded()
+                    if type(value) is int:
+                        text = "value error %+d" % out.value_error
+                    else:   # a span difference misses a moved member
+                        text = "value %s read as %s" % (format_result(
+                            value), format_result(read.decoded()))
+                    unstable.append((t, bid, "%s %s" % (name, text)))
+                    out = read
                 events = out.events
                 last, count = events[-1][1], len(events)
             if last > budget:
@@ -211,7 +207,8 @@ def oracle_results(net: Netlist,
     input's, folds ordinary +, *, min, max, floor(v * rate), a sum for
     the dot product and plain sets for mux and demux over the netlist's
     topological order. A value that a seeded photon draw decides, or is
-    computed from, is None.
+    computed from, is None. Of several failing blocks it raises for the
+    first in `net.order`, which need not be the one `run` raises for.
     """
     blocks, inputs, params = net.blocks, net.inputs, net.params
     clock_of = net.clock_of

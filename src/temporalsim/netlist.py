@@ -28,7 +28,21 @@ from .core import ClockRef
 from .errors import NetlistParseError, NetlistValidationError
 
 
-class Netlist:
+class _Record:
+    """A mutable record: equal to a record of its own class when every
+    field is, printed with every field, and unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % field for field in vars(self).items()))
+
+
+class Netlist(_Record):
     """A parsed netlist. `clocks`, `blocks`, `wires` and `probes` are what
     the text declares; validation resolves the rest. A block is the plain
     tuple `(id, kind, params)`, with params as the line writes them; a
@@ -36,8 +50,7 @@ class Netlist:
     `inputs` and `outputs` hold the same wire tuples. `wires` keeps line
     order; validation reads it once in (dst block, dst port) order, so
     each block's `inputs` are in sorted port order and its `outputs` in
-    destination order. Two netlists compare equal when every field
-    does."""
+    destination order."""
 
     def __init__(self) -> None:
         self.clocks: dict[str, ClockRef] = {}
@@ -50,15 +63,6 @@ class Netlist:
         self.inputs: dict[str, dict[str, tuple]] = {}  # port -> wire
         self.outputs: dict[str, list[tuple]] = {}      # by dst
         self.order: list[str] = []                # topological
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return "Netlist(%s)" % ", ".join("%s=%r" % field
-                                         for field in vars(self).items())
 
 
 # Links are immutable, so every wire without an option shares this one.
@@ -277,7 +281,7 @@ def _validate(net: Netlist) -> None:
             src_kind = kinds[src_id]
             if src_kind is not None:
                 sort = src_kind.emits
-                if src_port not in src_kind.outputs:
+                if src_port != "out" or sort is None:
                     sort = None
                     wire_errors.append((
                         wire, "block %r (%s) has no output port %r"
@@ -317,9 +321,9 @@ def _validate(net: Netlist) -> None:
                                 % (dst_id, dst_port)))
         ports[dst_port] = wire
 
-    # A clocked kind without clock= runs on `main` if declared, else the
-    # only clock. Any other block without clock= emits on the clock of
-    # its first input, resolved in topological order below.
+    # Without clock=, a kind with no inputs runs on `main` if declared,
+    # else the only clock. Any other block emits on the clock of its
+    # first input, resolved in topological order below.
     clocks = net.clocks
     default_clock = "main" if "main" in clocks else (
         next(iter(clocks)) if len(clocks) == 1 else None)
@@ -334,10 +338,10 @@ def _validate(net: Netlist) -> None:
         params[bid] = values
         if problems:
             errors += problems
-        clocked = spec.clocked
-        clock_id = values.get("clock", default_clock if clocked else None)
+        inputless = spec.inputs == ()
+        clock_id = values.get("clock", default_clock if inputless else None)
         clock_of[bid] = clocks.get(clock_id)
-        if clock_id is None and clocked:
+        if clock_id is None and inputless:
             errors.append("block %r needs an explicit clock" % bid)
         elif clock_id is not None and clock_id not in clocks:
             errors.append("block %r references unknown clock %r"
@@ -363,8 +367,8 @@ def _validate(net: Netlist) -> None:
             errors.append("probe references unknown block %r" % bid)
             continue
         spec = kinds[bid]
-        if port not in inputs[bid] \
-                and port not in (spec.outputs if spec else ("out",)):
+        if port not in inputs[bid] and (
+                port != "out" or spec is not None and spec.emits is None):
             errors.append("probe references unknown port %s.%s" % (bid, port))
 
     order: list[str] = []

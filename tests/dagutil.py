@@ -1,23 +1,38 @@
 """Random acyclic netlist generator, shared by the engine tests and the
 acceptance suite."""
 
+import os
 import random
 
 CLOCKS = ("main", "alt")
 
 
 def random_dag_netlist(rng: random.Random, depth_max: int = 5,
-                       value_max: int = 1000) -> str:
+                       value_max: int = 1000,
+                       tables: str | None = None) -> str:
     """A well-sorted feed-forward netlist over every block kind, on the
     clocks `main` and `alt`. Its last line, its only `probe` line,
     probes the last scalar block; each demux output feeds a probe block.
     The two operands of an `add` share a clock, and no photon
     accumulator sets `seed=`. Each wire has `latency=<0-9>` with
-    probability 1/2."""
-    def wire(src, dst):
+    probability 1/2. Given a directory `tables`, half the other wires
+    not into a `mux` get `table=tK.tbl`, a latency table written there
+    with a default and 1-6 ticks below 4 * value_max + 10, each delay
+    0-9; parse the netlist with `base_dir=tables`."""
+    written = []
+
+    def wire(src, dst, table=True):
         line = "wire %s.out %s" % (src, dst)
         if rng.random() < 0.5:
             line += " latency=%d" % rng.randint(0, 9)
+        elif tables is not None and table and rng.random() < 0.5:
+            ticks = rng.sample(range(4 * value_max + 10), rng.randint(1, 6))
+            written.append("t%d.tbl" % len(written))
+            with open(os.path.join(tables, written[-1]), "w",
+                      encoding="utf-8") as fh:
+                fh.write("default %d\n" % rng.randint(0, 9) + "".join(
+                    "%d %d\n" % (tick, rng.randint(0, 9)) for tick in ticks))
+            line += " table=" + written[-1]
         return line
 
     lines = ["clock main 1",
@@ -91,7 +106,8 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
             for j, value in enumerate(values):
                 lines += ["block %sm%d source value=%d clock=%s"
                           % (bid, j, value, clock),
-                          wire("%sm%d" % (bid, j), "%s.in%d" % (bid, j))]
+                          wire("%sm%d" % (bid, j), "%s.in%d" % (bid, j),
+                               table=False)]
             continue
         clock_of[bid] = clock
     lines.append("probe %s.out" % list(clock_of)[-1])

@@ -86,6 +86,11 @@ CASES = {
         ["run", "{tmp}/distorted.net"], 1, "",
         "error: wire x.out->d.in: distorted message is unreadable: "
         "mux requires duplicate-free values\n"),
+    # A table that moves the smaller member: the warning names both sets.
+    "misread value set": (
+        {"distorted.net": DISTORTED, "distorted.tbl": "8 2\n"},
+        ["run", "{tmp}/distorted.net"], 0, "probe d.out={4,6}\n",
+        "warning: unstable link x.out->d.in value {2,6} read as {4,6}\n"),
     "decimal frequency": (
         {"decimal.net": "clock main 0.5\nblock a source value=3\n"},
         ["run", "{tmp}/decimal.net"], 1, "",

@@ -200,8 +200,9 @@ def _quoted(cell: str) -> list[str]:
 
 def test_readme_kind_table_matches_kinds():
     # Each row states what `KINDS` declares: ports, param names and
-    # which are required, whether the kind needs a clock, the sorts it
-    # takes and emits, and whether it has an output.
+    # which are required, the sorts it takes and emits, and whether it
+    # has an output; its clock cell states the rule validation derives
+    # from the ports and the `clock` param.
     rows = _kind_table()
     assert list(rows) == list(KINDS)
     for name, (ports, params, clock, sorts, _cost) in rows.items():
@@ -216,18 +217,25 @@ def test_readme_kind_table_matches_kinds():
             for part in params.split("; ")}
         assert declared == {key: param.required
                             for key, param in kind.params.items()}, name
-        assert kind.clocked is ("first input's" not in clock), name
+        derived = "the default" if kind.inputs == () else "first input's"
+        clock_param = kind.params.get("clock")
+        if clock_param is not None:
+            derived = ("`clock=`" if clock_param.required
+                       else "`clock=`, else " + derived)
+        assert clock == derived, name
         takes, emits = sorts.split(" → ")
         if kind.inputs == ():
             assert takes == "none", name
         else:
             assert takes == ("any" if kind.takes is None
                              else "`%s`" % kind.takes), name
-        assert kind.outputs == (() if emits == "none" else ("out",)), name
-        if isinstance(kind.emits, str):
+        if kind.emits is None:
+            can_emit = set()
+        elif isinstance(kind.emits, str):
             can_emit = {kind.emits}
         else:   # the sort with no optional param, and with every one set
             can_emit = {kind.emits({}),
                         kind.emits(dict.fromkeys(kind.params, "1"))}
+        assert (emits == "none") is (kind.emits is None), name
         assert {s for s in _quoted(emits) if s in (SCALAR, MUX, MV)} == \
-            (can_emit if kind.outputs else set()), name
+            can_emit, name

@@ -346,11 +346,10 @@ VALUE_TYPES = {
         [(lambda: Param(), TypeError, None)]),
     Kind: (
         lambda: Kind(("a",), len, max),
-        ("inputs", "fire", "oracle", "params", "clocked", "outputs",
-         "check", "takes", "emits"),
+        ("inputs", "fire", "oracle", "params", "check", "takes", "emits"),
         "Kind(inputs=('a',), fire=<built-in function len>, "
-        "oracle=<built-in function max>, params={}, clocked=False, "
-        "outputs=('out',), check=None, takes='scalar', emits='scalar')",
+        "oracle=<built-in function max>, params=mappingproxy({}), "
+        "check=None, takes='scalar', emits='scalar')",
         [(lambda: Kind(("a",), len), TypeError, None)]),
 }
 
@@ -367,9 +366,14 @@ def test_value_type_contract(cls):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert value == twin
-    if cls is Kind:     # its params are a dict, as they always were
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+    if cls is Kind:     # its params are a mapping, read-only by default
+        with pytest.raises(TypeError,
+                           match="unhashable type: 'mappingproxy'"):
             hash(value)
+        # The default schema is shared, so no kind may write to it.
+        assert value.params is twin.params
+        with pytest.raises(TypeError):
+            value.params["k"] = Param(int)
     else:
         assert hash(value) == hash(twin)
     for call, exc_type, message in rejected:

@@ -3,6 +3,7 @@ the integer-DAG oracle."""
 
 import random
 import re
+import tempfile
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -66,7 +67,7 @@ def _observe_every_output(text, base_dir=None):
     output, so that every message a block emits is delivered too."""
     lines = [text.rstrip("\n")]
     for bid, kind, _params in parse_netlist(text, base_dir).blocks.values():
-        if blocks.KINDS[kind].outputs:
+        if blocks.KINDS[kind].emits is not None:
             lines += ["block seen_%s probe" % bid,
                       "wire %s.out seen_%s.in" % (bid, bid)]
     return "\n".join(lines) + "\n"
@@ -331,6 +332,19 @@ class TestSendOnce:
         assert err == ("warning: unstable link a.out->p.in value error +3\n"
                        "warning: unstable link a.out->q.in value error +3\n")
         assert len(links) == 2 and links[0] is links[1]
+
+    def test_a_misread_multivalent_message_names_both_values(self,
+                                                            tmp_path):
+        # A message that is not a scalar is named by its value as sent
+        # and as read, each printed as `check` prints a probe.
+        table = tmp_path / "late.tbl"
+        table.write_text("3 2\n")
+        trace = _run_text("clock main 1\n"
+                          "block a source value=2 position=3\n"
+                          "block p probe\nwire a.out p.in table=%s\n" % table)
+        assert trace.stats.stability_violations == [
+            "a.out->p.in value {3:2} read as {5:2}"]
+        assert trace.results == {"p.in": {5: 2}}
 
     def test_a_shared_send_past_the_budget_drops_every_wire(self):
         trace = _run_text(FAN_OUT % ("", "", ""), budget=5)
@@ -597,6 +611,27 @@ class TestOracle:
             oracle_results(net)
         assert str(judged.value) == str(ran.value) == (
             "block 'x' (mux): " + error)
+
+    def test_roadmap_item_28_two_bad_muxes_name_two_blocks(self):
+        # The oracle raises for the first failing block in `net.order`,
+        # `z`; the engine for the least (fire tick, block id), `y`, which
+        # fires at 2 to `z`'s 5. An oracle that computes ticks can pick
+        # the engine's block.
+        net = parse_netlist(
+            "clock main 1\nblock z mux\nblock y mux\n"
+            "block z0 source value=5\nblock z1 source value=5\n"
+            "block y0 source value=0\nblock y1 source value=2\n"
+            "wire z0.out z.in0\nwire z1.out z.in1\n"
+            "wire y0.out y.in0\nwire y1.out y.in1\nprobe z.out\n")
+        assert net.order.index("z") < net.order.index("y")
+        with pytest.raises(SimulationError) as ran:
+            run(net)
+        with pytest.raises(SimulationError) as judged:
+            oracle_results(net)
+        assert str(ran.value) == (
+            "block 'y' (mux): 0 collides with the start marker")
+        assert str(judged.value) == (
+            "block 'z' (mux): mux requires duplicate-free values")
 
     # A wrong sort never reaches the oracle: validation rejects it.
     @pytest.mark.parametrize("tail,error", [
@@ -899,6 +934,33 @@ class TestMetamorphicLaws:
         assert nested.stats.total_ticks == 11
 
 
+def _judge_with_tables(seed):
+    """Run a `dagutil` DAG with latency tables, each output seen by a
+    probe block. Either the run keeps the timeline's laws, whose
+    transport law lists exactly the distorted wires, or it refuses a
+    distortion it cannot read, naming a `table=` wire. Returns the
+    outcome: "stable", "value error" or "read as" (the kind of the last
+    violation listed), or "unreadable"."""
+    with tempfile.TemporaryDirectory() as tables:
+        text = random_dag_netlist(random.Random(seed), value_max=8,
+                                  tables=tables)
+        net = parse_netlist(_observe_every_output(text, tables), tables)
+        try:
+            trace = run(net)
+        except SimulationError as exc:
+            found = re.fullmatch(r"wire (\S+)->(\S+): distorted message "
+                                 r"is unreadable: .+", str(exc))
+            assert found, str(exc)
+            assert re.search(r"^wire %s %s table=" % (
+                re.escape(found[1]), re.escape(found[2])), text, re.M), exc
+            return "unreadable"
+    check_timeline(net, trace)
+    violations = trace.stats.stability_violations
+    if not violations:
+        return "stable"
+    return "read as" if " read as " in violations[-1] else "value error"
+
+
 class TestTimeline:
     """`tests/timeline.py` judges each run's ticks (ROADMAP item 17): a
     wire delivers its source's emission shifted by its link, a block
@@ -917,6 +979,18 @@ class TestTimeline:
         text = random_dag_netlist(random.Random(seed))
         net = parse_netlist(_observe_every_output(text))
         check_timeline(net, run(net))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_a_random_dag_with_latency_tables_keeps_the_laws(self, seed):
+        # ROADMAP items 3 and 17: `table=` wires distort some messages.
+        _judge_with_tables(seed)
+
+    def test_latency_tables_reach_every_outcome(self):
+        # The property above is not vacuous: its DAGs distort scalars and
+        # value sets readably, and some distortions are unreadable.
+        outcomes = {_judge_with_tables(seed) for seed in range(200)}
+        assert outcomes == {"stable", "value error", "read as",
+                            "unreadable"}
 
     def test_the_checker_refuses_a_broken_law(self):
         # links: a=4 reaches s.a over latency=2 as (2, 6), b.out->q.in is

@@ -316,6 +316,19 @@ def test_clock_violations_keep_their_text_and_order():
     ]
 
 
+@pytest.mark.parametrize("clocks", ["clock a 1\nclock b 2\n",
+                                    "clock main 1\nclock b 2\n"],
+                         ids=["no-default", "default"])
+def test_convert_without_clock_is_one_violation(clocks):
+    # Its required `clock=` names its clock, so a missing one is reported
+    # once, whether or not the netlist has a default clock.
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(clocks + "block s source value=1 clock=b\n"
+                      "block c convert\nwire s.out c.in\nprobe c.out\n")
+    assert err.value.violations == [
+        "block 'c' (convert) missing param 'clock'"]
+
+
 def test_unwired_required_input():
     with pytest.raises(NetlistValidationError) as err:
         parse_netlist("clock main 1\n"

@@ -20,9 +20,10 @@ def check_timeline(net, trace, budget=10 ** 8, seed=None):
     - transport: a wire delivers its source's emitted events, each shifted
       by the wire's link delay at that event's tick, or nothing when the
       shifted message ends past the budget. It is listed in
-      `stability_violations`, with the change in span as its value error,
-      exactly when those delays differ. A source that emitted nothing
-      delivers nothing.
+      `stability_violations` exactly when those delays differ: a scalar
+      with its change in span as its value error, any other message with
+      its value as sent and as read (see `_misread`). A source that
+      emitted nothing delivers nothing.
     - firing: a block's emission starts at its fire tick, the largest
       last tick among its delivered inputs, or 0 for a source. A block
       that emitted has every input delivered.
@@ -49,9 +50,8 @@ def check_timeline(net, trace, budget=10 ** 8, seed=None):
         shifted = tuple((role, tick + delay)
                         for (role, tick), delay in zip(events, delays))
         if len(set(delays)) > 1:
-            error = (shifted[-1][1] - shifted[0][1]) - (
-                events[-1][1] - events[0][1])
-            unstable.append("%s value error %+d" % (name, error))
+            unstable.append("%s %s" % (name, _misread(events, shifted,
+                                                      amplitudes)))
         if got is None:
             assert max(tick for _role, tick in shifted) > budget, \
                 "%s lost a message that ends within the budget" % name
@@ -93,6 +93,31 @@ def _span(msg):
 def _offsets(msg):
     start = msg.events[0][1]
     return [tick - start for role, tick in msg.events if role == "value-pulse"]
+
+
+def _misread(events, shifted, amplitudes):
+    """A distortion as the run's warning names it: a scalar's change in
+    span, else the value sent and the value read, each in braces."""
+    if events[-1][0] == "end":
+        return "value error %+d" % ((shifted[-1][1] - shifted[0][1])
+                                    - (events[-1][1] - events[0][1]))
+    return "value %s read as %s" % (_printed(events, amplitudes),
+                                    _printed(shifted, amplitudes))
+
+
+def _printed(events, amplitudes):
+    """A value set's sorted offsets, or a multi-valent message's
+    position:amplitude pairs by position, amplitudes at one position
+    summed."""
+    start = events[0][1]
+    offsets = [tick - start for role, tick in events if role == "value-pulse"]
+    if not amplitudes:
+        return "{%s}" % ",".join(str(pos) for pos in sorted(offsets))
+    buckets = {}
+    for pos, amp in zip(offsets, amplitudes):
+        buckets[pos] = buckets.get(pos, 0) + amp
+    return "{%s}" % ",".join("%d:%d" % item
+                             for item in sorted(buckets.items()))
 
 
 def _value_law(kind, raw, ins, clock, seed):
