@@ -13,10 +13,10 @@ engine fires the block, and is on the first operand's clock.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from .core import (EVENT_END, EVENT_VALUE, MultiValentTrain, TimedMessage,
-                   _interval, _offsets, _span)
+from .core import (EVENT_END, EVENT_VALUE, ClockRef, MultiValentTrain,
+                   TimedMessage, _interval, _offsets, _span)
 
 
 def add_concat(x: TimedMessage, y: TimedMessage) -> TimedMessage:
@@ -50,36 +50,38 @@ def mul_dilate(x: TimedMessage, k: int) -> TimedMessage:
     return _interval(_span(events) * k, events[-1][1], x.clock)
 
 
-def _race(lanes: Sequence[TimedMessage],
-          pick: Callable[[list[int]], int]) -> TimedMessage:
-    """The span `pick` chooses among the lanes' spans, starting when the
-    last lane ends. The lanes must be scalars on one clock. One pass
-    reads each lane's clock, span and last tick."""
+def _read_lanes(lanes: Sequence[TimedMessage],
+                name: str) -> tuple[list[int], int, ClockRef]:
+    """Each lane's span, the latest tick a lane ends and the lanes' one
+    clock, read in one pass. The lanes must be scalars on one clock; a
+    refusal names the operation `name`."""
     if not lanes:
-        raise ValueError("race needs at least one lane")
+        raise ValueError("%s needs at least one lane" % name)
     first_events, clock, _amplitudes = lanes[0]
     end = first_events[-1][1]   # ticks may be negative: not 0
     spans = []
     for events, lane_clock, _amplitudes in lanes:
         if lane_clock is not clock and lane_clock != clock:
-            raise ValueError("race lanes must share one clock")
+            raise ValueError("%s lanes must share one clock" % name)
         role, last = events[-1]
         if role != EVENT_END:
-            raise ValueError("race requires scalar lanes")
+            raise ValueError("%s requires scalar lanes" % name)
         spans.append(last - events[0][1])
         if last > end:
             end = last
-    return _interval(pick(spans), end, clock)
+    return spans, end, clock
 
 
 def min_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """First arrival among synchronous lanes (OR-gate semantics)."""
-    return _race(lanes, min)
+    spans, end, clock = _read_lanes(lanes, "race")
+    return _interval(min(spans), end, clock)
 
 
 def max_race(lanes: Sequence[TimedMessage]) -> TimedMessage:
     """Last arrival among synchronous lanes (AND-gate semantics)."""
-    return _race(lanes, max)
+    spans, end, clock = _read_lanes(lanes, "race")
+    return _interval(max(spans), end, clock)
 
 
 def mux(lanes: Sequence[TimedMessage]) -> TimedMessage:
@@ -90,17 +92,8 @@ def mux(lanes: Sequence[TimedMessage]) -> TimedMessage:
     Equivalent to OR-ing the individual interval codes: shared leading
     spans are reused, which is what makes the packing efficient.
     """
-    if not lanes:
-        raise ValueError("mux needs at least one value")
-    clock = lanes[0].clock
-    for m in lanes:
-        if m.clock is not clock and m.clock != clock:
-            raise ValueError("mux lanes must share one clock")
-        if m.events[-1][0] != EVENT_END:
-            raise ValueError("mux requires scalar lanes")
-    return TimedMessage.multiplexed([_span(m.events) for m in lanes],
-                                    max(m.events[-1][1] for m in lanes),
-                                    clock)
+    spans, end, clock = _read_lanes(lanes, "mux")
+    return TimedMessage.multiplexed(spans, end, clock)
 
 
 def demux(msg: TimedMessage) -> set[int]:

@@ -44,7 +44,7 @@ from .accumulators import (
     toggle_chain_overflowed,
 )
 from .core import (EVENT_START, EVENT_VALUE, MUX, MV, SCALAR, TimedMessage,
-                   _interval, _pulses, _span, measure_interval)
+                   _interval, _span, measure_interval)
 
 # Per-block constant tick overhead for delimiter handling.
 C0 = 1
@@ -180,12 +180,13 @@ def parse_params(block) -> tuple[dict[str, object], list[str]]:
     return values, errors
 
 
-# Fire functions build their values unchecked, with the C call
-# `tuple.__new__(X, (...))` that namedtuple's `_make` makes: every input
-# message was checked where it was built, its sort where the netlist was
-# validated, and parameters where they were parsed, so a value derived
-# from them is valid. Each paper operation returns its result message
-# starting at the fire tick t, the tick its last operand ends.
+# A fire function that builds a value itself builds it unchecked, with
+# the C call `tuple.__new__(X, (...))` that namedtuple's `_make` makes:
+# every input message was checked where it was built, its sort where the
+# netlist was validated, and parameters where they were parsed, so a
+# value derived from them is valid. Each paper operation returns its
+# result message starting at the fire tick t, the tick its last operand
+# ends.
 
 
 def _source(_bid, params, _inputs, t, clock, _seed):
@@ -228,18 +229,15 @@ def _lanes(operation: str) -> Callable[..., tuple]:
 
 
 def _demux(_bid, _params, inputs, t, clock, _seed):
-    # A distorted delivery was rebuilt by the checked constructor, so
-    # every value set holds distinct positive offsets.
-    values = sorted(arith.demux(inputs[0]))
-    return (tuple.__new__(TimedMessage, (_pulses(t, values), clock, ())),
-            values[-1] + C0, ())
+    out = TimedMessage.multiplexed(arith.demux(inputs[0]), t, clock)
+    return out, _span(out.events) + C0, ()
 
 
 def _madd(_bid, _params, inputs, t, clock, _seed):
     # An input may repeat a position; `mv_merge` sums the amplitudes at
     # an equal position, within one input as across inputs.
     merged = arith.mv_merge(inputs)
-    sweep = merged.items[-1][0] if merged.items else 0
+    sweep = merged.items[-1][0]
     return _interval(arith.madd(merged), t, clock), sweep + C0, ()
 
 

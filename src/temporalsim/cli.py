@@ -308,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, TemporalError) as exc:
+        # A failed run's warnings come first, as after a run that ends.
+        if getattr(exc, "stats", None) is not None:
+            _warn(exc.stats)
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

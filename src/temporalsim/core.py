@@ -48,7 +48,9 @@ class PulseTrain(namedtuple("PulseTrain", "pulses clock")):
     __slots__ = ()
 
     def __new__(cls, pulses: Sequence[int], clock: ClockRef = DEFAULT_CLOCK):
-        pulses = tuple(int(p) for p in pulses)
+        pulses = tuple(pulses)
+        if not all(isinstance(p, int) for p in pulses):
+            raise ValueError("pulse positions must be integers")
         if any(p < 0 for p in pulses):
             raise ValueError("pulse positions must be non-negative")
         if any(b <= a for a, b in zip(pulses, pulses[1:])):
@@ -69,8 +71,13 @@ class MultiValentTrain(namedtuple("MultiValentTrain", "items clock")):
 
     def __new__(cls, items: Sequence[tuple[int, int]] = (),
                 clock: ClockRef = DEFAULT_CLOCK):
+        items = [(pos, amp) for pos, amp in items]
+        # Checked before the sort, which cannot order a str among ints.
+        if not all(isinstance(x, int) for pair in items for x in pair):
+            raise ValueError("bucket positions and amplitudes must be "
+                             "integers")
         buckets: dict[int, int] = {}
-        for pos, amp in sorted((int(p), int(a)) for p, a in items):
+        for pos, amp in sorted(items):
             if pos < 0:
                 raise ValueError("bucket position must be non-negative")
             if amp < 1:
@@ -121,8 +128,10 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         else:
             raise ValueError(
                 "a start must be followed by one end or by value pulses")
-        amplitudes = tuple(int(a) for a in amplitudes)
+        amplitudes = tuple(amplitudes)
         if amplitudes:
+            if not all(isinstance(a, int) for a in amplitudes):
+                raise ValueError("amplitudes must be integers")
             if len(amplitudes) != len(pulses) or min(amplitudes) < 1:
                 raise ValueError("need one amplitude >= 1 per value pulse")
         elif pulses:
@@ -156,13 +165,11 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
         """The payload: a position->amplitude map when the message carries
         amplitudes, a value set when its last event is a value pulse, and
         otherwise the span from its start to its end. Amplitudes at a
-        repeated position sum, as `mv_merge` sums them."""
+        repeated position sum, as a `MultiValentTrain`'s do."""
         events = self.events
         if self.amplitudes:
-            buckets: dict[int, int] = {}
-            for pos, amp in zip(_offsets(events), self.amplitudes):
-                buckets[pos] = buckets.get(pos, 0) + amp
-            return buckets
+            return dict(MultiValentTrain(
+                zip(_offsets(events), self.amplitudes)).items)
         if events[-1][0] == EVENT_VALUE:
             return set(_offsets(events))
         return _span(events)

@@ -44,13 +44,10 @@ class Trace:
     from it on first read. A trace read back from CSV has events and
     results but no messages."""
 
-    def __init__(self,
-                 delivered: dict[tuple[str, str], TimedMessage] | None = None,
-                 results: dict[str, object] | None = None,
-                 stats: TraceStats | None = None) -> None:
-        self.delivered = {} if delivered is None else delivered
-        self.results = {} if results is None else results
-        self.stats = TraceStats() if stats is None else stats
+    def __init__(self) -> None:
+        self.delivered: dict[tuple[str, str], TimedMessage] = {}
+        self.results: dict[str, object] = {}
+        self.stats = TraceStats()
 
     @cached_property
     def events(self) -> list[tuple[int, str, str, str]]:
@@ -172,14 +169,16 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
             if last > total_ticks:
                 total_ticks = last
 
-    if failures:
-        _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
-        raise SimulationError(text) from cause
-
     unstable.sort(key=itemgetter(0, 1))
     stats.stability_violations = [text for _t, _b, text in unstable]
     warned.sort(key=itemgetter(0, 1))   # stable: a block's texts keep order
     stats.block_warnings = [text for _t, _b, text in warned]
+    if failures:
+        _t, _bid, text, cause = min(failures, key=itemgetter(0, 1))
+        error = SimulationError(text)
+        error.stats = stats
+        raise error from cause
+
     # One rule for every probe: `X.out` reads what X emitted, an in-port
     # what it was delivered; neither holds a message past the budget.
     for bid, port in net.probes:
@@ -214,13 +213,12 @@ def oracle_results(net: Netlist,
     clock_of = net.clock_of
     oracles = {name: kind.oracle for name, kind in KINDS.items()}
     values: dict[str, object] = {}
-    drawn = False   # whether any value so far is None
     for bid in net.order:
         wires = inputs[bid]
         ins = []
         for wire in wires.values():
             ins.append(values[wire[0]])
-        if drawn and None in ins:
+        if None in ins:
             values[bid] = None
             continue
         kind, p, rate = blocks[bid][1], params[bid], 1
@@ -231,11 +229,10 @@ def oracle_results(net: Netlist,
             if clock is not src:
                 rate = clock.frequency / src.frequency
         try:
-            value = values[bid] = oracles[kind](p, ins, rate, seed)
+            values[bid] = oracles[kind](p, ins, rate, seed)
         except ValueError as exc:  # a mux's repeated or zero input
             raise SimulationError("block %r (%s): %s"
                                   % (bid, kind, exc)) from exc
-        drawn = drawn or value is None
 
     results: dict[str, object] = {}
     for bid, port in net.probes:

@@ -26,4 +26,5 @@ class NetlistValidationError(TemporalError):
 
 
 class SimulationError(TemporalError):
-    """A block raised during execution (bad operand set, etc.)."""
+    """A block raised during execution (bad operand set, etc.). One that
+    `run` raises carries the run's `stats`, its warnings listed."""

@@ -54,6 +54,9 @@ LATE = ("clock main 1\nblock a source value=1000 clock=main\n"
 DISTORTED = ("clock main 1\nblock a source value=2\nblock b source value=6\n"
              "block x mux\nblock d demux\nwire a.out x.in0\nwire b.out x.in1\n"
              "wire x.out d.in table=distorted.tbl\nprobe d.out\n")
+REPEAT = ("clock main 1\nblock a source value=2\nblock b source value=4\n"
+          "block x mux\nwire a.out x.in0\n"
+          "wire b.out x.in1 table=late_start.tbl\nprobe x.out\n")
 # Importing the package and its CLI loads none of these.
 IMPORT_CHECK = (
     "import sys, temporalsim, temporalsim.cli\n"
@@ -91,6 +94,13 @@ CASES = {
         {"distorted.net": DISTORTED, "distorted.tbl": "8 2\n"},
         ["run", "{tmp}/distorted.net"], 0, "probe d.out={4,6}\n",
         "warning: unstable link x.out->d.in value {2,6} read as {4,6}\n"),
+    # A table that delays b's start 2 ticks: the lane reads 2, a repeat
+    # of a's 2. The unstable link is reported before the run's error.
+    "warning before a run's error": (
+        {"repeat.net": REPEAT, "late_start.tbl": "0 2\n"},
+        ["run", "{tmp}/repeat.net"], 1, "",
+        "warning: unstable link b.out->x.in1 value error -2\n"
+        "error: block 'x' (mux): mux requires duplicate-free values\n"),
     "decimal frequency": (
         {"decimal.net": "clock main 0.5\nblock a source value=3\n"},
         ["run", "{tmp}/decimal.net"], 1, "",

@@ -187,7 +187,7 @@ class TestMux:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError,
-                           match="^mux needs at least one value$"):
+                           match="^mux needs at least one lane$"):
             mux([])
 
     @pytest.mark.parametrize("values", [[1.5, 2], [2.0], [Fraction(3)],

@@ -54,6 +54,25 @@ REJECTED = {
     "mv amplitude before duplicate": (
         lambda: MultiValentTrain(((2, 1), (2, 0))),
         "bucket amplitude must be >= 1"),
+    # A number that is not an int is refused, not floored, as a tick is.
+    "mv float position": (lambda: MultiValentTrain(((2.7, 3),)),
+                          "bucket positions and amplitudes must be integers"),
+    "mv float amplitude": (lambda: MultiValentTrain(((2, 3.9),)),
+                           "bucket positions and amplitudes must be integers"),
+    "mv digit strings": (lambda: MultiValentTrain((("2", "3"),)),
+                         "bucket positions and amplitudes must be integers"),
+    "mv digit string among ints": (
+        lambda: MultiValentTrain(((1, 1), ("2", 3))),
+        "bucket positions and amplitudes must be integers"),
+    "message float amplitude": (
+        lambda: TimedMessage([("start", 0), ("value-pulse", 2)],
+                             amplitudes=[2.9]),
+        "amplitudes must be integers"),
+    "message Fraction amplitude": (
+        lambda: TimedMessage.multivalent([(2, Fraction(3))]),
+        "amplitudes must be integers"),
+    "pulse float position": (lambda: PulseTrain([0, 2.5]),
+                             "pulse positions must be integers"),
     "clock frequency": (lambda: ClockRef("c", Fraction(0)),
                         "clock 'c' frequency must be > 0"),
     "scaled factor": (lambda: MAIN.scaled(0), "scale factor must be >= 1"),
@@ -429,7 +448,9 @@ def test_records_that_differ_in_one_field_compare_unequal(cls, field):
     setattr(two, field, _changed(getattr(two, field)))
     assert one != two and not one == two
     if cls is TraceStats:
-        assert Trace(stats=one) != Trace(stats=two)
+        traces = Trace(), Trace()
+        traces[0].stats, traces[1].stats = one, two
+        assert traces[0] != traces[1]
     with pytest.raises(TypeError, match="unhashable type"):
         hash(one)
 

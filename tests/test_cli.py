@@ -623,6 +623,23 @@ def test_a_value_set_distorted_onto_one_tick_is_refused(command, net,
         "mux requires duplicate-free values\n")
 
 
+# The table delays b's start 2 ticks and not its end, so the mux reads
+# 2 twice and fails; the link that made the repeat is named first.
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_failed_run_prints_its_warnings_before_its_error(command, tmp_path,
+                                                           capsys):
+    (tmp_path / "late_start.tbl").write_text("0 2\n")
+    path = tmp_path / "repeat.net"
+    path.write_text("clock main 1\nblock a source value=2\n"
+                    "block b source value=4\nblock x mux\n"
+                    "wire a.out x.in0\nwire b.out x.in1 table=late_start.tbl\n"
+                    "probe x.out\n")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "warning: unstable link b.out->x.in1 value error -2\n"
+        "error: block 'x' (mux): mux requires duplicate-free values\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "{add34}", "--budget", "abc"],
      "error: argument --budget: 'abc' is not an integer\n"),
