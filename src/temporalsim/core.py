@@ -157,7 +157,14 @@ class TimedMessage(namedtuple("TimedMessage", "events clock amplitudes")):
     def multivalent(cls, items: Iterable[tuple[int, int]], start: int = 0,
                     clock: ClockRef = DEFAULT_CLOCK) -> "TimedMessage":
         """(position, amplitude) buckets as amplitude-carrying pulses."""
-        items = sorted(items)
+        items = [(pos, amp) for pos, amp in items]
+        # Checked before the sort, which cannot order a str or None among
+        # ints; the texts are the checked constructor's.
+        if not all(isinstance(pos, int) for pos, _amp in items):
+            raise ValueError("event ticks must be integers")
+        if not all(isinstance(amp, int) for _pos, amp in items):
+            raise ValueError("amplitudes must be integers")
+        items.sort()
         return cls(_pulses(start, [p for p, _a in items]), clock,
                    [a for _p, a in items])
 

@@ -2,10 +2,10 @@
 
 In simulated time blocks fire on event arrival, never on a global
 control clock: each block fires once, when its last input ends. The
-host therefore evaluates them in one pass over the netlist's
-topological order, keeps each delivered message, and sorts the
-warnings by (fire tick, block id); the trace lists the events by
-(tick, block id, port) when first read. So every run is a pure
+host therefore evaluates them in one pass over the netlist's plan, in
+topological order, keeps each delivered message at its wire's slot, and
+sorts the warnings by (fire tick, block id); the trace lists the events
+by (tick, block id, port) when first read. So every run is a pure
 function of the netlist text and seeds. Costs are simulated ticks, never
 wall-clock. What each block kind computes lives in `blocks.KINDS`.
 """
@@ -40,26 +40,38 @@ class TraceStats(_Record):
 
 class Trace:
     """A run's outcome. `delivered` maps each (block, port) that received
-    a message to that message, in delivery order; `events` is derived
-    from it on first read. A trace read back from CSV has events and
-    results but no messages."""
+    a message to that message, in (block, port) order. It and `events`
+    are derived from the run's slots on first read. A trace read back
+    from CSV has events and results but no messages."""
 
     def __init__(self) -> None:
-        self.delivered: dict[tuple[str, str], TimedMessage] = {}
         self.results: dict[str, object] = {}
         self.stats = TraceStats()
+        # The wires in slot order and the message each slot received, or
+        # None: what `delivered` and `events` are derived from.
+        self._wires: list[tuple] | tuple = ()
+        self._slots: list[TimedMessage | None] | tuple = ()
+
+    def _delivered(self):
+        """(dst block, dst port, message) of each delivery, in slot
+        order, which is (block, port) order."""
+        return [(dst, port, msg) for (_src, _src_port, dst, port, _link), msg
+                in zip(self._wires, self._slots) if msg is not None]
+
+    @cached_property
+    def delivered(self) -> dict[tuple[str, str], TimedMessage]:
+        return {(block, port): msg for block, port, msg in self._delivered()}
 
     @cached_property
     def events(self) -> list[tuple[int, str, str, str]]:
         """Every delivered event as (tick, block, port, role), sorted by
-        (tick, block, port). Laid out by sorted (block, port), each
+        (tick, block, port). Laid out in (block, port) order, each
         message's events in its own start, value-pulse, end order, then
         sorted stably by tick alone: one wire per port, so that is the
         full order."""
-        delivered = self.delivered
         events = [(tick, block, port, role)
-                  for block, port in sorted(delivered)
-                  for role, tick in delivered[block, port].events]
+                  for block, port, msg in self._delivered()
+                  for role, tick in msg.events]
         events.sort(key=itemgetter(0))
         return events
 
@@ -77,44 +89,43 @@ class Trace:
 def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         seed: int | None = None) -> Trace:
     """Execute a netlist that `parse_netlist` returned, in one pass over
-    `net.order`. A block fires when every input port holds a delivered
-    message, at the largest last tick among them (0 for a source). A
-    message, emitted or delivered, that ends past the budget is dropped
-    and sets `budget_exhausted`; `total_ticks` is the last tick of any
-    message kept. Every probe is resolved after the pass, in
-    `net.probes` order. Warnings are listed, and of several failing
-    blocks the one raised is chosen, by (fire tick, block id)."""
+    `net.plan`, with each delivered message kept at its wire's slot. A
+    block fires when every input slot holds a delivered message, at the
+    largest last tick among them (0 for a source). A message, emitted or
+    delivered, that ends past the budget is dropped and sets
+    `budget_exhausted`; `total_ticks` is the last tick of any message
+    kept. Every probe is resolved after the pass, in `net.probes` order.
+    Warnings are listed, and of several failing blocks the one raised is
+    chosen, by (fire tick, block id)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     trace = Trace()
-    stats, results, delivered = trace.stats, trace.results, trace.delivered
+    stats, results = trace.stats, trace.results
     costs = stats.block_costs
     # Bound once per run; `transmit_checked` is still read from this
     # module at call time, so a wrapper installed on it sees every call.
     transmit = transmit_checked
-    blocks, params, clock_of = net.blocks, net.params, net.clock_of
-    inputs_of, outputs_of = net.inputs, net.outputs
+    wires = net.slots
+    slots: list[TimedMessage | None] = [None] * len(wires)
+    trace._wires, trace._slots = wires, slots
     emitted: dict[str, TimedMessage] = {}
     fires = {name: kind.fire for name, kind in KINDS.items()}
     unstable: list[tuple[int, str, str]] = []   # (tick, block, warning)
     warned: list[tuple[int, str, str]] = []     # (tick, block, fire's text)
     failures: list[tuple[int, str, str, Exception]] = []
     event_count = total_ticks = 0
-    for bid in net.order:
-        inputs, t = [], 0
-        try:
-            for port in inputs_of[bid]:
-                msg = delivered[bid, port]
-                inputs.append(msg)
-                last = msg.events[-1][1]
-                if last > t:
-                    t = last
-        except KeyError:  # dropped past the budget, or its source failed
+    for bid, kind, params, clock, first, end, outs in net.plan:
+        inputs = slots[first:end]
+        if None in inputs:  # dropped past the budget, or its source failed
             continue
-        kind = blocks[bid][1]
+        t = 0
+        for msg in inputs:
+            last = msg.events[-1][1]
+            if last > t:
+                t = last
         try:
-            msg, cost, found = fires[kind](bid, params[bid], inputs, t,
-                                           clock_of[bid], seed)
+            msg, cost, found = fires[kind](bid, params, inputs, t, clock,
+                                           seed)
         except ValueError as exc:
             failures.append((t, bid, "block %r (%s): %s" % (bid, kind, exc),
                              exc))
@@ -137,12 +148,14 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
         # one Link object shares one send. A distorted send is never
         # shared: each wire reports its own violation.
         sent = None     # the link whose clean send `out` holds
-        for src, src_port, dst, port, link in outputs_of[bid]:
+        for slot in outs:
+            wire = wires[slot]
+            link = wire[4]
             if link is not sent:
                 out, sent = transmit(msg, link), link
                 if isinstance(out, StabilityViolation):
                     sent = None
-                    name = "%s.%s->%s.%s" % (src, src_port, dst, port)
+                    name = "%s.%s->%s.%s" % wire[:4]
                     try:
                         read = TimedMessage(out.distorted_events, msg.clock,
                                             msg.amplitudes)
@@ -164,7 +177,7 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
             if last > budget:
                 stats.budget_exhausted = True
                 continue
-            delivered[dst, port] = out
+            slots[slot] = out
             event_count += count
             if last > total_ticks:
                 total_ticks = last
@@ -181,9 +194,8 @@ def run(net: Netlist, budget: int = DEFAULT_BUDGET,
 
     # One rule for every probe: `X.out` reads what X emitted, an in-port
     # what it was delivered; neither holds a message past the budget.
-    for bid, port in net.probes:
-        msg = (emitted.get(bid) if port == "out"
-               else delivered.get((bid, port)))
+    for (bid, port), slot in zip(net.probes, net.probe_slots):
+        msg = emitted.get(bid) if slot is None else slots[slot]
         if msg is not None:
             results["%s.%s" % (bid, port)] = msg.decoded()
     stats.event_count, stats.total_ticks = event_count, total_ticks
@@ -201,43 +213,43 @@ def oracle_results(net: Netlist,
 
     Independent of the event engine: each block's oracle function in
     `blocks.KINDS`, called as `(params, ins, rate, seed)` with `ins` the
-    list of its input values in sorted port order, the order a fire gets
-    its messages, and `rate` its output clock's frequency over its first
-    input's, folds ordinary +, *, min, max, floor(v * rate), a sum for
-    the dot product and plain sets for mux and demux over the netlist's
-    topological order. A value that a seeded photon draw decides, or is
-    computed from, is None. Of several failing blocks it raises for the
-    first in `net.order`, which need not be the one `run` raises for.
+    list of its input values in slot order, the sorted port order a fire
+    gets its messages in, and `rate` its output clock's frequency over
+    its first input's, folds ordinary +, *, min, max, floor(v * rate), a
+    sum for the dot product and plain sets for mux and demux over the
+    rows of `net.plan`, each value kept at its block's out slots. A value
+    that a seeded photon draw decides, or is computed from, is None. Of
+    several failing blocks it raises for the first in `net.plan`, which
+    need not be the one `run` raises for.
     """
-    blocks, inputs, params = net.blocks, net.inputs, net.params
-    clock_of = net.clock_of
+    wires, clock_of = net.slots, net.clock_of
     oracles = {name: kind.oracle for name, kind in KINDS.items()}
     values: dict[str, object] = {}
-    for bid in net.order:
-        wires = inputs[bid]
-        ins = []
-        for wire in wires.values():
-            ins.append(values[wire[0]])
+    slots: list[object] = [None] * len(wires)
+    for bid, kind, p, clock, first, end, outs in net.plan:
+        ins = slots[first:end]
         if None in ins:
-            values[bid] = None
-            continue
-        kind, p, rate = blocks[bid][1], params[bid], 1
-        # Only clock= can set another clock than the first input's.
-        if wires and "clock" in p:
-            clock = clock_of[bid]
-            src = clock_of[next(iter(wires.values()))[0]]
-            if clock is not src:
-                rate = clock.frequency / src.frequency
-        try:
-            values[bid] = oracles[kind](p, ins, rate, seed)
-        except ValueError as exc:  # a mux's repeated or zero input
-            raise SimulationError("block %r (%s): %s"
-                                  % (bid, kind, exc)) from exc
+            value = None
+        else:
+            rate = 1
+            # Only clock= can set another clock than the first input's.
+            if first != end and "clock" in p:
+                src = clock_of[wires[first][0]]
+                if clock is not src:
+                    rate = clock.frequency / src.frequency
+            try:
+                value = oracles[kind](p, ins, rate, seed)
+            except ValueError as exc:  # a mux's repeated or zero input
+                raise SimulationError("block %r (%s): %s"
+                                      % (bid, kind, exc)) from exc
+        values[bid] = value
+        for slot in outs:
+            slots[slot] = value
 
     results: dict[str, object] = {}
-    for bid, port in net.probes:
-        src = bid if port == "out" else inputs[bid][port][0]
-        results["%s.%s" % (bid, port)] = values[src]
+    for (bid, port), slot in zip(net.probes, net.probe_slots):
+        results["%s.%s" % (bid, port)] = (values[bid] if slot is None
+                                          else slots[slot])
     return results
 
 

@@ -10,9 +10,10 @@ Line-oriented, whitespace-separated, `#` comments:
 Parsing reports the first tokenization failure with its position;
 validation reports every structural violation at once. A netlist that
 `parse_netlist` returns carries its resolved form: each block's parsed
-params and clock, its input and output wires, a topological order, one
-`Link` per wire, and every observed port in `probes` (a `probe` block
-observes its `in`). The engine and the oracle read only that.
+params and clock, one `Link` per wire, each wire's slot, a run plan of
+one row per block in topological order, and every observed port in
+`probes` (a `probe` block observes its `in`) with the slot it reads. The
+engine and the oracle read only that.
 """
 
 from __future__ import annotations
@@ -46,11 +47,15 @@ class Netlist(_Record):
     """A parsed netlist. `clocks`, `blocks`, `wires` and `probes` are what
     the text declares; validation resolves the rest. A block is the plain
     tuple `(id, kind, params)`, with params as the line writes them; a
-    wire is `(src_block, src_port, dst_block, dst_port, link)`, and
-    `inputs` and `outputs` hold the same wire tuples. `wires` keeps line
-    order; validation reads it once in (dst block, dst port) order, so
-    each block's `inputs` are in sorted port order and its `outputs` in
-    destination order."""
+    wire is `(src_block, src_port, dst_block, dst_port, link)`. `wires`
+    keeps line order; `slots` holds the same wire tuples in (dst block,
+    dst port) order, and a wire's slot is its index there. So a block's
+    inputs are one run of slots, in sorted port order. `plan` has one
+    plain-tuple row per block, in topological order:
+    `(id, kind, params, clock, first, end, outs)`, where `slots[first:end]`
+    are its input wires and `outs` lists the slots of its output wires in
+    destination order. `probe_slots` gives, for each probe in `probes`
+    order, the slot an in-port probe reads, or None for an `out` probe."""
 
     def __init__(self) -> None:
         self.clocks: dict[str, ClockRef] = {}
@@ -60,9 +65,9 @@ class Netlist(_Record):
         # Resolved by validation:
         self.params: dict[str, dict[str, object]] = {}
         self.clock_of: dict[str, ClockRef] = {}   # the clock each emits on
-        self.inputs: dict[str, dict[str, tuple]] = {}  # port -> wire
-        self.outputs: dict[str, list[tuple]] = {}      # by dst
-        self.order: list[str] = []                # topological
+        self.slots: list[tuple[str, str, str, str, Link]] = []
+        self.plan: list[tuple] = []               # topological
+        self.probe_slots: list[int | None] = []
 
 
 # Links are immutable, so every wire without an option shares this one.
@@ -250,10 +255,10 @@ def parse_netlist(text: str, base_dir: str | None = None) -> Netlist:
 
 def _validate(net: Netlist) -> None:
     """Check every structural rule and resolve the netlist in one pass:
-    on success, store the parsed params, the wiring and the topological
-    order on `net`; otherwise raise with every violation. The wires are
-    read once, in (dst block, dst port) order, so each block's inputs
-    fill in sorted port order and its out-wires in destination order."""
+    on success, store the parsed params, the clocks, the slots, the plan
+    and the probes' slots on `net`; otherwise raise with every violation.
+    The wires are read once, in slot order, so each block's inputs are
+    one run of slots and its out-wires fill in destination order."""
     errors: list[str] = []
     blocks = net.blocks
     if not blocks:
@@ -264,12 +269,18 @@ def _validate(net: Netlist) -> None:
     # The wiring first: the block checks below read it, but its own
     # problems are reported after theirs. A wire whose two ports exist
     # must carry the sort its destination takes.
-    inputs: dict[str, dict[str, tuple]] = {bid: {} for bid in blocks}
-    outputs: dict[str, list[tuple]] = {bid: [] for bid in blocks}
+    slots = sorted(net.wires, key=itemgetter(2, 3))
+    runs = dict.fromkeys(blocks, (0, 0))    # block -> (first, end) slot
+    outputs: dict[str, list[int]] = {bid: [] for bid in blocks}
     wire_errors: list[tuple[tuple, str]] = []   # (wire, violation)
     variadic_ports = set()  # in0, in1, ... names already accepted
-    for wire in sorted(net.wires, key=itemgetter(2, 3)):
+    first, last_dst, last_port = 0, None, None
+    for slot, wire in enumerate(slots):
         src_id, src_port, dst_id, dst_port, _link = wire
+        if dst_id != last_dst:
+            if slot:
+                runs[last_dst] = first, slot
+            first, last_dst, last_port = slot, dst_id, None
         src_wires = outputs.get(src_id)
         if src_wires is None or dst_id not in kinds:
             wire_errors += [
@@ -277,7 +288,7 @@ def _validate(net: Netlist) -> None:
                 for bid in (src_id, dst_id) if bid not in kinds]
         sort = None
         if src_wires is not None:
-            src_wires.append(wire)
+            src_wires.append(slot)
             src_kind = kinds[src_id]
             if src_kind is not None:
                 sort = src_kind.emits
@@ -313,13 +324,13 @@ def _validate(net: Netlist) -> None:
                     wire, "block %r (%s) input %r takes %s, got %s from %r"
                     % (dst_id, blocks[dst_id][1], dst_port, takes, sort,
                        "%s.%s" % (src_id, src_port))))
-        ports = inputs.get(dst_id)
-        if ports is None:
-            ports = inputs[dst_id] = {}
-        if dst_port in ports:
+        # The sort is stable, so a repeated port follows its first wire.
+        if dst_port == last_port:
             wire_errors.append((wire, "input port %s.%s driven by two wires"
                                 % (dst_id, dst_port)))
-        ports[dst_port] = wire
+        last_port = dst_port
+    if slots:
+        runs[last_dst] = first, len(slots)
 
     # Without clock=, a kind with no inputs runs on `main` if declared,
     # else the only clock. Any other block emits on the clock of its
@@ -329,6 +340,7 @@ def _validate(net: Netlist) -> None:
         next(iter(clocks)) if len(clocks) == 1 else None)
     params: dict[str, dict[str, object]] = {}
     clock_of: dict[str, ClockRef | None] = {}
+    indeg: dict[str, int] = {}    # how many input wires, for Kahn below
     for bid, block in blocks.items():
         spec, kind = kinds[bid], block[1]
         if spec is None:
@@ -346,12 +358,16 @@ def _validate(net: Netlist) -> None:
         elif clock_id is not None and clock_id not in clocks:
             errors.append("block %r references unknown clock %r"
                           % (bid, clock_id))
-        wired = inputs[bid]
+        first, end = runs[bid]
+        indeg[bid] = end - first
         if spec.inputs is VARIADIC:
-            if not wired:
+            if first == end:
                 errors.append("block %r (%s) has no wired inputs"
                               % (bid, kind))
-        else:
+        # Without a wire error each wire has its own port of the kind's,
+        # so one slot per port means every port is wired.
+        elif wire_errors or end - first != len(spec.inputs):
+            wired = {wire[3] for wire in slots[first:end]}
             for port in spec.inputs:
                 if port not in wired:
                     errors.append("block %r (%s) input %r is not wired"
@@ -362,25 +378,41 @@ def _validate(net: Netlist) -> None:
         wire_errors.sort(key=lambda found: line_of[id(found[0])])
         errors += [text for _wire, text in wire_errors]
 
+    # An `out` probe reads what its block emits; any other reads a slot.
+    # No kind has an input port `out`, so only a wire error wires one.
+    probe_slots: list[int | None] = []
     for bid, port in net.probes:
         if bid not in blocks:
             errors.append("probe references unknown block %r" % bid)
             continue
+        slot = None
+        if port != "out" or wire_errors:
+            first, end = runs[bid]
+            for index in range(first, end):
+                if slots[index][3] == port:
+                    slot = index
+                    break
         spec = kinds[bid]
-        if port not in inputs[bid] and (
+        if slot is None and (
                 port != "out" or spec is not None and spec.emits is None):
             errors.append("probe references unknown port %s.%s" % (bid, port))
+        probe_slots.append(slot)
 
-    order: list[str] = []
+    plan: list[tuple] = []
     if not errors:
-        # Kahn's algorithm; the loop visits the blocks it appends.
-        indeg = {bid: len(ports) for bid, ports in inputs.items()}
+        # Kahn's algorithm; the loop visits the blocks it appends, and
+        # lays out one plan row per block as it visits it.
         order = [bid for bid, d in indeg.items() if d == 0]
         for bid in order:
-            if clock_of[bid] is None:
-                first = next(iter(inputs[bid].values()))
-                clock_of[bid] = clock_of[first[0]]
-            for _src, _port, dst, _dst_port, _link in outputs[bid]:
+            first, end = runs[bid]
+            clock = clock_of[bid]
+            if clock is None:
+                clock = clock_of[bid] = clock_of[slots[first][0]]
+            outs = outputs[bid]
+            plan.append((bid, blocks[bid][1], params[bid], clock, first, end,
+                         outs))
+            for slot in outs:
+                dst = slots[slot][2]
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     order.append(dst)
@@ -390,7 +422,9 @@ def _validate(net: Netlist) -> None:
     if errors:
         raise NetlistValidationError(errors)
     declared = set(net.probes)
-    net.probes += [(bid, "in") for bid, kind, _params in blocks.values()
-                   if kind == "probe" and (bid, "in") not in declared]
-    net.params, net.clock_of, net.inputs, net.outputs, net.order = \
-        params, clock_of, inputs, outputs, order
+    for bid, kind, _params in blocks.values():
+        if kind == "probe" and (bid, "in") not in declared:
+            net.probes.append((bid, "in"))
+            probe_slots.append(runs[bid][0])
+    net.params, net.clock_of, net.slots, net.plan, net.probe_slots = \
+        params, clock_of, slots, plan, probe_slots

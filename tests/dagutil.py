@@ -16,16 +16,16 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
     The two operands of an `add` share a clock, and no photon
     accumulator sets `seed=`. Each wire has `latency=<0-9>` with
     probability 1/2. Given a directory `tables`, half the other wires
-    not into a `mux` get `table=tK.tbl`, a latency table written there
-    with a default and 1-6 ticks below 4 * value_max + 10, each delay
-    0-9; parse the netlist with `base_dir=tables`."""
+    get `table=tK.tbl`, a latency table written there with a default and
+    1-6 ticks below 4 * value_max + 10, each delay 0-9; parse the
+    netlist with `base_dir=tables`."""
     written = []
 
-    def wire(src, dst, table=True):
+    def wire(src, dst):
         line = "wire %s.out %s" % (src, dst)
         if rng.random() < 0.5:
             line += " latency=%d" % rng.randint(0, 9)
-        elif tables is not None and table and rng.random() < 0.5:
+        elif tables is not None and rng.random() < 0.5:
             ticks = rng.sample(range(4 * value_max + 10), rng.randint(1, 6))
             written.append("t%d.tbl" % len(written))
             with open(os.path.join(tables, written[-1]), "w",
@@ -106,8 +106,7 @@ def random_dag_netlist(rng: random.Random, depth_max: int = 5,
             for j, value in enumerate(values):
                 lines += ["block %sm%d source value=%d clock=%s"
                           % (bid, j, value, clock),
-                          wire("%sm%d" % (bid, j), "%s.in%d" % (bid, j),
-                               table=False)]
+                          wire("%sm%d" % (bid, j), "%s.in%d" % (bid, j))]
             continue
         clock_of[bid] = clock
     lines.append("probe %s.out" % list(clock_of)[-1])

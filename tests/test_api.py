@@ -59,8 +59,8 @@ PUBLIC_ATTRIBUTES = {
     "ClockRef": "frequency id scaled",
     "Link": "constant default from_table table",
     "MultiValentTrain": "clock items",
-    "Netlist": "blocks clock_of clocks inputs order outputs params probes "
-               "wires",
+    "Netlist": "blocks clock_of clocks params plan probe_slots probes "
+               "slots wires",
     "PulseTrain": "clock pulses",
     "StabilityViolation": "distorted_events original value_error",
     "TemporalError": "",

@@ -68,6 +68,14 @@ REJECTED = {
         lambda: TimedMessage([("start", 0), ("value-pulse", 2)],
                              amplitudes=[2.9]),
         "amplitudes must be integers"),
+    # Checked before the sort, which cannot order a str or None among
+    # ints.
+    "message digit string among int positions": (
+        lambda: TimedMessage.multivalent([(1, 1), ("2", 3)]),
+        "event ticks must be integers"),
+    "message None among int positions": (
+        lambda: TimedMessage.multivalent([(None, 1), (2, 3)]),
+        "event ticks must be integers"),
     "message Fraction amplitude": (
         lambda: TimedMessage.multivalent([(2, Fraction(3))]),
         "amplitudes must be integers"),
@@ -420,7 +428,7 @@ def _containers(record):
 
 
 # How many dicts and lists each record holds.
-CONTAINERS = {Netlist: 9, Trace: 5, TraceStats: 3}
+CONTAINERS = {Netlist: 9, Trace: 4, TraceStats: 3}
 
 
 @pytest.mark.parametrize("cls", list(CONTAINERS),
@@ -465,7 +473,7 @@ def test_records_are_unequal_to_a_non_record(cls):
 def test_records_print_their_fields():
     assert repr(Netlist()) == (
         "Netlist(clocks={}, blocks={}, wires=[], probes=[], params={}, "
-        "clock_of={}, inputs={}, outputs={}, order=[])")
+        "clock_of={}, slots=[], plan=[], probe_slots=[])")
     assert repr(Trace()) == (
         "Trace(delivered={}, results={}, stats=TraceStats(total_ticks=0, "
         "event_count=0, block_costs={}, block_warnings=[], "

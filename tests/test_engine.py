@@ -314,6 +314,29 @@ class TestSendOnce:
         assert trace.stats.event_count == 6
         assert trace.stats.total_ticks == 7 + max(delays.values())
 
+    def test_each_run_of_one_link_is_one_call_at_call_time(self,
+                                                          monkeypatch):
+        # `run` reads `engine.transmit_checked` when it runs, so a wrapper
+        # installed after import sees every send. The out-wires go in
+        # destination order: a and b share the no-option link, c and d
+        # one `latency=2` link, and e starts a third run on the first.
+        delays, send = [], engine.transmit_checked
+
+        def counted(msg, link):
+            out = send(msg, link)
+            delays.append(out.events[0][1] - msg.events[0][1])
+            return out
+
+        monkeypatch.setattr(engine, "transmit_checked", counted)
+        trace = _run_text(
+            "clock main 1\nblock s source value=3\n"
+            + "".join("block %s probe\n" % bid for bid in "edcba")
+            + "wire s.out e.in\nwire s.out d.in latency=2\n"
+            "wire s.out c.in latency=2\nwire s.out b.in\nwire s.out a.in\n")
+        assert delays == [0, 2, 0]
+        assert trace.results == dict.fromkeys(
+            ("%s.in" % bid for bid in "abcde"), 3)
+
     def test_a_distorted_send_is_reported_per_wire(self, tmp_path,
                                                    monkeypatch, capsys):
         # Both wires name one table, so they share its Link; its delay
@@ -613,7 +636,7 @@ class TestOracle:
             "block 'x' (mux): " + error)
 
     def test_roadmap_item_28_two_bad_muxes_name_two_blocks(self):
-        # The oracle raises for the first failing block in `net.order`,
+        # The oracle raises for the first failing block in `net.plan`,
         # `z`; the engine for the least (fire tick, block id), `y`, which
         # fires at 2 to `z`'s 5. An oracle that computes ticks can pick
         # the engine's block.
@@ -623,7 +646,8 @@ class TestOracle:
             "block y0 source value=0\nblock y1 source value=2\n"
             "wire z0.out z.in0\nwire z1.out z.in1\n"
             "wire y0.out y.in0\nwire y1.out y.in1\nprobe z.out\n")
-        assert net.order.index("z") < net.order.index("y")
+        order = [row[0] for row in net.plan]
+        assert order.index("z") < order.index("y")
         with pytest.raises(SimulationError) as ran:
             run(net)
         with pytest.raises(SimulationError) as judged:
@@ -734,12 +758,15 @@ class TestDifferential:
         net = parse_netlist(text)
         assert net.clock_of.keys() == net.blocks.keys()
         assert None not in net.clock_of.values()
+        # A block's plan row carries that clock.
+        assert {row[0]: row[3] for row in net.plan} == net.clock_of
 
     @given(NETLISTS)
     def test_a_message_is_on_its_senders_clock(self, text):
         net = parse_netlist(text)
+        sender = {(dst, port): src for src, _sp, dst, port, _l in net.slots}
         for (dst, port), msg in run(net).delivered.items():
-            assert msg.clock is net.clock_of[net.inputs[dst][port][0]]
+            assert msg.clock is net.clock_of[sender[dst, port]]
 
 
 class TestLatencyInvariance:
@@ -805,15 +832,16 @@ class TestMetamorphicLaws:
         # item 2), so only blocks whose inputs share one clock are drawn.
         text = random_dag_netlist(random.Random(seed))
         net = parse_netlist(text)
+        inputs = {bid: net.slots[first:end]
+                  for bid, _kind, _p, _clock, first, end, _outs in net.plan}
         drawn = sorted(
             bid for bid, kind, _params in net.blocks.values()
             if kind in ("add", "min", "max", "mux", "madd")
-            and len({net.clock_of[wire[0]]
-                     for wire in net.inputs[bid].values()}) == 1)
+            and len({net.clock_of[wire[0]] for wire in inputs[bid]}) == 1)
         if not drawn:
             return
         bid = data.draw(st.sampled_from(drawn), label="block")
-        ports = data.draw(st.permutations(sorted(net.inputs[bid])),
+        ports = data.draw(st.permutations([wire[3] for wire in inputs[bid]]),
                           label="ports")
         before = run(net)
         after = run(parse_netlist(_permute_inputs(text, bid, ports)))
@@ -938,9 +966,10 @@ def _judge_with_tables(seed):
     """Run a `dagutil` DAG with latency tables, each output seen by a
     probe block. Either the run keeps the timeline's laws, whose
     transport law lists exactly the distorted wires, or it refuses a
-    distortion it cannot read, naming a `table=` wire. Returns the
-    outcome: "stable", "value error" or "read as" (the kind of the last
-    violation listed), or "unreadable"."""
+    distortion it cannot read, naming a `table=` wire, or a mux refuses
+    the repeated or zero value that a distorted input gave it. Returns
+    the outcome: "stable", "value error" or "read as" (the kind of the
+    last violation listed), "unreadable" or "mux refused"."""
     with tempfile.TemporaryDirectory() as tables:
         text = random_dag_netlist(random.Random(seed), value_max=8,
                                   tables=tables)
@@ -950,10 +979,21 @@ def _judge_with_tables(seed):
         except SimulationError as exc:
             found = re.fullmatch(r"wire (\S+)->(\S+): distorted message "
                                  r"is unreadable: .+", str(exc))
+            if found:
+                assert re.search(r"^wire %s %s table=" % (
+                    re.escape(found[1]), re.escape(found[2])), text,
+                    re.M), exc
+                return "unreadable"
+            # The generator draws a mux's values distinct and above 0, so
+            # only a distorted input can repeat one or make one 0.
+            found = re.fullmatch(r"block '(\w+)' \(mux\): (mux requires "
+                                 r"duplicate-free values|0 collides with "
+                                 r"the start marker)", str(exc))
             assert found, str(exc)
-            assert re.search(r"^wire %s %s table=" % (
-                re.escape(found[1]), re.escape(found[2])), text, re.M), exc
-            return "unreadable"
+            into = re.compile(r"\S+->%s\.in\d+ value error " % found[1])
+            assert any(map(into.match, exc.stats.stability_violations)), (
+                exc, exc.stats.stability_violations)
+            return "mux refused"
     check_timeline(net, trace)
     violations = trace.stats.stability_violations
     if not violations:
@@ -991,6 +1031,11 @@ class TestTimeline:
         outcomes = {_judge_with_tables(seed) for seed in range(200)}
         assert outcomes == {"stable", "value error", "read as",
                             "unreadable"}
+
+    def test_a_distorted_mux_input_can_be_refused(self):
+        # Rarer than the four above: a `table=` wire into a mux moves a
+        # value onto another lane's, or to 0, and the mux refuses it.
+        assert _judge_with_tables(57505983) == "mux refused"
 
     def test_the_checker_refuses_a_broken_law(self):
         # links: a=4 reaches s.a over latency=2 as (2, 6), b.out->q.in is

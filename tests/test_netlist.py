@@ -37,6 +37,17 @@ def test_parses_the_add_example():
     assert net.clocks["main"].frequency == 1
 
 
+def _row(net, bid):
+    """Block `bid`'s plan row."""
+    return next(row for row in net.plan if row[0] == bid)
+
+
+def _inputs(net, bid):
+    """Block `bid`'s input wires: its plan row's run of slots."""
+    _bid, _kind, _params, _clock, first, end, _outs = _row(net, bid)
+    return net.slots[first:end]
+
+
 def test_comments_and_blank_lines_ignored():
     net = parse_netlist("# header\n\n" + ADD_NET + "\n# trailer\n")
     assert set(net.blocks) == {"a", "b", "s"}
@@ -124,8 +135,10 @@ def test_a_wire_of_the_sort_taken_is_valid(sort):
     net = parse_netlist("clock main 1\n" + EMITS[sort]
                         + "block t %s\nwire e.out t.%s\n" % (kind, port)
                         + "block p probe\nwire e.out p.in\n")
-    assert net.inputs["t"][port][0] == "e"
-    assert net.inputs["p"]["in"][0] == "e"
+    assert [wire[:4] for wire in _inputs(net, "t")] == \
+        [("e", "out", "t", port)]
+    assert [wire[:4] for wire in _inputs(net, "p")] == \
+        [("e", "out", "p", "in")]
 
 
 def test_every_sort_error_is_listed_at_once():
@@ -167,14 +180,18 @@ def test_rows_are_plain_tuples():
              if isinstance(obj, tuple) and type(obj) is not tuple
              and id(obj) not in before]
     assert len(built) <= 1, {type(obj).__name__ for obj in built}
-    rows = [*net.blocks.values(), *net.wires, *net.outputs["s7"],
-            *net.inputs["m"].values()]
+    rows = [*net.blocks.values(), *net.wires, *net.slots, *net.plan]
     assert {type(row) for row in rows} == {tuple}
     assert net.blocks["s7"] == ("s7", "source", {"value": "7"})
     assert net.blocks["m"] == ("m", "max", {})
-    # Every wire without an option shares one Link.
+    assert _row(net, "m") == ("m", "max", {}, net.clocks["main"], 0, 100,
+                              [])
+    # Every wire without an option shares one Link; the wire into in7
+    # sits at in7's place among the sorted ports.
     wire = ("s7", "out", "m", "in7", net.wires[0][4])
-    assert net.wires[7] == net.outputs["s7"][0] == net.inputs["m"]["in7"] \
+    slot = sorted("in%d" % i for i in range(100)).index("in7")
+    assert _row(net, "s7")[6] == [slot]
+    assert net.wires[7] == net.slots[slot] == _inputs(net, "m")[slot] \
         == wire
 
 
@@ -185,8 +202,11 @@ def test_inputs_resolve_in_sorted_port_order():
                   "wire s%d.out m.in%d" % (i, i)]
     net = parse_netlist("\n".join(lines) + "\n")
     # Lexicographic, as the ports were always sorted: in10 before in2.
-    assert list(net.inputs["m"]) == sorted("in%d" % i for i in range(11))
-    assert list(net.inputs["m"])[:3] == ["in0", "in1", "in10"]
+    ports = [wire[3] for wire in _inputs(net, "m")]
+    assert ports == sorted("in%d" % i for i in range(11))
+    assert ports[:3] == ["in0", "in1", "in10"]
+    # m is the only block with inputs, so its run is every slot.
+    assert _row(net, "m")[4:6] == (0, 11)
 
 
 VARIADIC_NET = ("clock main 1\nblock a source value=1 clock=main\n"
@@ -206,7 +226,7 @@ def test_a_variadic_port_is_numbered_in_ascii_digits(port):
 
 def test_a_variadic_port_may_have_leading_zeros():
     net = parse_netlist(VARIADIC_NET.format(port="in007"))
-    assert list(net.inputs["m"]) == ["in007", "in3"]
+    assert [wire[3] for wire in _inputs(net, "m")] == ["in007", "in3"]
 
 
 @pytest.mark.parametrize("tail, expected", [
@@ -219,7 +239,9 @@ def test_a_variadic_port_may_have_leading_zeros():
 ], ids=["two", "four"])
 def test_outputs_resolve_in_destination_order(tail, expected):
     net = parse_netlist("clock main 1\nblock a source value=1\n" + tail)
-    assert [wire[2:4] for wire in net.outputs["a"]] == expected
+    assert [net.slots[slot][2:4] for slot in _row(net, "a")[6]] == expected
+    # The slots are numbered in that order too: a is the only source.
+    assert _row(net, "a")[6] == list(range(len(expected)))
 
 
 def test_parse_error_carries_position():
@@ -336,6 +358,22 @@ def test_unwired_required_input():
                       "block s add\n"
                       "wire a.out s.a\n")
     assert "'b' is not wired" in str(err.value)
+
+
+@pytest.mark.parametrize("ports, violation", [
+    (("a", "c"), "block 'a' (add) has no input port 'c'"),
+    (("a", "a"), "input port a.a driven by two wires"),
+], ids=["unknown-port", "repeated-port"])
+def test_one_wire_per_port_counts_only_without_a_wire_error(ports,
+                                                            violation):
+    # Two wires for the add's two ports, yet `b` is not wired: a count of
+    # the wires alone would lose the first violation.
+    text = "clock main 1\nblock s source value=1\nblock a add\n" + "".join(
+        "wire s.out a.%s\n" % port for port in ports)
+    with pytest.raises(NetlistValidationError) as err:
+        parse_netlist(text)
+    assert err.value.violations == [
+        "block 'a' (add) input 'b' is not wired", violation]
 
 
 def test_a_variadic_block_needs_a_wired_input():
@@ -745,8 +783,8 @@ def test_tabs_separate_tokens_and_a_hash_starts_a_comment():
         "block  s  add\n\n# wire b.out s.a\n"
         "wire a.out\ts.a\t# latency=x\nwire b.out s.b\t\n"
         "probe s.out #\n")
-    assert (tabbed.blocks, tabbed.wires, tabbed.probes, tabbed.order) == \
-        (spaced.blocks, spaced.wires, spaced.probes, spaced.order)
+    assert (tabbed.blocks, tabbed.wires, tabbed.probes, tabbed.plan) == \
+        (spaced.blocks, spaced.wires, spaced.probes, spaced.plan)
 
 
 def _respell(text, rng):
@@ -779,8 +817,8 @@ def test_a_respelled_netlist_resolves_the_same(dag_seed, spell_seed):
     text = random_dag_netlist(random.Random(dag_seed))
     canonical = parse_netlist(text)
     respelled = parse_netlist(_respell(text, random.Random(spell_seed)))
-    for name in ("order", "inputs", "outputs", "params", "clock_of",
-                 "probes"):
+    for name in ("slots", "plan", "params", "clock_of", "probes",
+                 "probe_slots"):
         assert getattr(respelled, name) == getattr(canonical, name), name
 
 
